@@ -174,11 +174,10 @@ def compute_path(
     switches relay payload, so interior path nodes are switches by
     construction. Only links whose residual (plus any extra_credit, used
     during migration to discount the session's own holding) covers
-    peak_rate are usable. Once the cheapest path is admitted, the
-    remaining latency budget is headroom for queueing, spread evenly
-    over its hops. Ties between equal-latency paths break
-    lexicographically on the node sequence. Raises Infeasible naming the
-    binding constraint.
+    peak_rate are usable. The path is refused only when its fixed latency
+    exceeds latency_bound; queueing delay is not budgeted. Ties between
+    equal-latency paths break lexicographically on the node sequence.
+    Raises Infeasible naming the binding constraint.
     """
     if src == dst:
         raise ValueError("src and dst must differ")

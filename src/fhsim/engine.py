@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from .packet import SEQ_MODULUS, FhHeader, FhPacket
@@ -61,7 +61,7 @@ class SwitchConfig:
 
 
 class SwitchState:
-    """Forwarding state of one switch: table plus input-buffer occupancy.
+    """Forwarding state of one switch: configuration plus label table.
 
     The table maps (input port, label) to one or more (output port,
     label) entries; more than one entry replicates the packet, which is
@@ -71,7 +71,6 @@ class SwitchState:
     def __init__(self, config: SwitchConfig):
         self.config = config
         self.table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self.input_occupancy: dict[int, int] = {}  # bytes buffered per input port
 
     def install(self, in_port: int, label: int, outputs: tuple[tuple[int, int], ...]) -> None:
         if (in_port, label) in self.table:
@@ -257,6 +256,9 @@ class CircuitStats:
     dropped_overflow: int = 0
     out_of_order: int = 0
 
+    def __add__(self, other: CircuitStats) -> CircuitStats:
+        return CircuitStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+
     @property
     def in_flight(self) -> int:
         return (
@@ -284,15 +286,7 @@ class SessionRunStats:
         return stats
 
     def totals(self) -> CircuitStats:
-        agg = CircuitStats()
-        for c in self.circuits.values():
-            agg.injected += c.injected
-            agg.replicated += c.replicated
-            agg.delivered += c.delivered
-            agg.dropped_unroutable += c.dropped_unroutable
-            agg.dropped_overflow += c.dropped_overflow
-            agg.out_of_order += c.out_of_order
-        return agg
+        return sum(self.circuits.values(), CircuitStats())
 
 
 @dataclass
@@ -314,16 +308,7 @@ class RunResult:
     regulator_peak_bits: dict[str, float]  # deepest shaping buffer per circuit
 
     def total(self) -> CircuitStats:
-        agg = CircuitStats()
-        for s in self.sessions.values():
-            t = s.totals()
-            agg.injected += t.injected
-            agg.replicated += t.replicated
-            agg.delivered += t.delivered
-            agg.dropped_unroutable += t.dropped_unroutable
-            agg.dropped_overflow += t.dropped_overflow
-            agg.out_of_order += t.out_of_order
-        return agg
+        return sum((s.totals() for s in self.sessions.values()), CircuitStats())
 
 
 # Event codes; ties at equal time resolve by scheduling order.
@@ -342,8 +327,8 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
         raise ValueError("horizon must be >= 0")
     del seed  # reproducibility handle; the event loop is fully deterministic
 
-    for switch in world.switches.values():
-        switch.input_occupancy = {}  # a world value may be run repeatedly
+    # bytes buffered per switch input port; run-local, so a world can be rerun
+    input_occupancy: dict[NodeId, dict[int, int]] = {node: {} for node in world.switches}
     topology = world.topology
     ports: dict[tuple[NodeId, int], _Port] = {}
     for link in topology.links:
@@ -453,7 +438,6 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             if distance == 0 or distance >= SEQ_MODULUS // 2:
                 cstats.out_of_order += 1
         last_seq[key] = pkt.header.seq
-        pkt.delivered_at = now
         stats.latencies.append(now - pkt.created_at)
         stats.payload_bits_delivered += pkt.payload_bits
         stats.delivered_paths.add(tuple(pkt.path_nodes) + (node,))
@@ -477,16 +461,17 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             if switch is None:
                 deliver(node, pkt, now)
                 continue
-            occupied = switch.input_occupancy.get(in_port, 0)
+            occupancy = input_occupancy[node]
+            occupied = occupancy.get(in_port, 0)
             if occupied + pkt.wire_bytes > switch.config.input_buffer_bytes:
                 session_stats(pkt).dropped_overflow += 1
                 continue
-            switch.input_occupancy[in_port] = occupied + pkt.wire_bytes
+            occupancy[in_port] = occupied + pkt.wire_bytes
             push(now + switch.config.header_processing_delay, _PROC_DONE, node, in_port, pkt)
         elif code == _PROC_DONE:
             node, in_port, pkt = a, b, c
             switch = world.switches[node]
-            switch.input_occupancy[in_port] -= pkt.wire_bytes
+            input_occupancy[node][in_port] -= pkt.wire_bytes
             outputs = switch.lookup(in_port, pkt.header.label)
             if outputs is None:
                 session_stats(pkt).dropped_unroutable += 1

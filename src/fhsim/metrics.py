@@ -181,21 +181,7 @@ def overhead_sweep(
             dc_replace(feed, policy=dc_replace(feed.policy, max_frame_bytes=size))
             for feed in world.circuits
         ]
-        fresh_switches = {}
-        for node_id, state in world.switches.items():
-            clone = type(state)(state.config)
-            clone.table = dict(state.table)
-            fresh_switches[node_id] = clone
-        trial = World(
-            topology=world.topology,
-            switches=fresh_switches,
-            circuits=circuits,
-            egress=dict(world.egress),
-            host_scheduler=world.host_scheduler,
-            host_queue_bytes=world.host_queue_bytes,
-            wrr_weights=world.wrr_weights,
-        )
-        result = run(trial, horizon, seed)
+        result = run(dc_replace(world, circuits=circuits), horizon, seed)
         latencies = [v for s in result.sessions.values() for v in s.latencies]
         p99 = _ns(percentile(latencies, 99)) if latencies else 0
         rows.append((size, measured_efficiency(result), p99))

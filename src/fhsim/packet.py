@@ -88,14 +88,13 @@ class FhPacket:
     """A framed payload unit moving through the simulated network.
 
     created_at is the arrival time of the oldest payload bit in the frame,
-    so delivered_at - created_at covers regulator wait plus transport.
+    so latency measured from it covers regulator wait plus transport.
     session_id and path_nodes are simulation bookkeeping, not wire state.
     """
 
     header: FhHeader
     payload_bits: int
     created_at: float
-    delivered_at: float | None = None
     session_id: str = ""
     circuit_id: int = 0
     path_nodes: list[int] = field(default_factory=list)
@@ -109,9 +108,3 @@ class FhPacket:
     @property
     def wire_bytes(self) -> int:
         return self.header.payload_len + HEADER_BYTES
-
-    @property
-    def latency(self) -> float:
-        if self.delivered_at is None:
-            raise ValueError("packet not delivered")
-        return self.delivered_at - self.created_at

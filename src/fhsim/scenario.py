@@ -18,8 +18,7 @@ requests, and the engine knobs, in five sections:
     regen = 0.5
 
     [sessions]
-    session = dl pattern=p2p src=rrh1 dst=bbu1 class=2 mean=1e8 \
-              peak=2e8 bound=1e-3 traffic=trace
+    session = dl pattern=p2p src=rrh1 dst=bbu1 class=2 mean=1e8 peak=2e8 bound=1e-3 traffic=trace
     # patterns: p2p, aggregation (srcs=a,b,c), multi_bbu (dsts=x,y),
     # bbu_to_bbu; traffic: trace (from the ingress cell) or cbr rate=...
 
@@ -29,16 +28,19 @@ requests, and the engine knobs, in five sections:
     subframes = 100
     seed = 1
 
-Unknown keys, bad values, and dangling node references are rejected
-with the offending line number. Parsing a rendered scenario yields an
-equal Scenario value.
+Every entry is one line. Each key sets one field of the value its line
+builds, as the _Keys tables below list; a key left out keeps the
+field's default. Unknown, repeated or malformed keys, dangling node
+references, and values that the built objects reject (prb=0, a
+self-loop link, horizon = -1, ...) raise ScenarioError naming the
+offending line, before run_scenario writes any file. Parsing a rendered
+scenario yields an equal Scenario value.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .control import Controller, Infeasible, SessionRequest
 from .engine import (
@@ -87,13 +89,35 @@ class ScenarioError(Exception):
         self.line = line
 
 
+class _At:
+    """Context that re-raises a ValueError as ScenarioError at `line`, naming `key`."""
+
+    def __init__(self, line: int, key: str = ""):
+        self.line, self.key = line, key
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, ValueError):
+            raise ScenarioError(self.line, f"{self.key}: {exc}" if self.key else str(exc)) from exc
+
+
 _KINDS = {
     "rrh": NodeKind.RRH,
     "bbu": NodeKind.BBU,
     "switch": NodeKind.FH_SWITCH,
     "timing": NodeKind.TIMING_SOURCE,
 }
-_SCHEDULERS = {s.value: s for s in Scheduler}
+
+# Session pattern -> for its sources and then its destinations, the node kind
+# and whether several are allowed; last, its shape over (source ids, destination ids).
+_PATTERNS = {
+    "p2p": (("rrh", False), ("bbu", False), lambda s, d: PointToPoint(s[0], d[0])),
+    "aggregation": (("rrh", True), ("bbu", False), lambda s, d: AggregationToOneBbu(s, d[0])),
+    "multi_bbu": (("rrh", False), ("bbu", True), lambda s, d: RrhToMultiBbu(s[0], d)),
+    "bbu_to_bbu": (("bbu", False), ("bbu", False), lambda s, d: BbuToBbu(s[0], d[0])),
+}
 
 
 @dataclass(frozen=True)
@@ -123,6 +147,12 @@ class UeSpec:
     mcs_step: float = 0.3
     mcs_init: int | None = None
 
+    def __post_init__(self) -> None:
+        self.profile(0)  # UeProfile rejects out-of-range values
+
+    def profile(self, ue_id: int) -> UeProfile:
+        return UeProfile(ue_id, self.mean_on, self.mean_off, self.demand, self.mcs_step, self.mcs_init)
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -131,7 +161,7 @@ class CellSpec:
     role: str = ""
     cell: CellConfig = CellConfig()
     ues: UeSpec = UeSpec()
-    control: ControlSchedule = ControlSchedule(0, 10, 0)
+    control: ControlSchedule = ControlSchedule()
     line: int = field(default=0, compare=False)
 
 
@@ -143,16 +173,16 @@ class SourceSpec:
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SessionSpec:
     name: str
-    pattern: str  # p2p | aggregation | multi_bbu | bbu_to_bbu
+    pattern: str = "p2p"  # a key of _PATTERNS
     srcs: tuple[str, ...]
     dsts: tuple[str, ...]
-    latency_class: int
+    latency_class: int = 7
     mean_rate: float
     peak_rate: float
-    latency_bound: float
+    latency_bound: float = 1e-2
     scheme: SplitScheme | None = None
     traffic: str = "trace"  # trace | cbr
     cbr_rate: float | None = None
@@ -176,110 +206,213 @@ class EngineSpec:
     subframes: int = 100
     seed: int = 1
 
+    def __post_init__(self) -> None:
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        if self.subframes < 1:
+            raise ValueError("subframes must be >= 1")
+        self.switch_config()
+        RegulatorPolicy(self.frame_bytes, self.frame_timeout)
+
+    def switch_config(self) -> SwitchConfig:
+        weights = [1] * N_CLASSES
+        for cls, weight in self.wrr_weights:
+            if not 0 <= cls < N_CLASSES:
+                raise ValueError(f"wrr class {cls} outside 0..{N_CLASSES - 1}")
+            weights[cls] = weight
+        return SwitchConfig(
+            scheduler=Scheduler(self.scheduler),
+            wrr_weights=tuple(weights),
+            queue_bytes=self.queue_bytes,
+            input_buffer_bytes=self.input_buffer_bytes,
+            header_processing_delay=self.header_proc,
+        )
+
 
 @dataclass(frozen=True)
 class Scenario:
-    nodes: tuple[NodeSpec, ...]
-    links: tuple[LinkSpec, ...]
-    cells: tuple[CellSpec, ...]
-    sources: tuple[SourceSpec, ...]
-    regen_factor: float
-    sessions: tuple[SessionSpec, ...]
-    engine: EngineSpec
+    nodes: tuple[NodeSpec, ...] = ()
+    links: tuple[LinkSpec, ...] = ()
+    cells: tuple[CellSpec, ...] = ()
+    sources: tuple[SourceSpec, ...] = ()
+    regen_factor: float = 1.0
+    sessions: tuple[SessionSpec, ...] = ()
+    engine: EngineSpec = EngineSpec()
     name: str = field(default="", compare=False)
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.regen_factor <= 1:
+            raise ValueError("regen_factor must be in [0, 1]")
 
-def _split_attrs(line_no: int, tokens: list[str], positional: int, allowed: set[str]):
+
+def _boolean(raw: str) -> bool:
+    if raw in ("true", "yes", "1"):
+        return True
+    if raw in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {raw!r}")
+
+
+def _wrr_pairs(raw: str) -> tuple[tuple[int, int], ...]:
+    chunks = (chunk.partition(":") for chunk in raw.split(","))
+    return tuple((int(cls), int(weight)) for cls, _, weight in chunks)
+
+
+def _scheme(raw: str) -> SplitScheme:
+    for cls in _SCHEME_KEYS:
+        if scheme_name(cls()) == raw:
+            return cls()
+    raise ValueError(f"unknown split scheme {raw!r}")
+
+
+# Field annotation -> (parse a scenario value, render it back).
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, repr),
+    "bool": (_boolean, lambda value: str(value).lower()),
+    "tuple[str, ...]": (lambda raw: tuple(raw.split(",")), ",".join),
+    "tuple[tuple[int, int], ...]": (_wrr_pairs, lambda pairs: ",".join(f"{c}:{w}" for c, w in pairs)),
+    "SplitScheme": (_scheme, scheme_name),
+}
+
+
+class _Keys:
+    """The scenario keys of one value type, each naming the field it fills.
+
+    The field's annotation picks the parser and renderer, and the field's
+    default is the key's default; a field without one needs its key.
+    Where two keys fill one field (srcs and src), the first one renders.
+    A split scheme takes its own keys from the line that names it.
+    """
+
+    def __init__(self, cls: type, keys: dict[str, str] | None = None):
+        specs = {f.name: f for f in fields(cls)}
+        keys = keys if keys is not None else {name: name for name in specs}
+        self.codecs = {
+            key: (name, *_CODECS[specs[name].type.removesuffix(" | None")])
+            for key, name in keys.items()
+        }
+        self.defaults = {name: specs[name].default for name in keys.values()}
+        self.required = [name for name, default in self.defaults.items() if default is MISSING]
+        self.cls = cls
+
+    def fill(self, line_no: int, attrs: dict[str, str], **given):
+        """Build the value from `given` plus this table's keys, popped from attrs."""
+        values = dict(given)
+        for key in [key for key in attrs if key in self.codecs]:
+            name, parse, _ = self.codecs[key]
+            if name in values:
+                raise ScenarioError(line_no, f"{key}= sets {name}, which this line already set")
+            with _At(line_no, key):
+                values[name] = parse(attrs.pop(key))
+            scheme_keys = _SCHEME_KEYS.get(type(values[name]))
+            if scheme_keys is not None:
+                values[name] = scheme_keys.fill(line_no, attrs)
+        for name in self.required:
+            if name not in values:
+                options = " or ".join(f"{k}=" for k, (n, *_) in self.codecs.items() if n == name)
+                raise ScenarioError(line_no, f"missing {options}")
+        with _At(line_no):
+            return self.cls(**values)
+
+    def set(self, line_no: int, value, key: str, raw: str):
+        """`value` with the field of `key` parsed from raw."""
+        name, parse, _ = self.codecs[key]
+        with _At(line_no, key):
+            return replace(value, **{name: parse(raw)})
+
+    def render(self, value, sep: str = "=") -> list[str]:
+        """key{sep}text for every field of value that differs from its default."""
+        out = []
+        rendered = set()
+        for key, (name, _, text) in self.codecs.items():
+            current = getattr(value, name)
+            if name in rendered or current == self.defaults[name]:
+                continue
+            rendered.add(name)
+            out.append(f"{key}{sep}{text(current)}")
+            if type(current) in _SCHEME_KEYS:
+                out += _SCHEME_KEYS[type(current)].render(current)
+        return out
+
+
+_SCHEME_KEYS = {
+    ClassicalIQ: _Keys(ClassicalIQ),
+    FilteredIQ: _Keys(FilteredIQ, {"filter": "filter_factor"}),
+    ReExtraction: _Keys(ReExtraction),
+    ModulationBits: _Keys(ModulationBits, {"layers": "n_layers"}),
+    PduLevel: _Keys(PduLevel, {"coded": "code_rate_applied"}),
+}
+_LINK = _Keys(LinkSpec, {"cap": "capacity", "delay": "delay", "jitter": "jitter", "class": "link_class"})
+_CELL = _Keys(CellSpec, {"scheme": "scheme", "role": "role"})
+_RADIO = _Keys(
+    CellConfig,
+    {
+        "bandwidth": "radio_bandwidth",
+        "sampling": "sampling_rate",
+        "antennas": "n_antennas",
+        "iq_bits": "iq_bitwidth",
+        "prb": "n_prb",
+        "res_per_prb": "res_per_prb",
+        "subframe": "subframe_duration",
+        "overhead": "transport_overhead_factor",
+        "compression": "compression_factor",
+    },
+)
+# Lines that complete the cell of their node: line key -> CellSpec field of that name.
+_CELL_PARTS = {
+    "ues": _Keys(UeSpec),
+    "control": _Keys(
+        ControlSchedule,
+        {"pdcch": "pdcch_res_per_subframe", "prach_period": "prach_period", "prach_res": "prach_res"},
+    ),
+}
+_SOURCE = _Keys(SourceSpec, {"quality": "quality", "offset_ppb": "offset_ppb"})
+_SESSION = _Keys(
+    SessionSpec,
+    {
+        "pattern": "pattern",
+        "srcs": "srcs",
+        "src": "srcs",
+        "dsts": "dsts",
+        "dst": "dsts",
+        "class": "latency_class",
+        "mean": "mean_rate",
+        "peak": "peak_rate",
+        "bound": "latency_bound",
+        "scheme": "scheme",
+        "traffic": "traffic",
+        "rate": "cbr_rate",
+        "frame": "frame",
+        "timeout": "timeout",
+        "ue": "ue",
+        "optional": "optional",
+    },
+)
+# Sections of `key = value` settings, each updating one value.
+_SETTINGS = {"sync": _Keys(Scenario, {"regen": "regen_factor"}), "engine": _Keys(EngineSpec)}
+
+
+def _split(line_no: int, tokens: list[str], positional: int):
     if len(tokens) < positional:
         raise ScenarioError(line_no, f"expected at least {positional} positional values")
     attrs = {}
     for token in tokens[positional:]:
-        if "=" not in token:
+        key, eq, value = token.partition("=")
+        if not eq:
             raise ScenarioError(line_no, f"expected key=value, got {token!r}")
-        key, _, value = token.partition("=")
-        if key not in allowed:
-            raise ScenarioError(line_no, f"unknown key {key!r} (allowed: {sorted(allowed)})")
         if key in attrs:
             raise ScenarioError(line_no, f"duplicate key {key!r}")
         attrs[key] = value
     return tokens[:positional], attrs
 
 
-def _number(line_no: int, key: str, raw: str) -> float:
-    try:
-        if raw == "inf":
-            return math.inf
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(line_no, f"{key}: not a number: {raw!r}") from None
-
-
-def _integer(line_no: int, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(line_no, f"{key}: not an integer: {raw!r}") from None
-
-
-def _boolean(line_no: int, key: str, raw: str) -> bool:
-    if raw in ("true", "yes", "1"):
-        return True
-    if raw in ("false", "no", "0"):
-        return False
-    raise ScenarioError(line_no, f"{key}: expected true/false, got {raw!r}")
-
-
-def _parse_scheme(line_no: int, name: str, attrs: dict) -> SplitScheme:
-    if name == "classical_iq":
-        return ClassicalIQ()
-    if name == "filtered_iq":
-        return FilteredIQ(filter_factor=_number(line_no, "filter", attrs.pop("filter", "0.5")))
-    if name == "re_extraction":
-        return ReExtraction()
-    if name == "modulation_bits":
-        return ModulationBits(n_layers=_integer(line_no, "layers", attrs.pop("layers", "1")))
-    if name == "pdu_level":
-        return PduLevel(code_rate_applied=_boolean(line_no, "coded", attrs.pop("coded", "true")))
-    raise ScenarioError(line_no, f"unknown split scheme {name!r}")
-
-
-_CELL_KEYS = {
-    "scheme",
-    "role",
-    "filter",
-    "layers",
-    "coded",
-    "bandwidth",
-    "sampling",
-    "antennas",
-    "iq_bits",
-    "prb",
-    "res_per_prb",
-    "subframe",
-    "overhead",
-    "compression",
-}
-_SESSION_KEYS = {
-    "pattern",
-    "src",
-    "srcs",
-    "dst",
-    "dsts",
-    "class",
-    "mean",
-    "peak",
-    "bound",
-    "scheme",
-    "filter",
-    "layers",
-    "coded",
-    "traffic",
-    "rate",
-    "frame",
-    "timeout",
-    "ue",
-    "optional",
-}
+def _done(line_no: int, attrs: dict[str, str], *tables: _Keys | None) -> None:
+    """Reject the keys of a line that none of its tables took."""
+    if attrs:
+        allowed = sorted(key for table in tables if table is not None for key in table.codecs)
+        raise ScenarioError(line_no, f"unknown key {next(iter(attrs))!r} (allowed: {allowed})")
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:
@@ -287,11 +420,12 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
     nodes: list[NodeSpec] = []
     links: list[LinkSpec] = []
     cells: list[CellSpec] = []
-    cell_extras: dict[str, dict] = {}  # node -> {"ues": ..., "control": ...}
+    cell_parts: dict[str, dict[str, tuple[int, object]]] = {}  # node -> {line key: (line, value)}
     sources: list[SourceSpec] = []
-    regen_factor = 1.0
     sessions: list[SessionSpec] = []
-    engine_attrs: dict[str, tuple[int, str]] = {}
+    # Settings replace one field per line, so a rejected value names its line.
+    settings = {"sync": Scenario(name=name), "engine": EngineSpec()}
+    set_keys: set[tuple[str, str]] = set()
     section = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -310,230 +444,73 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
         if "=" not in line:
             raise ScenarioError(line_no, f"expected key = value, got {line!r}")
         key, _, rest = line.partition("=")
-        key = key.strip()
-        tokens = rest.strip().split()
+        key, rest = key.strip(), rest.strip()
+        tokens = rest.split()
 
-        if section == "topology":
-            if key == "node":
-                (node_name, kind), _ = _split_attrs(line_no, tokens, 2, set())
-                if kind not in _KINDS:
-                    raise ScenarioError(line_no, f"unknown node kind {kind!r}")
-                if any(n.name == node_name for n in nodes):
-                    raise ScenarioError(line_no, f"duplicate node {node_name!r}")
-                nodes.append(NodeSpec(node_name, kind, line_no))
-            elif key == "link":
-                (a, b), attrs = _split_attrs(
-                    line_no, tokens, 2, {"cap", "delay", "jitter", "class"}
-                )
-                links.append(
-                    LinkSpec(
-                        a,
-                        b,
-                        capacity=_number(line_no, "cap", attrs.get("cap", "10e9")),
-                        delay=_number(line_no, "delay", attrs.get("delay", "5e-6")),
-                        jitter=_number(line_no, "jitter", attrs.get("jitter", "1e-9")),
-                        link_class=attrs.get("class", "fiber"),
-                        line=line_no,
-                    )
-                )
-            else:
-                raise ScenarioError(line_no, f"unknown key {key!r} in [topology]")
-
-        elif section == "cells":
-            if key == "cell":
-                (node_name,), attrs = _split_attrs(line_no, tokens, 1, _CELL_KEYS)
-                scheme = _parse_scheme(line_no, attrs.pop("scheme", "classical_iq"), attrs)
-                defaults = CellConfig()
-                cell = CellConfig(
-                    radio_bandwidth=_number(line_no, "bandwidth", attrs.get("bandwidth", repr(defaults.radio_bandwidth))),
-                    sampling_rate=_number(line_no, "sampling", attrs.get("sampling", repr(defaults.sampling_rate))),
-                    n_antennas=_integer(line_no, "antennas", attrs.get("antennas", str(defaults.n_antennas))),
-                    iq_bitwidth=_integer(line_no, "iq_bits", attrs.get("iq_bits", str(defaults.iq_bitwidth))),
-                    n_prb=_integer(line_no, "prb", attrs.get("prb", str(defaults.n_prb))),
-                    res_per_prb=_integer(line_no, "res_per_prb", attrs.get("res_per_prb", str(defaults.res_per_prb))),
-                    subframe_duration=_number(line_no, "subframe", attrs.get("subframe", repr(defaults.subframe_duration))),
-                    transport_overhead_factor=_number(line_no, "overhead", attrs.get("overhead", repr(defaults.transport_overhead_factor))),
-                    compression_factor=_number(line_no, "compression", attrs.get("compression", repr(defaults.compression_factor))),
-                )
-                if any(c.node == node_name for c in cells):
-                    raise ScenarioError(line_no, f"duplicate cell for node {node_name!r}")
-                cells.append(
-                    CellSpec(node=node_name, scheme=scheme, role=attrs.get("role", ""), cell=cell, line=line_no)
-                )
-            elif key == "ues":
-                (node_name,), attrs = _split_attrs(
-                    line_no, tokens, 1, {"count", "mean_on", "mean_off", "demand", "mcs_step", "mcs_init"}
-                )
-                cell_extras.setdefault(node_name, {})["ues"] = (
-                    line_no,
-                    UeSpec(
-                        count=_integer(line_no, "count", attrs.get("count", "10")),
-                        mean_on=_number(line_no, "mean_on", attrs.get("mean_on", "40")),
-                        mean_off=_number(line_no, "mean_off", attrs.get("mean_off", "40")),
-                        demand=_integer(line_no, "demand", attrs.get("demand", "10")),
-                        mcs_step=_number(line_no, "mcs_step", attrs.get("mcs_step", "0.3")),
-                        mcs_init=_integer(line_no, "mcs_init", attrs["mcs_init"]) if "mcs_init" in attrs else None,
-                    ),
-                )
-            elif key == "control":
-                (node_name,), attrs = _split_attrs(
-                    line_no, tokens, 1, {"pdcch", "prach_period", "prach_res"}
-                )
-                cell_extras.setdefault(node_name, {})["control"] = (
-                    line_no,
-                    ControlSchedule(
-                        pdcch_res_per_subframe=_integer(line_no, "pdcch", attrs.get("pdcch", "0")),
-                        prach_period=_integer(line_no, "prach_period", attrs.get("prach_period", "10")),
-                        prach_res=_integer(line_no, "prach_res", attrs.get("prach_res", "0")),
-                    ),
-                )
-            else:
-                raise ScenarioError(line_no, f"unknown key {key!r} in [cells]")
-
-        elif section == "sync":
-            if key == "source":
-                (node_name,), attrs = _split_attrs(line_no, tokens, 1, {"quality", "offset_ppb"})
-                sources.append(
-                    SourceSpec(
-                        node=node_name,
-                        quality=_integer(line_no, "quality", attrs.get("quality", "0")),
-                        offset_ppb=_number(line_no, "offset_ppb", attrs.get("offset_ppb", "0")),
-                        line=line_no,
-                    )
-                )
-            elif key == "regen":
-                regen_factor = _number(line_no, "regen", tokens[0] if tokens else "")
-            else:
-                raise ScenarioError(line_no, f"unknown key {key!r} in [sync]")
-
-        elif section == "sessions":
-            if key != "session":
-                raise ScenarioError(line_no, f"unknown key {key!r} in [sessions]")
-            (session_name,), attrs = _split_attrs(line_no, tokens, 1, _SESSION_KEYS)
+        if section in _SETTINGS and key in _SETTINGS[section].codecs:
+            if (section, key) in set_keys:
+                raise ScenarioError(line_no, f"duplicate key {key!r} in [{section}]")
+            set_keys.add((section, key))
+            settings[section] = _SETTINGS[section].set(line_no, settings[section], key, rest)
+        elif (section, key) == ("topology", "node"):
+            (node_name, kind), attrs = _split(line_no, tokens, 2)
+            _done(line_no, attrs)
+            if kind not in _KINDS:
+                raise ScenarioError(line_no, f"unknown node kind {kind!r}")
+            if any(n.name == node_name for n in nodes):
+                raise ScenarioError(line_no, f"duplicate node {node_name!r}")
+            nodes.append(NodeSpec(node_name, kind, line_no))
+        elif (section, key) == ("topology", "link"):
+            (a, b), attrs = _split(line_no, tokens, 2)
+            links.append(_LINK.fill(line_no, attrs, a=a, b=b, line=line_no))
+            _done(line_no, attrs, _LINK)
+        elif (section, key) == ("cells", "cell"):
+            (node_name,), attrs = _split(line_no, tokens, 1)
+            if any(c.node == node_name for c in cells):
+                raise ScenarioError(line_no, f"duplicate cell for node {node_name!r}")
+            radio = _RADIO.fill(line_no, attrs)
+            cell = _CELL.fill(line_no, attrs, node=node_name, cell=radio, line=line_no)
+            _done(line_no, attrs, _CELL, _RADIO, _SCHEME_KEYS[type(cell.scheme)])
+            cells.append(cell)
+        elif section == "cells" and key in _CELL_PARTS:
+            (node_name,), attrs = _split(line_no, tokens, 1)
+            parts = cell_parts.setdefault(node_name, {})
+            if key in parts:
+                raise ScenarioError(line_no, f"duplicate {key} line for node {node_name!r}")
+            parts[key] = (line_no, _CELL_PARTS[key].fill(line_no, attrs))
+            _done(line_no, attrs, _CELL_PARTS[key])
+        elif (section, key) == ("sync", "source"):
+            (node_name,), attrs = _split(line_no, tokens, 1)
+            if any(s.node == node_name for s in sources):
+                raise ScenarioError(line_no, f"duplicate sync source at node {node_name!r}")
+            sources.append(_SOURCE.fill(line_no, attrs, node=node_name, line=line_no))
+            _done(line_no, attrs, _SOURCE)
+        elif (section, key) == ("sessions", "session"):
+            (session_name,), attrs = _split(line_no, tokens, 1)
             if any(s.name == session_name for s in sessions):
                 raise ScenarioError(line_no, f"duplicate session {session_name!r}")
-            pattern = attrs.get("pattern", "p2p")
-            if pattern not in ("p2p", "aggregation", "multi_bbu", "bbu_to_bbu"):
-                raise ScenarioError(line_no, f"unknown pattern {pattern!r}")
-            srcs = tuple(attrs["srcs"].split(",")) if "srcs" in attrs else (
-                (attrs["src"],) if "src" in attrs else ()
-            )
-            dsts = tuple(attrs["dsts"].split(",")) if "dsts" in attrs else (
-                (attrs["dst"],) if "dst" in attrs else ()
-            )
-            if not srcs or not dsts:
-                raise ScenarioError(line_no, "session needs src/srcs and dst/dsts")
-            scheme = (
-                _parse_scheme(line_no, attrs["scheme"], attrs) if "scheme" in attrs else None
-            )
-            traffic = attrs.get("traffic", "trace")
-            if traffic not in ("trace", "cbr"):
-                raise ScenarioError(line_no, f"unknown traffic kind {traffic!r}")
-            if traffic == "cbr" and "rate" not in attrs:
-                raise ScenarioError(line_no, "cbr traffic needs rate=")
-            sessions.append(
-                SessionSpec(
-                    name=session_name,
-                    pattern=pattern,
-                    srcs=srcs,
-                    dsts=dsts,
-                    latency_class=_integer(line_no, "class", attrs.get("class", "7")),
-                    mean_rate=_number(line_no, "mean", attrs["mean"]) if "mean" in attrs else None,
-                    peak_rate=_number(line_no, "peak", attrs["peak"]) if "peak" in attrs else None,
-                    latency_bound=_number(line_no, "bound", attrs.get("bound", "1e-2")),
-                    scheme=scheme,
-                    traffic=traffic,
-                    cbr_rate=_number(line_no, "rate", attrs["rate"]) if "rate" in attrs else None,
-                    frame=_integer(line_no, "frame", attrs["frame"]) if "frame" in attrs else None,
-                    timeout=_number(line_no, "timeout", attrs["timeout"]) if "timeout" in attrs else None,
-                    ue=_integer(line_no, "ue", attrs["ue"]) if "ue" in attrs else None,
-                    optional=_boolean(line_no, "optional", attrs.get("optional", "false")),
-                    line=line_no,
-                )
-            )
-            if sessions[-1].mean_rate is None or sessions[-1].peak_rate is None:
-                raise ScenarioError(line_no, "session needs mean= and peak=")
+            session = _SESSION.fill(line_no, attrs, name=session_name, line=line_no)
+            _done(line_no, attrs, _SESSION, _SCHEME_KEYS.get(type(session.scheme)))
+            sessions.append(session)
+        else:
+            raise ScenarioError(line_no, f"unknown key {key!r} in [{section}]")
 
-        elif section == "engine":
-            allowed = {
-                "scheduler",
-                "wrr_weights",
-                "queue_bytes",
-                "input_buffer_bytes",
-                "header_proc",
-                "frame_bytes",
-                "frame_timeout",
-                "horizon",
-                "subframes",
-                "seed",
-            }
-            if key not in allowed:
-                raise ScenarioError(line_no, f"unknown key {key!r} in [engine]")
-            if key in engine_attrs:
-                raise ScenarioError(line_no, f"duplicate engine key {key!r}")
-            engine_attrs[key] = (line_no, rest.strip())
-
-    defaults = EngineSpec()
-
-    def engine_value(key: str, default):
-        if key not in engine_attrs:
-            return default
-        line_no, raw = engine_attrs[key]
-        if key == "scheduler":
-            if raw not in _SCHEDULERS:
-                raise ScenarioError(line_no, f"unknown scheduler {raw!r}")
-            return raw
-        if key == "wrr_weights":
-            pairs = []
-            for chunk in raw.split(","):
-                cls, _, weight = chunk.partition(":")
-                pair = (
-                    _integer(line_no, "wrr class", cls.strip()),
-                    _integer(line_no, "wrr weight", weight.strip()),
-                )
-                if not 0 <= pair[0] < N_CLASSES or pair[1] < 1:
-                    raise ScenarioError(line_no, f"bad wrr pair {chunk!r}")
-                pairs.append(pair)
-            return tuple(pairs)
-        if key in ("queue_bytes", "input_buffer_bytes", "frame_bytes", "subframes", "seed"):
-            return _integer(line_no, key, raw)
-        return _number(line_no, key, raw)
-
-    engine = EngineSpec(
-        scheduler=engine_value("scheduler", defaults.scheduler),
-        wrr_weights=engine_value("wrr_weights", defaults.wrr_weights),
-        queue_bytes=engine_value("queue_bytes", defaults.queue_bytes),
-        input_buffer_bytes=engine_value("input_buffer_bytes", defaults.input_buffer_bytes),
-        header_proc=engine_value("header_proc", defaults.header_proc),
-        frame_bytes=engine_value("frame_bytes", defaults.frame_bytes),
-        frame_timeout=engine_value("frame_timeout", defaults.frame_timeout),
-        horizon=engine_value("horizon", defaults.horizon),
-        subframes=engine_value("subframes", defaults.subframes),
-        seed=engine_value("seed", defaults.seed),
-    )
-
-    # attach ue/control lines to their cells
     final_cells = []
     for cell in cells:
-        extras = cell_extras.pop(cell.node, {})
-        if "ues" in extras:
-            cell = replace(cell, ues=extras["ues"][1])
-        if "control" in extras:
-            cell = replace(cell, control=extras["control"][1])
-        final_cells.append(cell)
-    for node_name, extras in cell_extras.items():
-        stray_line = next(iter(extras.values()))[0]
-        raise ScenarioError(stray_line, f"ues/control for node {node_name!r} without a cell line")
+        parts = cell_parts.pop(cell.node, {})
+        final_cells.append(replace(cell, **{k: value for k, (_, value) in parts.items()}))
+    for node_name, parts in cell_parts.items():
+        stray_line, _ = next(iter(parts.values()))
+        raise ScenarioError(stray_line, f"{'/'.join(parts)} for node {node_name!r} without a cell line")
 
-    scenario = Scenario(
+    scenario = replace(
+        settings["sync"],
         nodes=tuple(nodes),
         links=tuple(links),
         cells=tuple(final_cells),
         sources=tuple(sources),
-        regen_factor=regen_factor,
         sessions=tuple(sessions),
-        engine=engine,
-        name=name,
+        engine=settings["engine"],
     )
     _validate(scenario)
     return scenario
@@ -544,10 +521,15 @@ def _validate(scenario: Scenario) -> None:
     kind_of = {n.name: n.kind for n in scenario.nodes}
     if not scenario.nodes:
         raise ScenarioError(0, "no nodes declared")
+    pairs = set()
     for link in scenario.links:
         for end in (link.a, link.b):
             if end not in names:
                 raise ScenarioError(link.line, f"link references undeclared node {end!r}")
+        pair = frozenset((link.a, link.b))
+        if pair in pairs:
+            raise ScenarioError(link.line, f"parallel link between {link.a!r} and {link.b!r}")
+        pairs.add(pair)
     for cell in scenario.cells:
         if cell.node not in names:
             raise ScenarioError(cell.line, f"cell references undeclared node {cell.node!r}")
@@ -556,27 +538,31 @@ def _validate(scenario: Scenario) -> None:
     for source in scenario.sources:
         if source.node not in names:
             raise ScenarioError(source.line, f"sync source references undeclared node {source.node!r}")
+        if kind_of[source.node] not in ("bbu", "switch"):
+            raise ScenarioError(
+                source.line, f"sync sources attach to bbu or switch nodes, {source.node!r} is {kind_of[source.node]}"
+            )
     cells_by_node = {c.node: c for c in scenario.cells}
     for session in scenario.sessions:
+        if session.pattern not in _PATTERNS:
+            raise ScenarioError(session.line, f"unknown pattern {session.pattern!r}")
+        if session.traffic not in ("trace", "cbr"):
+            raise ScenarioError(session.line, f"unknown traffic kind {session.traffic!r}")
+        if session.traffic == "cbr" and session.cbr_rate is None:
+            raise ScenarioError(session.line, "cbr traffic needs a rate")
         for end in session.srcs + session.dsts:
             if end not in names:
                 raise ScenarioError(session.line, f"session references undeclared node {end!r}")
-        if session.pattern in ("p2p", "multi_bbu", "aggregation"):
-            expected_src, expected_dst = "rrh", "bbu"
-        else:
-            expected_src, expected_dst = "bbu", "bbu"
-        for src in session.srcs:
-            if kind_of[src] != expected_src:
-                raise ScenarioError(session.line, f"{session.pattern} source {src!r} must be {expected_src}")
-        for dst in session.dsts:
-            if kind_of[dst] != expected_dst:
-                raise ScenarioError(session.line, f"{session.pattern} destination {dst!r} must be {expected_dst}")
-        if session.pattern in ("p2p", "bbu_to_bbu") and (len(session.srcs), len(session.dsts)) != (1, 1):
-            raise ScenarioError(session.line, f"{session.pattern} takes one src and one dst")
-        if session.pattern == "aggregation" and len(session.dsts) != 1:
-            raise ScenarioError(session.line, "aggregation takes one dst")
-        if session.pattern == "multi_bbu" and len(session.srcs) != 1:
-            raise ScenarioError(session.line, "multi_bbu takes one src")
+        sources, destinations, _ = _PATTERNS[session.pattern]
+        for role, ends, (kind, several) in (
+            ("source", session.srcs, sources),
+            ("destination", session.dsts, destinations),
+        ):
+            if len(ends) > 1 and not several:
+                raise ScenarioError(session.line, f"{session.pattern} takes one {role}")
+            for end in ends:
+                if kind_of[end] != kind:
+                    raise ScenarioError(session.line, f"{session.pattern} {role} {end!r} must be {kind}")
         if session.traffic == "trace":
             for src in session.srcs:
                 if src not in cells_by_node:
@@ -585,96 +571,23 @@ def _validate(scenario: Scenario) -> None:
                     )
 
 
-def _render_scheme(scheme: SplitScheme) -> str:
-    parts = [f"scheme={scheme_name(scheme)}"]
-    if isinstance(scheme, FilteredIQ):
-        parts.append(f"filter={scheme.filter_factor!r}")
-    elif isinstance(scheme, ModulationBits) and scheme.n_layers != 1:
-        parts.append(f"layers={scheme.n_layers}")
-    elif isinstance(scheme, PduLevel) and not scheme.code_rate_applied:
-        parts.append("coded=false")
-    return " ".join(parts)
-
-
 def render_scenario(scenario: Scenario) -> str:
-    """Canonical text form; parsing it back yields an equal Scenario."""
+    """Canonical text form, omitting default values; parsing it back yields an equal Scenario."""
     out = ["[topology]"]
-    for node in scenario.nodes:
-        out.append(f"node = {node.name} {node.kind}")
-    for link in scenario.links:
-        out.append(
-            f"link = {link.a} {link.b} cap={link.capacity!r} delay={link.delay!r} "
-            f"jitter={link.jitter!r} class={link.link_class}"
-        )
-    if scenario.cells:
-        out.append("")
-        out.append("[cells]")
-        for cell in scenario.cells:
-            cfg = cell.cell
-            role = f" role={cell.role}" if cell.role else ""
-            out.append(
-                f"cell = {cell.node} {_render_scheme(cell.scheme)}{role} "
-                f"bandwidth={cfg.radio_bandwidth!r} sampling={cfg.sampling_rate!r} "
-                f"antennas={cfg.n_antennas} iq_bits={cfg.iq_bitwidth} prb={cfg.n_prb} "
-                f"res_per_prb={cfg.res_per_prb} subframe={cfg.subframe_duration!r} "
-                f"overhead={cfg.transport_overhead_factor!r} compression={cfg.compression_factor!r}"
-            )
-            ues = cell.ues
-            init = f" mcs_init={ues.mcs_init}" if ues.mcs_init is not None else ""
-            out.append(
-                f"ues = {cell.node} count={ues.count} mean_on={ues.mean_on!r} "
-                f"mean_off={ues.mean_off!r} demand={ues.demand} mcs_step={ues.mcs_step!r}{init}"
-            )
-            ctl = cell.control
-            out.append(
-                f"control = {cell.node} pdcch={ctl.pdcch_res_per_subframe} "
-                f"prach_period={ctl.prach_period} prach_res={ctl.prach_res}"
-            )
-    if scenario.sources or scenario.regen_factor != 1.0:
-        out.append("")
-        out.append("[sync]")
-        for source in scenario.sources:
-            out.append(
-                f"source = {source.node} quality={source.quality} offset_ppb={source.offset_ppb!r}"
-            )
-        out.append(f"regen = {scenario.regen_factor!r}")
-    if scenario.sessions:
-        out.append("")
-        out.append("[sessions]")
-        for s in scenario.sessions:
-            bits = [f"session = {s.name} pattern={s.pattern}"]
-            bits.append(f"srcs={','.join(s.srcs)}" if len(s.srcs) > 1 else f"src={s.srcs[0]}")
-            bits.append(f"dsts={','.join(s.dsts)}" if len(s.dsts) > 1 else f"dst={s.dsts[0]}")
-            bits.append(f"class={s.latency_class}")
-            bits.append(f"mean={s.mean_rate!r} peak={s.peak_rate!r} bound={s.latency_bound!r}")
-            if s.scheme is not None:
-                bits.append(_render_scheme(s.scheme))
-            bits.append(f"traffic={s.traffic}")
-            if s.cbr_rate is not None:
-                bits.append(f"rate={s.cbr_rate!r}")
-            if s.frame is not None:
-                bits.append(f"frame={s.frame}")
-            if s.timeout is not None:
-                bits.append(f"timeout={s.timeout!r}")
-            if s.ue is not None:
-                bits.append(f"ue={s.ue}")
-            if s.optional:
-                bits.append("optional=true")
-            out.append(" ".join(bits))
-    out.append("")
-    out.append("[engine]")
-    e = scenario.engine
-    out.append(f"scheduler = {e.scheduler}")
-    if e.wrr_weights:
-        out.append("wrr_weights = " + ",".join(f"{c}:{w}" for c, w in e.wrr_weights))
-    out.append(f"queue_bytes = {e.queue_bytes}")
-    out.append(f"input_buffer_bytes = {e.input_buffer_bytes}")
-    out.append(f"header_proc = {e.header_proc!r}")
-    out.append(f"frame_bytes = {e.frame_bytes}")
-    out.append(f"frame_timeout = {e.frame_timeout!r}")
-    out.append(f"horizon = {e.horizon!r}")
-    out.append(f"subframes = {e.subframes}")
-    out.append(f"seed = {e.seed}")
+    out += [f"node = {node.name} {node.kind}" for node in scenario.nodes]
+    out += [" ".join(["link =", link.a, link.b, *_LINK.render(link)]) for link in scenario.links]
+    out += ["", "[cells]"]
+    for cell in scenario.cells:
+        out.append(" ".join(["cell =", cell.node, *_CELL.render(cell), *_RADIO.render(cell.cell)]))
+        for key, table in _CELL_PARTS.items():
+            out.append(" ".join([f"{key} =", cell.node, *table.render(getattr(cell, key))]))
+    out += ["", "[sync]"]
+    out += [" ".join(["source =", s.node, *_SOURCE.render(s)]) for s in scenario.sources]
+    out += _SETTINGS["sync"].render(scenario, sep=" = ")
+    out += ["", "[sessions]"]
+    out += [" ".join(["session =", s.name, *_SESSION.render(s)]) for s in scenario.sessions]
+    out += ["", "[engine]"]
+    out += _SETTINGS["engine"].render(scenario.engine, sep=" = ")
     out.append("")
     return "\n".join(out)
 
@@ -702,13 +615,11 @@ def build_scenario(
     """Materialize topology, control state, traces, and the engine world.
 
     Optional overrides replace the scenario's seed, trace length, and
-    scheduler (the latter for controlled A/B comparisons).
+    scheduler (the latter for controlled A/B comparisons). A value the
+    built objects reject raises ScenarioError at its line.
     """
-    seed = scenario.engine.seed if seed is None else seed
-    subframes = scenario.engine.subframes if subframes is None else subframes
-    engine_spec = scenario.engine
-    if scheduler is not None:
-        engine_spec = replace(engine_spec, scheduler=scheduler)
+    overrides = {"seed": seed, "subframes": subframes, "scheduler": scheduler}
+    engine_spec = replace(scenario.engine, **{k: v for k, v in overrides.items() if v is not None})
 
     node_id = {spec.name: index for index, spec in enumerate(scenario.nodes)}
     port_counter = {spec.name: 0 for spec in scenario.nodes}
@@ -717,18 +628,19 @@ def build_scenario(
         pa, pb = port_counter[spec.a], port_counter[spec.b]
         port_counter[spec.a] += 1
         port_counter[spec.b] += 1
-        links.append(
-            PhysLink(
-                node_a=node_id[spec.a],
-                port_a=pa,
-                node_b=node_id[spec.b],
-                port_b=pb,
-                capacity=spec.capacity,
-                propagation_delay=spec.delay,
-                jitter_std=spec.jitter,
-                link_class=spec.link_class,
+        with _At(spec.line):
+            links.append(
+                PhysLink(
+                    node_a=node_id[spec.a],
+                    port_a=pa,
+                    node_b=node_id[spec.b],
+                    port_b=pb,
+                    capacity=spec.capacity,
+                    propagation_delay=spec.delay,
+                    jitter_std=spec.jitter,
+                    link_class=spec.link_class,
+                )
             )
-        )
     nodes = [
         Node(
             id=node_id[spec.name],
@@ -738,18 +650,10 @@ def build_scenario(
         )
         for spec in scenario.nodes
     ]
-    topology = PhysicalTopology(nodes, links)
+    with _At(0):
+        topology = PhysicalTopology(nodes, links)
 
-    weights = [1] * N_CLASSES
-    for cls, weight in engine_spec.wrr_weights:
-        weights[cls] = weight
-    switch_config = SwitchConfig(
-        scheduler=_SCHEDULERS[engine_spec.scheduler],
-        wrr_weights=tuple(weights),
-        queue_bytes=engine_spec.queue_bytes,
-        input_buffer_bytes=engine_spec.input_buffer_bytes,
-        header_processing_delay=engine_spec.header_proc,
-    )
+    switch_config = engine_spec.switch_config()
     controller = Controller(
         topology,
         {n.id: switch_config for n in nodes if n.kind is NodeKind.FH_SWITCH},
@@ -758,20 +662,11 @@ def build_scenario(
     # Traffic traces, one per cell, seeded per declaration order.
     traces: dict[str, TrafficTrace] = {}
     for index, cell in enumerate(scenario.cells):
-        profiles = [
-            UeProfile(
-                ue_id=u,
-                mean_on=cell.ues.mean_on,
-                mean_off=cell.ues.mean_off,
-                demand_prbs=cell.ues.demand,
-                mcs_step_prob=cell.ues.mcs_step,
-                mcs_init=cell.ues.mcs_init,
+        profiles = [cell.ues.profile(u) for u in range(cell.ues.count)]
+        with _At(cell.line):
+            traces[cell.node] = generate_trace(
+                cell.cell, cell.scheme, profiles, cell.control, engine_spec.subframes, engine_spec.seed + index
             )
-            for u in range(cell.ues.count)
-        ]
-        traces[cell.node] = generate_trace(
-            cell.cell, cell.scheme, profiles, cell.control, subframes, seed + index
-        )
 
     infeasible: list[tuple[str, str]] = []
     bounds: dict[str, float] = {}
@@ -780,75 +675,64 @@ def build_scenario(
     for spec in scenario.sessions:
         srcs = tuple(node_id[s] for s in spec.srcs)
         dsts = tuple(node_id[d] for d in spec.dsts)
-        if spec.pattern == "p2p":
-            shape = PointToPoint(srcs[0], dsts[0])
-        elif spec.pattern == "aggregation":
-            shape = AggregationToOneBbu(srcs, dsts[0])
-        elif spec.pattern == "multi_bbu":
-            shape = RrhToMultiBbu(srcs[0], dsts)
-        else:
-            shape = BbuToBbu(srcs[0], dsts[0])
-        policy = RegulatorPolicy(
-            max_frame_bytes=spec.frame if spec.frame is not None else engine_spec.frame_bytes,
-            frame_timeout=spec.timeout if spec.timeout is not None else engine_spec.frame_timeout,
-        )
-        request = SessionRequest(
-            pattern=LogicalPattern(shape, ue_id=spec.ue),
-            mean_rate=spec.mean_rate,
-            peak_rate=spec.peak_rate,
-            latency_class=spec.latency_class,
-            latency_bound=spec.latency_bound,
-            scheme=spec.scheme,
-            policy=policy,
-        )
-        try:
-            session = controller.setup(request, name=spec.name)
-        except Infeasible as exc:
-            infeasible.append((spec.name, exc.cause))
-            continue
-        bounds[spec.name] = spec.latency_bound
-        if spec.pattern == "multi_bbu":
-            # one regulator per distinct ingress edge of the tree (normally one)
-            seen_edges = set()
-            ingress_circuits = []
-            for circuit in session.circuits:
-                edge = (circuit.ingress_port, circuit.ingress_label)
-                if edge not in seen_edges:
-                    seen_edges.add(edge)
-                    ingress_circuits.append(circuit)
-        else:
-            ingress_circuits = session.circuits
-        for circuit in ingress_circuits:
-            src_name = scenario.nodes[circuit.ingress].name
-            if spec.traffic == "cbr":
-                cell_cfg = (
-                    cells_by_node[src_name].cell if src_name in cells_by_node else CellConfig()
-                )
-                trace = constant_trace(cell_cfg, spec.scheme or ClassicalIQ(), spec.cbr_rate, subframes)
-            else:
-                trace = traces[src_name]
-            feeds.append(
-                CircuitFeed(
-                    session_id=session.id,
-                    circuit_id=circuit.circuit_id,
-                    ingress_node=circuit.ingress,
-                    ingress_port=circuit.ingress_port,
-                    label=circuit.ingress_label,
-                    latency_class=spec.latency_class,
-                    policy=policy,
-                    volumes=list(trace.volumes),
-                    subframe_duration=trace.cell.subframe_duration,
-                )
+        with _At(spec.line):
+            policy = RegulatorPolicy(
+                max_frame_bytes=spec.frame if spec.frame is not None else engine_spec.frame_bytes,
+                frame_timeout=spec.timeout if spec.timeout is not None else engine_spec.frame_timeout,
             )
+            request = SessionRequest(
+                pattern=LogicalPattern(_PATTERNS[spec.pattern][2](srcs, dsts), ue_id=spec.ue),
+                mean_rate=spec.mean_rate,
+                peak_rate=spec.peak_rate,
+                latency_class=spec.latency_class,
+                latency_bound=spec.latency_bound,
+                scheme=spec.scheme,
+                policy=policy,
+            )
+            try:
+                session = controller.setup(request, name=spec.name)
+            except Infeasible as exc:
+                infeasible.append((spec.name, exc.cause))
+                continue
+            bounds[spec.name] = spec.latency_bound
+            # one regulator per distinct ingress edge: the circuits of a
+            # multi_bbu tree share theirs
+            ingress = {}
+            for circuit in session.circuits:
+                ingress.setdefault((circuit.ingress, circuit.ingress_port, circuit.ingress_label), circuit)
+            for circuit in ingress.values():
+                src_name = scenario.nodes[circuit.ingress].name
+                if spec.traffic == "cbr":
+                    cell_cfg = (
+                        cells_by_node[src_name].cell if src_name in cells_by_node else CellConfig()
+                    )
+                    trace = constant_trace(
+                        cell_cfg, spec.scheme or ClassicalIQ(), spec.cbr_rate, engine_spec.subframes
+                    )
+                else:
+                    trace = traces[src_name]
+                feeds.append(
+                    CircuitFeed(
+                        session_id=session.id,
+                        circuit_id=circuit.circuit_id,
+                        ingress_node=circuit.ingress,
+                        ingress_port=circuit.ingress_port,
+                        label=circuit.ingress_label,
+                        latency_class=spec.latency_class,
+                        policy=policy,
+                        volumes=list(trace.volumes),
+                        subframe_duration=trace.cell.subframe_duration,
+                    )
+                )
 
     world = World(
         topology=topology,
         switches=controller.switches,
         circuits=feeds,
         egress=dict(controller.egress),
-        host_scheduler=_SCHEDULERS[engine_spec.scheduler],
+        host_scheduler=switch_config.scheduler,
         host_queue_bytes=engine_spec.queue_bytes,
-        wrr_weights=tuple(weights),
+        wrr_weights=switch_config.wrr_weights,
     )
     return BuiltScenario(
         scenario=replace(scenario, engine=engine_spec),

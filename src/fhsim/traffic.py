@@ -174,12 +174,19 @@ class SubframeLoad:
         return sum(a.n_prbs for a in self.allocations)
 
 
-class ControlSchedule(NamedTuple):
+@dataclass(frozen=True)
+class ControlSchedule:
     """Periodic control overlay: PDCCH every subframe, PRACH bursts."""
 
     pdcch_res_per_subframe: int = 0
     prach_period: int = 10  # subframes
     prach_res: int = 0
+
+    def __post_init__(self) -> None:
+        if self.pdcch_res_per_subframe < 0 or self.prach_res < 0:
+            raise ValueError("control resource counts must be >= 0")
+        if self.prach_period < 1:
+            raise ValueError("prach_period must be >= 1")
 
 
 @dataclass(frozen=True)

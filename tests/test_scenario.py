@@ -160,6 +160,39 @@ class TestRunScenario:
         for child in sorted((tmp_path / "a").iterdir()):
             assert child.read_bytes() == (tmp_path / "b" / child.name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("class=2", "class=16", 18),
+            ("traffic=trace", "traffic=trace frame=0", 18),
+            ("traffic=trace", "traffic=trace timeout=0", 18),
+            ("bound=5e-3", "bound=-1", 18),
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=0", 7),
+            ("link = hub b1", "link = hub hub", 7),
+            ("scheme=modulation_bits", "scheme=modulation_bits prb=0", 10),
+            ("mcs_step=0.2", "mcs_step=0.2 mcs_init=99", 11),
+            ("pdcch=100", "pdcch=-100", 12),
+            ("horizon = 0.02", "horizon = -1", 22),
+            ("seed = 3", "seed = 3\nqueue_bytes = 0", 25),
+            ("source = b1 quality=0", "source = b1 quality=0\nregen = 0.5 junk", 16),
+            ("src=r1", "src=r1 srcs=r1", 18),
+            ("scheme=modulation_bits", "scheme=modulation_bits filter=0.5", 10),
+            ("control = r1", "ues = r1 count=2\ncontrol = r1", 12),
+            ("prach_period=10", "prach_period=0", 12),
+            ("source = b1", "source = r1", 15),
+            ("source = b1 quality=0", "source = b1 quality=0\nregen = 2", 16),
+            ("delay=1e-6\n\n", "delay=1e-6\nlink = b1 hub\n\n", 8),
+        ],
+    )
+    def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):
+        text = MINIMAL.replace(old, new)
+        assert text != MINIMAL
+        out = tmp_path / "out"
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(parse_scenario(text), str(out))
+        assert exc.value.line == line
+        assert not out.exists()
+
     def test_sweep_mode(self, tmp_path):
         rc = run_scenario(parse_scenario(MINIMAL), str(tmp_path), sweep=[64, 512])
         assert rc == 0
@@ -178,6 +211,12 @@ class TestCli:
         bad.write_text("[topology]\nnode = r1 spaceship\n")
         assert main([str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_rejected_value_exit_2_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(MINIMAL.replace("scheme=modulation_bits", "scheme=modulation_bits prb=0"))
+        assert main([str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "line 10" in capsys.readouterr().err
 
     def test_missing_scenario_exit_2(self, tmp_path, capsys):
         assert main(["no-such-scenario", "--out", str(tmp_path)]) == 2

@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 
 from .engine import RegulatorPolicy, SwitchConfig, SwitchState
-from .packet import HEADER_BYTES
+from .packet import HEADER_BYTES, MAX_LABEL
 from .topology import (
     AggregationToOneBbu,
     BbuToBbu,
@@ -34,6 +34,7 @@ LinkKey = tuple[NodeId, NodeId]
 
 NO_BANDWIDTH = "no-bandwidth"
 LATENCY_UNREACHABLE = "latency-unreachable"
+LABEL_EXHAUSTED = "label-exhausted"
 
 
 class Infeasible(Exception):
@@ -258,11 +259,25 @@ class Controller:
     # Label allocation: smallest free label per (node, input port).
     def _alloc_label(self, node: NodeId, in_port: int) -> int:
         used = self._labels_in_use.setdefault((node, in_port), set())
+        if len(used) > MAX_LABEL:
+            raise Infeasible(LABEL_EXHAUSTED, f"all labels in use at node {node} port {in_port}")
         label = 0
         while label in used:
             label += 1
         used.add(label)
         return label
+
+    def _alloc_labels(self, arrivals: list[tuple[NodeId, int]]) -> list[int]:
+        """One label per (node, input port), in order; all or none."""
+        labels: list[int] = []
+        try:
+            for node, in_port in arrivals:
+                labels.append(self._alloc_label(node, in_port))
+        except Infeasible:
+            for (node, in_port), label in zip(arrivals, labels):
+                self._free_label(node, in_port, label)
+            raise
+        return labels
 
     def _free_label(self, node: NodeId, in_port: int, label: int) -> None:
         self._labels_in_use[(node, in_port)].discard(label)
@@ -341,10 +356,9 @@ class Controller:
         topo = self.topology
         ingress_port = topo.link_between(path[0], path[1]).port_of(path[0])
         # One label per receiving hop, scoped to (node, arrival port).
-        labels = [
-            self._alloc_label(node, topo.link_between(prev, node).port_of(node))
-            for prev, node in zip(path, path[1:])
-        ]
+        labels = self._alloc_labels(
+            [(node, topo.link_between(prev, node).port_of(node)) for prev, node in zip(path, path[1:])]
+        )
         hops: list[HopEntry] = []
         for i in range(1, len(path) - 1):
             node = path[i]
@@ -379,12 +393,11 @@ class Controller:
         turns into packet replication.
         """
         topo = self.topology
-        edge_label: dict[tuple[NodeId, NodeId], int] = {}
-        for path in paths:
-            for prev, node in zip(path, path[1:]):
-                if (prev, node) not in edge_label:
-                    port = topo.link_between(prev, node).port_of(node)
-                    edge_label[(prev, node)] = self._alloc_label(node, port)
+        edges = list(dict.fromkeys(edge for path in paths for edge in zip(path, path[1:])))
+        labels = self._alloc_labels(
+            [(node, topo.link_between(prev, node).port_of(node)) for prev, node in edges]
+        )
+        edge_label = dict(zip(edges, labels))
         fanout: dict[tuple[NodeId, int, int], list[tuple[int, int]]] = {}
         for path in paths:
             for i in range(1, len(path) - 1):
@@ -446,9 +459,17 @@ class Controller:
                     freed.add(fkey)
 
     def _install_all(self, session_id: str, request: SessionRequest, paths) -> list[Circuit]:
+        """Install every circuit, or on Infeasible (labels exhausted) none."""
         if isinstance(request.pattern.shape, RrhToMultiBbu):
             return self._install_tree(session_id, paths)
-        return [self._install_circuit(session_id, cid, p) for cid, p in enumerate(paths)]
+        circuits: list[Circuit] = []
+        try:
+            for cid, path in enumerate(paths):
+                circuits.append(self._install_circuit(session_id, cid, path))
+        except Infeasible:
+            self._uninstall(circuits)
+            raise
+        return circuits
 
     def _paths_string(self, circuits: list[Circuit]) -> str:
         return "|".join("-".join(str(n) for n in c.nodes) for c in circuits)
@@ -465,10 +486,10 @@ class Controller:
             raise ValueError(f"session {session_id!r} already active")
         try:
             paths, debits = self._plan_paths(request)
+            circuits = self._install_all(session_id, request, paths)
         except Infeasible as exc:
             self._record("setup", session_id, f"infeasible({exc.cause})")
             raise
-        circuits = self._install_all(session_id, request, paths)
         for key, rate in debits.items():
             self.ledger.debit(key, session_id, rate)
         session = Session(id=session_id, request=request, circuits=circuits, debits=debits)
@@ -508,6 +529,7 @@ class Controller:
                 self.ledger.release_session(k, session_id)
             try:
                 paths, debits = self._plan_paths(session.request)
+                session.circuits = self._install_all(session_id, session.request, paths)
             except Infeasible as exc:
                 session.state = "torn_down"
                 session.circuits = []
@@ -515,7 +537,6 @@ class Controller:
                 outcomes[session_id] = "victim"
                 self._record("reroute", session_id, f"victim({exc.cause})")
                 continue
-            session.circuits = self._install_all(session_id, session.request, paths)
             for k, rate in debits.items():
                 self.ledger.debit(k, session_id, rate)
             session.debits = debits
@@ -548,20 +569,19 @@ class Controller:
         old_holds = self.ledger.holds(session.id)
         try:
             paths, new_debits = self._plan_paths(new_request, extra_credit=old_holds)
+            if new_pattern == session.request.pattern and [c.nodes for c in session.circuits] == paths:
+                self._record("migrate", session.id, "noop", self._paths_string(session.circuits))
+                return session
+            # Make: install the new circuits, then charge only the extra demand.
+            new_circuits = self._install_all(session.id, new_request, paths)
         except Infeasible as exc:
             self._record("migrate", session.id, f"infeasible({exc.cause})")
             raise
-        if new_pattern == session.request.pattern and [c.nodes for c in session.circuits] == paths:
-            self._record("migrate", session.id, "noop", self._paths_string(session.circuits))
-            return session
-
-        # Make: charge only the extra demand, then install the new circuits.
         for key, rate in new_debits.items():
             extra = rate - old_holds.get(key, 0.0)
             if extra > 0:
                 self.ledger.debit(key, session.id, extra)
         old_circuits = session.circuits
-        new_circuits = self._install_all(session.id, new_request, paths)
         # Break: remove the old footprint, return what is no longer held.
         self._uninstall(old_circuits)
         for key, old_rate in old_holds.items():

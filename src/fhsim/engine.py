@@ -8,17 +8,26 @@ packets per latency class on the output port, where a FIFO, strict
 priority, or weighted-round-robin scheduler drains them. All randomness
 lives in the traffic traces; given the same world and horizon the run is
 reproducible event for event, with ties broken by insertion order.
+
+Packets carry their header fields as plain ints: a hop relabels by
+assignment and a replica is a slot copy, and no `FhHeader` is built
+inside the event loop (only the regulator builds one per emitted frame).
+Labels are range-checked when forwarding entries and circuit feeds are
+created, so none can go out of range in flight. All per-port and
+per-packet run state lives in objects made by `run`, so a world can be
+rerun and gives the same result.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .packet import SEQ_MODULUS, FhHeader, FhPacket
+from .packet import MAX_LABEL, MAX_LATENCY_CLASS, SEQ_MODULUS, FhHeader, FhPacket
 from .topology import NodeId, PhysicalTopology
 
 N_CLASSES = 16
@@ -65,7 +74,8 @@ class SwitchState:
 
     The table maps (input port, label) to one or more (output port,
     label) entries; more than one entry replicates the packet, which is
-    how distribution trees branch.
+    how distribution trees branch. `install` rejects labels outside
+    0..MAX_LABEL.
     """
 
     def __init__(self, config: SwitchConfig):
@@ -73,6 +83,11 @@ class SwitchState:
         self.table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def install(self, in_port: int, label: int, outputs: tuple[tuple[int, int], ...]) -> None:
+        if not 0 <= label <= MAX_LABEL:
+            raise ValueError(f"label out of range: {label}")
+        for _, out_label in outputs:
+            if not 0 <= out_label <= MAX_LABEL:
+                raise ValueError(f"label out of range: {out_label}")
         if (in_port, label) in self.table:
             raise ValueError(f"entry ({in_port}, {label}) already installed")
         self.table[(in_port, label)] = outputs
@@ -97,6 +112,12 @@ class CircuitFeed:
     policy: RegulatorPolicy
     volumes: list[float]  # bits offered per subframe
     subframe_duration: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.label <= MAX_LABEL:
+            raise ValueError(f"label out of range: {self.label}")
+        if not 0 <= self.latency_class <= MAX_LATENCY_CLASS:
+            raise ValueError(f"latency_class out of range: {self.latency_class}")
 
 
 @dataclass
@@ -181,12 +202,19 @@ class Regulator:
 
 
 class _Port:
-    """Directed output port: per-class queues and the attached link."""
+    """One end of a link, within one run.
+
+    As an output it holds the per-class queues and drives the link;
+    as an input it holds the arrival-side state of its node: input
+    buffer occupancy, and the routes (switch) or egress bindings (host)
+    resolved so far, cached per label.
+    """
 
     __slots__ = (
-        "link",
+        "node",
+        "port_no",
+        "peer",
         "capacity",
-        "peer_node",
         "propagation",
         "queues",
         "class_bytes",
@@ -201,12 +229,19 @@ class _Port:
         "busy_time",
         "bytes_carried",
         "peak_queue_bytes",
+        "switch",
+        "input_bound",
+        "proc_delay",
+        "occupancy",
+        "routes",
+        "egress",
     )
 
-    def __init__(self, link, peer_node, scheduler, weights, queue_bound):
-        self.link = link
+    def __init__(self, node, port_no, link, scheduler, weights, queue_bound):
+        self.node = node
+        self.port_no = port_no
+        self.peer: _Port | None = None  # the port a transmission lands on
         self.capacity = link.capacity
-        self.peer_node = peer_node
         self.propagation = link.propagation_delay
         self.queues: list[deque] = [deque() for _ in range(N_CLASSES)]
         self.class_bytes = [0] * N_CLASSES
@@ -221,6 +256,12 @@ class _Port:
         self.busy_time = 0.0
         self.bytes_carried = 0
         self.peak_queue_bytes = 0
+        self.switch: SwitchState | None = None
+        self.input_bound = 0
+        self.proc_delay = 0.0
+        self.occupancy = 0  # bytes in this input buffer
+        self.routes: dict[int, tuple[tuple[_Port, int], ...] | None] = {}
+        self.egress: dict[int, list | None] = {}
 
     def pick(self) -> FhPacket:
         if self.scheduler is Scheduler.STRICT_PRIORITY:
@@ -245,6 +286,32 @@ class _Port:
                 self.wrr_class = (self.wrr_class + 1) % N_CLASSES
                 self.wrr_credit = self.weights[self.wrr_class]
         raise RuntimeError("pick() called with all queues empty")
+
+
+def _wire_ports(world: World) -> dict[tuple[NodeId, int], _Port]:
+    """Fresh run state for both ends of every link, peers linked."""
+    ports: dict[tuple[NodeId, int], _Port] = {}
+    node_egress: dict[NodeId, dict] = {}
+    for link in world.topology.links:
+        ends = []
+        for node, port_no in ((link.node_a, link.port_a), (link.node_b, link.port_b)):
+            switch = world.switches.get(node)
+            if switch is not None:
+                cfg = switch.config
+                port = _Port(node, port_no, link, cfg.scheduler, cfg.wrr_weights, cfg.queue_bytes)
+                port.switch = switch
+                port.input_bound = cfg.input_buffer_bytes
+                port.proc_delay = cfg.header_processing_delay
+            else:
+                port = _Port(
+                    node, port_no, link, world.host_scheduler, world.wrr_weights, world.host_queue_bytes
+                )
+                # egress bindings, last seq included, are per (node, label)
+                port.egress = node_egress.setdefault(node, {})
+            ports[(node, port_no)] = port
+            ends.append(port)
+        ends[0].peer, ends[1].peer = ends[1], ends[0]
+    return ports
 
 
 @dataclass
@@ -327,45 +394,21 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
         raise ValueError("horizon must be >= 0")
     del seed  # reproducibility handle; the event loop is fully deterministic
 
-    # bytes buffered per switch input port; run-local, so a world can be rerun
-    input_occupancy: dict[NodeId, dict[int, int]] = {node: {} for node in world.switches}
-    topology = world.topology
-    ports: dict[tuple[NodeId, int], _Port] = {}
-    for link in topology.links:
-        for node, port, peer in (
-            (link.node_a, link.port_a, link.node_b),
-            (link.node_b, link.port_b, link.node_a),
-        ):
-            if node in world.switches:
-                cfg = world.switches[node].config
-                scheduler, weights, bound = cfg.scheduler, cfg.wrr_weights, cfg.queue_bytes
-            else:
-                scheduler, weights, bound = (
-                    world.host_scheduler,
-                    world.wrr_weights,
-                    world.host_queue_bytes,
-                )
-            ports[(node, port)] = _Port(link, peer, scheduler, weights, bound)
-
-    # Peer port lookup: where does a transmission on (node, port) land?
-    peer_port_of: dict[tuple[NodeId, int], int] = {}
-    for link in topology.links:
-        peer_port_of[(link.node_a, link.port_a)] = link.port_b
-        peer_port_of[(link.node_b, link.port_b)] = link.port_a
-
+    ports = _wire_ports(world)
     regulators = [Regulator(feed) for feed in world.circuits]
     sessions: dict[str, SessionRunStats] = {}
+    ingress = []  # per circuit: (ingress port, circuit stats, session stats)
     for feed in world.circuits:
-        sessions.setdefault(feed.session_id, SessionRunStats()).circuit(feed.circuit_id)
+        stats = sessions.setdefault(feed.session_id, SessionRunStats())
+        ingress.append(
+            (ports.get((feed.ingress_node, feed.ingress_port)), stats.circuit(feed.circuit_id), stats)
+        )
 
-    last_seq: dict[tuple[NodeId, int], int] = {}
+    # Events are (time, tie, code, a, b); ties at equal time resolve by
+    # the order they were pushed in.
     heap: list[tuple] = []
-    counter = 0
-
-    def push(time: float, code: int, a=None, b=None, c=None) -> None:
-        nonlocal counter
-        heapq.heappush(heap, (time, counter, code, a, b, c))
-        counter += 1
+    heappush, heappop = heapq.heappush, heapq.heappop
+    tie = itertools.count().__next__
 
     for idx, feed in enumerate(world.circuits):
         for sf, bits in enumerate(feed.volumes):
@@ -373,136 +416,134 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             if t > horizon:
                 break
             if bits > EPS_BITS:
-                push(t, _OFFER, idx, sf)
+                heappush(heap, (t, tie(), _OFFER, idx, sf))
 
-    def session_stats(pkt: FhPacket) -> CircuitStats:
-        return sessions[pkt.session_id].circuit(pkt.circuit_id)
-
-    def start_tx(node: NodeId, port_no: int, now: float) -> None:
-        port = ports[(node, port_no)]
+    def start_tx(port: _Port, now: float) -> None:
         pkt = port.pick()
-        cls = pkt.header.latency_class
-        port.class_bytes[cls] -= pkt.wire_bytes
-        port.total_bytes -= pkt.wire_bytes
+        wire_bytes = pkt.wire_bytes
+        port.class_bytes[pkt.latency_class] -= wire_bytes
+        port.total_bytes -= wire_bytes
         port.busy = True
-        tx = pkt.wire_bytes * 8 / port.capacity
+        tx = wire_bytes * 8 / port.capacity
         port.busy_time += min(tx, horizon - now)
-        port.bytes_carried += pkt.wire_bytes
-        pkt.path_nodes.append(node)
-        push(now + tx, _TX_DONE, node, port_no)
-        push(now + tx + port.propagation, _ARRIVAL, port.peer_node, peer_port_of[(node, port_no)], pkt)
+        port.bytes_carried += wire_bytes
+        pkt.path += (port.node,)
+        heappush(heap, (now + tx, tie(), _TX_DONE, port, None))
+        heappush(heap, (now + tx + port.propagation, tie(), _ARRIVAL, port.peer, pkt))
 
-    def enqueue(node: NodeId, port_no: int, pkt: FhPacket, now: float) -> None:
-        port = ports[(node, port_no)]
-        cls = pkt.header.latency_class
-        if port.class_bytes[cls] + pkt.wire_bytes > port.queue_bound:
-            session_stats(pkt).dropped_overflow += 1
+    def enqueue(port: _Port, pkt: FhPacket, now: float) -> None:
+        cls = pkt.latency_class
+        wire_bytes = pkt.wire_bytes
+        if port.class_bytes[cls] + wire_bytes > port.queue_bound:
+            pkt.stats.dropped_overflow += 1
             return
         port.queues[cls].append((port.arrival_counter, pkt))
         port.arrival_counter += 1
-        port.class_bytes[cls] += pkt.wire_bytes
-        port.total_bytes += pkt.wire_bytes
+        port.class_bytes[cls] += wire_bytes
+        port.total_bytes += wire_bytes
         if port.total_bytes > port.peak_queue_bytes:
             port.peak_queue_bytes = port.total_bytes
         if not port.busy:
-            start_tx(node, port_no, now)
+            start_tx(port, now)
 
-    def inject(pkt_list: list[FhPacket], feed: CircuitFeed, now: float) -> None:
-        for pkt in pkt_list:
-            session_stats(pkt).injected += 1
-            sessions[pkt.session_id].wire_bits_injected += pkt.wire_bytes * 8
-            enqueue(feed.ingress_node, feed.ingress_port, pkt, now)
+    def inject(idx: int, emitted: list[FhPacket], now: float) -> None:
+        port, cstats, stats = ingress[idx]
+        for pkt in emitted:
+            pkt.stats = cstats
+            cstats.injected += 1
+            stats.wire_bits_injected += pkt.wire_bytes * 8
+            enqueue(port, pkt, now)
 
     def reschedule_timeout(idx: int) -> None:
         reg = regulators[idx]
         reg.generation += 1
         deadline = reg.deadline()
         if deadline is not None:
-            push(deadline, _REG_TIMEOUT, idx, reg.generation)
+            heappush(heap, (deadline, tie(), _REG_TIMEOUT, idx, reg.generation))
 
-    def deliver(node: NodeId, pkt: FhPacket, now: float) -> None:
-        binding = world.egress.get((node, pkt.header.label))
+    def route(port: _Port, label: int) -> tuple[tuple[_Port, int], ...] | None:
+        outputs = port.switch.lookup(port.port_no, label)
+        if outputs is not None:
+            outputs = tuple((ports[(port.node, out)], out_label) for out, out_label in outputs)
+        port.routes[label] = outputs
+        return outputs
+
+    def bind(port: _Port, label: int) -> list | None:
+        """[session stats, circuit stats, last seq] of the circuit ending here."""
+        binding = world.egress.get((port.node, label))
+        if binding is not None:
+            sid, cid = binding
+            stats = sessions[sid]
+            binding = [stats, stats.circuit(cid), None]
+        port.egress[label] = binding
+        return binding
+
+    def deliver(port: _Port, pkt: FhPacket, now: float) -> None:
+        label = pkt.label
+        binding = port.egress[label] if label in port.egress else bind(port, label)
         if binding is None:
-            session_stats(pkt).dropped_unroutable += 1
+            pkt.stats.dropped_unroutable += 1
             return
-        sid, cid = binding
-        stats = sessions[sid]
-        cstats = stats.circuit(cid)
+        stats, cstats, last = binding
         cstats.delivered += 1
-        key = (node, pkt.header.label)
-        last = last_seq.get(key)
         if last is not None:
             # strictly increasing mod wrap: drops leave forward gaps, only
             # duplicates and backward steps count as disorder
-            distance = (pkt.header.seq - last) % SEQ_MODULUS
+            distance = (pkt.seq - last) % SEQ_MODULUS
             if distance == 0 or distance >= SEQ_MODULUS // 2:
                 cstats.out_of_order += 1
-        last_seq[key] = pkt.header.seq
+        binding[2] = pkt.seq
         stats.latencies.append(now - pkt.created_at)
         stats.payload_bits_delivered += pkt.payload_bits
-        stats.delivered_paths.add(tuple(pkt.path_nodes) + (node,))
+        stats.delivered_paths.add(pkt.path + (port.node,))
 
     while heap and heap[0][0] <= horizon:
-        now, _, code, a, b, c = heapq.heappop(heap)
-        if code == _OFFER:
-            feed = world.circuits[a]
-            emitted = regulators[a].offer(now, feed.volumes[b])
-            inject(emitted, feed, now)
+        now, _, code, a, b = heappop(heap)
+        if code == _ARRIVAL:
+            port, pkt = a, b
+            if port.switch is None:
+                deliver(port, pkt, now)
+                continue
+            occupied = port.occupancy + pkt.wire_bytes
+            if occupied > port.input_bound:
+                pkt.stats.dropped_overflow += 1
+                continue
+            port.occupancy = occupied
+            heappush(heap, (now + port.proc_delay, tie(), _PROC_DONE, port, pkt))
+        elif code == _PROC_DONE:
+            port, pkt = a, b
+            port.occupancy -= pkt.wire_bytes
+            label = pkt.label
+            outputs = port.routes[label] if label in port.routes else route(port, label)
+            if outputs is None:
+                pkt.stats.dropped_unroutable += 1
+                continue
+            if len(outputs) == 1:
+                out, pkt.label = outputs[0]
+                enqueue(out, pkt, now)
+                continue
+            pkt.stats.replicated += len(outputs) - 1
+            # clone every extra branch before any enqueue can start a
+            # transmission and extend the original's path trace
+            branches = [pkt] + [pkt.copy() for _ in outputs[1:]]
+            for branch, (out, out_label) in zip(branches, outputs):
+                branch.label = out_label
+                enqueue(out, branch, now)
+        elif code == _TX_DONE:
+            port = a
+            port.busy = False
+            if port.total_bytes > 0:
+                start_tx(port, now)
+        elif code == _OFFER:
+            emitted = regulators[a].offer(now, world.circuits[a].volumes[b])
+            inject(a, emitted, now)
             reschedule_timeout(a)
-        elif code == _REG_TIMEOUT:
+        else:  # _REG_TIMEOUT
             reg = regulators[a]
             if b != reg.generation:
                 continue
-            inject(reg.flush(), reg.feed, now)
+            inject(a, reg.flush(), now)
             reschedule_timeout(a)
-        elif code == _ARRIVAL:
-            node, in_port, pkt = a, b, c
-            switch = world.switches.get(node)
-            if switch is None:
-                deliver(node, pkt, now)
-                continue
-            occupancy = input_occupancy[node]
-            occupied = occupancy.get(in_port, 0)
-            if occupied + pkt.wire_bytes > switch.config.input_buffer_bytes:
-                session_stats(pkt).dropped_overflow += 1
-                continue
-            occupancy[in_port] = occupied + pkt.wire_bytes
-            push(now + switch.config.header_processing_delay, _PROC_DONE, node, in_port, pkt)
-        elif code == _PROC_DONE:
-            node, in_port, pkt = a, b, c
-            switch = world.switches[node]
-            input_occupancy[node][in_port] -= pkt.wire_bytes
-            outputs = switch.lookup(in_port, pkt.header.label)
-            if outputs is None:
-                session_stats(pkt).dropped_unroutable += 1
-                continue
-            stats = session_stats(pkt)
-            stats.replicated += len(outputs) - 1
-            # clone every extra branch before any enqueue can start a
-            # transmission and extend the original's path trace
-            branches = []
-            for i, (out_port, out_label) in enumerate(outputs):
-                if i == 0:
-                    branch = pkt
-                else:
-                    branch = FhPacket(
-                        header=pkt.header,
-                        payload_bits=pkt.payload_bits,
-                        created_at=pkt.created_at,
-                        session_id=pkt.session_id,
-                        circuit_id=pkt.circuit_id,
-                        path_nodes=list(pkt.path_nodes),
-                    )
-                branch.header = replace(branch.header, label=out_label)
-                branches.append((out_port, branch))
-            for out_port, branch in branches:
-                enqueue(node, out_port, branch, now)
-        elif code == _TX_DONE:
-            node, port_no = a, b
-            port = ports[(node, port_no)]
-            port.busy = False
-            if port.total_bytes > 0:
-                start_tx(node, port_no, now)
 
     residual = sum(len(q) for port in ports.values() for q in port.queues)
     for event in heap:
@@ -512,7 +553,7 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
     port_stats = [
         PortStats(
             src=node,
-            dst=port.peer_node,
+            dst=port.peer.node,
             utilization=(port.busy_time / horizon) if horizon > 0 else 0.0,
             peak_queue_bytes=port.peak_queue_bytes,
             bytes_carried=port.bytes_carried,

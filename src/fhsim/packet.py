@@ -5,12 +5,17 @@ circuit label, a per-label wrapping counter, the latency class used by
 switch schedulers, and the payload length. The last header byte is an
 XOR check over the first seven, so a header is self-validating without
 any out-of-band length field.
+
+Inside the simulator a packet keeps its header fields as plain ints, so
+a switch relabels it by assigning one; a validated `FhHeader` is built
+only at the serialization boundary (`FhPacket.header`). Labels are
+range-checked where forwarding entries are installed, not per hop.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HEADER_BYTES = 8
 SEQ_MODULUS = 1 << 16
@@ -83,28 +88,66 @@ def deserialize_header(data: bytes) -> FhHeader:
     )
 
 
-@dataclass
 class FhPacket:
     """A framed payload unit moving through the simulated network.
 
-    created_at is the arrival time of the oldest payload bit in the frame,
-    so latency measured from it covers regulator wait plus transport.
-    session_id and path_nodes are simulation bookkeeping, not wire state.
+    Built from a validated header, whose fields it then holds as plain
+    ints (`label` is rewritten at every switch); `header` rebuilds an
+    `FhHeader` from them for serialization. created_at is the arrival
+    time of the oldest payload bit in the frame, so latency measured
+    from it covers regulator wait plus transport. session_id,
+    circuit_id, stats (the origin circuit's counters) and path (the
+    nodes that transmitted it so far) are simulation bookkeeping, not
+    wire state.
     """
 
-    header: FhHeader
-    payload_bits: int
-    created_at: float
-    session_id: str = ""
-    circuit_id: int = 0
-    path_nodes: list[int] = field(default_factory=list)
+    __slots__ = (
+        "label",
+        "seq",
+        "latency_class",
+        "flags",
+        "payload_len",
+        "wire_bytes",
+        "payload_bits",
+        "created_at",
+        "session_id",
+        "circuit_id",
+        "stats",
+        "path",
+    )
 
-    def __post_init__(self) -> None:
-        if self.payload_bits != self.header.payload_len * 8:
+    def __init__(
+        self,
+        header: FhHeader,
+        payload_bits: int,
+        created_at: float,
+        session_id: str = "",
+        circuit_id: int = 0,
+    ):
+        if payload_bits != header.payload_len * 8:
             raise ValueError(
-                f"payload_bits {self.payload_bits} != 8 * payload_len {self.header.payload_len}"
+                f"payload_bits {payload_bits} != 8 * payload_len {header.payload_len}"
             )
+        self.label = header.label
+        self.seq = header.seq
+        self.latency_class = header.latency_class
+        self.flags = header.flags
+        self.payload_len = header.payload_len
+        self.wire_bytes = header.payload_len + HEADER_BYTES
+        self.payload_bits = payload_bits
+        self.created_at = created_at
+        self.session_id = session_id
+        self.circuit_id = circuit_id
+        self.stats = None
+        self.path: tuple[int, ...] = ()
 
     @property
-    def wire_bytes(self) -> int:
-        return self.header.payload_len + HEADER_BYTES
+    def header(self) -> FhHeader:
+        return FhHeader(self.label, self.seq, self.latency_class, self.flags, self.payload_len)
+
+    def copy(self) -> FhPacket:
+        """A replica sharing every field; relabelling it leaves this one alone."""
+        clone = object.__new__(FhPacket)
+        for name in FhPacket.__slots__:
+            setattr(clone, name, getattr(self, name))
+        return clone

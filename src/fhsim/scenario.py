@@ -53,6 +53,7 @@ from .engine import (
     run,
 )
 from .metrics import assemble_report, overhead_sweep, write_report_csvs, write_sweep_csv
+from .packet import HEADER_BYTES
 from .sync import ClockSource, build_sync_tree, propagate_sync, write_sync_csv
 from .topology import (
     AggregationToOneBbu,
@@ -148,6 +149,8 @@ class UeSpec:
     mcs_init: int | None = None
 
     def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
         self.profile(0)  # UeProfile rejects out-of-range values
 
     def profile(self, ue_id: int) -> UeProfile:
@@ -759,6 +762,9 @@ def run_scenario(
     session is infeasible (reports for the rest are still written).
     Identical inputs produce byte-identical files.
     """
+    for size in sweep or ():
+        if size < HEADER_BYTES:
+            raise ValueError(f"sweep frame size {size} below header length {HEADER_BYTES}")
     built = build_scenario(scenario, seed=seed, subframes=subframes)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fhsim.control import (
+    LABEL_EXHAUSTED,
     LATENCY_UNREACHABLE,
     NO_BANDWIDTH,
     Controller,
@@ -11,6 +12,7 @@ from fhsim.control import (
     compute_path,
 )
 from fhsim.engine import RegulatorPolicy
+from fhsim.packet import MAX_LABEL
 from fhsim.sync import ClockSource, build_sync_tree
 from fhsim.topology import (
     AggregationToOneBbu,
@@ -230,6 +232,84 @@ class TestSetupTeardown:
             seen.add(key)
         hub = controller.switches[0]
         assert len(hub.table) == 3  # one entry per circuit, distinct keys
+
+
+def control_state(controller):
+    """Ledger, forwarding tables, egress bindings and labels in use."""
+    return (
+        controller.ledger.snapshot(),
+        {node: dict(s.table) for node, s in controller.switches.items()},
+        dict(controller.egress),
+        {key: set(used) for key, used in controller._labels_in_use.items() if used},
+    )
+
+
+def two_bbu_branch():
+    # rrh 0 - switch 1 - {bbu 2, switch 3 - bbu 4}: branch at switch 1
+    nodes = [
+        Node(0, NodeKind.RRH, 1),
+        Node(1, NodeKind.FH_SWITCH, 3),
+        Node(2, NodeKind.BBU, 1),
+        Node(3, NodeKind.FH_SWITCH, 2),
+        Node(4, NodeKind.BBU, 1),
+    ]
+    links = [
+        PhysLink(0, 0, 1, 0, 10e9),
+        PhysLink(1, 1, 2, 0, 10e9),
+        PhysLink(1, 2, 3, 0, 10e9),
+        PhysLink(3, 1, 4, 0, 10e9),
+    ]
+    return PhysicalTopology(nodes, links)
+
+
+class TestLabelExhaustion:
+    @pytest.mark.parametrize(
+        "topology, old, new, free",
+        [
+            # three circuits end on the bbu's one port: the first two take
+            # its last two labels and are installed, then the third fails
+            (star4, p2p(1, 4), LogicalPattern(AggregationToOneBbu((1, 2, 3), 4)), 2),
+            # the tree allocates its first three labels, then fails on its last leg
+            (two_bbu_branch, p2p(0, 2), LogicalPattern(RrhToMultiBbu(0, (2, 4))), 0),
+        ],
+    )
+    def test_refused_setup_leaves_state_untouched(self, topology, old, new, free):
+        controller = Controller(topology())
+        controller.setup(request(old, peak=1e8), name="old")
+        # bbu 4 receives on its port 0; all but `free` of its labels in use
+        controller._labels_in_use.setdefault((4, 0), set()).update(range(MAX_LABEL + 1 - free))
+        before = control_state(controller)
+        log_len = len(controller.log)
+        with pytest.raises(Infeasible) as exc:
+            controller.setup(request(new, peak=1e8), name="new")
+        assert exc.value.cause == LABEL_EXHAUSTED
+        assert control_state(controller) == before
+        assert "new" not in controller.sessions
+        assert [e.outcome for e in controller.log[log_len:]] == [f"infeasible({LABEL_EXHAUSTED})"]
+
+    def test_refused_migration_leaves_session_untouched(self):
+        controller = Controller(star4())
+        session = controller.setup(request(p2p(1, 4)), name="m")
+        # the new path enters the hub from rrh 2, where no label is free
+        hub_port = controller.topology.link_between(2, 0).port_of(0)
+        controller._labels_in_use[(0, hub_port)] = set(range(MAX_LABEL + 1))
+        before = control_state(controller)
+        circuits = session.circuits
+        with pytest.raises(Infeasible) as exc:
+            controller.migrate(session, p2p(2, 4))
+        assert exc.value.cause == LABEL_EXHAUSTED
+        assert control_state(controller) == before
+        assert session.circuits == circuits
+        assert session.request.pattern == p2p(1, 4)
+
+    def test_last_free_label_is_the_smallest_free_one(self):
+        controller = Controller(star4())
+        controller._labels_in_use[(4, 0)] = set(range(MAX_LABEL + 1)) - {7}
+        session = controller.setup(request(p2p(1, 4)), name="x")
+        assert session.circuits[0].egress_label == 7
+        with pytest.raises(Infeasible) as exc:
+            controller.setup(request(p2p(2, 4)), name="y")
+        assert exc.value.cause == LABEL_EXHAUSTED
 
 
 class TestReroute:

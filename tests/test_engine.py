@@ -11,6 +11,7 @@ from fhsim.engine import (
     run,
 )
 from fhsim.metrics import assemble_report
+from fhsim.packet import MAX_LABEL
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
 
 
@@ -306,6 +307,82 @@ class TestRun:
         assert r1.sessions["a"].latencies == r2.sessions["a"].latencies
         assert r1.sessions["b"].latencies == r2.sessions["b"].latencies
         assert [p.__dict__ for p in r1.ports] == [p.__dict__ for p in r2.ports]
+
+
+    def test_two_level_tree_branches_keep_own_label_and_path(self):
+        # rrh 0 - switch 1 -+- bbu 3
+        #                   +- switch 2 -+- bbu 4
+        #                                +- bbu 5
+        world = two_level_tree_world()
+        res = run(world, horizon=0.1)
+        stats = res.sessions["s"]
+        assert stats.delivered_paths == {(0, 1, 3), (0, 1, 2, 4), (0, 1, 2, 5)}
+        for cid in (0, 1, 2):  # each leaf got every frame under its own label
+            assert stats.circuits[cid].delivered == 5
+            assert stats.circuits[cid].out_of_order == 0
+        totals = stats.totals()
+        assert (totals.injected, totals.replicated, totals.dropped_unroutable) == (5, 10, 0)
+
+    def test_rerun_of_one_world_is_identical(self):
+        world = two_level_tree_world(capacity=1e8, volume=90000.0)
+        r1 = run(world, horizon=0.02)
+        r2 = run(world, horizon=0.02)
+        assert r1.total().delivered > 0
+        assert [p.__dict__ for p in r1.ports] == [p.__dict__ for p in r2.ports]
+        assert r1.sessions["s"].delivered_paths == r2.sessions["s"].delivered_paths
+        assert r1.sessions["s"].latencies == r2.sessions["s"].latencies
+        assert r1.total() == r2.total()
+
+
+def two_level_tree_world(capacity=1e9, volume=8000.0):
+    nodes = [
+        Node(0, NodeKind.RRH, 1),
+        Node(1, NodeKind.FH_SWITCH, 3),
+        Node(2, NodeKind.FH_SWITCH, 3),
+        Node(3, NodeKind.BBU, 1),
+        Node(4, NodeKind.BBU, 1),
+        Node(5, NodeKind.BBU, 1),
+    ]
+    links = [
+        PhysLink(0, 0, 1, 0, capacity, 1e-6),
+        PhysLink(1, 1, 2, 0, capacity, 1e-6),
+        PhysLink(1, 2, 3, 0, capacity, 1e-6),
+        PhysLink(2, 1, 4, 0, capacity, 1e-6),
+        PhysLink(2, 2, 5, 0, capacity, 1e-6),
+    ]
+    first, second = SwitchState(SwitchConfig()), SwitchState(SwitchConfig())
+    first.install(0, 1, ((1, 20), (2, 30)))
+    second.install(0, 20, ((1, 40), (2, 50)))
+    feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [volume] * 5, 1e-3)
+    egress = {(3, 30): ("s", 0), (4, 40): ("s", 1), (5, 50): ("s", 2)}
+    return World(PhysicalTopology(nodes, links), {1: first, 2: second}, [feed], egress)
+
+
+class TestLabelRange:
+    @pytest.mark.parametrize(
+        "label, outputs",
+        [
+            (MAX_LABEL + 1, ((2, 9),)),
+            (-1, ((2, 9),)),
+            (7, ((2, MAX_LABEL + 1),)),
+            (7, ((2, 9), (1, -1))),
+        ],
+    )
+    def test_install_rejects_out_of_range_labels(self, label, outputs):
+        switch = SwitchState(SwitchConfig())
+        with pytest.raises(ValueError, match="label out of range"):
+            switch.install(0, label, outputs)
+        assert switch.table == {}
+
+    def test_install_accepts_full_range(self):
+        switch = SwitchState(SwitchConfig())
+        switch.install(0, 0, ((2, MAX_LABEL),))
+        switch.install(0, MAX_LABEL, ((2, 0),))
+        assert len(switch.table) == 2
+
+    def test_feed_label_checked_at_construction(self):
+        with pytest.raises(ValueError, match="label out of range"):
+            CircuitFeed("s", 0, 0, 0, MAX_LABEL + 1, 0, policy(), [8000.0], 1e-3)
 
 
 class TestStrictPriorityDominance:

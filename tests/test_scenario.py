@@ -182,6 +182,7 @@ class TestRunScenario:
             ("source = b1", "source = r1", 15),
             ("source = b1 quality=0", "source = b1 quality=0\nregen = 2", 16),
             ("delay=1e-6\n\n", "delay=1e-6\nlink = b1 hub\n\n", 8),
+            ("count=4", "count=-5", 11),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):
@@ -217,6 +218,12 @@ class TestCli:
         bad.write_text(MINIMAL.replace("scheme=modulation_bits", "scheme=modulation_bits prb=0"))
         assert main([str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "line 10" in capsys.readouterr().err
+
+    def test_sweep_below_header_exit_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ring-bbu-exchange", "--out", str(out), "--sweep", "64,4"]) == 2
+        assert "below header length" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenario_exit_2(self, tmp_path, capsys):
         assert main(["no-such-scenario", "--out", str(tmp_path)]) == 2

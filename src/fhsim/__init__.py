@@ -59,7 +59,6 @@ from .topology import (
     RrhToMultiBbu,
     Star,
     build_topology,
-    enumerate_simple_paths,
 )
 from .traffic import (
     Allocation,

@@ -5,14 +5,17 @@ reservation and a latency bound. The controller computes constrained
 paths on its global view, installs label-switching entries atomically,
 keeps a per-link reservation ledger that never overdraws, and supports
 teardown, failure rerouting over redundant paths, and make-before-break
-migration as the endpoint set changes.
+migration as the endpoint set changes. Labels are scoped per (node,
+input port): each circuit records the (node, in_port, label) of every
+node it arrives at, which keys both switch entries and the egress
+binding at its destination host.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import RegulatorPolicy, SwitchConfig, SwitchState
 from .packet import HEADER_BYTES, MAX_LABEL
@@ -77,7 +80,12 @@ class HopEntry:
 
 @dataclass
 class Circuit:
-    """A unicast leg of a session: ingress host to one egress host."""
+    """A unicast leg of a session: ingress host to one egress host.
+
+    `arrivals` holds the (node, in_port, label) of every node the leg
+    arrives at, the egress last: the switch entries and the egress
+    binding it was installed under, and the labels it holds.
+    """
 
     circuit_id: int
     ingress: NodeId
@@ -87,6 +95,7 @@ class Circuit:
     ingress_label: int
     egress_label: int
     hops: tuple[HopEntry, ...]
+    arrivals: tuple[tuple[NodeId, int, int], ...]
 
 
 @dataclass
@@ -230,9 +239,9 @@ class Controller:
     """Sequential control plane over one topology and one ledger.
 
     Owns label allocation, the installed forwarding tables (one
-    SwitchState per switch), host egress bindings, and the reservation
-    ledger. Every operation either commits fully or leaves all control
-    state untouched.
+    SwitchState per switch), host egress bindings keyed by arrival port,
+    and the reservation ledger. Every operation either commits fully or
+    leaves all control state untouched.
     """
 
     def __init__(
@@ -249,7 +258,7 @@ class Controller:
                 cfg = (switch_configs or {}).get(node.id) or SwitchConfig()
                 self.switches[node.id] = SwitchState(cfg)
         self.sessions: dict[str, Session] = {}
-        self.egress: dict[tuple[NodeId, int], tuple[str, int]] = {}
+        self.egress: dict[tuple[NodeId, int, int], tuple[str, int]] = {}
         self.failed_links: set[LinkKey] = set()
         self.log: list[ControlEvent] = []
         self.clock = 0.0
@@ -291,32 +300,36 @@ class Controller:
             return self.topology
         return self.topology.without_links(self.failed_links)
 
-    def _pattern_legs(self, pattern: LogicalPattern) -> list[tuple[NodeId, NodeId]]:
+    def _pattern_legs(self, pattern: LogicalPattern) -> tuple[list[tuple[NodeId, NodeId]], bool]:
+        """The (source, destination) legs of a pattern, and whether they share a tree.
+
+        Distribution legs from one source share a tree: one reservation
+        and one label per tree link. Every other pattern's legs are
+        independent circuits.
+        """
         shape = pattern.shape
         if isinstance(shape, PointToPoint):
-            return [(shape.rrh, shape.bbu)]
+            return [(shape.rrh, shape.bbu)], False
         if isinstance(shape, AggregationToOneBbu):
-            return [(rrh, shape.bbu) for rrh in shape.rrhs]
+            return [(rrh, shape.bbu) for rrh in shape.rrhs], False
         if isinstance(shape, RrhToMultiBbu):
-            return [(shape.rrh, bbu) for bbu in shape.bbus]
+            return [(shape.rrh, bbu) for bbu in shape.bbus], True
         if isinstance(shape, BbuToBbu):
-            return [(shape.src_bbu, shape.dst_bbu)]
+            return [(shape.src_bbu, shape.dst_bbu)], False
         raise TypeError(f"unknown pattern shape {shape!r}")
 
     def _plan_paths(
         self,
         request: SessionRequest,
         extra_credit: dict[LinkKey, float] | None = None,
-    ) -> tuple[list[tuple[NodeId, ...]], dict[LinkKey, float]]:
-        """Compute all legs of the pattern and the debits they will need.
+    ) -> tuple[list[tuple[NodeId, ...]], bool, dict[LinkKey, float]]:
+        """Compute all legs of the pattern, whether they share a tree, and the debits they need.
 
-        Aggregation legs reserve independently (their streams add up on
-        shared links); distribution legs from one source share a tree,
-        so each tree link is debited once. Raises Infeasible without
-        changing any state.
+        Independent legs reserve independently (their streams add up on
+        shared links); tree legs debit each tree link once. Raises
+        Infeasible without changing any state.
         """
-        shape = request.pattern.shape
-        legs = self._pattern_legs(request.pattern)
+        legs, tree = self._pattern_legs(request.pattern)
         frame_wire = request.policy.max_frame_bytes + HEADER_BYTES
         topology = self._surviving()
         overlay: dict[LinkKey, float] = {}
@@ -325,7 +338,7 @@ class Controller:
             return self.ledger.residual(key) - overlay.get(key, 0.0)
 
         paths: list[tuple[NodeId, ...]] = []
-        tree_credit = dict(extra_credit or {}) if isinstance(shape, RrhToMultiBbu) else None
+        credit = dict(extra_credit or {}) if tree else extra_credit
         for src, dst in legs:
             path, _ = compute_path(
                 topology,
@@ -336,140 +349,82 @@ class Controller:
                 frame_wire,
                 self._proc_delay_of,
                 residual,
-                tree_credit if tree_credit is not None else extra_credit,
+                credit,
             )
             paths.append(path)
             for a, b in zip(path, path[1:]):
                 key = (a, b) if a < b else (b, a)
-                if tree_credit is not None:
+                if tree:
                     if key not in overlay:
                         overlay[key] = request.peak_rate
                         # Later legs ride tree links without paying again.
-                        tree_credit[key] = tree_credit.get(key, 0.0) + request.peak_rate
+                        credit[key] = credit.get(key, 0.0) + request.peak_rate
                 else:
                     overlay[key] = overlay.get(key, 0.0) + request.peak_rate
-        return paths, overlay
+        return paths, tree, overlay
 
-    def _install_circuit(
-        self, session_id: str, circuit_id: int, path: tuple[NodeId, ...]
-    ) -> Circuit:
-        topo = self.topology
-        ingress_port = topo.link_between(path[0], path[1]).port_of(path[0])
-        # One label per receiving hop, scoped to (node, arrival port).
-        labels = self._alloc_labels(
-            [(node, topo.link_between(prev, node).port_of(node)) for prev, node in zip(path, path[1:])]
-        )
-        hops: list[HopEntry] = []
-        for i in range(1, len(path) - 1):
-            node = path[i]
-            entry = HopEntry(
-                node=node,
-                in_port=topo.link_between(path[i - 1], node).port_of(node),
-                label_in=labels[i - 1],
-                out_port=topo.link_between(node, path[i + 1]).port_of(node),
-                label_out=labels[i],
-            )
-            self.switches[node].install(
-                entry.in_port, entry.label_in, ((entry.out_port, entry.label_out),)
-            )
-            hops.append(entry)
-        self.egress[(path[-1], labels[-1])] = (session_id, circuit_id)
-        return Circuit(
-            circuit_id=circuit_id,
-            ingress=path[0],
-            egress=path[-1],
-            nodes=path,
-            ingress_port=ingress_port,
-            ingress_label=labels[0],
-            egress_label=labels[-1],
-            hops=tuple(hops),
-        )
+    def _install(self, session_id: str, paths: list[tuple[NodeId, ...]], tree: bool) -> list[Circuit]:
+        """Install the legs of a session: every label first, then every entry.
 
-    def _install_tree(self, session_id: str, paths: list[tuple[NodeId, ...]]) -> list[Circuit]:
-        """Install a distribution tree by merging the per-leg paths.
-
-        Legs share labels on their common prefix; a switch where legs
-        diverge gets one entry with several outputs, which the engine
-        turns into packet replication.
+        Labels are allocated per (leg, link) in leg order, the legs of a
+        tree sharing one label per link, so a refused allocation raises
+        Infeasible before anything is installed. Each (node, in_port,
+        label) gets one entry; where tree legs diverge it has several
+        outputs, which the engine turns into packet replication.
         """
-        topo = self.topology
-        edges = list(dict.fromkeys(edge for path in paths for edge in zip(path, path[1:])))
-        labels = self._alloc_labels(
-            [(node, topo.link_between(prev, node).port_of(node)) for prev, node in edges]
-        )
-        edge_label = dict(zip(edges, labels))
+        links: dict[tuple[int, NodeId, NodeId], PhysLink] = {}
+        for cid, path in enumerate(paths):
+            for a, b in zip(path, path[1:]):
+                links.setdefault((0 if tree else cid, a, b), self.topology.link_between(a, b))
+        ends = [(b, link.port_of(b)) for (_, _, b), link in links.items()]
+        # (node, in_port, label) where each (leg, link) arrives
+        arrival = {key: (*end, label) for key, end, label in zip(links, ends, self._alloc_labels(ends))}
         fanout: dict[tuple[NodeId, int, int], list[tuple[int, int]]] = {}
-        for path in paths:
-            for i in range(1, len(path) - 1):
-                node = path[i]
-                in_port = topo.link_between(path[i - 1], node).port_of(node)
-                out_port = topo.link_between(node, path[i + 1]).port_of(node)
-                key = (node, in_port, edge_label[(path[i - 1], node)])
-                out = (out_port, edge_label[(node, path[i + 1])])
-                outputs = fanout.setdefault(key, [])
-                if out not in outputs:
-                    outputs.append(out)
-        for (node, in_port, label_in), outputs in fanout.items():
-            self.switches[node].install(in_port, label_in, tuple(outputs))
         circuits = []
         for cid, path in enumerate(paths):
-            egress_label = edge_label[(path[-2], path[-1])]
-            self.egress[(path[-1], egress_label)] = (session_id, cid)
+            keys = [(0 if tree else cid, a, b) for a, b in zip(path, path[1:])]
+            arrivals = tuple(arrival[key] for key in keys)
             hops = tuple(
-                HopEntry(
-                    node=path[i],
-                    in_port=topo.link_between(path[i - 1], path[i]).port_of(path[i]),
-                    label_in=edge_label[(path[i - 1], path[i])],
-                    out_port=topo.link_between(path[i], path[i + 1]).port_of(path[i]),
-                    label_out=edge_label[(path[i], path[i + 1])],
-                )
-                for i in range(1, len(path) - 1)
+                HopEntry(*arrivals[i], links[keys[i + 1]].port_of(path[i + 1]), arrivals[i + 1][2])
+                for i in range(len(path) - 2)
             )
+            for hop in hops:
+                outputs = fanout.setdefault((hop.node, hop.in_port, hop.label_in), [])
+                if (hop.out_port, hop.label_out) not in outputs:
+                    outputs.append((hop.out_port, hop.label_out))
+            self.egress[arrivals[-1]] = (session_id, cid)
             circuits.append(
                 Circuit(
                     circuit_id=cid,
                     ingress=path[0],
                     egress=path[-1],
                     nodes=path,
-                    ingress_port=topo.link_between(path[0], path[1]).port_of(path[0]),
-                    ingress_label=edge_label[(path[0], path[1])],
-                    egress_label=egress_label,
+                    ingress_port=links[keys[0]].port_of(path[0]),
+                    ingress_label=arrivals[0][2],
+                    egress_label=arrivals[-1][2],
                     hops=hops,
+                    arrivals=arrivals,
                 )
             )
+        for (node, in_port, label_in), outputs in fanout.items():
+            self.switches[node].install(in_port, label_in, tuple(outputs))
         return circuits
 
     def _uninstall(self, circuits: list[Circuit]) -> None:
-        removed: set[tuple[NodeId, int, int]] = set()
-        freed: set[tuple[NodeId, int, int]] = set()
-        for circuit in circuits:
-            for hop in circuit.hops:
-                key = (hop.node, hop.in_port, hop.label_in)
-                if key not in removed:
-                    self.switches[hop.node].remove(hop.in_port, hop.label_in)
-                    removed.add(key)
-            self.egress.pop((circuit.egress, circuit.egress_label), None)
-            path = circuit.nodes
-            for i, (prev, node) in enumerate(zip(path, path[1:])):
-                port = self.topology.link_between(prev, node).port_of(node)
-                label = circuit.hops[i].label_in if i < len(circuit.hops) else circuit.egress_label
-                fkey = (node, port, label)
-                if fkey not in freed:
-                    self._free_label(node, port, label)
-                    freed.add(fkey)
+        """Remove the entry or egress binding at every arrival, and free its label."""
+        # tree legs share the arrivals of their common links
+        for node, in_port, label in dict.fromkeys(a for c in circuits for a in c.arrivals):
+            if node in self.switches:
+                self.switches[node].remove(in_port, label)
+            else:
+                del self.egress[(node, in_port, label)]
+            self._free_label(node, in_port, label)
 
-    def _install_all(self, session_id: str, request: SessionRequest, paths) -> list[Circuit]:
-        """Install every circuit, or on Infeasible (labels exhausted) none."""
-        if isinstance(request.pattern.shape, RrhToMultiBbu):
-            return self._install_tree(session_id, paths)
-        circuits: list[Circuit] = []
-        try:
-            for cid, path in enumerate(paths):
-                circuits.append(self._install_circuit(session_id, cid, path))
-        except Infeasible:
-            self._uninstall(circuits)
-            raise
-        return circuits
+    def _release(self, session: Session) -> None:
+        """Uninstall a session's circuits and return everything it holds on the ledger."""
+        self._uninstall(session.circuits)
+        for key in session.debits:
+            self.ledger.release_session(key, session.id)
 
     def _paths_string(self, circuits: list[Circuit]) -> str:
         return "|".join("-".join(str(n) for n in c.nodes) for c in circuits)
@@ -485,8 +440,8 @@ class Controller:
         if session_id in self.sessions and self.sessions[session_id].state == "active":
             raise ValueError(f"session {session_id!r} already active")
         try:
-            paths, debits = self._plan_paths(request)
-            circuits = self._install_all(session_id, request, paths)
+            paths, tree, debits = self._plan_paths(request)
+            circuits = self._install(session_id, paths, tree)
         except Infeasible as exc:
             self._record("setup", session_id, f"infeasible({exc.cause})")
             raise
@@ -502,9 +457,7 @@ class Controller:
         if session.state == "torn_down":
             self._record("teardown", session.id, "noop")
             return
-        self._uninstall(session.circuits)
-        for key in session.debits:
-            self.ledger.release_session(key, session.id)
+        self._release(session)
         session.state = "torn_down"
         self._record("teardown", session.id, "released")
 
@@ -524,12 +477,10 @@ class Controller:
         for session_id, session in list(self.sessions.items()):
             if session.state != "active" or not session.uses_link(key):
                 continue
-            self._uninstall(session.circuits)
-            for k in session.debits:
-                self.ledger.release_session(k, session_id)
+            self._release(session)
             try:
-                paths, debits = self._plan_paths(session.request)
-                session.circuits = self._install_all(session_id, session.request, paths)
+                paths, tree, debits = self._plan_paths(session.request)
+                session.circuits = self._install(session_id, paths, tree)
             except Infeasible as exc:
                 session.state = "torn_down"
                 session.circuits = []
@@ -557,23 +508,15 @@ class Controller:
         if new_pattern.granularity != session.request.pattern.granularity:
             raise ValueError("migration must preserve granularity")
         validate_pattern(self.topology, new_pattern)
-        new_request = SessionRequest(
-            pattern=new_pattern,
-            mean_rate=session.request.mean_rate,
-            peak_rate=session.request.peak_rate,
-            latency_class=session.request.latency_class,
-            latency_bound=session.request.latency_bound,
-            scheme=session.request.scheme,
-            policy=session.request.policy,
-        )
+        new_request = replace(session.request, pattern=new_pattern)
         old_holds = self.ledger.holds(session.id)
         try:
-            paths, new_debits = self._plan_paths(new_request, extra_credit=old_holds)
+            paths, tree, new_debits = self._plan_paths(new_request, extra_credit=old_holds)
             if new_pattern == session.request.pattern and [c.nodes for c in session.circuits] == paths:
                 self._record("migrate", session.id, "noop", self._paths_string(session.circuits))
                 return session
             # Make: install the new circuits, then charge only the extra demand.
-            new_circuits = self._install_all(session.id, new_request, paths)
+            new_circuits = self._install(session.id, paths, tree)
         except Infeasible as exc:
             self._record("migrate", session.id, f"infeasible({exc.cause})")
             raise

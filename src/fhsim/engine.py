@@ -13,9 +13,11 @@ Packets carry their header fields as plain ints: a hop relabels by
 assignment and a replica is a slot copy, and no `FhHeader` is built
 inside the event loop (only the regulator builds one per emitted frame).
 Labels are range-checked when forwarding entries and circuit feeds are
-created, so none can go out of range in flight. All per-port and
-per-packet run state lives in objects made by `run`, so a world can be
-rerun and gives the same result.
+created, so none can go out of range in flight. Labels are scoped per
+(node, input port), so a host binds delivered packets to circuits per
+arrival port: `World.egress` is keyed by (node, in_port, label). All
+per-port and per-packet run state lives in objects made by `run`, so a
+world can be rerun and gives the same result.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class World:
     topology: PhysicalTopology
     switches: dict[NodeId, SwitchState]
     circuits: list[CircuitFeed]
-    egress: dict[tuple[NodeId, int], tuple[str, int]]  # (node, label) -> session, circuit
+    egress: dict[tuple[NodeId, int, int], tuple[str, int]]  # (node, in_port, label) -> session, circuit
     host_scheduler: Scheduler = Scheduler.STRICT_PRIORITY
     host_queue_bytes: int = 256 * 1024
     wrr_weights: tuple[int, ...] = (1,) * N_CLASSES
@@ -205,7 +207,7 @@ class _Port:
     """One end of a link, within one run.
 
     As an output it holds the per-class queues and drives the link;
-    as an input it holds the arrival-side state of its node: input
+    as an input it holds the arrival-side state of this port: input
     buffer occupancy, and the routes (switch) or egress bindings (host)
     resolved so far, cached per label.
     """
@@ -291,7 +293,6 @@ class _Port:
 def _wire_ports(world: World) -> dict[tuple[NodeId, int], _Port]:
     """Fresh run state for both ends of every link, peers linked."""
     ports: dict[tuple[NodeId, int], _Port] = {}
-    node_egress: dict[NodeId, dict] = {}
     for link in world.topology.links:
         ends = []
         for node, port_no in ((link.node_a, link.port_a), (link.node_b, link.port_b)):
@@ -306,8 +307,6 @@ def _wire_ports(world: World) -> dict[tuple[NodeId, int], _Port]:
                 port = _Port(
                     node, port_no, link, world.host_scheduler, world.wrr_weights, world.host_queue_bytes
                 )
-                # egress bindings, last seq included, are per (node, label)
-                port.egress = node_egress.setdefault(node, {})
             ports[(node, port_no)] = port
             ends.append(port)
         ends[0].peer, ends[1].peer = ends[1], ends[0]
@@ -470,7 +469,7 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
 
     def bind(port: _Port, label: int) -> list | None:
         """[session stats, circuit stats, last seq] of the circuit ending here."""
-        binding = world.egress.get((port.node, label))
+        binding = world.egress.get((port.node, port.port_no, label))
         if binding is not None:
             sid, cid = binding
             stats = sessions[sid]

@@ -644,6 +644,9 @@ def build_scenario(
                     link_class=spec.link_class,
                 )
             )
+    for spec in scenario.nodes:
+        if not port_counter[spec.name]:
+            raise ScenarioError(spec.line, f"node {spec.name!r} has no link")
     nodes = [
         Node(
             id=node_id[spec.name],

@@ -126,9 +126,10 @@ class PhysicalTopology:
                 if peer not in seen:
                     seen.add(peer)
                     stack.append(peer)
-        missing = set(self.nodes) - seen
+        missing = sorted(set(self.nodes) - seen)
         if missing:
-            raise ValueError(f"topology is disconnected; unreachable nodes: {sorted(missing)}")
+            names = [self.nodes[n].name or str(n) for n in missing]
+            raise ValueError(f"topology is disconnected; unreachable nodes: {names}")
 
     def neighbors(self, node: NodeId) -> Iterator[tuple[NodeId, PhysLink]]:
         for link in self._adjacency[node]:
@@ -356,38 +357,3 @@ def build_topology(spec: TopologySpec) -> PhysicalTopology:
         return PhysicalTopology(nodes, links)
 
     raise TypeError(f"unknown topology spec {spec!r}")
-
-
-def enumerate_simple_paths(
-    topology: PhysicalTopology, src: NodeId, dst: NodeId, max_hops: int
-) -> list[tuple[NodeId, ...]]:
-    """All loop-free node paths from src to dst with at most max_hops links.
-
-    Output is in lexicographic node-sequence order; empty when no path
-    fits the hop budget.
-    """
-    if src == dst:
-        raise ValueError("src and dst must differ")
-    if src not in topology.nodes or dst not in topology.nodes:
-        raise ValueError("src and dst must exist in the topology")
-    results: list[tuple[NodeId, ...]] = []
-    path = [src]
-    on_path = {src}
-
-    def visit(current: NodeId) -> None:
-        if len(path) - 1 >= max_hops:
-            return
-        for peer in sorted(p for p, _ in topology.neighbors(current)):
-            if peer in on_path:
-                continue
-            path.append(peer)
-            if peer == dst:
-                results.append(tuple(path))
-            else:
-                on_path.add(peer)
-                visit(peer)
-                on_path.remove(peer)
-            path.pop()
-
-    visit(src)
-    return results

@@ -10,13 +10,42 @@ test, and picks the (cost, lexicographic path) minimum. Returns
 import random
 
 from fhsim.control import LATENCY_UNREACHABLE, NO_BANDWIDTH
-from fhsim.topology import (
-    Node,
-    NodeKind,
-    PhysLink,
-    PhysicalTopology,
-    enumerate_simple_paths,
-)
+from fhsim.topology import Node, NodeId, NodeKind, PhysLink, PhysicalTopology
+
+
+def enumerate_simple_paths(
+    topology: PhysicalTopology, src: NodeId, dst: NodeId, max_hops: int
+) -> list[tuple[NodeId, ...]]:
+    """All loop-free node paths from src to dst with at most max_hops links.
+
+    Output is in lexicographic node-sequence order; empty when no path
+    fits the hop budget.
+    """
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    if src not in topology.nodes or dst not in topology.nodes:
+        raise ValueError("src and dst must exist in the topology")
+    results: list[tuple[NodeId, ...]] = []
+    path = [src]
+    on_path = {src}
+
+    def visit(current: NodeId) -> None:
+        if len(path) - 1 >= max_hops:
+            return
+        for peer in sorted(p for p, _ in topology.neighbors(current)):
+            if peer in on_path:
+                continue
+            path.append(peer)
+            if peer == dst:
+                results.append(tuple(path))
+            else:
+                on_path.add(peer)
+                visit(peer)
+                on_path.remove(peer)
+            path.pop()
+
+    visit(src)
+    return results
 
 
 def brute_force_route(topology, src, dst, peak, bound, frame_wire, proc_of, residual_of):

@@ -189,7 +189,7 @@ def test_criterion_6_header_and_overhead():
     feed = CircuitFeed(
         "s", 0, 0, 0, 1, 0, RegulatorPolicy(1000, 1e-3), [80000.0] * 50, 1e-3
     )
-    world = World(topo, {}, [feed], {(1, 1): ("s", 0)})
+    world = World(topo, {}, [feed], {(1, 0, 1): ("s", 0)})
     result = run(world, 0.1, 0)
     assert abs(measured_efficiency(result) - 1000 / 1008) < 1e-9
 

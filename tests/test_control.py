@@ -11,7 +11,7 @@ from fhsim.control import (
     SessionRequest,
     compute_path,
 )
-from fhsim.engine import RegulatorPolicy
+from fhsim.engine import CircuitFeed, RegulatorPolicy, World, run
 from fhsim.packet import MAX_LABEL
 from fhsim.sync import ClockSource, build_sync_tree
 from fhsim.topology import (
@@ -126,7 +126,7 @@ class TestSetupTeardown:
         assert session.state == "active"
         # entry installed on the hub, egress bound at the bbu
         assert controller.switches[0].lookup(0, session.circuits[0].ingress_label) is not None
-        assert (4, session.circuits[0].egress_label) in controller.egress
+        assert (4, 0, session.circuits[0].egress_label) in controller.egress
 
     def test_aggregation_debits_sum_on_trunk(self):
         controller = Controller(star4())
@@ -189,6 +189,15 @@ class TestSetupTeardown:
         assert all(not s.table for s in controller.switches.values())
         assert not controller.egress
 
+    def test_tree_teardown_restores_control_state(self):
+        # the legs share the entry and label on the rrh-to-switch link
+        controller = Controller(two_bbu_branch())
+        before = control_state(controller)
+        session = controller.setup(request(LogicalPattern(RrhToMultiBbu(0, (2, 4)))), name="tree")
+        assert control_state(controller) != before
+        controller.teardown(session)
+        assert control_state(controller) == before
+
     def test_teardown_idempotent(self):
         controller = Controller(star4())
         session = controller.setup(request(p2p(1, 4)), name="x")
@@ -226,12 +235,36 @@ class TestSetupTeardown:
         for rrh in (1, 2, 3):
             controller.setup(request(p2p(rrh, 4), peak=1e9))
         seen = set()
-        for (node, label), _ in controller.egress.items():
-            key = (node, label)
+        for (node, in_port, label), _ in controller.egress.items():
+            key = (node, in_port, label)
             assert key not in seen
             seen.add(key)
         hub = controller.switches[0]
         assert len(hub.table) == 3  # one entry per circuit, distinct keys
+
+
+class TestEgressBindings:
+    def test_same_label_on_two_ports_of_one_bbu(self):
+        controller = Controller(two_port_bbu())
+        first = controller.setup(request(p2p(0, 4)), name="s0")
+        second = controller.setup(request(p2p(1, 4)), name="s1")
+        # labels are scoped per arrival port, so both legs arrive with label 0
+        assert first.circuits[0].egress_label == second.circuits[0].egress_label == 0
+        # one full 1,000-byte frame per subframe: 10 packets per session
+        feeds = [
+            CircuitFeed(
+                s.id, 0, c.ingress, c.ingress_port, c.ingress_label, 1, RegulatorPolicy(), [8000.0] * 10, 1e-3
+            )
+            for s in (first, second)
+            for c in s.circuits
+        ]
+        world = World(controller.topology, controller.switches, feeds, dict(controller.egress))
+        result = run(world, 0.1)
+        for sid in ("s0", "s1"):
+            totals = result.sessions[sid].totals()
+            assert (totals.injected, totals.delivered, totals.out_of_order) == (10, 10, 0)
+        controller.teardown(first)
+        assert list(controller.egress.values()) == [("s1", 0)]
 
 
 def control_state(controller):
@@ -258,6 +291,24 @@ def two_bbu_branch():
         PhysLink(1, 1, 2, 0, 10e9),
         PhysLink(1, 2, 3, 0, 10e9),
         PhysLink(3, 1, 4, 0, 10e9),
+    ]
+    return PhysicalTopology(nodes, links)
+
+
+def two_port_bbu():
+    # rrh 0 - switch 2 - bbu 4 port 0; rrh 1 - switch 3 - bbu 4 port 1
+    nodes = [
+        Node(0, NodeKind.RRH, 1),
+        Node(1, NodeKind.RRH, 1),
+        Node(2, NodeKind.FH_SWITCH, 2),
+        Node(3, NodeKind.FH_SWITCH, 2),
+        Node(4, NodeKind.BBU, 2),
+    ]
+    links = [
+        PhysLink(0, 0, 2, 0, 10e9),
+        PhysLink(2, 1, 4, 0, 10e9),
+        PhysLink(1, 0, 3, 0, 10e9),
+        PhysLink(3, 1, 4, 1, 10e9),
     ]
     return PhysicalTopology(nodes, links)
 

@@ -87,14 +87,14 @@ class TestRun:
     def test_single_packet_latency_identity(self):
         topo = direct_link_topo()
         feed = CircuitFeed("s", 0, 0, 0, 5, 0, policy(), [8000.0], 1e-3)
-        world = World(topo, {}, [feed], {(1, 5): ("s", 0)})
+        world = World(topo, {}, [feed], {(1, 0, 5): ("s", 0)})
         res = run(world, horizon=0.1)
         assert res.sessions["s"].latencies == [(1008 * 8) / 1e9 + 1e-5]
 
     def test_back_to_back_adds_serialization(self):
         topo = direct_link_topo()
         feed = CircuitFeed("s", 0, 0, 0, 5, 0, policy(), [16000.0], 1e-3)
-        world = World(topo, {}, [feed], {(1, 5): ("s", 0)})
+        world = World(topo, {}, [feed], {(1, 0, 5): ("s", 0)})
         res = run(world, horizon=0.1)
         first, second = res.sessions["s"].latencies
         assert second == pytest.approx(first + (1008 * 8) / 1e9, rel=1e-12)
@@ -114,7 +114,7 @@ class TestRun:
         switch = SwitchState(SwitchConfig())
         switch.install(0, 7, ((2, 9),))
         feed = CircuitFeed("s", 0, 0, 0, 7, 0, policy(), [8000.0], 1e-3)
-        world = World(topo, {2: switch}, [feed], {(3, 9): ("s", 0)})
+        world = World(topo, {2: switch}, [feed], {(3, 0, 9): ("s", 0)})
         res = run(world, horizon=0.1)
         assert res.sessions["s"].totals().delivered == 1
         assert res.sessions["s"].delivered_paths == {(0, 2, 3)}
@@ -137,7 +137,7 @@ class TestRun:
         switch.install(1, 1, ((2, 11),))
         urgent = CircuitFeed("hi", 0, 0, 0, 1, 0, policy(), [80000.0] * 3, 1e-3)
         bulk = CircuitFeed("lo", 0, 1, 0, 1, 3, policy(), [80000.0] * 3, 1e-3)
-        world = World(topo, {2: switch}, [bulk, urgent], {(3, 10): ("hi", 0), (3, 11): ("lo", 0)})
+        world = World(topo, {2: switch}, [bulk, urgent], {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)})
         res = run(world, horizon=0.1)
         assert max(res.sessions["hi"].latencies) < max(res.sessions["lo"].latencies)
 
@@ -149,7 +149,7 @@ class TestRun:
         # bulk (class 3) injected first; FIFO must not let class 0 overtake
         bulk = CircuitFeed("lo", 0, 1, 0, 1, 3, policy(), [80000.0], 1e-3)
         urgent = CircuitFeed("hi", 0, 0, 0, 1, 0, policy(), [80000.0], 1e-3)
-        world = World(topo, {2: switch}, [bulk, urgent], {(3, 10): ("hi", 0), (3, 11): ("lo", 0)})
+        world = World(topo, {2: switch}, [bulk, urgent], {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)})
         res = run(world, horizon=0.1)
         assert min(res.sessions["lo"].latencies) < min(res.sessions["hi"].latencies)
 
@@ -165,7 +165,7 @@ class TestRun:
         switch.install(1, 1, ((2, 11),))
         a = CircuitFeed("a", 0, 0, 0, 1, 0, policy(), [64000.0] * 50, 1e-3)
         b = CircuitFeed("b", 0, 1, 0, 1, 3, policy(), [64000.0] * 50, 1e-3)
-        world = World(topo, {2: switch}, [a, b], {(3, 10): ("a", 0), (3, 11): ("b", 0)})
+        world = World(topo, {2: switch}, [a, b], {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
         res = run(world, horizon=0.05)
         da = res.sessions["a"].totals().delivered
         db = res.sessions["b"].totals().delivered
@@ -183,7 +183,7 @@ class TestRun:
         switch = SwitchState(SwitchConfig(queue_bytes=2000))  # fits one 1,008B frame
         switch.install(0, 1, ((1, 10),))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [80000.0], 1e-3)
-        world = World(topo, {1: switch}, [feed], {(2, 10): ("s", 0)})
+        world = World(topo, {1: switch}, [feed], {(2, 0, 10): ("s", 0)})
         res = run(world, horizon=2.0)
         totals = res.sessions["s"].totals()
         assert totals.injected == 10
@@ -195,7 +195,7 @@ class TestRun:
         switch = SwitchState(SwitchConfig(queue_bytes=10**6))
         switch.install(0, 1, ((2, 10),))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [80000.0] * 20, 1e-3)
-        world = World(topo, {2: switch}, [feed], {(3, 10): ("s", 0)})
+        world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)})
         res = run(world, horizon=0.012)  # cut mid-stream
         totals = res.sessions["s"].totals()
         assert totals.in_flight > 0
@@ -210,7 +210,7 @@ class TestRun:
         switch = SwitchState(SwitchConfig())
         switch.install(0, 1, ((2, 10),))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(frame=100), [80000.0] * 30, 1e-3)
-        world = World(topo, {2: switch}, [feed], {(3, 10): ("s", 0)})
+        world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)})
         res = run(world, horizon=0.5)
         assert res.sessions["s"].totals().out_of_order == 0
         assert res.sessions["s"].totals().delivered == 3000  # 100 frames x 30 subframes
@@ -221,7 +221,7 @@ class TestRun:
         feed = CircuitFeed(
             "s", 0, 0, 0, 5, 0, policy(frame=5000, timeout=10e-3), [8000.0] * 10, 1e-3
         )
-        world = World(topo, {}, [feed], {(1, 5): ("s", 0)})
+        world = World(topo, {}, [feed], {(1, 0, 5): ("s", 0)})
         res = run(world, horizon=0.1)
         assert res.regulator_peak_bits["s/0"] == 40000.0  # 5 x 8,000 bits = one frame
         assert res.regulator_backlog_bits["s/0"] == 0.0
@@ -230,7 +230,7 @@ class TestRun:
         # offered exactly fills the horizon: the link must never idle
         topo = direct_link_topo(capacity=8.064e6, prop=0.0)  # 1 frame per ms
         feed = CircuitFeed("s", 0, 0, 0, 5, 0, policy(), [8000.0] * 100, 1e-3)
-        world = World(topo, {}, [feed], {(1, 5): ("s", 0)})
+        world = World(topo, {}, [feed], {(1, 0, 5): ("s", 0)})
         res = run(world, horizon=0.1)
         out_port = next(p for p in res.ports if p.src == 0)
         assert out_port.utilization == pytest.approx(1.0, abs=1e-9)
@@ -240,7 +240,7 @@ class TestRun:
         switch = SwitchState(SwitchConfig(header_processing_delay=7e-6))
         switch.install(0, 1, ((2, 10),))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [8000.0], 1e-3)
-        world = World(topo, {2: switch}, [feed], {(3, 10): ("s", 0)})
+        world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)})
         res = run(world, horizon=0.1)
         assert res.sessions["s"].latencies == [2 * (1008 * 8) / 1e9 + 7e-6]
 
@@ -260,7 +260,7 @@ class TestRun:
         switch = SwitchState(SwitchConfig())
         switch.install(0, 1, ((1, 10), (2, 11)))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [8000.0] * 3, 1e-3)
-        world = World(topo, {1: switch}, [feed], {(2, 10): ("s", 0), (3, 11): ("s", 1)})
+        world = World(topo, {1: switch}, [feed], {(2, 0, 10): ("s", 0), (3, 0, 11): ("s", 1)})
         res = run(world, horizon=0.1)
         totals = res.sessions["s"].totals()
         assert totals.injected == 3
@@ -284,7 +284,7 @@ class TestRun:
             CircuitFeed("a", 0, 0, 0, 1, 0, policy(), [8000.0], 1e-3),
             CircuitFeed("b", 0, 1, 0, 1, 0, policy(), [8000.0], 1e-3),
         ]
-        world = World(topo, {2: switch}, feeds, {(3, 10): ("a", 0), (3, 11): ("b", 0)})
+        world = World(topo, {2: switch}, feeds, {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
         res = run(world, horizon=0.01)
         ser = 1008 * 8 / 1e9
         assert res.sessions["a"].latencies == [pytest.approx(2 * ser + 2e-6 + 2e-6, rel=1e-12)]
@@ -300,7 +300,7 @@ class TestRun:
                 CircuitFeed("a", 0, 0, 0, 1, 0, policy(frame=300), [50000.0] * 40, 1e-3),
                 CircuitFeed("b", 0, 1, 0, 1, 2, policy(frame=700), [30000.0] * 40, 1e-3),
             ]
-            return World(topo, {2: switch}, feeds, {(3, 10): ("a", 0), (3, 11): ("b", 0)})
+            return World(topo, {2: switch}, feeds, {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
 
         r1 = run(build(), horizon=0.1, seed=9)
         r2 = run(build(), horizon=0.1, seed=9)
@@ -354,7 +354,7 @@ def two_level_tree_world(capacity=1e9, volume=8000.0):
     first.install(0, 1, ((1, 20), (2, 30)))
     second.install(0, 20, ((1, 40), (2, 50)))
     feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [volume] * 5, 1e-3)
-    egress = {(3, 30): ("s", 0), (4, 40): ("s", 1), (5, 50): ("s", 2)}
+    egress = {(3, 0, 30): ("s", 0), (4, 0, 40): ("s", 1), (5, 0, 50): ("s", 2)}
     return World(PhysicalTopology(nodes, links), {1: first, 2: second}, [feed], egress)
 
 
@@ -396,7 +396,7 @@ class TestStrictPriorityDominance:
             switch.install(1, 1, ((2, 11),))
             urgent = CircuitFeed("hi", 0, 0, 0, 1, 0, policy(frame=500), [40000.0] * 60, 1e-3)
             bulk = CircuitFeed("lo", 0, 1, 0, 1, 7, policy(frame=1400), [48000.0] * 60, 1e-3)
-            return World(topo, {2: switch}, [bulk, urgent], {(3, 10): ("hi", 0), (3, 11): ("lo", 0)})
+            return World(topo, {2: switch}, [bulk, urgent], {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)})
 
         sp = run(world_with(Scheduler.STRICT_PRIORITY), horizon=0.1)
         fifo = run(world_with(Scheduler.FIFO), horizon=0.1)

@@ -63,7 +63,7 @@ def cbr_world(frame=1000, volumes=None, capacity=1e9):
         volumes if volumes is not None else [80000.0] * 20,
         1e-3,
     )
-    return World(topo, {}, [feed], {(1, 5): ("s", 0)})
+    return World(topo, {}, [feed], {(1, 0, 5): ("s", 0)})
 
 
 class TestAssembleReport:

@@ -69,7 +69,7 @@ def fuzz_world(scheduler, frame_a, frame_b, volumes_a, volumes_b, queue_bytes):
         CircuitFeed("a", 0, 0, 0, 1, 0, RegulatorPolicy(frame_a, 1e-3), volumes_a, 1e-3),
         CircuitFeed("b", 0, 1, 0, 1, 5, RegulatorPolicy(frame_b, 1e-3), volumes_b, 1e-3),
     ]
-    return World(topo, {2: switch}, feeds, {(3, 10): ("a", 0), (3, 11): ("b", 0)})
+    return World(topo, {2: switch}, feeds, {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
 
 
 class TestEngineConservationFuzz:

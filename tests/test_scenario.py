@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fhsim.cli import bundled_scenario_names, load_scenario_text, main
@@ -183,6 +185,8 @@ class TestRunScenario:
             ("source = b1 quality=0", "source = b1 quality=0\nregen = 2", 16),
             ("delay=1e-6\n\n", "delay=1e-6\nlink = b1 hub\n\n", 8),
             ("count=4", "count=-5", 11),
+            ("node = b1 bbu", "node = b1 bbu\nnode = lone bbu", 6),
+            ("delay=1e-6\n\n", "delay=1e-6\nnode = x1 rrh\nnode = x2 bbu\nlink = x1 x2\n\n", 0),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):
@@ -193,6 +197,18 @@ class TestRunScenario:
             run_scenario(parse_scenario(text), str(out))
         assert exc.value.line == line
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("node = lone bbu", "node 'lone' has no link"),
+            ("node = x1 rrh\nnode = x2 bbu\nlink = x1 x2", "unreachable nodes: ['x1', 'x2']"),
+        ],
+    )
+    def test_unlinked_or_unreachable_nodes_are_named(self, tmp_path, extra, message):
+        text = MINIMAL.replace("[cells]", f"{extra}\n\n[cells]")
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run_scenario(parse_scenario(text), str(tmp_path / "out"))
 
     def test_sweep_mode(self, tmp_path):
         rc = run_scenario(parse_scenario(MINIMAL), str(tmp_path), sweep=[64, 512])

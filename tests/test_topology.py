@@ -12,8 +12,8 @@ from fhsim.topology import (
     Ring,
     Star,
     build_topology,
-    enumerate_simple_paths,
 )
+from routing_oracle import enumerate_simple_paths
 
 
 def star_3rrh_1bbu():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass, replace
 
 from .engine import RegulatorPolicy, SwitchConfig, SwitchState
@@ -59,6 +60,8 @@ class SessionRequest:
     policy: RegulatorPolicy = RegulatorPolicy()
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean_rate) and math.isfinite(self.peak_rate)):
+            raise ValueError("mean_rate and peak_rate must be finite")
         if not self.peak_rate >= self.mean_rate > 0:
             raise ValueError("need peak_rate >= mean_rate > 0")
         if self.latency_bound <= 0:
@@ -67,7 +70,7 @@ class SessionRequest:
             raise ValueError("latency_class must be in 0..15")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopEntry:
     """One installed forwarding entry of a circuit."""
 
@@ -78,7 +81,7 @@ class HopEntry:
     label_out: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Circuit:
     """A unicast leg of a session: ingress host to one egress host.
 
@@ -98,7 +101,7 @@ class Circuit:
     arrivals: tuple[tuple[NodeId, int, int], ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     id: str
     request: SessionRequest
@@ -110,13 +113,35 @@ class Session:
         return key in self.debits
 
 
+# Every finite float is a whole multiple of 2**-1074 (the smallest
+# subnormal), so ledger totals kept as int counts of it are exact.
+_UNIT = 1 << 1074
+
+
+def _units(rate: float) -> int:
+    """`rate` as an exact count of 2**-1074 (n * _UNIT // d, as a shift)."""
+    n, d = rate.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
+
+
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+
+
 class ReservationLedger:
     """Per-link peak-rate reservations with exact restoration.
 
     Holdings are kept per session, so releasing everything a session
     holds returns the ledger to its previous state with no residue.
-    Admission decisions are made by the path planner before anything is
-    charged; debit and credit themselves are plain bookkeeping.
+    Each link also keeps the exact sum of its holdings, as an integer
+    count of 2**-1074, which every write moves by exactly the change it
+    made to the stored holding. `reserved` is that sum correctly rounded
+    to a float (equal to `math.fsum` of the holdings), independent of
+    the order holdings arrived in, and read in O(1); `residual` is
+    capacity minus it. Admission decisions are made by the path planner
+    before anything is charged; debit and credit themselves are plain
+    bookkeeping, which refuses a negative or non-finite rate.
     """
 
     def __init__(self, topology: PhysicalTopology, capacity_fraction: float = 1.0):
@@ -126,31 +151,41 @@ class ReservationLedger:
             link.key: link.capacity * capacity_fraction for link in topology.links
         }
         self._held: dict[LinkKey, dict[str, float]] = {k: {} for k in self._capacity}
+        self._total: dict[LinkKey, int] = dict.fromkeys(self._capacity, 0)
 
     def link_keys(self) -> list[LinkKey]:
         return list(self._capacity)
 
     def reserved(self, key: LinkKey) -> float:
-        held = self._held[key]
-        return sum(held[sid] for sid in sorted(held))
+        return self._total[key] / _UNIT
 
     def residual(self, key: LinkKey) -> float:
         return self._capacity[key] - self.reserved(key)
 
     def debit(self, key: LinkKey, session_id: str, rate: float) -> None:
+        _check_rate(rate)
         held = self._held[key]
-        held[session_id] = held.get(session_id, 0.0) + rate
+        old = held.get(session_id, 0.0)
+        new = old + rate if old else rate  # a first holding shares the caller's float
+        held[session_id] = new
+        self._total[key] += _units(new) - _units(old)
 
     def credit(self, key: LinkKey, session_id: str, rate: float) -> None:
+        _check_rate(rate)
         held = self._held[key]
-        remaining = held[session_id] - rate
+        old = held[session_id]
+        remaining = old - rate
         if remaining <= 0.0:
             del held[session_id]
+            remaining = 0.0
         else:
             held[session_id] = remaining
+        self._total[key] += _units(remaining) - _units(old)
 
     def release_session(self, key: LinkKey, session_id: str) -> float:
-        return self._held[key].pop(session_id, 0.0)
+        rate = self._held[key].pop(session_id, 0.0)
+        self._total[key] -= _units(rate)
+        return rate
 
     def holds(self, session_id: str) -> dict[LinkKey, float]:
         return {
@@ -226,7 +261,7 @@ def compute_path(
     return path, cost
 
 
-@dataclass
+@dataclass(slots=True)
 class ControlEvent:
     time: float
     op: str
@@ -264,6 +299,12 @@ class Controller:
         self.clock = 0.0
         self._session_counter = 0
         self._labels_in_use: dict[tuple[NodeId, int], set[int]] = {}
+        # one key object per link, looked up from either direction and
+        # shared by the debits of every session on it
+        self._link_keys = {(link.node_a, link.node_b): link.key for link in topology.links}
+        self._link_keys.update({(b, a): key for (a, b), key in self._link_keys.items()})
+        # the surviving topology and the failed links it was built without
+        self._survivors: tuple[frozenset[LinkKey], PhysicalTopology] = (frozenset(), topology)
 
     # Label allocation: smallest free label per (node, input port).
     def _alloc_label(self, node: NodeId, in_port: int) -> int:
@@ -296,9 +337,12 @@ class Controller:
         return switch.config.header_processing_delay if switch else 0.0
 
     def _surviving(self) -> PhysicalTopology:
-        if not self.failed_links:
-            return self.topology
-        return self.topology.without_links(self.failed_links)
+        """The topology without `failed_links`, rebuilt only when that set changed."""
+        if self._survivors[0] != self.failed_links:
+            failed = frozenset(self.failed_links)
+            survivors = self.topology.without_links(failed) if failed else self.topology
+            self._survivors = (failed, survivors)
+        return self._survivors[1]
 
     def _pattern_legs(self, pattern: LogicalPattern) -> tuple[list[tuple[NodeId, NodeId]], bool]:
         """The (source, destination) legs of a pattern, and whether they share a tree.
@@ -353,14 +397,15 @@ class Controller:
             )
             paths.append(path)
             for a, b in zip(path, path[1:]):
-                key = (a, b) if a < b else (b, a)
+                key = self._link_keys[(a, b)]
                 if tree:
                     if key not in overlay:
                         overlay[key] = request.peak_rate
                         # Later legs ride tree links without paying again.
                         credit[key] = credit.get(key, 0.0) + request.peak_rate
                 else:
-                    overlay[key] = overlay.get(key, 0.0) + request.peak_rate
+                    rate = overlay.get(key)
+                    overlay[key] = rate + request.peak_rate if rate else request.peak_rate
         return paths, tree, overlay
 
     def _install(self, session_id: str, paths: list[tuple[NodeId, ...]], tree: bool) -> list[Circuit]:
@@ -421,10 +466,12 @@ class Controller:
             self._free_label(node, in_port, label)
 
     def _release(self, session: Session) -> None:
-        """Uninstall a session's circuits and return everything it holds on the ledger."""
+        """Uninstall a session's circuits and return its ledger holdings; it keeps neither."""
         self._uninstall(session.circuits)
         for key in session.debits:
             self.ledger.release_session(key, session.id)
+        session.circuits = []
+        session.debits = {}
 
     def _paths_string(self, circuits: list[Circuit]) -> str:
         return "|".join("-".join(str(n) for n in c.nodes) for c in circuits)
@@ -483,8 +530,6 @@ class Controller:
                 session.circuits = self._install(session_id, paths, tree)
             except Infeasible as exc:
                 session.state = "torn_down"
-                session.circuits = []
-                session.debits = {}
                 outcomes[session_id] = "victim"
                 self._record("reroute", session_id, f"victim({exc.cause})")
                 continue

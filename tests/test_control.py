@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fhsim.control import (
     LABEL_EXHAUSTED,
@@ -8,6 +10,7 @@ from fhsim.control import (
     NO_BANDWIDTH,
     Controller,
     Infeasible,
+    ReservationLedger,
     SessionRequest,
     compute_path,
 )
@@ -186,6 +189,7 @@ class TestSetupTeardown:
         controller.teardown(session)
         assert controller.ledger.snapshot() == initial
         assert session.state == "torn_down"
+        assert (session.circuits, session.debits) == ([], {})
         assert all(not s.table for s in controller.switches.values())
         assert not controller.egress
 
@@ -241,6 +245,108 @@ class TestSetupTeardown:
             seen.add(key)
         hub = controller.switches[0]
         assert len(hub.table) == 3  # one entry per circuit, distinct keys
+
+
+# (op, link index, session index, rate, credit the whole holding)
+LEDGER_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["debit", "credit", "release"]),
+        st.integers(0, 3),
+        st.integers(0, 39),
+        st.floats(5e6, 4e7),
+        st.booleans(),
+    ),
+    max_size=150,
+)
+
+
+class _Untouchable(dict):
+    """Holdings that refuse to be walked or read one by one."""
+
+    def __iter__(self):
+        raise AssertionError("holdings iterated")
+
+    def values(self):
+        raise AssertionError("holdings summed")
+
+    def items(self):
+        raise AssertionError("holdings summed")
+
+    def __getitem__(self, key):
+        raise AssertionError("holding read")
+
+
+class TestReservationLedger:
+    @settings(max_examples=150, deadline=None)
+    @given(LEDGER_OPS)
+    def test_reserved_is_the_exact_sum_of_holdings(self, ops):
+        ledger = ReservationLedger(star4())
+        keys = ledger.link_keys()
+        capacity = {key: ledger.residual(key) for key in keys}
+        for op, link, sid, rate, full in ops:
+            key, name = keys[link], f"s{sid}"
+            held = ledger.snapshot().get(key, {})
+            if op == "debit":
+                ledger.debit(key, name, rate)
+            elif name not in held:
+                continue
+            elif op == "credit":
+                ledger.credit(key, name, held[name] if full else rate)
+            else:
+                assert ledger.release_session(key, name) == held[name]
+            snapshot = ledger.snapshot()
+            for k in keys:
+                assert ledger.reserved(k) == math.fsum(snapshot.get(k, {}).values())
+                assert ledger.residual(k) == capacity[k] - ledger.reserved(k)
+        for key, held in ledger.snapshot().items():
+            for name in held:
+                ledger.release_session(key, name)
+        for key in keys:
+            assert ledger.reserved(key) == 0.0
+            assert ledger.residual(key).hex() == capacity[key].hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(5e6, 4e7), min_size=2, max_size=60),
+        st.randoms(use_true_random=False),
+    )
+    def test_reserved_does_not_depend_on_arrival_order(self, rates, rng):
+        key = (0, 4)
+        ledgers = [ReservationLedger(star4()) for _ in range(2)]
+        order = list(enumerate(rates))
+        for ledger in ledgers:
+            for sid, rate in order:
+                ledger.debit(key, f"s{sid}", rate)
+            rng.shuffle(order)
+        assert ledgers[0].snapshot() == ledgers[1].snapshot()
+        assert ledgers[0].reserved(key) == ledgers[1].reserved(key) == math.fsum(rates)
+
+    def test_reads_do_not_walk_the_holdings(self):
+        ledger = ReservationLedger(star4())
+        key = (0, 4)
+        for i in range(20_000):
+            ledger.debit(key, f"s{i}", 1e5 + i)
+        before = (ledger.reserved(key), ledger.residual(key))
+        assert before[0] == math.fsum(ledger.snapshot()[key].values())
+        ledger._held[key] = _Untouchable(ledger._held[key])
+        assert (ledger.reserved(key), ledger.residual(key)) == before
+
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan, -1.0])
+    def test_bad_rate_is_refused_and_changes_nothing(self, rate):
+        ledger = ReservationLedger(star4())
+        ledger.debit((0, 4), "s", 1e6)
+        before = ledger.snapshot(), ledger.reserved((0, 4))
+        for write in (ledger.debit, ledger.credit):
+            with pytest.raises(ValueError, match="rate"):
+                write((0, 4), "s", rate)
+        assert (ledger.snapshot(), ledger.reserved((0, 4))) == before
+
+    @pytest.mark.parametrize("mean, peak", [(1e6, math.inf), (math.inf, math.inf), (1e6, math.nan)])
+    def test_non_finite_request_rate_is_refused(self, mean, peak):
+        with pytest.raises(ValueError, match="finite"):
+            SessionRequest(
+                p2p(1, 4), mean_rate=mean, peak_rate=peak, latency_class=1, latency_bound=1e-2
+            )
 
 
 class TestEgressBindings:
@@ -389,6 +495,27 @@ class TestReroute:
         entries_before = [tuple(c.hops) for c in session.circuits]
         controller.reroute_on_failure((2, 3))  # not on the (4,0,1,2,5) path
         assert [tuple(c.hops) for c in session.circuits] == entries_before
+
+    def test_surviving_topology_follows_failed_links(self, monkeypatch):
+        builds = []
+        without_links = PhysicalTopology.without_links
+
+        def counted(topo, links):
+            builds.append(set(links))
+            return without_links(topo, links)
+
+        monkeypatch.setattr(PhysicalTopology, "without_links", counted)
+        controller = Controller(ring_topo())
+        controller.reroute_on_failure((0, 1))
+        for _ in range(3):
+            session = controller.setup(request(p2p(4, 5), peak=1e8, bound=1.0))
+            assert [c.nodes for c in session.circuits] == [(4, 0, 3, 2, 5)]
+        assert builds == [{(0, 1)}]  # built once for the cut, reused by every plan after it
+        controller.failed_links.clear()  # repaired
+        session = controller.setup(request(p2p(4, 5), peak=1e8, bound=1.0))
+        assert [c.nodes for c in session.circuits] == [(4, 0, 1, 2, 5)]
+        controller.reroute_on_failure((2, 3))
+        assert builds == [{(0, 1)}, {(2, 3)}]
 
     def test_victim_resources_released(self):
         controller = Controller(star4())

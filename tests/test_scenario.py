@@ -169,6 +169,7 @@ class TestRunScenario:
             ("traffic=trace", "traffic=trace frame=0", 18),
             ("traffic=trace", "traffic=trace timeout=0", 18),
             ("bound=5e-3", "bound=-1", 18),
+            ("peak=2e8", "peak=inf", 18),
             ("link = hub b1 cap=1e9", "link = hub b1 cap=0", 7),
             ("link = hub b1", "link = hub hub", 7),
             ("scheme=modulation_bits", "scheme=modulation_bits prb=0", 10),

@@ -6,9 +6,9 @@ paths on its global view, installs label-switching entries atomically,
 keeps a per-link reservation ledger that never overdraws, and supports
 teardown, failure rerouting over redundant paths, and make-before-break
 migration as the endpoint set changes. Labels are scoped per (node,
-input port): each circuit records the (node, in_port, label) of every
-node it arrives at, which keys both switch entries and the egress
-binding at its destination host.
+input port), smallest free one first: each circuit records the (node,
+in_port, label) of every node it arrives at, which keys both switch
+entries and the egress binding at its destination host.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 from .engine import RegulatorPolicy, SwitchConfig, SwitchState
@@ -162,6 +163,19 @@ class ReservationLedger:
     def residual(self, key: LinkKey) -> float:
         return self._capacity[key] - self.reserved(key)
 
+    def residual_after(self, overlay: dict[LinkKey, float]) -> Callable[[LinkKey], float]:
+        """A `residual` reader that also subtracts the pending charges in `overlay`.
+
+        One call per read, in the float order of `residual(key) - overlay`;
+        `overlay` is read live, so later charges to it are seen.
+        """
+        capacity, total = self._capacity, self._total
+
+        def residual(key: LinkKey) -> float:
+            return capacity[key] - total[key] / _UNIT - overlay.get(key, 0.0)
+
+        return residual
+
     def debit(self, key: LinkKey, session_id: str, rate: float) -> None:
         _check_rate(rate)
         held = self._held[key]
@@ -222,11 +236,15 @@ def compute_path(
     peak_rate are usable. The path is refused only when its fixed latency
     exceeds latency_bound; queueing delay is not budgeted. Ties between
     equal-latency paths break lexicographically on the node sequence.
-    Raises Infeasible naming the binding constraint.
+    Link costs come from `topology.hop_rows(frame_wire_bytes)`, built
+    once per topology and frame size, so a relaxation only reads the
+    residual and the processing delay. Raises Infeasible naming the
+    binding constraint.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
     extra = extra_credit or {}
+    rows = topology.hop_rows(frame_wire_bytes)
 
     best: dict[NodeId, tuple[float, tuple[NodeId, ...]]] = {src: (0.0, (src,))}
     heap: list[tuple[float, tuple[NodeId, ...], NodeId]] = [(0.0, (src,), src)]
@@ -236,14 +254,13 @@ def compute_path(
             continue
         if node == dst:
             break
-        if node != src and topology.nodes[node].kind is not NodeKind.FH_SWITCH:
-            continue  # end equipment cannot relay payload
-        for peer, link in topology.neighbors(node):
-            if residual_of(link.key) + extra.get(link.key, 0.0) < peak_rate:
-                continue
-            hop = link.propagation_delay + frame_wire_bytes * 8 / link.capacity
+        for peer, key, hop, relays in rows[node]:
             if peer != dst:
+                if not relays:
+                    continue  # end equipment cannot relay payload
                 hop += header_processing_delay_of(peer)
+            if residual_of(key) + extra.get(key, 0.0) < peak_rate:
+                continue
             cand = (cost + hop, path + (peer,))
             if peer not in best or cand < best[peer]:
                 best[peer] = cand
@@ -259,6 +276,36 @@ def compute_path(
             f"best fixed latency {cost:g}s exceeds bound {latency_bound:g}s",
         )
     return path, cost
+
+
+class _LabelPool:
+    """The labels of one (node, input port), smallest free one first.
+
+    Every label below `mark` is either in `used` or in the `freed`
+    min-heap, so the smallest free label is the heap's minimum, or
+    `mark` when the heap is empty: O(log n) to take or give one.
+    """
+
+    __slots__ = ("used", "freed", "mark")
+
+    def __init__(self) -> None:
+        self.used: set[int] = set()
+        self.freed: list[int] = []
+        self.mark = 0
+
+    def take(self) -> int:
+        if self.freed:
+            label = heapq.heappop(self.freed)
+        else:
+            label = self.mark
+            self.mark += 1
+        self.used.add(label)
+        return label
+
+    def give(self, label: int) -> None:
+        if label in self.used:
+            self.used.remove(label)
+            heapq.heappush(self.freed, label)
 
 
 @dataclass(slots=True)
@@ -277,6 +324,12 @@ class Controller:
     SwitchState per switch), host egress bindings keyed by arrival port,
     and the reservation ledger. Every operation either commits fully or
     leaves all control state untouched.
+
+    Each (node, in_port) hands out its smallest free label, in O(log n)
+    for n labels in use there. `sessions` holds the active sessions
+    only, in setup order: teardown and a reroute that finds no path
+    remove a session, and a name reused later takes a new slot at the
+    end.
     """
 
     def __init__(
@@ -298,7 +351,11 @@ class Controller:
         self.log: list[ControlEvent] = []
         self.clock = 0.0
         self._session_counter = 0
-        self._labels_in_use: dict[tuple[NodeId, int], set[int]] = {}
+        self._labels: dict[tuple[NodeId, int], _LabelPool] = {}
+        # header-processing delay of every node: zero at end equipment
+        self._proc_delay = dict.fromkeys(topology.nodes, 0.0)
+        for node, switch in self.switches.items():
+            self._proc_delay[node] = switch.config.header_processing_delay
         # one key object per link, looked up from either direction and
         # shared by the debits of every session on it
         self._link_keys = {(link.node_a, link.node_b): link.key for link in topology.links}
@@ -308,14 +365,12 @@ class Controller:
 
     # Label allocation: smallest free label per (node, input port).
     def _alloc_label(self, node: NodeId, in_port: int) -> int:
-        used = self._labels_in_use.setdefault((node, in_port), set())
-        if len(used) > MAX_LABEL:
+        pool = self._labels.get((node, in_port))
+        if pool is None:
+            pool = self._labels[(node, in_port)] = _LabelPool()
+        if len(pool.used) > MAX_LABEL:
             raise Infeasible(LABEL_EXHAUSTED, f"all labels in use at node {node} port {in_port}")
-        label = 0
-        while label in used:
-            label += 1
-        used.add(label)
-        return label
+        return pool.take()
 
     def _alloc_labels(self, arrivals: list[tuple[NodeId, int]]) -> list[int]:
         """One label per (node, input port), in order; all or none."""
@@ -330,11 +385,33 @@ class Controller:
         return labels
 
     def _free_label(self, node: NodeId, in_port: int, label: int) -> None:
-        self._labels_in_use[(node, in_port)].discard(label)
+        self._labels[(node, in_port)].give(label)
 
-    def _proc_delay_of(self, node: NodeId) -> float:
-        switch = self.switches.get(node)
-        return switch.config.header_processing_delay if switch else 0.0
+    def labels_in_use(self) -> dict[tuple[NodeId, int], frozenset[int]]:
+        """The labels held at each (node, in_port) that holds any."""
+        return {key: frozenset(pool.used) for key, pool in self._labels.items() if pool.used}
+
+    def hold_labels(self, node: NodeId, in_port: int, labels: Iterable[int]) -> None:
+        """Take `labels` at (node, in_port) through the allocator, as circuits would.
+
+        Labels are allocated in smallest-free order until every one of
+        `labels` is held; the others taken on the way are freed again.
+        """
+        missing = set(labels)
+        if any(not 0 <= label <= MAX_LABEL for label in missing):
+            raise ValueError(f"labels must be in 0..{MAX_LABEL}")
+        pool = self._labels.get((node, in_port))
+        if pool is not None:
+            missing -= pool.used
+        spare = []
+        while missing:
+            label = self._alloc_label(node, in_port)
+            if label in missing:
+                missing.remove(label)
+            else:
+                spare.append(label)
+        for label in spare:
+            self._free_label(node, in_port, label)
 
     def _surviving(self) -> PhysicalTopology:
         """The topology without `failed_links`, rebuilt only when that set changed."""
@@ -377,10 +454,8 @@ class Controller:
         frame_wire = request.policy.max_frame_bytes + HEADER_BYTES
         topology = self._surviving()
         overlay: dict[LinkKey, float] = {}
-
-        def residual(key: LinkKey) -> float:
-            return self.ledger.residual(key) - overlay.get(key, 0.0)
-
+        residual = self.ledger.residual_after(overlay)
+        proc_delay = self._proc_delay.__getitem__
         paths: list[tuple[NodeId, ...]] = []
         credit = dict(extra_credit or {}) if tree else extra_credit
         for src, dst in legs:
@@ -391,7 +466,7 @@ class Controller:
                 request.peak_rate,
                 request.latency_bound,
                 frame_wire,
-                self._proc_delay_of,
+                proc_delay,
                 residual,
                 credit,
             )
@@ -484,7 +559,7 @@ class Controller:
         validate_pattern(self.topology, request.pattern)
         session_id = name if name is not None else f"s{self._session_counter}"
         self._session_counter += 1
-        if session_id in self.sessions and self.sessions[session_id].state == "active":
+        if session_id in self.sessions:
             raise ValueError(f"session {session_id!r} already active")
         try:
             paths, tree, debits = self._plan_paths(request)
@@ -506,14 +581,16 @@ class Controller:
             return
         self._release(session)
         session.state = "torn_down"
+        del self.sessions[session.id]
         self._record("teardown", session.id, "released")
 
     def reroute_on_failure(self, failed: LinkKey | PhysLink) -> dict[str, str]:
         """Recompute every active session crossing the failed link.
 
-        Sessions with a redundant path get fresh circuits; the rest are
-        reported as victims and their resources released. Sessions off
-        the failed link keep their entries untouched.
+        Sessions with a redundant path get fresh circuits, in setup
+        order; the rest are reported as victims, their resources
+        released and they leave `sessions`. Sessions off the failed link
+        keep their entries untouched.
         """
         if isinstance(failed, PhysLink):
             key = failed.key
@@ -522,7 +599,7 @@ class Controller:
         self.failed_links.add(key)
         outcomes: dict[str, str] = {}
         for session_id, session in list(self.sessions.items()):
-            if session.state != "active" or not session.uses_link(key):
+            if not session.uses_link(key):
                 continue
             self._release(session)
             try:
@@ -530,6 +607,7 @@ class Controller:
                 session.circuits = self._install(session_id, paths, tree)
             except Infeasible as exc:
                 session.state = "torn_down"
+                del self.sessions[session_id]
                 outcomes[session_id] = "victim"
                 self._record("reroute", session_id, f"victim({exc.cause})")
                 continue

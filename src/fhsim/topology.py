@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Iterator, Sequence, Union
 
 NodeId = int
+HopRow = tuple[NodeId, tuple[NodeId, NodeId], float, bool]  # (peer, link key, hop cost, peer relays)
 
 
 class NodeKind(Enum):
@@ -83,7 +84,9 @@ class PhysicalTopology:
     """Immutable connected graph of nodes and links.
 
     Parallel links between the same node pair are rejected so that a
-    node sequence identifies a unique physical path.
+    node sequence identifies a unique physical path. Hop rows for path
+    search are built once per frame size and cached on the topology,
+    which is safe because a topology never changes after construction.
     """
 
     def __init__(self, nodes: Sequence[Node], links: Sequence[PhysLink]):
@@ -114,6 +117,7 @@ class PhysicalTopology:
         if not self.links:
             raise ValueError("topology must contain at least one link")
         self._check_connected()
+        self._hop_rows: dict[int, dict[NodeId, tuple[HopRow, ...]]] = {}
 
     def _check_connected(self) -> None:
         start = next(iter(self.nodes))
@@ -134,6 +138,30 @@ class PhysicalTopology:
     def neighbors(self, node: NodeId) -> Iterator[tuple[NodeId, PhysLink]]:
         for link in self._adjacency[node]:
             yield link.other(node), link
+
+    def hop_rows(self, frame_wire_bytes: int) -> dict[NodeId, tuple[HopRow, ...]]:
+        """Per node, a (peer, link key, hop cost, peer relays) row for each attached link.
+
+        The hop cost is the link's propagation delay plus the
+        serialization of one `frame_wire_bytes` frame at its capacity;
+        only switches relay payload. Rows are cached per frame size.
+        """
+        rows = self._hop_rows.get(frame_wire_bytes)
+        if rows is None:
+            bits = frame_wire_bytes * 8
+            rows = self._hop_rows[frame_wire_bytes] = {
+                node: tuple(
+                    (
+                        peer,
+                        link.key,
+                        link.propagation_delay + bits / link.capacity,
+                        self.nodes[peer].kind is NodeKind.FH_SWITCH,
+                    )
+                    for peer, link in self.neighbors(node)
+                )
+                for node in self.nodes
+            }
+        return rows
 
     def link_between(self, a: NodeId, b: NodeId) -> PhysLink:
         key = (a, b) if a < b else (b, a)
@@ -160,6 +188,7 @@ class PhysicalTopology:
         for link in survivors:
             topo._adjacency[link.node_a].append(link)
             topo._adjacency[link.node_b].append(link)
+        topo._hop_rows = {}
         return topo
 
 

@@ -1,9 +1,11 @@
+import heapq
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fhsim.control
 from fhsim.control import (
     LABEL_EXHAUSTED,
     LATENCY_UNREACHABLE,
@@ -11,11 +13,12 @@ from fhsim.control import (
     Controller,
     Infeasible,
     ReservationLedger,
+    Session,
     SessionRequest,
     compute_path,
 )
 from fhsim.engine import CircuitFeed, RegulatorPolicy, World, run
-from fhsim.packet import MAX_LABEL
+from fhsim.packet import HEADER_BYTES, MAX_LABEL
 from fhsim.sync import ClockSource, build_sync_tree
 from fhsim.topology import (
     AggregationToOneBbu,
@@ -210,6 +213,20 @@ class TestSetupTeardown:
         controller.teardown(session)  # second is a no-op
         assert controller.ledger.snapshot() == snap
 
+    def test_sessions_holds_active_sessions_only(self):
+        controller = Controller(star4())
+        a = controller.setup(request(p2p(1, 4)), name="a")
+        b = controller.setup(request(p2p(2, 4)), name="b")
+        with pytest.raises(ValueError, match="already active"):
+            controller.setup(request(p2p(3, 4)), name="a")
+        controller.teardown(a)
+        assert controller.sessions == {"b": b}
+        controller.teardown(a)  # no-op: b stays
+        assert controller.sessions == {"b": b}
+        again = controller.setup(request(p2p(3, 4)), name="a")
+        # a reused name takes a new slot at the end
+        assert list(controller.sessions.items()) == [("b", b), ("a", again)]
+
     def test_random_interleavings_restore_initial_ledger(self):
         rng = random.Random(7)
         for trial in range(100):
@@ -379,7 +396,7 @@ def control_state(controller):
         controller.ledger.snapshot(),
         {node: dict(s.table) for node, s in controller.switches.items()},
         dict(controller.egress),
-        {key: set(used) for key, used in controller._labels_in_use.items() if used},
+        controller.labels_in_use(),
     )
 
 
@@ -434,7 +451,7 @@ class TestLabelExhaustion:
         controller = Controller(topology())
         controller.setup(request(old, peak=1e8), name="old")
         # bbu 4 receives on its port 0; all but `free` of its labels in use
-        controller._labels_in_use.setdefault((4, 0), set()).update(range(MAX_LABEL + 1 - free))
+        controller.hold_labels(4, 0, range(MAX_LABEL + 1 - free))
         before = control_state(controller)
         log_len = len(controller.log)
         with pytest.raises(Infeasible) as exc:
@@ -449,7 +466,7 @@ class TestLabelExhaustion:
         session = controller.setup(request(p2p(1, 4)), name="m")
         # the new path enters the hub from rrh 2, where no label is free
         hub_port = controller.topology.link_between(2, 0).port_of(0)
-        controller._labels_in_use[(0, hub_port)] = set(range(MAX_LABEL + 1))
+        controller.hold_labels(0, hub_port, range(MAX_LABEL + 1))
         before = control_state(controller)
         circuits = session.circuits
         with pytest.raises(Infeasible) as exc:
@@ -459,9 +476,52 @@ class TestLabelExhaustion:
         assert session.circuits == circuits
         assert session.request.pattern == p2p(1, 4)
 
+    def test_freed_label_is_taken_back_with_one_heap_operation(self, monkeypatch):
+        controller = Controller(star4())
+        controller.hold_labels(4, 0, range(60_000))
+        ops = []
+
+        class CountingHeapq:
+            @staticmethod
+            def heappush(heap, item):
+                ops.append(("push", len(heap)))
+                heapq.heappush(heap, item)
+
+            @staticmethod
+            def heappop(heap):
+                ops.append(("pop", len(heap)))
+                return heapq.heappop(heap)
+
+        monkeypatch.setattr(fhsim.control, "heapq", CountingHeapq)
+        controller._free_label(4, 0, 30_000)
+        assert ops == [("push", 0)]
+        # one pop from the freed-label heap, O(log n) by heapq's bound; no scan
+        assert controller._alloc_label(4, 0) == 30_000
+        assert ops == [("push", 0), ("pop", 1)]
+        assert controller._alloc_label(4, 0) == 60_000  # the high-water mark: no heap work
+        assert len(ops) == 2
+        assert controller.labels_in_use()[(4, 0)] == frozenset(range(60_001))
+
+    def test_smallest_free_label_first_after_any_frees(self):
+        controller = Controller(star4())
+        rng = random.Random(3)
+        held = set(range(500))
+        controller.hold_labels(4, 0, held)
+        for _ in range(2000):
+            if held and rng.random() < 0.5:
+                label = rng.choice(sorted(held))
+                controller._free_label(4, 0, label)
+                controller._free_label(4, 0, label)  # freeing twice is a no-op
+                held.discard(label)
+            else:
+                label = controller._alloc_label(4, 0)
+                assert label == next(n for n in range(MAX_LABEL + 1) if n not in held)
+                held.add(label)
+            assert controller.labels_in_use().get((4, 0), frozenset()) == held
+
     def test_last_free_label_is_the_smallest_free_one(self):
         controller = Controller(star4())
-        controller._labels_in_use[(4, 0)] = set(range(MAX_LABEL + 1)) - {7}
+        controller.hold_labels(4, 0, set(range(MAX_LABEL + 1)) - {7})
         session = controller.setup(request(p2p(1, 4)), name="x")
         assert session.circuits[0].egress_label == 7
         with pytest.raises(Infeasible) as exc:
@@ -487,7 +547,41 @@ class TestReroute:
         outcomes = controller.reroute_on_failure((0, 1))
         assert outcomes == {"hit": "victim"}
         assert hit.state == "torn_down"
+        assert controller.sessions == {"safe": safe}  # a victim leaves the table
         assert safe.circuits == safe_circuits_before  # untouched entries
+
+    def test_cut_plans_once_per_active_session_on_the_link(self, monkeypatch):
+        # switches 0..3; rrh 4 at switch 0, bbu 5 at switch 2, bbu 6 at switch 3
+        topo = build_topology(
+            Ring(4, ((0, NodeKind.RRH), (2, NodeKind.BBU), (3, NodeKind.BBU)))
+        )
+        controller = Controller(topo)
+        on = [controller.setup(request(p2p(4, 5), peak=1e8, bound=1.0)) for _ in range(4)]
+        off = [controller.setup(request(p2p(4, 6), peak=1e8, bound=1.0)) for _ in range(3)]
+        assert {c.nodes for s in on for c in s.circuits} == {(4, 0, 1, 2, 5)}
+        assert {c.nodes for s in off for c in s.circuits} == {(4, 0, 3, 6)}
+        for session in (on[1], off[0]):
+            controller.teardown(session)
+        live = [on[0], on[2], on[3], off[1], off[2]]
+        assert list(controller.sessions) == [s.id for s in live]
+        visited, plans = [], []
+        uses_link, plan = Session.uses_link, fhsim.control.compute_path
+
+        def counted_uses_link(session, key):
+            visited.append(session.id)
+            return uses_link(session, key)
+
+        def counted_plan(*args, **kwargs):
+            plans.append(args[1:3])
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(Session, "uses_link", counted_uses_link)
+        monkeypatch.setattr(fhsim.control, "compute_path", counted_plan)
+        outcomes = controller.reroute_on_failure((0, 1))
+        assert outcomes == dict.fromkeys([s.id for s in live[:3]], "rerouted")
+        assert plans == [(4, 5)] * 3  # one plan per active session on the cut link
+        # sessions torn down earlier are not visited at all
+        assert visited == [s.id for s in live]
 
     def test_unaffected_sessions_not_recomputed(self):
         controller = Controller(ring_topo())
@@ -523,6 +617,89 @@ class TestReroute:
         controller.setup(request(p2p(1, 4)), name="hit")
         controller.reroute_on_failure((0, 1))
         assert controller.ledger.snapshot() == initial
+
+
+def random_ring(rng):
+    """A ring of 3-6 switches with per-link capacity and propagation, RRHs and BBUs on it."""
+    n = rng.randint(3, 6)
+    leaves = [NodeKind.RRH, NodeKind.BBU] + [
+        rng.choice([NodeKind.RRH, NodeKind.BBU]) for _ in range(rng.randint(0, n))
+    ]
+    at = [rng.randrange(n) for _ in leaves]
+    ports = [2 + at.count(i) for i in range(n)]
+    nodes = [Node(i, NodeKind.FH_SWITCH, ports[i]) for i in range(n)]
+    nodes += [Node(n + j, kind, 1) for j, kind in enumerate(leaves)]
+    used = [0] * n
+
+    def port(i):
+        used[i] += 1
+        return used[i] - 1
+
+    def params():
+        return dict(
+            capacity=rng.choice([1e9, 2.5e9, 10e9, 40e9]),
+            propagation_delay=rng.choice([0.0, 0.5e-6, 2e-6, 5e-6]),
+        )
+
+    links = [PhysLink(i, port(i), (i + 1) % n, port((i + 1) % n), **params()) for i in range(n)]
+    links += [PhysLink(a, port(a), n + j, 0, **params()) for j, a in enumerate(at)]
+    return PhysicalTopology(nodes, links), n
+
+
+class TestHopRowCache:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_plan_matches_a_fresh_search_on_uncached_rows(self, seed):
+        rng = random.Random(seed)
+        topo, n = random_ring(rng)
+        rrhs = [x.id for x in topo.nodes_of_kind(NodeKind.RRH)]
+        bbus = [x.id for x in topo.nodes_of_kind(NodeKind.BBU)]
+        controller = Controller(topo)
+        frames, planned = set(), []  # frame wire bytes searched for, paths found
+
+        def checked_plan(topology, src, dst, *args):
+            # the same search on the same ledger state, over rows built
+            # afresh for the live failure set
+            frames.add(args[2])
+            fresh = controller.topology.without_links(set(controller.failed_links))
+            try:
+                expected = compute_path(fresh, src, dst, *args)
+            except Infeasible as exc:
+                expected = exc.cause
+            try:
+                found = compute_path(topology, src, dst, *args)
+            except Infeasible as exc:
+                assert exc.cause == expected
+                raise
+            assert found == expected
+            planned.append(found[0])
+            return found
+
+        def setups(count):
+            for _ in range(count):
+                req = request(
+                    p2p(rng.choice(rrhs), rng.choice(bbus)),
+                    peak=rng.choice([1e8, 4e8, 9e8]),
+                    bound=rng.choice([2e-6, 1.0]),
+                    frame=rng.choice([500, 1000, 1500]),
+                )
+                try:
+                    session = controller.setup(req)
+                except Infeasible:
+                    continue
+                assert [c.nodes for c in session.circuits] == [planned[-1]]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fhsim.control, "compute_path", checked_plan)
+            setups(10)
+            controller.reroute_on_failure((0, 1))
+            setups(10)
+            controller.failed_links.clear()  # repaired
+            setups(10)
+            controller.reroute_on_failure((0, n - 1))
+            setups(10)
+        assert {frame - HEADER_BYTES for frame in frames} == {500, 1000, 1500}
+        assert not any(s.uses_link((0, n - 1)) for s in controller.sessions.values())
 
 
 class TestMigrate:

@@ -81,6 +81,29 @@ class TestGenerators:
         assert all(l.jitter_std == 5e-9 for l in topo.links)
 
 
+class TestHopRows:
+    def test_one_row_per_neighbor_cached_per_topology_and_frame_size(self):
+        topo = build_topology(
+            Ring(3, ((0, NodeKind.RRH), (1, NodeKind.BBU)), attach_link=LinkParams(capacity=40e9))
+        )
+        rows = topo.hop_rows(1008)
+        for node in topo.nodes:
+            assert rows[node] == tuple(
+                (
+                    peer,
+                    link.key,
+                    link.propagation_delay + 1008 * 8 / link.capacity,
+                    topo.nodes[peer].kind is NodeKind.FH_SWITCH,
+                )
+                for peer, link in topo.neighbors(node)
+            )
+        assert topo.hop_rows(1008) is rows
+        assert topo.hop_rows(508)[0] != rows[0]
+        cut = topo.without_links({(0, 1)})
+        assert cut.hop_rows(1008) is not rows
+        assert [peer for peer, *_ in cut.hop_rows(1008)[0]] == [2, 3]
+
+
 class TestValidation:
     def test_disconnected_rejected(self):
         nodes = [

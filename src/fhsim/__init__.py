@@ -23,7 +23,6 @@ from .engine import (
     SwitchConfig,
     SwitchState,
     World,
-    regulate,
     run,
 )
 from .metrics import (

@@ -22,15 +22,12 @@ from dataclasses import dataclass, replace
 from .engine import RegulatorPolicy, SwitchConfig, SwitchState
 from .packet import HEADER_BYTES, MAX_LABEL
 from .topology import (
-    AggregationToOneBbu,
-    BbuToBbu,
     LogicalPattern,
     NodeId,
     NodeKind,
     PhysLink,
     PhysicalTopology,
-    PointToPoint,
-    RrhToMultiBbu,
+    pattern_legs,
     validate_pattern,
 )
 from .traffic import SplitScheme
@@ -145,12 +142,8 @@ class ReservationLedger:
     bookkeeping, which refuses a negative or non-finite rate.
     """
 
-    def __init__(self, topology: PhysicalTopology, capacity_fraction: float = 1.0):
-        if not 0 < capacity_fraction <= 1:
-            raise ValueError("capacity_fraction must be in (0, 1]")
-        self._capacity: dict[LinkKey, float] = {
-            link.key: link.capacity * capacity_fraction for link in topology.links
-        }
+    def __init__(self, topology: PhysicalTopology):
+        self._capacity: dict[LinkKey, float] = {link.key: link.capacity for link in topology.links}
         self._held: dict[LinkKey, dict[str, float]] = {k: {} for k in self._capacity}
         self._total: dict[LinkKey, int] = dict.fromkeys(self._capacity, 0)
 
@@ -336,10 +329,9 @@ class Controller:
         self,
         topology: PhysicalTopology,
         switch_configs: dict[NodeId, SwitchConfig] | None = None,
-        capacity_fraction: float = 1.0,
     ):
         self.topology = topology
-        self.ledger = ReservationLedger(topology, capacity_fraction)
+        self.ledger = ReservationLedger(topology)
         self.switches: dict[NodeId, SwitchState] = {}
         for node in topology.nodes.values():
             if node.kind is NodeKind.FH_SWITCH:
@@ -352,6 +344,7 @@ class Controller:
         self.clock = 0.0
         self._session_counter = 0
         self._labels: dict[tuple[NodeId, int], _LabelPool] = {}
+        self._kinds = {node.id: node.kind for node in topology.nodes.values()}
         # header-processing delay of every node: zero at end equipment
         self._proc_delay = dict.fromkeys(topology.nodes, 0.0)
         for node, switch in self.switches.items():
@@ -421,24 +414,6 @@ class Controller:
             self._survivors = (failed, survivors)
         return self._survivors[1]
 
-    def _pattern_legs(self, pattern: LogicalPattern) -> tuple[list[tuple[NodeId, NodeId]], bool]:
-        """The (source, destination) legs of a pattern, and whether they share a tree.
-
-        Distribution legs from one source share a tree: one reservation
-        and one label per tree link. Every other pattern's legs are
-        independent circuits.
-        """
-        shape = pattern.shape
-        if isinstance(shape, PointToPoint):
-            return [(shape.rrh, shape.bbu)], False
-        if isinstance(shape, AggregationToOneBbu):
-            return [(rrh, shape.bbu) for rrh in shape.rrhs], False
-        if isinstance(shape, RrhToMultiBbu):
-            return [(shape.rrh, bbu) for bbu in shape.bbus], True
-        if isinstance(shape, BbuToBbu):
-            return [(shape.src_bbu, shape.dst_bbu)], False
-        raise TypeError(f"unknown pattern shape {shape!r}")
-
     def _plan_paths(
         self,
         request: SessionRequest,
@@ -450,7 +425,7 @@ class Controller:
         shared links); tree legs debit each tree link once. Raises
         Infeasible without changing any state.
         """
-        legs, tree = self._pattern_legs(request.pattern)
+        legs, tree = pattern_legs(request.pattern)
         frame_wire = request.policy.max_frame_bytes + HEADER_BYTES
         topology = self._surviving()
         overlay: dict[LinkKey, float] = {}
@@ -556,7 +531,7 @@ class Controller:
 
     def setup(self, request: SessionRequest, name: str | None = None) -> Session:
         """Admit and install a session atomically; raises Infeasible."""
-        validate_pattern(self.topology, request.pattern)
+        validate_pattern(self._kinds, request.pattern)
         session_id = name if name is not None else f"s{self._session_counter}"
         self._session_counter += 1
         if session_id in self.sessions:
@@ -630,7 +605,7 @@ class Controller:
             raise ValueError("cannot migrate a torn-down session")
         if new_pattern.granularity != session.request.pattern.granularity:
             raise ValueError("migration must preserve granularity")
-        validate_pattern(self.topology, new_pattern)
+        validate_pattern(self._kinds, new_pattern)
         new_request = replace(session.request, pattern=new_pattern)
         old_holds = self.ledger.holds(session.id)
         try:

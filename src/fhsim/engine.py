@@ -143,7 +143,6 @@ class Regulator:
         self.chunks: deque[list[float]] = deque()  # [arrival_time, bits]
         self.buffered_bits = 0.0
         self.peak_buffered_bits = 0.0
-        self.padding_bits = 0.0
         self.seq = 0
         self.generation = 0  # invalidates superseded timeout events
 
@@ -199,7 +198,6 @@ class Regulator:
         if self.buffered_bits <= EPS_BITS:
             return []
         payload_bytes = math.ceil(self.buffered_bits / 8 - EPS_BITS)
-        self.padding_bits += payload_bytes * 8 - self.buffered_bits
         return [self._emit(payload_bytes, self.buffered_bits)]
 
 
@@ -574,42 +572,3 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
         regulator_peak_bits=peaks,
     )
 
-
-def regulate(
-    volumes: list[float],
-    subframe_duration: float,
-    policy: RegulatorPolicy,
-    label: int,
-    latency_class: int,
-) -> list[tuple[float, FhPacket]]:
-    """Stand-alone regulator pass over a volume sequence.
-
-    Returns (emission time, packet) pairs: full frames the moment the
-    buffer reaches max_frame_bytes, remainders when the oldest buffered
-    bit has waited frame_timeout. The tail is flushed at its natural
-    timeout after the last subframe.
-    """
-    feed = CircuitFeed(
-        session_id="",
-        circuit_id=0,
-        ingress_node=0,
-        ingress_port=0,
-        label=label,
-        latency_class=latency_class,
-        policy=policy,
-        volumes=volumes,
-        subframe_duration=subframe_duration,
-    )
-    reg = Regulator(feed)
-    emissions: list[tuple[float, FhPacket]] = []
-    for sf, bits in enumerate(volumes):
-        now = sf * subframe_duration
-        deadline = reg.deadline()
-        while deadline is not None and deadline <= now:
-            emissions.extend((deadline, p) for p in reg.flush())
-            deadline = reg.deadline()
-        emissions.extend((now, p) for p in reg.offer(now, bits))
-    deadline = reg.deadline()
-    if deadline is not None:
-        emissions.extend((deadline, p) for p in reg.flush())
-    return emissions

@@ -4,7 +4,10 @@ Packet headers buy flexibility at the price of bandwidth efficiency:
 a frame of L payload bytes carries L/(L+H) useful bits. The sweep
 utility re-runs a world across frame sizes to expose the measured
 efficiency/latency frontier. Percentiles are exact nearest-rank order
-statistics so reports are bit-identical across platforms.
+statistics so reports are bit-identical across platforms. A
+`SessionRecord`'s fields are the sessions.csv columns, in order, and a
+`MetricsReport`'s scalar fields are the global.csv keys, so each of
+those tables names its columns once, on its record.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace as dc_replace
+from bisect import bisect_right
+from dataclasses import astuple, dataclass, fields, replace as dc_replace
 
 from .engine import RunResult, World, run
 from .packet import HEADER_BYTES
@@ -31,13 +35,17 @@ def percentile(values: list[float], pct: float) -> float:
         raise ValueError("percentile of empty list")
     if not 0 < pct <= 100:
         raise ValueError("pct must be in (0, 100]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(pct / 100 * len(ordered)))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(values), pct)
+
+
+def _nearest_rank(ordered: list[float], pct: float) -> float:
+    return ordered[max(1, math.ceil(pct / 100 * len(ordered))) - 1]
 
 
 @dataclass
 class SessionRecord:
+    """One row of sessions.csv: its fields are the columns, in order."""
+
     session_id: str
     injected: int
     replicated: int
@@ -64,6 +72,8 @@ class LinkRecord:
 
 @dataclass
 class MetricsReport:
+    """A run's tables; the fields after `links` are the global.csv keys, in order."""
+
     sessions: list[SessionRecord]
     links: list[LinkRecord]
     header_overhead_ratio: float
@@ -82,6 +92,13 @@ def _ns(seconds: float) -> int:
     return round(seconds * 1e9)
 
 
+def _carried_bits(result: RunResult) -> tuple[int, int]:
+    """(payload bits, total bits) delivered to end equipment, headers counted in the total."""
+    payload = sum(s.payload_bits_delivered for s in result.sessions.values())
+    delivered = sum(s.totals().delivered for s in result.sessions.values())
+    return payload, payload + delivered * HEADER_BYTES * 8
+
+
 def assemble_report(
     result: RunResult,
     latency_bounds: dict[str, float] | None = None,
@@ -93,46 +110,20 @@ def assemble_report(
     """
     bounds = latency_bounds or {}
     session_records: list[SessionRecord] = []
-    total_offered = 0
-    total_carried = 0
-    total_payload_carried = 0
     for session_id in sorted(result.sessions):
         stats = result.sessions[session_id]
-        totals = stats.totals()
-        lat = stats.latencies
-        if lat:
-            ordered = sorted(lat)
-            min_ns = _ns(ordered[0])
-            max_ns = _ns(ordered[-1])
-            mean_ns = _ns(sum(ordered) / len(ordered))
-            p50_ns = _ns(percentile(ordered, 50))
-            p99_ns = _ns(percentile(ordered, 99))
-        else:
-            min_ns = mean_ns = p50_ns = p99_ns = max_ns = 0
+        t = stats.totals()
+        ordered = sorted(stats.latencies)
+        latency = (0.0,) * 5  # min, mean, p50, p99, max
+        if ordered:
+            mean = sum(ordered) / len(ordered)
+            latency = (ordered[0], mean, _nearest_rank(ordered, 50), _nearest_rank(ordered, 99), ordered[-1])
         bound = bounds.get(session_id)
-        violations = sum(1 for v in lat if v > bound) if bound is not None else 0
+        violations = len(ordered) - bisect_right(ordered, bound) if bound is not None else 0
+        counts = (t.injected, t.replicated, t.delivered, t.dropped_unroutable, t.dropped_overflow)
         session_records.append(
-            SessionRecord(
-                session_id=session_id,
-                injected=totals.injected,
-                replicated=totals.replicated,
-                delivered=totals.delivered,
-                dropped_unroutable=totals.dropped_unroutable,
-                dropped_overflow=totals.dropped_overflow,
-                in_flight=totals.in_flight,
-                out_of_order=totals.out_of_order,
-                min_ns=min_ns,
-                mean_ns=mean_ns,
-                p50_ns=p50_ns,
-                p99_ns=p99_ns,
-                max_ns=max_ns,
-                bound_violations=violations,
-            )
+            SessionRecord(session_id, *counts, t.in_flight, t.out_of_order, *map(_ns, latency), violations)
         )
-        payload = stats.payload_bits_delivered
-        total_payload_carried += payload
-        total_carried += payload + totals.delivered * HEADER_BYTES * 8
-        total_offered += stats.wire_bits_injected
 
     link_records = [
         LinkRecord(
@@ -140,24 +131,20 @@ def assemble_report(
         )
         for p in result.ports
     ]
-    overhead = (
-        (total_carried - total_payload_carried) / total_carried if total_carried else 0.0
-    )
+    payload, carried = _carried_bits(result)
     return MetricsReport(
         sessions=session_records,
         links=link_records,
-        header_overhead_ratio=overhead,
-        total_bits_offered=total_offered,
-        total_bits_carried=total_carried,
+        header_overhead_ratio=(carried - payload) / carried if carried else 0.0,
+        total_bits_offered=sum(s.wire_bits_injected for s in result.sessions.values()),
+        total_bits_carried=carried,
         horizon=result.horizon,
     )
 
 
 def measured_efficiency(result: RunResult) -> float:
     """Carried payload bits over carried total bits, across all sessions."""
-    payload = sum(s.payload_bits_delivered for s in result.sessions.values())
-    delivered = sum(s.totals().delivered for s in result.sessions.values())
-    carried = payload + delivered * HEADER_BYTES * 8
+    payload, carried = _carried_bits(result)
     return payload / carried if carried else 0.0
 
 
@@ -188,65 +175,26 @@ def overhead_sweep(
     return rows
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One header row, then the rows; csv writes a float as its repr, so values round-trip."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_report_csvs(report: MetricsReport, out_dir: str) -> None:
     """Write the per-session, per-link, and global tables."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "sessions.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "session_id",
-                "injected",
-                "replicated",
-                "delivered",
-                "dropped_unroutable",
-                "dropped_overflow",
-                "in_flight",
-                "out_of_order",
-                "min_ns",
-                "mean_ns",
-                "p50_ns",
-                "p99_ns",
-                "max_ns",
-                "bound_violations",
-            ]
-        )
-        for r in report.sessions:
-            writer.writerow(
-                [
-                    r.session_id,
-                    r.injected,
-                    r.replicated,
-                    r.delivered,
-                    r.dropped_unroutable,
-                    r.dropped_overflow,
-                    r.in_flight,
-                    r.out_of_order,
-                    r.min_ns,
-                    r.mean_ns,
-                    r.p50_ns,
-                    r.p99_ns,
-                    r.max_ns,
-                    r.bound_violations,
-                ]
-            )
-    with open(os.path.join(out_dir, "links.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link", "utilization", "peak_queue_bytes"])
-        for l in report.links:
-            writer.writerow([f"{l.src}->{l.dst}", repr(l.utilization), l.peak_queue_bytes])
-    with open(os.path.join(out_dir, "global.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["header_overhead_ratio", repr(report.header_overhead_ratio)])
-        writer.writerow(["total_bits_offered", report.total_bits_offered])
-        writer.writerow(["total_bits_carried", report.total_bits_carried])
-        writer.writerow(["horizon", repr(report.horizon)])
+    sessions = [astuple(r) for r in report.sessions]
+    _write_csv(os.path.join(out_dir, "sessions.csv"), [f.name for f in fields(SessionRecord)], sessions)
+    links = [(f"{l.src}->{l.dst}", l.utilization, l.peak_queue_bytes) for l in report.links]
+    _write_csv(os.path.join(out_dir, "links.csv"), ["link", "utilization", "peak_queue_bytes"], links)
+    scalars = [
+        (f.name, getattr(report, f.name)) for f in fields(report) if f.name not in ("sessions", "links")
+    ]
+    _write_csv(os.path.join(out_dir, "global.csv"), ["key", "value"], scalars)
 
 
 def write_sweep_csv(rows: list[tuple[int, float, int]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_size", "efficiency", "p99_ns"])
-        for size, eff, p99 in rows:
-            writer.writerow([size, repr(eff), p99])
+    _write_csv(path, ["frame_size", "efficiency", "p99_ns"], rows)

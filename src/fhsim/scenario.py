@@ -65,6 +65,8 @@ from .topology import (
     PhysicalTopology,
     PointToPoint,
     RrhToMultiBbu,
+    pattern_shape,
+    validate_pattern,
 )
 from .traffic import (
     CellConfig,
@@ -104,20 +106,14 @@ class _At:
             raise ScenarioError(self.line, f"{self.key}: {exc}" if self.key else str(exc)) from exc
 
 
-_KINDS = {
-    "rrh": NodeKind.RRH,
-    "bbu": NodeKind.BBU,
-    "switch": NodeKind.FH_SWITCH,
-    "timing": NodeKind.TIMING_SOURCE,
-}
+_KINDS = {kind.value: kind for kind in NodeKind}
 
-# Session pattern -> for its sources and then its destinations, the node kind
-# and whether several are allowed; last, its shape over (source ids, destination ids).
+# Session pattern -> its shape, whose rules fhsim.topology keeps.
 _PATTERNS = {
-    "p2p": (("rrh", False), ("bbu", False), lambda s, d: PointToPoint(s[0], d[0])),
-    "aggregation": (("rrh", True), ("bbu", False), lambda s, d: AggregationToOneBbu(s, d[0])),
-    "multi_bbu": (("rrh", False), ("bbu", True), lambda s, d: RrhToMultiBbu(s[0], d)),
-    "bbu_to_bbu": (("bbu", False), ("bbu", False), lambda s, d: BbuToBbu(s[0], d[0])),
+    "p2p": PointToPoint,
+    "aggregation": AggregationToOneBbu,
+    "multi_bbu": RrhToMultiBbu,
+    "bbu_to_bbu": BbuToBbu,
 }
 
 
@@ -520,30 +516,31 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
 
 
 def _validate(scenario: Scenario) -> None:
-    names = {n.name for n in scenario.nodes}
-    kind_of = {n.name: n.kind for n in scenario.nodes}
+    kind_of = {n.name: _KINDS[n.kind] for n in scenario.nodes}
     if not scenario.nodes:
         raise ScenarioError(0, "no nodes declared")
     pairs = set()
     for link in scenario.links:
         for end in (link.a, link.b):
-            if end not in names:
+            if end not in kind_of:
                 raise ScenarioError(link.line, f"link references undeclared node {end!r}")
         pair = frozenset((link.a, link.b))
         if pair in pairs:
             raise ScenarioError(link.line, f"parallel link between {link.a!r} and {link.b!r}")
         pairs.add(pair)
     for cell in scenario.cells:
-        if cell.node not in names:
+        if cell.node not in kind_of:
             raise ScenarioError(cell.line, f"cell references undeclared node {cell.node!r}")
-        if kind_of[cell.node] != "rrh":
-            raise ScenarioError(cell.line, f"cells attach to rrh nodes, {cell.node!r} is {kind_of[cell.node]}")
+        if kind_of[cell.node] is not NodeKind.RRH:
+            kind = kind_of[cell.node].value
+            raise ScenarioError(cell.line, f"cells attach to rrh nodes, {cell.node!r} is {kind}")
     for source in scenario.sources:
-        if source.node not in names:
+        if source.node not in kind_of:
             raise ScenarioError(source.line, f"sync source references undeclared node {source.node!r}")
-        if kind_of[source.node] not in ("bbu", "switch"):
+        if kind_of[source.node] not in (NodeKind.BBU, NodeKind.FH_SWITCH):
             raise ScenarioError(
-                source.line, f"sync sources attach to bbu or switch nodes, {source.node!r} is {kind_of[source.node]}"
+                source.line,
+                f"sync sources attach to bbu or switch nodes, {source.node!r} is {kind_of[source.node].value}",
             )
     cells_by_node = {c.node: c for c in scenario.cells}
     for session in scenario.sessions:
@@ -553,19 +550,9 @@ def _validate(scenario: Scenario) -> None:
             raise ScenarioError(session.line, f"unknown traffic kind {session.traffic!r}")
         if session.traffic == "cbr" and session.cbr_rate is None:
             raise ScenarioError(session.line, "cbr traffic needs a rate")
-        for end in session.srcs + session.dsts:
-            if end not in names:
-                raise ScenarioError(session.line, f"session references undeclared node {end!r}")
-        sources, destinations, _ = _PATTERNS[session.pattern]
-        for role, ends, (kind, several) in (
-            ("source", session.srcs, sources),
-            ("destination", session.dsts, destinations),
-        ):
-            if len(ends) > 1 and not several:
-                raise ScenarioError(session.line, f"{session.pattern} takes one {role}")
-            for end in ends:
-                if kind_of[end] != kind:
-                    raise ScenarioError(session.line, f"{session.pattern} {role} {end!r} must be {kind}")
+        with _At(session.line, session.pattern):
+            shape = pattern_shape(_PATTERNS[session.pattern], session.srcs, session.dsts)
+            validate_pattern(kind_of, LogicalPattern(shape))
         if session.traffic == "trace":
             for src in session.srcs:
                 if src not in cells_by_node:
@@ -613,15 +600,13 @@ def build_scenario(
     scenario: Scenario,
     seed: int | None = None,
     subframes: int | None = None,
-    scheduler: str | None = None,
 ) -> BuiltScenario:
     """Materialize topology, control state, traces, and the engine world.
 
-    Optional overrides replace the scenario's seed, trace length, and
-    scheduler (the latter for controlled A/B comparisons). A value the
-    built objects reject raises ScenarioError at its line.
+    Optional overrides replace the scenario's seed and trace length. A
+    value the built objects reject raises ScenarioError at its line.
     """
-    overrides = {"seed": seed, "subframes": subframes, "scheduler": scheduler}
+    overrides = {"seed": seed, "subframes": subframes}
     engine_spec = replace(scenario.engine, **{k: v for k, v in overrides.items() if v is not None})
 
     node_id = {spec.name: index for index, spec in enumerate(scenario.nodes)}
@@ -687,7 +672,7 @@ def build_scenario(
                 frame_timeout=spec.timeout if spec.timeout is not None else engine_spec.frame_timeout,
             )
             request = SessionRequest(
-                pattern=LogicalPattern(_PATTERNS[spec.pattern][2](srcs, dsts), ue_id=spec.ue),
+                pattern=LogicalPattern(pattern_shape(_PATTERNS[spec.pattern], srcs, dsts), ue_id=spec.ue),
                 mean_rate=spec.mean_rate,
                 peak_rate=spec.peak_rate,
                 latency_class=spec.latency_class,

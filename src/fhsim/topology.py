@@ -4,14 +4,17 @@ Nodes are radio units, baseband units, fronthaul switches, and external
 timing sources, wired by full-duplex links annotated with capacity,
 propagation delay, and jitter. Generators build the common physical
 layouts (star, ring, chain); logical patterns describe which endpoints a
-session connects and at what granularity.
+session connects and at what granularity. The shape table `_SHAPES` is
+the one place the pattern rules live: which node kind each end takes,
+how many, the legs a pattern makes and whether they share a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from itertools import product
+from typing import Iterator, Mapping, Sequence, Union
 
 NodeId = int
 HopRow = tuple[NodeId, tuple[NodeId, NodeId], float, bool]  # (peer, link key, hop cost, peer relays)
@@ -234,36 +237,63 @@ class LogicalPattern:
         return "cell" if self.ue_id is None else "ue"
 
 
-def _expect_kind(topology: PhysicalTopology, node: NodeId, kind: NodeKind, role: str) -> None:
-    actual = topology.nodes.get(node)
-    if actual is None:
-        raise ValueError(f"{role} node {node} does not exist")
-    if actual.kind is not kind:
-        raise ValueError(f"{role} node {node} is {actual.kind.value}, expected {kind.value}")
+# The one place the rules of the pattern shapes live. For each shape, its
+# source end and its destination end as (field, node kind, holds several),
+# and whether its legs share a tree: distribution legs from one source
+# share one reservation and one label per tree link, while other legs are
+# independent circuits. A pattern's legs are all its (source, destination)
+# pairs, in order.
+_SHAPES: dict[type, tuple[tuple[str, NodeKind, bool], tuple[str, NodeKind, bool], bool]] = {
+    PointToPoint: (("rrh", NodeKind.RRH, False), ("bbu", NodeKind.BBU, False), False),
+    AggregationToOneBbu: (("rrhs", NodeKind.RRH, True), ("bbu", NodeKind.BBU, False), False),
+    RrhToMultiBbu: (("rrh", NodeKind.RRH, False), ("bbus", NodeKind.BBU, True), True),
+    BbuToBbu: (("src_bbu", NodeKind.BBU, False), ("dst_bbu", NodeKind.BBU, False), False),
+}
 
 
-def validate_pattern(topology: PhysicalTopology, pattern: LogicalPattern) -> None:
-    shape = pattern.shape
-    if isinstance(shape, PointToPoint):
-        _expect_kind(topology, shape.rrh, NodeKind.RRH, "source")
-        _expect_kind(topology, shape.bbu, NodeKind.BBU, "destination")
-    elif isinstance(shape, AggregationToOneBbu):
-        if not shape.rrhs:
-            raise ValueError("aggregation pattern needs at least one RRH")
-        for rrh in shape.rrhs:
-            _expect_kind(topology, rrh, NodeKind.RRH, "source")
-        _expect_kind(topology, shape.bbu, NodeKind.BBU, "destination")
-    elif isinstance(shape, RrhToMultiBbu):
-        if not shape.bbus:
-            raise ValueError("multi-BBU pattern needs at least one BBU")
-        _expect_kind(topology, shape.rrh, NodeKind.RRH, "source")
-        for bbu in shape.bbus:
-            _expect_kind(topology, bbu, NodeKind.BBU, "destination")
-    elif isinstance(shape, BbuToBbu):
-        _expect_kind(topology, shape.src_bbu, NodeKind.BBU, "source")
-        _expect_kind(topology, shape.dst_bbu, NodeKind.BBU, "destination")
-    else:
-        raise TypeError(f"unknown pattern shape {shape!r}")
+def pattern_shape(cls: type, sources: tuple, destinations: tuple) -> PatternShape:
+    """The `cls` shape over these endpoints; an end that holds one refuses several."""
+    values = {}
+    ends = zip(("source", "destination"), (sources, destinations), _SHAPES[cls])
+    for role, nodes, (name, _, several) in ends:
+        if not several and len(nodes) != 1:
+            raise ValueError(f"takes one {role}, got {len(nodes)}")
+        values[name] = nodes if several else nodes[0]
+    return cls(**values)
+
+
+def _ends(shape: PatternShape) -> tuple[tuple[NodeId, ...], tuple[NodeId, ...], NodeKind, NodeKind, bool]:
+    """A shape's sources, its destinations, their two kinds, and whether its legs share a tree."""
+    try:
+        (src, src_kind, srcs_several), (dst, dst_kind, dsts_several), tree = _SHAPES[type(shape)]
+    except KeyError:
+        raise TypeError(f"unknown pattern shape {shape!r}") from None
+    srcs, dsts = getattr(shape, src), getattr(shape, dst)
+    return srcs if srcs_several else (srcs,), dsts if dsts_several else (dsts,), src_kind, dst_kind, tree
+
+
+def pattern_legs(pattern: LogicalPattern) -> tuple[list[tuple[NodeId, NodeId]], bool]:
+    """The (source, destination) legs of a pattern, and whether they share a tree."""
+    srcs, dsts, _, _, tree = _ends(pattern.shape)
+    return list(product(srcs, dsts)), tree
+
+
+def validate_pattern(kinds: Mapping[NodeId, NodeKind], pattern: LogicalPattern) -> None:
+    """Raise ValueError for an end missing from `kinds`, of the wrong kind, or named twice."""
+    srcs, dsts, src_kind, dst_kind, _ = _ends(pattern.shape)
+    named = set()
+    for role, nodes, kind in (("source", srcs, src_kind), ("destination", dsts, dst_kind)):
+        if not nodes:
+            raise ValueError(f"{type(pattern.shape).__name__} needs at least one {role}")
+        for node in nodes:
+            actual = kinds.get(node)
+            if actual is None:
+                raise ValueError(f"{role} node {node!r} does not exist")
+            if actual is not kind:
+                raise ValueError(f"{role} node {node!r} is {actual.value}, expected {kind.value}")
+            if node in named:
+                raise ValueError(f"{role} node {node!r} is named twice")
+            named.add(node)
 
 
 # Topology generators.

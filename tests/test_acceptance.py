@@ -10,6 +10,7 @@ brute-force oracle.
 import math
 import random
 import statistics
+from dataclasses import replace
 
 from routing_oracle import brute_force_route, random_reserved_graph
 
@@ -102,7 +103,7 @@ def test_criterion_3_latency_guarantee(bundled_runs):
     assert urgent.delivered >= 100_000
     assert urgent.bound_violations == 0
 
-    fifo = build_scenario(scenario, scheduler="fifo")
+    fifo = build_scenario(replace(scenario, engine=replace(scenario.engine, scheduler="fifo")))
     fifo_result = run(fifo.world, scenario.engine.horizon, scenario.engine.seed)
     fifo_report = assemble_report(fifo_result, fifo.bounds)
     assert fifo_report.session("urgent").bound_violations >= 1

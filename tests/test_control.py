@@ -227,6 +227,43 @@ class TestSetupTeardown:
         # a reused name takes a new slot at the end
         assert list(controller.sessions.items()) == [("b", b), ("a", again)]
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            PointToPoint(4, 1),  # bbu to rrh
+            BbuToBbu(1, 4),  # rrh as a source
+            AggregationToOneBbu((), 4),
+            RrhToMultiBbu(1, ()),
+            PointToPoint(1, 99),  # no such node
+        ],
+    )
+    def test_malformed_pattern_is_refused_and_changes_nothing(self, shape):
+        controller = Controller(star4())
+        controller.setup(request(p2p(2, 4)), name="old")
+        before = control_state(controller)
+        log_len = len(controller.log)
+        with pytest.raises(ValueError):
+            controller.setup(request(LogicalPattern(shape)), name="new")
+        assert control_state(controller) == before
+        assert list(controller.sessions) == ["old"]
+        assert len(controller.log) == log_len
+
+    @pytest.mark.parametrize(
+        "shape, node",
+        [
+            (AggregationToOneBbu((1, 1, 2), 4), 1),
+            (RrhToMultiBbu(1, (4, 4)), 4),
+            (BbuToBbu(4, 4), 4),
+        ],
+    )
+    def test_pattern_naming_an_endpoint_twice_is_refused(self, shape, node):
+        controller = Controller(star4())
+        before = control_state(controller)
+        with pytest.raises(ValueError, match=f"node {node} is named twice"):
+            controller.setup(request(LogicalPattern(shape)), name="dup")
+        assert control_state(controller) == before
+        assert not controller.sessions and not controller.log
+
     def test_random_interleavings_restore_initial_ledger(self):
         rng = random.Random(7)
         for trial in range(100):

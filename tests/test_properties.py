@@ -12,10 +12,10 @@ from fhsim.engine import (
     SwitchConfig,
     SwitchState,
     World,
-    regulate,
     run,
 )
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
+from regulator_oracle import regulate
 
 volume_lists = st.lists(
     st.one_of(st.just(0.0), st.integers(0, 120_000).map(float)),

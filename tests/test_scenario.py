@@ -61,6 +61,29 @@ class TestParse:
         assert "r9" in str(exc.value)
         assert exc.value.line > 0
 
+    def test_p2p_with_two_declared_sources_is_refused_at_its_line(self):
+        bad = MINIMAL.replace(
+            "link = hub b1 cap=1e9 delay=1e-6", "link = hub b1 cap=1e9 delay=1e-6\nnode = r2 rrh\nlink = r2 hub"
+        ).replace("src=r1", "srcs=r1,r2 traffic=cbr rate=1e7").replace(" traffic=trace", "")
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(bad)
+        assert exc.value.line == 20
+
+    @pytest.mark.parametrize(
+        "name, old, new, line, node",
+        [
+            ("device-centric", "dsts=bbu1,bbu2", "dsts=bbu1,bbu1", 31, "bbu1"),
+            ("cran-aggregation", "srcs=rrh1,rrh2,rrh3", "srcs=rrh1,rrh1,rrh3", 34, "rrh1"),
+            ("ring-bbu-exchange", "src=bbu0 dst=bbu1", "src=bbu0 dst=bbu0", 39, "bbu0"),
+        ],
+    )
+    def test_pattern_naming_an_endpoint_twice_is_refused_at_its_line(self, name, old, new, line, node):
+        text, _ = load_scenario_text(name)
+        assert old in text
+        with pytest.raises(ScenarioError, match=f"'{node}' is named twice") as exc:
+            parse_scenario(text.replace(old, new))
+        assert exc.value.line == line
+
     def test_unknown_key_diagnosed(self):
         bad = MINIMAL.replace("cap=1e9", "capacity=1e9")
         with pytest.raises(ScenarioError) as exc:
@@ -116,10 +139,6 @@ class TestBuild:
         assert len(built.world.circuits) == 1
         assert built.world.circuits[0].session_id == "dl"
         assert not built.infeasible
-
-    def test_scheduler_override(self):
-        built = build_scenario(parse_scenario(MINIMAL), scheduler="fifo")
-        assert built.scenario.engine.scheduler == "fifo"
 
     def test_seed_override_changes_traces(self):
         a = build_scenario(parse_scenario(MINIMAL), seed=1)
@@ -188,6 +207,8 @@ class TestRunScenario:
             ("count=4", "count=-5", 11),
             ("node = b1 bbu", "node = b1 bbu\nnode = lone bbu", 6),
             ("delay=1e-6\n\n", "delay=1e-6\nnode = x1 rrh\nnode = x2 bbu\nlink = x1 x2\n\n", 0),
+            ("src=r1", "srcs=r1,r2", 18),
+            ("dst=b1", "dst=r1", 18),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):

@@ -3,15 +3,22 @@ import itertools
 import pytest
 
 from fhsim.topology import (
+    AggregationToOneBbu,
+    BbuToBbu,
     Chain,
     LinkParams,
+    LogicalPattern,
     Node,
     NodeKind,
     PhysLink,
     PhysicalTopology,
+    PointToPoint,
     Ring,
+    RrhToMultiBbu,
     Star,
     build_topology,
+    pattern_legs,
+    pattern_shape,
 )
 from routing_oracle import enumerate_simple_paths
 
@@ -180,3 +187,34 @@ class TestEnumeratePaths:
     def test_same_src_dst_rejected(self):
         with pytest.raises(ValueError):
             enumerate_simple_paths(two_node_topo(), 0, 0, 3)
+
+
+class TestPatternShapes:
+    @pytest.mark.parametrize(
+        "cls, srcs, dsts, shape, legs, tree",
+        [
+            (PointToPoint, (1,), (4,), PointToPoint(1, 4), [(1, 4)], False),
+            (AggregationToOneBbu, (1, 2), (4,), AggregationToOneBbu((1, 2), 4), [(1, 4), (2, 4)], False),
+            (RrhToMultiBbu, (1,), (4, 5), RrhToMultiBbu(1, (4, 5)), [(1, 4), (1, 5)], True),
+            (BbuToBbu, (4,), (5,), BbuToBbu(4, 5), [(4, 5)], False),
+        ],
+    )
+    def test_shape_from_ends_and_its_legs(self, cls, srcs, dsts, shape, legs, tree):
+        assert pattern_shape(cls, srcs, dsts) == shape
+        assert pattern_legs(LogicalPattern(shape)) == (legs, tree)
+
+    @pytest.mark.parametrize(
+        "cls, srcs, dsts, message",
+        [
+            (PointToPoint, (1, 2), (4,), "takes one source, got 2"),
+            (AggregationToOneBbu, (1,), (), "takes one destination, got 0"),
+            (RrhToMultiBbu, (), (4,), "takes one source, got 0"),
+        ],
+    )
+    def test_an_end_that_holds_one_refuses_other_counts(self, cls, srcs, dsts, message):
+        with pytest.raises(ValueError, match=message):
+            pattern_shape(cls, srcs, dsts)
+
+    def test_unknown_shape_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unknown pattern shape"):
+            pattern_legs(LogicalPattern((1, 4)))

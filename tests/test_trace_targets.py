@@ -1,0 +1,35 @@
+"""Every name a traced benchmark pass wraps still exists in fhsim.
+
+`perfbench/layers.py` lists the (owner, attribute) pairs a traced pass
+replaces through `owner.__dict__[attr]`. Removing or renaming one of
+them in fhsim breaks traced benchmark runs and nothing else, so this
+installs the real target list on the real package and removes it again.
+"""
+
+import os
+import sys
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import layers  # noqa: E402
+import tracing  # noqa: E402
+
+import fhsim.scenario  # noqa: E402
+from fhsim.cli import load_scenario_text  # noqa: E402
+
+
+def test_traced_targets_install_record_and_restore():
+    targets = layers.targets()
+    originals = [(owner, attr, owner.__dict__.get(attr)) for owner, attr, *_ in targets]
+    assert [f"{owner.__name__}.{attr}" for owner, attr, fn in originals if fn is None] == []
+    tracer = tracing.Tracer("targets")
+    try:
+        tracer.install(targets)
+        assert all(owner.__dict__[attr] is not fn for owner, attr, fn in originals)
+        fhsim.scenario.parse_scenario(load_scenario_text("latency-tiers")[0])
+        assert [span[0] for span in tracer.spans] == ["scenario.parse_scenario"]
+    finally:
+        tracer.remove()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)

@@ -5,15 +5,19 @@ and frame it into labeled packets (full frames immediately, remainders
 on a holding-time timeout). Switches receive store-and-forward, spend a
 header-processing delay, re-label per their forwarding table, and queue
 packets per latency class on the output port, where a FIFO, strict
-priority, or weighted-round-robin scheduler drains them. All randomness
-lives in the traffic traces; given the same world and horizon the run is
-reproducible event for event, with ties broken by insertion order.
+priority, or weighted-round-robin scheduler drains them. Each output
+port keeps a bitmask of its non-empty classes, so strict priority and
+WRR reach the next class to serve without a step per empty class. All
+randomness lives in the traffic traces; given the same world and horizon
+the run is reproducible event for event, with ties broken by insertion
+order.
 
 Packets carry their header fields as plain ints: a hop relabels by
 assignment and a replica is a slot copy, and no `FhHeader` is built
 inside the event loop (only the regulator builds one per emitted frame).
 Labels are range-checked when forwarding entries and circuit feeds are
-created, so none can go out of range in flight. Labels are scoped per
+created, so none can go out of range in flight, and a feed's volumes
+must be finite, so no offer can frame forever. Labels are scoped per
 (node, input port), so a host binds delivered packets to circuits per
 arrival port: `World.egress` is keyed by (node, in_port, label). All
 per-port and per-packet run state lives in objects made by `run`, so a
@@ -34,6 +38,11 @@ from .topology import NodeId, PhysicalTopology
 
 N_CLASSES = 16
 EPS_BITS = 1e-6  # float dust below this is not a payload bit
+
+
+def _check_wrr_weights(weights: tuple[int, ...]) -> None:
+    if len(weights) != N_CLASSES or any(w < 1 for w in weights):
+        raise ValueError("wrr_weights needs one weight >= 1 per latency class")
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,7 @@ class SwitchConfig:
     header_processing_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.wrr_weights) != N_CLASSES or any(w < 1 for w in self.wrr_weights):
-            raise ValueError("wrr_weights needs one weight >= 1 per latency class")
+        _check_wrr_weights(self.wrr_weights)
         if self.queue_bytes < 1 or self.input_buffer_bytes < 1:
             raise ValueError("buffer bounds must be >= 1 byte")
         if self.header_processing_delay < 0:
@@ -120,6 +128,8 @@ class CircuitFeed:
             raise ValueError(f"label out of range: {self.label}")
         if not 0 <= self.latency_class <= MAX_LATENCY_CLASS:
             raise ValueError(f"latency_class out of range: {self.latency_class}")
+        if not all(map(math.isfinite, self.volumes)):
+            raise ValueError("volumes must be finite")
 
 
 @dataclass
@@ -133,6 +143,9 @@ class World:
     host_scheduler: Scheduler = Scheduler.STRICT_PRIORITY
     host_queue_bytes: int = 256 * 1024
     wrr_weights: tuple[int, ...] = (1,) * N_CLASSES
+
+    def __post_init__(self) -> None:
+        _check_wrr_weights(self.wrr_weights)
 
 
 class Regulator:
@@ -217,6 +230,7 @@ class _Port:
         "capacity",
         "propagation",
         "queues",
+        "nonempty",
         "class_bytes",
         "total_bytes",
         "queue_bound",
@@ -244,6 +258,7 @@ class _Port:
         self.capacity = link.capacity
         self.propagation = link.propagation_delay
         self.queues: list[deque] = [deque() for _ in range(N_CLASSES)]
+        self.nonempty = 0  # bit c set while queues[c] holds a packet
         self.class_bytes = [0] * N_CLASSES
         self.total_bytes = 0
         self.queue_bound = queue_bound
@@ -264,28 +279,34 @@ class _Port:
         self.egress: dict[int, list | None] = {}
 
     def pick(self) -> FhPacket:
+        """Dequeue the next packet to send; at least one queue holds one."""
+        mask = self.nonempty
         if self.scheduler is Scheduler.STRICT_PRIORITY:
-            for q in self.queues:
-                if q:
-                    return q.popleft()[1]
+            cls = (mask & -mask).bit_length() - 1  # the lowest non-empty class
         elif self.scheduler is Scheduler.FIFO:
-            best_cls = -1
+            cls = -1
             best_tag = None
-            for cls in range(N_CLASSES):
-                q = self.queues[cls]
+            for c in range(N_CLASSES):
+                q = self.queues[c]
                 if q and (best_tag is None or q[0][0] < best_tag):
                     best_tag = q[0][0]
-                    best_cls = cls
-            return self.queues[best_cls].popleft()[1]
+                    cls = c
         else:  # weighted round robin, packet-counted
-            while True:
-                q = self.queues[self.wrr_class]
-                if q and self.wrr_credit > 0:
-                    self.wrr_credit -= 1
-                    return q.popleft()[1]
-                self.wrr_class = (self.wrr_class + 1) % N_CLASSES
-                self.wrr_credit = self.weights[self.wrr_class]
-        raise RuntimeError("pick() called with all queues empty")
+            cls = self.wrr_class
+            if not (mask >> cls & 1 and self.wrr_credit > 0):
+                # Move on to the next non-empty class, cyclically, back to
+                # this one if no other has packets, with a fresh credit:
+                # what stepping through the empty classes would come to.
+                later = mask >> (cls + 1)
+                cls = cls + (later & -later).bit_length() if later else (mask & -mask).bit_length() - 1
+                self.wrr_class = cls
+                self.wrr_credit = self.weights[cls]
+            self.wrr_credit -= 1
+        q = self.queues[cls]
+        pkt = q.popleft()[1]
+        if not q:
+            self.nonempty = mask ^ (1 << cls)
+        return pkt
 
 
 def _wire_ports(world: World) -> dict[tuple[NodeId, int], _Port]:
@@ -435,6 +456,7 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             pkt.stats.dropped_overflow += 1
             return
         port.queues[cls].append((port.arrival_counter, pkt))
+        port.nonempty |= 1 << cls
         port.arrival_counter += 1
         port.class_bytes[cls] += wire_bytes
         port.total_bytes += wire_bytes

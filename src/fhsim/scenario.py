@@ -39,6 +39,7 @@ scenario yields an equal Scenario value.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -252,6 +253,14 @@ def _boolean(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
+def _number(raw: str) -> float:
+    """A float that is a number; inf is one (mean_on=inf pins a user's state)."""
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError(f"{raw!r} is not a number")
+    return value
+
+
 def _wrr_pairs(raw: str) -> tuple[tuple[int, int], ...]:
     chunks = (chunk.partition(":") for chunk in raw.split(","))
     return tuple((int(cls), int(weight)) for cls, _, weight in chunks)
@@ -268,7 +277,7 @@ def _scheme(raw: str) -> SplitScheme:
 _CODECS = {
     "str": (str, str),
     "int": (int, str),
-    "float": (float, repr),
+    "float": (_number, repr),
     "bool": (_boolean, lambda value: str(value).lower()),
     "tuple[str, ...]": (lambda raw: tuple(raw.split(",")), ",".join),
     "tuple[tuple[int, int], ...]": (_wrr_pairs, lambda pairs: ",".join(f"{c}:{w}" for c, w in pairs)),

@@ -14,7 +14,9 @@ Volume per subframe depends on where the processing chain is cut:
 A seeded generator produces multi-subframe traces with two-state on/off
 user activity, a reflected random walk over the MCS table, round-robin
 resource-block scheduling, and periodic control (PDCCH every subframe,
-PRACH bursts at a fixed period).
+PRACH bursts at a fixed period). The round-robin grants are computed in
+closed form, per active user rather than per PRB, and equal allocations
+within a trace are one shared `Allocation` object.
 """
 
 from __future__ import annotations
@@ -314,6 +316,50 @@ def _stationary_on_probability(profile: UeProfile) -> float:
     return profile.mean_on / (profile.mean_on + profile.mean_off)
 
 
+class _SharedAllocations(dict):
+    """One `Allocation` per (user index, PRBs, MCS index), made on first use."""
+
+    def __init__(self, profiles: list[UeProfile], table: tuple[McsEntry, ...]):
+        super().__init__()
+        self.profiles, self.table = profiles, table
+
+    def __missing__(self, key: tuple[int, int, int]) -> Allocation:
+        i, n_prbs, mcs = key
+        alloc = self[key] = Allocation(self.profiles[i].ue_id, n_prbs, self.table[mcs])
+        return alloc
+
+
+def _round_robin_grants(demands: list[int], budget: int, start: int) -> list[int]:
+    """PRBs each user holds after `budget` PRBs go out one per visit, round robin.
+
+    The visits run over demands[start:] + demands[:start] and pass over
+    users whose demand is met, until the PRBs or the demands run out.
+    After k full rounds every user holds min(demand, k); the PRBs left
+    then go one each to the next users, in that rotated order, who still
+    want more. Grants come back in the order of `demands`.
+    """
+    if sum(demands) <= budget:
+        return demands
+    # The most full rounds that fit: with the users sorted by demand, the
+    # first `j` are satisfied and the other n - j share what is left.
+    held = 0
+    n = len(demands)
+    for j, demand in enumerate(sorted(demands)):
+        if held + demand * (n - j) > budget:
+            rounds = (budget - held) // (n - j)
+            break
+        held += demand
+    grants = [demand if demand < rounds else rounds for demand in demands]
+    extras = budget - sum(grants)
+    for i in range(start - n, start):  # negative indices wrap: the rotated order
+        if not extras:
+            break
+        if demands[i] > rounds:
+            grants[i] += 1
+            extras -= 1
+    return grants
+
+
 def generate_trace(
     cell: CellConfig,
     scheme: SplitScheme,
@@ -327,7 +373,10 @@ def generate_trace(
     Per subframe every user advances its activity and MCS processes, whole
     PRBs are granted round-robin among active users up to their demand,
     control resources are overlaid, and the scheme volume is recorded.
-    The same seed always yields the identical trace.
+    The grants are computed in closed form (`_round_robin_grants`), so a
+    subframe costs work per active user, not per PRB granted, and equal
+    allocations, the same user with the same PRBs and MCS, share one
+    `Allocation` object. The same seed always yields the identical trace.
     """
     if n_subframes < 1:
         raise ValueError("n_subframes must be >= 1")
@@ -336,53 +385,49 @@ def generate_trace(
         raise ValueError("load-dependent schemes require at least one UE profile")
 
     rng = random.Random(seed)
+    draw, choice = rng.random, rng.choice
     table = DEFAULT_MCS_TABLE
+    top = len(table) - 1
     on = [rng.random() < _stationary_on_probability(p) for p in profiles]
     mcs_idx = [
         p.mcs_init if p.mcs_init is not None else rng.randrange(len(table))
         for p in profiles
     ]
+    # Per user: chance to switch off while on, to switch on while off, to step the MCS.
+    users = [(i, 1.0 / p.mean_on, 1.0 / p.mean_off, p.mcs_step_prob) for i, p in enumerate(profiles)]
+    demand = [p.demand_prbs for p in profiles]
+    shared = _SharedAllocations(profiles, table)
 
     volumes: list[float] = []
     loads: list[SubframeLoad] = []
     for sf in range(n_subframes):
-        for i, p in enumerate(profiles):
+        active = []  # ascending user index
+        for i, p_off, p_on, step_prob in users:
             if on[i]:
-                if rng.random() < 1.0 / p.mean_on:
+                if draw() < p_off:
                     on[i] = False
-            else:
-                if rng.random() < 1.0 / p.mean_off:
-                    on[i] = True
-            if p.mcs_step_prob and rng.random() < p.mcs_step_prob:
-                step = rng.choice((-1, 1))
-                nxt = mcs_idx[i] + step
-                mcs_idx[i] = min(max(nxt, 0), len(table) - 1)  # reflect at the edges
+                else:
+                    active.append(i)
+            elif draw() < p_on:
+                on[i] = True
+                active.append(i)
+            if step_prob and draw() < step_prob:
+                nxt = mcs_idx[i] + choice((-1, 1))
+                if 0 <= nxt <= top:  # reflect at the edges
+                    mcs_idx[i] = nxt
 
-        active = [i for i, a in enumerate(on) if a]
-        granted = {i: 0 for i in active}
+        allocations: tuple[Allocation, ...] = ()
         if active:
-            remaining = cell.n_prb
-            start = sf % len(active)  # rotate the grant order between subframes
-            queue = active[start:] + active[:start]
-            while remaining > 0 and queue:
-                nxt = []
-                for i in queue:
-                    if remaining > 0:
-                        granted[i] += 1
-                        remaining -= 1
-                    if granted[i] < profiles[i].demand_prbs:
-                        nxt.append(i)
-                queue = nxt
+            # rotate the grant order between subframes
+            grants = _round_robin_grants([demand[i] for i in active], cell.n_prb, sf % len(active))
+            allocations = tuple(
+                shared[i, n_prbs, mcs_idx[i]] for i, n_prbs in zip(active, grants) if n_prbs
+            )
 
         control = control_schedule.pdcch_res_per_subframe
         if control_schedule.prach_res and sf % control_schedule.prach_period == 0:
             control += control_schedule.prach_res
 
-        allocations = tuple(
-            Allocation(profiles[i].ue_id, granted[i], table[mcs_idx[i]])
-            for i in active
-            if granted[i] > 0
-        )
         load = SubframeLoad(subframe_index=sf, allocations=allocations, control_res=control)
         loads.append(load)
         volumes.append(subframe_volume(scheme, cell, load))
@@ -394,8 +439,8 @@ def constant_trace(
     cell: CellConfig, scheme: SplitScheme, rate: float, n_subframes: int
 ) -> TrafficTrace:
     """Trace with a fixed offered rate in bits/s, for constant-bit-rate sources."""
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
     per_subframe = rate * cell.subframe_duration
     loads = [SubframeLoad(subframe_index=sf) for sf in range(n_subframes)]
     return TrafficTrace(

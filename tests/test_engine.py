@@ -1,18 +1,25 @@
+import math
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fhsim.engine import (
+    N_CLASSES,
     CircuitFeed,
     RegulatorPolicy,
     Scheduler,
     SwitchConfig,
     SwitchState,
     World,
+    _Port,
     run,
 )
 from fhsim.metrics import assemble_report
 from fhsim.packet import MAX_LABEL
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
 from regulator_oracle import regulate
+from scheduler_oracle import SteppingWrr, strict_priority_pick
 
 
 def policy(frame=1000, timeout=1e-3):
@@ -358,6 +365,18 @@ def two_level_tree_world(capacity=1e9, volume=8000.0):
     return World(PhysicalTopology(nodes, links), {1: first, 2: second}, [feed], egress)
 
 
+class TestHandBuiltWorldIsChecked:
+    @pytest.mark.parametrize("bits", [math.inf, -math.inf, math.nan])
+    def test_feed_refuses_non_finite_volumes(self, bits):
+        # an infinite offer would keep the regulator framing forever
+        with pytest.raises(ValueError, match="volumes must be finite"):
+            CircuitFeed("s", 0, 0, 0, 5, 0, policy(), [8000.0, bits], 1e-3)
+
+    def test_world_refuses_a_zero_wrr_weight(self):
+        with pytest.raises(ValueError, match="wrr_weights"):
+            World(direct_link_topo(), {}, [], {}, wrr_weights=(0,) + (1,) * (N_CLASSES - 1))
+
+
 class TestLabelRange:
     @pytest.mark.parametrize(
         "label, outputs",
@@ -403,3 +422,41 @@ class TestStrictPriorityDominance:
         assert percentile(sp.sessions["hi"].latencies, 99) <= percentile(
             fifo.sessions["hi"].latencies, 99
         )
+
+
+class TestPickMatchesSteppingReference:
+    """`_Port.pick` jumps over empty classes; the reference steps through them."""
+
+    # Each op is (class, n): enqueue n packets in that class, or with
+    # None, pick n times. A few classes per example, in bursts, so that
+    # one class is often alone and its credit runs out and wraps round.
+    ops = st.lists(st.integers(0, N_CLASSES - 1), min_size=1, max_size=4, unique=True).flatmap(
+        lambda classes: st.lists(
+            st.tuples(st.one_of(st.sampled_from(classes), st.none()), st.integers(1, 8)), max_size=60
+        )
+    )
+
+    @staticmethod
+    def replay(scheduler, weights, reference_pick, ops):
+        link = PhysLink(0, 0, 1, 0, capacity=1e9, propagation_delay=0.0)
+        port = _Port(0, 0, link, scheduler, weights, queue_bound=10**9)
+        shadow = [deque() for _ in range(N_CLASSES)]
+        steps = [cls for cls, n in ops for _ in range(n)]
+        for tag, cls in enumerate(steps):
+            if cls is not None:
+                port.queues[cls].append((tag, (cls, tag)))  # as the engine's enqueue does
+                port.nonempty |= 1 << cls
+                shadow[cls].append((cls, tag))
+            elif any(shadow):
+                assert port.pick() == reference_pick(shadow)
+        assert port.nonempty == sum(1 << cls for cls, q in enumerate(shadow) if q)
+
+    @given(weights=st.lists(st.integers(1, 4), min_size=N_CLASSES, max_size=N_CLASSES), ops=ops)
+    @settings(max_examples=300, deadline=None)
+    def test_wrr(self, weights, ops):
+        self.replay(Scheduler.WRR, tuple(weights), SteppingWrr(tuple(weights)).pick, ops)
+
+    @given(ops=ops)
+    @settings(max_examples=100, deadline=None)
+    def test_strict_priority(self, ops):
+        self.replay(Scheduler.STRICT_PRIORITY, (1,) * N_CLASSES, strict_priority_pick, ops)

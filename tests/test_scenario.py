@@ -209,6 +209,13 @@ class TestRunScenario:
             ("delay=1e-6\n\n", "delay=1e-6\nnode = x1 rrh\nnode = x2 bbu\nlink = x1 x2\n\n", 0),
             ("src=r1", "srcs=r1,r2", 18),
             ("dst=b1", "dst=r1", 18),
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=nan", 7),
+            ("link = hub b1 cap=1e9 delay=1e-6", "link = hub b1 cap=1e9 delay=nan", 7),
+            ("seed = 3", "seed = 3\nheader_proc = nan", 25),
+            ("horizon = 0.02", "horizon = nan", 22),
+            ("traffic=trace", "traffic=cbr rate=nan", 18),
+            ("traffic=trace", "traffic=cbr rate=inf", 18),
+            ("mean_on=20", "mean_on=nan", 11),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):

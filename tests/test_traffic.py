@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 
@@ -22,6 +23,7 @@ from fhsim.traffic import (
     subframe_volume,
     write_trace_csv,
 )
+import traffic_oracle
 
 MCS64 = McsEntry(6, 5 / 6)
 EMPTY = SubframeLoad(subframe_index=0)
@@ -222,6 +224,12 @@ def test_constant_trace_rate():
     assert trace.mean_rate() == 8e6
 
 
+@pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+def test_constant_trace_refuses_a_rate_that_is_not_finite_and_non_negative(rate):
+    with pytest.raises(ValueError, match="rate must be finite"):
+        constant_trace(CellConfig(), ClassicalIQ(), rate=rate, n_subframes=10)
+
+
 def test_trace_csv_round_trip(tmp_path):
     cell = CellConfig()
     trace = generate_trace(cell, ModulationBits(), ten_fixed_ues(), ControlSchedule(144, 10, 144), 20, 9)
@@ -234,3 +242,85 @@ def test_trace_csv_round_trip(tmp_path):
     assert first[0] == "0"
     assert first[1] == "modulation_bits"
     assert float(first[2]) == trace.volumes[0]
+
+
+def contended_cell_trace(generate=generate_trace):
+    """One cell whose users often want more PRBs than it has, with mixed demands."""
+    cell = CellConfig(n_prb=23)
+    profiles = [
+        UeProfile(
+            ue_id=i,
+            mean_on=math.inf if i == 0 else 3 + i % 5,
+            mean_off=12 + 6 * (i % 4),
+            demand_prbs=1 + (i * 5) % 11,
+            mcs_step_prob=0.4,
+            mcs_init=i % 6 if i % 3 else None,
+        )
+        for i in range(10)
+    ]
+    return generate(cell, PduLevel(), profiles, ControlSchedule(36, 5, 72), 600, 2024)
+
+
+# sha256 of write_trace_csv for contended_cell_trace(), recorded from the
+# one-PRB-per-step round-robin scheduler that the closed-form grants replace.
+CONTENDED_TRACE_SHA256 = "b00eb4c2c846bfbd4745fa6deb1e40f9f68921adaa2552c2899b4a552e6598ef"
+
+
+def test_contended_trace_csv_is_pinned(tmp_path):
+    trace = contended_cell_trace()
+    assert any(load.total_prbs() == 23 for load in trace.loads)  # the PRBs really run out
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONTENDED_TRACE_SHA256
+
+
+def bitwise(volumes):
+    return [(type(v), repr(v)) for v in volumes]
+
+
+mean_durations = st.one_of(st.just(math.inf), st.floats(1.0, 30.0))
+ue_profiles = st.builds(
+    UeProfile,
+    ue_id=st.integers(0, 99),
+    mean_on=mean_durations,
+    mean_off=mean_durations,
+    demand_prbs=st.integers(1, 15),
+    mcs_step_prob=st.sampled_from([0.0, 0.3, 1.0]),
+    mcs_init=st.one_of(st.none(), st.integers(0, 5)),
+)
+
+
+class TestGrantsMatchStepwiseReference:
+    """The closed-form grants against the one-PRB-per-step generator."""
+
+    @given(
+        n_prb=st.integers(1, 30),
+        profiles=st.lists(ue_profiles, min_size=1, max_size=12),
+        scheme=st.sampled_from([ReExtraction(), ModulationBits(2), PduLevel(), PduLevel(False)]),
+        control=st.builds(ControlSchedule, st.integers(0, 50), st.integers(1, 7), st.integers(0, 80)),
+        n_subframes=st.integers(1, 60),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_volumes_and_loads(self, n_prb, profiles, scheme, control, n_subframes, seed):
+        args = (CellConfig(n_prb=n_prb), scheme, profiles, control, n_subframes, seed)
+        fast = generate_trace(*args)
+        reference = traffic_oracle.generate_trace(*args)
+        assert bitwise(fast.volumes) == bitwise(reference.volumes)
+        assert fast.loads == reference.loads
+
+    def test_contended_cell_matches(self):
+        fast = contended_cell_trace()
+        reference = contended_cell_trace(traffic_oracle.generate_trace)
+        assert bitwise(fast.volumes) == bitwise(reference.volumes)
+        assert fast.loads == reference.loads
+
+
+def test_equal_allocations_share_one_object():
+    profiles = [
+        UeProfile(ue_id=i, mean_on=20, mean_off=20, demand_prbs=1 + i % 9, mcs_step_prob=0.5)
+        for i in range(48)
+    ]
+    trace = generate_trace(CellConfig(), ModulationBits(), profiles, ControlSchedule(), 2000, 5)
+    objects = {id(a) for load in trace.loads for a in load.allocations}
+    assert len(objects) <= len(profiles) * (9 + 1) * 6

@@ -4,24 +4,26 @@ Per-circuit regulators buffer the payload bit stream of a traffic trace
 and frame it into labeled packets (full frames immediately, remainders
 on a holding-time timeout). Switches receive store-and-forward, spend a
 header-processing delay, re-label per their forwarding table, and queue
-packets per latency class on the output port, where a FIFO, strict
-priority, or weighted-round-robin scheduler drains them. Each output
-port keeps a bitmask of its non-empty classes, so strict priority and
-WRR reach the next class to serve without a step per empty class. All
-randomness lives in the traffic traces; given the same world and horizon
-the run is reproducible event for event, with ties broken by insertion
-order.
+packets per latency class on the output port, where a strict priority
+or weighted-round-robin scheduler drains them. A FIFO port is strict
+priority over a single lane: it queues every class in lane 0, so it
+serves in arrival order. Each output port keeps a bitmask of its
+non-empty lanes, so strict priority and WRR reach the next lane to serve
+without a step per empty one. All randomness lives in the traffic
+traces; given the same world and horizon the run is reproducible event
+for event, with ties broken by insertion order.
 
-Packets carry their header fields as plain ints: a hop relabels by
-assignment and a replica is a slot copy, and no `FhHeader` is built
-inside the event loop (only the regulator builds one per emitted frame).
-Labels are range-checked when forwarding entries and circuit feeds are
-created, so none can go out of range in flight, and a feed's volumes
-must be finite, so no offer can frame forever. Labels are scoped per
-(node, input port), so a host binds delivered packets to circuits per
-arrival port: `World.egress` is keyed by (node, in_port, label). All
-per-port and per-packet run state lives in objects made by `run`, so a
-world can be rerun and gives the same result.
+Packets carry their header fields as plain ints: the regulator builds
+each from ints it keeps in range, a hop relabels by assignment and a
+replica is a slot copy, and a validated `FhHeader` is built only at
+serialization, never in a run. Labels are range-checked when forwarding
+entries and circuit feeds are created, so none can go out of range in
+flight, and a feed's volumes must be finite, so no offer can frame
+forever. Labels are scoped per (node, input port), so a host binds
+delivered packets to circuits per arrival port: `World.egress` is keyed
+by (node, in_port, label). All per-port and per-packet run state lives
+in objects made by `run`, so a world can be rerun and gives the same
+result.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .packet import MAX_LABEL, MAX_LATENCY_CLASS, SEQ_MODULUS, FhHeader, FhPacket
+from .packet import MAX_LABEL, MAX_LATENCY_CLASS, SEQ_MODULUS, FhPacket
 from .topology import NodeId, PhysicalTopology
 
 N_CLASSES = 16
@@ -178,20 +180,9 @@ class Regulator:
         if self.buffered_bits <= EPS_BITS:
             self.buffered_bits = 0.0
             self.chunks.clear()
-        header = FhHeader(
-            label=self.feed.label,
-            seq=self.seq,
-            latency_class=self.feed.latency_class,
-            payload_len=payload_bytes,
-        )
+        pkt = FhPacket(self.feed.label, self.seq, self.feed.latency_class, payload_bytes, created_at)
         self.seq = (self.seq + 1) % SEQ_MODULUS
-        return FhPacket(
-            header=header,
-            payload_bits=payload_bytes * 8,
-            created_at=created_at,
-            session_id=self.feed.session_id,
-            circuit_id=self.feed.circuit_id,
-        )
+        return pkt
 
     def offer(self, now: float, bits: float) -> list[FhPacket]:
         """Accept a subframe's payload bits; emit any full frames at once."""
@@ -217,10 +208,12 @@ class Regulator:
 class _Port:
     """One end of a link, within one run.
 
-    As an output it holds the per-class queues and drives the link;
-    as an input it holds the arrival-side state of this port: input
-    buffer occupancy, and the routes (switch) or egress bindings (host)
-    resolved so far, cached per label.
+    As an output it holds the queues and drives the link: class c
+    queues in lane c & lane_mask, one lane per class except under FIFO,
+    whose lane_mask of 0 puts every class in lane 0. As an input it
+    holds the arrival-side state of this port: input buffer occupancy,
+    and the routes (switch) or egress bindings (host) resolved so far,
+    cached per label.
     """
 
     __slots__ = (
@@ -230,6 +223,7 @@ class _Port:
         "capacity",
         "propagation",
         "queues",
+        "lane_mask",
         "nonempty",
         "class_bytes",
         "total_bytes",
@@ -237,11 +231,9 @@ class _Port:
         "scheduler",
         "weights",
         "busy",
-        "arrival_counter",
         "wrr_class",
         "wrr_credit",
         "busy_time",
-        "bytes_carried",
         "peak_queue_bytes",
         "switch",
         "input_bound",
@@ -257,19 +249,18 @@ class _Port:
         self.peer: _Port | None = None  # the port a transmission lands on
         self.capacity = link.capacity
         self.propagation = link.propagation_delay
-        self.queues: list[deque] = [deque() for _ in range(N_CLASSES)]
-        self.nonempty = 0  # bit c set while queues[c] holds a packet
+        self.queues: list[deque[FhPacket]] = [deque() for _ in range(N_CLASSES)]
+        self.lane_mask = 0 if scheduler is Scheduler.FIFO else N_CLASSES - 1
+        self.nonempty = 0  # bit c set while lane c holds a packet
         self.class_bytes = [0] * N_CLASSES
         self.total_bytes = 0
         self.queue_bound = queue_bound
         self.scheduler = scheduler
         self.weights = weights
         self.busy = False
-        self.arrival_counter = 0
         self.wrr_class = 0
         self.wrr_credit = weights[0]
         self.busy_time = 0.0
-        self.bytes_carried = 0
         self.peak_queue_bytes = 0
         self.switch: SwitchState | None = None
         self.input_bound = 0
@@ -281,16 +272,9 @@ class _Port:
     def pick(self) -> FhPacket:
         """Dequeue the next packet to send; at least one queue holds one."""
         mask = self.nonempty
-        if self.scheduler is Scheduler.STRICT_PRIORITY:
-            cls = (mask & -mask).bit_length() - 1  # the lowest non-empty class
-        elif self.scheduler is Scheduler.FIFO:
-            cls = -1
-            best_tag = None
-            for c in range(N_CLASSES):
-                q = self.queues[c]
-                if q and (best_tag is None or q[0][0] < best_tag):
-                    best_tag = q[0][0]
-                    cls = c
+        if self.scheduler is not Scheduler.WRR:
+            # strict priority, and FIFO over its one lane: the lowest non-empty lane
+            cls = (mask & -mask).bit_length() - 1
         else:  # weighted round robin, packet-counted
             cls = self.wrr_class
             if not (mask >> cls & 1 and self.wrr_credit > 0):
@@ -303,7 +287,7 @@ class _Port:
                 self.wrr_credit = self.weights[cls]
             self.wrr_credit -= 1
         q = self.queues[cls]
-        pkt = q.popleft()[1]
+        pkt = q.popleft()
         if not q:
             self.nonempty = mask ^ (1 << cls)
         return pkt
@@ -376,11 +360,12 @@ class SessionRunStats:
 
 @dataclass
 class PortStats:
+    """One output port's figures for a run: a row of links.csv."""
+
     src: NodeId
     dst: NodeId
     utilization: float
     peak_queue_bytes: int
-    bytes_carried: int
 
 
 @dataclass
@@ -444,7 +429,6 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
         port.busy = True
         tx = wire_bytes * 8 / port.capacity
         port.busy_time += min(tx, horizon - now)
-        port.bytes_carried += wire_bytes
         pkt.path += (port.node,)
         heappush(heap, (now + tx, tie(), _TX_DONE, port, None))
         heappush(heap, (now + tx + port.propagation, tie(), _ARRIVAL, port.peer, pkt))
@@ -455,9 +439,9 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
         if port.class_bytes[cls] + wire_bytes > port.queue_bound:
             pkt.stats.dropped_overflow += 1
             return
-        port.queues[cls].append((port.arrival_counter, pkt))
-        port.nonempty |= 1 << cls
-        port.arrival_counter += 1
+        lane = cls & port.lane_mask
+        port.queues[lane].append(pkt)
+        port.nonempty |= 1 << lane
         port.class_bytes[cls] += wire_bytes
         port.total_bytes += wire_bytes
         if port.total_bytes > port.peak_queue_bytes:
@@ -513,7 +497,7 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
                 cstats.out_of_order += 1
         binding[2] = pkt.seq
         stats.latencies.append(now - pkt.created_at)
-        stats.payload_bits_delivered += pkt.payload_bits
+        stats.payload_bits_delivered += pkt.payload_len * 8
         stats.delivered_paths.add(pkt.path + (port.node,))
 
     while heap and heap[0][0] <= horizon:
@@ -575,7 +559,6 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             dst=port.peer.node,
             utilization=(port.busy_time / horizon) if horizon > 0 else 0.0,
             peak_queue_bytes=port.peak_queue_bytes,
-            bytes_carried=port.bytes_carried,
         )
         for (node, _), port in sorted(ports.items())
     ]

@@ -18,7 +18,7 @@ import os
 from bisect import bisect_right
 from dataclasses import astuple, dataclass, fields, replace as dc_replace
 
-from .engine import RunResult, World, run
+from .engine import PortStats, RunResult, World, run
 from .packet import HEADER_BYTES
 
 
@@ -63,19 +63,11 @@ class SessionRecord:
 
 
 @dataclass
-class LinkRecord:
-    src: int
-    dst: int
-    utilization: float
-    peak_queue_bytes: int
-
-
-@dataclass
 class MetricsReport:
     """A run's tables; the fields after `links` are the global.csv keys, in order."""
 
     sessions: list[SessionRecord]
-    links: list[LinkRecord]
+    links: list[PortStats]
     header_overhead_ratio: float
     total_bits_offered: int  # wire bits injected at regulators
     total_bits_carried: int  # wire bits delivered to end equipment
@@ -125,16 +117,10 @@ def assemble_report(
             SessionRecord(session_id, *counts, t.in_flight, t.out_of_order, *map(_ns, latency), violations)
         )
 
-    link_records = [
-        LinkRecord(
-            src=p.src, dst=p.dst, utilization=p.utilization, peak_queue_bytes=p.peak_queue_bytes
-        )
-        for p in result.ports
-    ]
     payload, carried = _carried_bits(result)
     return MetricsReport(
         sessions=session_records,
-        links=link_records,
+        links=result.ports,
         header_overhead_ratio=(carried - payload) / carried if carried else 0.0,
         total_bits_offered=sum(s.wire_bits_injected for s in result.sessions.values()),
         total_bits_carried=carried,

@@ -8,8 +8,9 @@ any out-of-band length field.
 
 Inside the simulator a packet keeps its header fields as plain ints, so
 a switch relabels it by assigning one; a validated `FhHeader` is built
-only at the serialization boundary (`FhPacket.header`). Labels are
-range-checked where forwarding entries are installed, not per hop.
+only at serialization (`FhPacket.header`). Labels are range-checked
+where forwarding entries and circuit feeds are created, not per hop or
+per frame.
 """
 
 from __future__ import annotations
@@ -91,14 +92,15 @@ def deserialize_header(data: bytes) -> FhHeader:
 class FhPacket:
     """A framed payload unit moving through the simulated network.
 
-    Built from a validated header, whose fields it then holds as plain
-    ints (`label` is rewritten at every switch); `header` rebuilds an
-    `FhHeader` from them for serialization. created_at is the arrival
-    time of the oldest payload bit in the frame, so latency measured
-    from it covers regulator wait plus transport. session_id,
-    circuit_id, stats (the origin circuit's counters) and path (the
-    nodes that transmitted it so far) are simulation bookkeeping, not
-    wire state.
+    Holds its header fields as plain ints (`label` is rewritten at every
+    switch); `header` builds a validated `FhHeader` from them, only at
+    serialization. The regulator makes every field in range: the feed
+    checks label and class, seq wraps mod 2^16, and a frame's payload is
+    at most max_frame_bytes <= 0xFFFF. created_at is the arrival time of
+    the oldest payload bit in the frame, so latency measured from it
+    covers regulator wait plus transport. stats (the origin circuit's
+    counters) and path (the nodes that transmitted it so far) are
+    simulation bookkeeping, not wire state.
     """
 
     __slots__ = (
@@ -108,36 +110,27 @@ class FhPacket:
         "flags",
         "payload_len",
         "wire_bytes",
-        "payload_bits",
         "created_at",
-        "session_id",
-        "circuit_id",
         "stats",
         "path",
     )
 
     def __init__(
         self,
-        header: FhHeader,
-        payload_bits: int,
+        label: int,
+        seq: int,
+        latency_class: int,
+        payload_len: int,
         created_at: float,
-        session_id: str = "",
-        circuit_id: int = 0,
+        flags: int = 0,
     ):
-        if payload_bits != header.payload_len * 8:
-            raise ValueError(
-                f"payload_bits {payload_bits} != 8 * payload_len {header.payload_len}"
-            )
-        self.label = header.label
-        self.seq = header.seq
-        self.latency_class = header.latency_class
-        self.flags = header.flags
-        self.payload_len = header.payload_len
-        self.wire_bytes = header.payload_len + HEADER_BYTES
-        self.payload_bits = payload_bits
+        self.label = label
+        self.seq = seq
+        self.latency_class = latency_class
+        self.flags = flags
+        self.payload_len = payload_len
+        self.wire_bytes = payload_len + HEADER_BYTES
         self.created_at = created_at
-        self.session_id = session_id
-        self.circuit_id = circuit_id
         self.stats = None
         self.path: tuple[int, ...] = ()
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 # Defaults reproduce a 20 MHz, 8 antenna, 15-bit cell whose classical
@@ -150,30 +150,36 @@ DEFAULT_MCS_TABLE: tuple[McsEntry, ...] = (
 )
 
 
-class Allocation(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Allocation:
+    """PRBs granted to one user in a subframe, at one MCS; checked once, when made."""
+
     ue_id: int
     n_prbs: int
     mcs: McsEntry
 
+    def __post_init__(self) -> None:
+        if self.n_prbs < 0:
+            raise ValueError("allocation n_prbs must be >= 0")
+        _check_mcs(self.mcs)
+
 
 @dataclass(frozen=True)
 class SubframeLoad:
-    """Scheduled allocations plus periodic control for one subframe."""
+    """Scheduled allocations plus periodic control for one subframe.
+
+    total_prbs, the PRBs of all allocations, is summed once, when made.
+    """
 
     subframe_index: int
     allocations: tuple[Allocation, ...] = ()
     control_res: int = 0
+    total_prbs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.control_res < 0:
             raise ValueError("control_res must be >= 0")
-        for alloc in self.allocations:
-            if alloc.n_prbs < 0:
-                raise ValueError("allocation n_prbs must be >= 0")
-            _check_mcs(alloc.mcs)
-
-    def total_prbs(self) -> int:
-        return sum(a.n_prbs for a in self.allocations)
+        object.__setattr__(self, "total_prbs", sum(a.n_prbs for a in self.allocations))
 
 
 @dataclass(frozen=True)
@@ -245,10 +251,8 @@ class TrafficTrace:
 
 def subframe_volume(scheme: SplitScheme, cell: CellConfig, load: SubframeLoad) -> float:
     """Fronthaul payload bits produced by one subframe under `scheme`."""
-    if load.total_prbs() > cell.n_prb:
-        raise ValueError(
-            f"load allocates {load.total_prbs()} PRBs, cell has {cell.n_prb}"
-        )
+    if load.total_prbs > cell.n_prb:
+        raise ValueError(f"load allocates {load.total_prbs} PRBs, cell has {cell.n_prb}")
     if isinstance(scheme, ClassicalIQ):
         return (
             cell.sampling_rate
@@ -261,7 +265,7 @@ def subframe_volume(scheme: SplitScheme, cell: CellConfig, load: SubframeLoad) -
     if isinstance(scheme, FilteredIQ):
         return subframe_volume(ClassicalIQ(), cell, load) * scheme.filter_factor
     if isinstance(scheme, ReExtraction):
-        active_res = load.total_prbs() * cell.res_per_prb + load.control_res
+        active_res = load.total_prbs * cell.res_per_prb + load.control_res
         return active_res * (2 * cell.iq_bitwidth) * cell.n_antennas * cell.compression_factor
     if isinstance(scheme, ModulationBits):
         data_bits = sum(
@@ -460,5 +464,5 @@ def write_trace_csv(trace: TrafficTrace, path: str) -> None:
         writer.writerow(["subframe_index", "scheme", "volume_bits", "allocated_prbs", "control_res"])
         for load, volume in zip(trace.loads, trace.volumes):
             writer.writerow(
-                [load.subframe_index, name, repr(volume), load.total_prbs(), load.control_res]
+                [load.subframe_index, name, repr(volume), load.total_prbs, load.control_res]
             )

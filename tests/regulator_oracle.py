@@ -14,13 +14,14 @@ def regulate(
     policy: RegulatorPolicy,
     label: int,
     latency_class: int,
+    first_seq: int = 0,
 ) -> list[tuple[float, FhPacket]]:
     """Stand-alone regulator pass over a volume sequence.
 
     Returns (emission time, packet) pairs: full frames the moment the
     buffer reaches max_frame_bytes, remainders when the oldest buffered
     bit has waited frame_timeout. The tail is flushed at its natural
-    timeout after the last subframe.
+    timeout after the last subframe. The first frame gets seq first_seq.
     """
     feed = CircuitFeed(
         session_id="",
@@ -34,6 +35,7 @@ def regulate(
         subframe_duration=subframe_duration,
     )
     reg = Regulator(feed)
+    reg.seq = first_seq
     emissions: list[tuple[float, FhPacket]] = []
     for sf, bits in enumerate(volumes):
         now = sf * subframe_duration

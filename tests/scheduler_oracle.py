@@ -2,9 +2,11 @@
 
 This is how `fhsim.engine._Port.pick` chose a class before it kept a
 bitmask of the non-empty classes. Strict priority scans the classes from
-0 up. Packet-counted WRR serves the current class while it has packets
-and credit; otherwise it steps to the next class, modulo the class
-count, and resets the credit to that class's weight, until it can serve.
+0 up. FIFO serves the oldest packet queued in any class, as the port did
+when it tagged each packet with an arrival counter. Packet-counted WRR
+serves the current class while it has packets and credit; otherwise it
+steps to the next class, modulo the class count, and resets the credit
+to that class's weight, until it can serve.
 """
 
 from fhsim.engine import N_CLASSES
@@ -34,3 +36,8 @@ def strict_priority_pick(queues):
     for q in queues:
         if q:
             return q.popleft()
+
+
+def oldest_first_pick(queues):
+    """Pops and returns the oldest head across the classes; entries are (class, arrival tag)."""
+    return min((q for q in queues if q), key=lambda q: q[0][1]).popleft()

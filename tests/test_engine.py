@@ -19,7 +19,7 @@ from fhsim.metrics import assemble_report
 from fhsim.packet import MAX_LABEL
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
 from regulator_oracle import regulate
-from scheduler_oracle import SteppingWrr, strict_priority_pick
+from scheduler_oracle import SteppingWrr, oldest_first_pick, strict_priority_pick
 
 
 def policy(frame=1000, timeout=1e-3):
@@ -425,7 +425,9 @@ class TestStrictPriorityDominance:
 
 
 class TestPickMatchesSteppingReference:
-    """`_Port.pick` jumps over empty classes; the reference steps through them."""
+    """`_Port.pick` jumps over empty lanes; the reference steps through the
+    classes. A FIFO port queues every class in one lane; its reference
+    serves the oldest packet across the classes."""
 
     # Each op is (class, n): enqueue n packets in that class, or with
     # None, pick n times. A few classes per example, in bursts, so that
@@ -444,12 +446,13 @@ class TestPickMatchesSteppingReference:
         steps = [cls for cls, n in ops for _ in range(n)]
         for tag, cls in enumerate(steps):
             if cls is not None:
-                port.queues[cls].append((tag, (cls, tag)))  # as the engine's enqueue does
-                port.nonempty |= 1 << cls
+                lane = cls & port.lane_mask  # as the engine's enqueue does
+                port.queues[lane].append((cls, tag))  # stands in for a packet
+                port.nonempty |= 1 << lane
                 shadow[cls].append((cls, tag))
             elif any(shadow):
                 assert port.pick() == reference_pick(shadow)
-        assert port.nonempty == sum(1 << cls for cls, q in enumerate(shadow) if q)
+        assert port.nonempty == sum({1 << (cls & port.lane_mask) for cls, q in enumerate(shadow) if q})
 
     @given(weights=st.lists(st.integers(1, 4), min_size=N_CLASSES, max_size=N_CLASSES), ops=ops)
     @settings(max_examples=300, deadline=None)
@@ -460,3 +463,8 @@ class TestPickMatchesSteppingReference:
     @settings(max_examples=100, deadline=None)
     def test_strict_priority(self, ops):
         self.replay(Scheduler.STRICT_PRIORITY, (1,) * N_CLASSES, strict_priority_pick, ops)
+
+    @given(ops=ops)
+    @settings(max_examples=100, deadline=None)
+    def test_fifo(self, ops):
+        self.replay(Scheduler.FIFO, (1,) * N_CLASSES, oldest_first_pick, ops)

@@ -7,6 +7,7 @@ change in what fhsim computes and must be named as such.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -67,6 +68,14 @@ SWEEP_CSV = {
     "device-centric": "d3e398ac825b059bd8351abe468b0ba6e41cc4c79e43f34403cbba19f891d007",
 }
 
+# latency-tiers rerun with scheduler = fifo (the control run of
+# acceptance criterion 3): no bundled scenario runs FIFO.
+FIFO_TIERS = {
+    "global.csv": "f420a52edbd35044bc1b8b33e677890104fb3551855a316542fabe9e2e5372b6",
+    "links.csv": "e98809775626e0a1cabf67da68f99396856099ce3c04d2999d3cfc0a7afae601",
+    "sessions.csv": "c9f8b8399ff90b9a74b895927c9c5ef2c0bb40121e068d90fb36d282ea715ca1",
+}
+
 
 def _digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
@@ -84,3 +93,12 @@ def test_sweep_outputs_match_golden(tmp_path, name):
     text, _ = load_scenario_text(name)
     assert run_scenario(parse_scenario(text, name=name), str(tmp_path), sweep=[64, 512]) == 0
     assert _digests(tmp_path) == {**GOLDEN[name], "sweep.csv": SWEEP_CSV[name]}
+
+
+def test_fifo_outputs_match_golden(tmp_path):
+    text, _ = load_scenario_text("latency-tiers")
+    scenario = parse_scenario(text, name="latency-tiers")
+    fifo = replace(scenario, engine=replace(scenario.engine, scheduler="fifo"))
+    assert run_scenario(fifo, str(tmp_path)) == 0
+    digests = _digests(tmp_path)
+    assert {name: digests[name] for name in FIFO_TIERS} == FIFO_TIERS

@@ -64,29 +64,20 @@ def test_header_field_ranges_validated():
         FhHeader(label=0, seq=0, latency_class=16, flags=0, payload_len=0)
 
 
-def test_packet_payload_bits_must_match_header():
-    h = FhHeader(1, 0, 0, 0, payload_len=10)
-    FhPacket(header=h, payload_bits=80, created_at=0.0)
-    with pytest.raises(ValueError):
-        FhPacket(header=h, payload_bits=79, created_at=0.0)
-
-
 def test_wire_bytes_includes_header():
-    h = FhHeader(1, 0, 0, 0, payload_len=1000)
-    p = FhPacket(header=h, payload_bits=8000, created_at=0.0)
+    p = FhPacket(label=1, seq=0, latency_class=0, payload_len=1000, created_at=0.0)
     assert p.wire_bytes == 1008
 
 
 def test_packet_header_round_trips_through_wire():
     h = FhHeader(label=0x1234, seq=0xBEEF, latency_class=5, flags=3, payload_len=1000)
-    pkt = FhPacket(header=h, payload_bits=8000, created_at=0.0)
+    pkt = FhPacket(label=0x1234, seq=0xBEEF, latency_class=5, payload_len=1000, created_at=0.0, flags=3)
     assert deserialize_header(serialize_header(pkt.header)) == h
 
 
 def test_relabelled_packet_serializes_new_label_only():
-    h = FhHeader(label=1, seq=2, latency_class=3, flags=0, payload_len=10)
-    pkt = FhPacket(header=h, payload_bits=80, created_at=0.0)
+    pkt = FhPacket(label=1, seq=2, latency_class=3, payload_len=10, created_at=0.0)
     clone = pkt.copy()
     clone.label = 9
     assert deserialize_header(serialize_header(clone.header)) == FhHeader(9, 2, 3, 0, 10)
-    assert pkt.header == h
+    assert pkt.header == FhHeader(1, 2, 3, 0, 10)

@@ -1,7 +1,7 @@
 """Property-based checks over randomized inputs: the regulator never
-drops or duplicates payload bits, and arbitrary small worlds keep the
-packet-conservation identity exact whatever the scheduler, frame size,
-or cut-off horizon."""
+drops or duplicates payload bits and only emits packets whose header
+validates, and arbitrary small worlds keep the packet-conservation
+identity exact whatever the scheduler, frame size, or cut-off horizon."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +13,15 @@ from fhsim.engine import (
     SwitchState,
     World,
     run,
+)
+from fhsim.packet import (
+    HEADER_BYTES,
+    MAX_LABEL,
+    MAX_LATENCY_CLASS,
+    SEQ_MODULUS,
+    FhHeader,
+    deserialize_header,
+    serialize_header,
 )
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
 from regulator_oracle import regulate
@@ -47,6 +56,37 @@ class TestRegulatorConservation:
             assert pkt.header.seq == k % 65536
             assert pkt.created_at <= t
             assert 1 <= pkt.header.payload_len <= frame
+
+
+class TestRegulatorEmitsSerializablePackets:
+    """The regulator builds packets from plain ints, with no per-frame
+    header check: the feed checks label and class, seq wraps, and no
+    frame exceeds max_frame_bytes <= 0xFFFF. So every packet's header
+    must validate."""
+
+    @given(
+        frame=st.sampled_from([1, 7, 1000, 65535]),
+        frames_offered=st.lists(
+            st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=20
+        ),
+        first_seq=st.integers(SEQ_MODULUS - 6, SEQ_MODULUS - 1),
+        label=st.integers(0, MAX_LABEL),
+        latency_class=st.integers(0, MAX_LATENCY_CLASS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_header_validates_and_round_trips(
+        self, frame, frames_offered, first_seq, label, latency_class
+    ):
+        policy = RegulatorPolicy(max_frame_bytes=frame, frame_timeout=2.5e-3)
+        volumes = [x * frame * 8 for x in frames_offered]  # up to three frames a subframe
+        emissions = regulate(volumes, 1e-3, policy, label, latency_class, first_seq)
+        for k, (_, pkt) in enumerate(emissions):
+            header = pkt.header  # FhHeader.__post_init__ range-checks every field
+            assert deserialize_header(serialize_header(header)) == header
+            seq = (first_seq + k) % SEQ_MODULUS
+            assert header == FhHeader(label, seq, latency_class, 0, pkt.payload_len)
+            assert pkt.payload_len <= frame
+            assert pkt.wire_bytes == pkt.payload_len + HEADER_BYTES
 
 
 def fuzz_world(scheduler, frame_a, frame_b, volumes_a, volumes_b, queue_bytes):

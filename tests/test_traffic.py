@@ -77,6 +77,23 @@ class TestSubframeVolume:
         assert subframe_volume(ReExtraction(), cell, load) == 100 * 2 * 15 * 8
 
 
+class TestLoadValidation:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Allocation(0, -1, MCS64),
+            lambda: Allocation(0, 1, McsEntry(3, 0.5)),
+            lambda: Allocation(0, 1, McsEntry(4, 0.0)),
+            lambda: Allocation(0, 1, McsEntry(4, 1.5)),
+            lambda: SubframeLoad(0, control_res=-1),
+        ],
+        ids=["negative-prbs", "modulation-3", "code-rate-0", "code-rate-1.5", "negative-control"],
+    )
+    def test_bad_load_is_refused(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
 class TestPeakRate:
     def test_classical_is_9_8304_gbps(self):
         assert peak_rate(ClassicalIQ(), CellConfig()) == 9.8304e9
@@ -197,7 +214,7 @@ class TestGenerateTrace:
         trace = generate_trace(
             cell, ModulationBits(), ten_fixed_ues(), ControlSchedule(144, 10, 144), 1000, 11
         )
-        prbs = [float(load.total_prbs()) for load in trace.loads]
+        prbs = [float(load.total_prbs) for load in trace.loads]
         assert statistics.pstdev(prbs) > 0
         corr = statistics.correlation(prbs, trace.volumes)
         assert corr > 0.9
@@ -211,7 +228,7 @@ class TestGenerateTrace:
     def test_allocation_respects_prb_budget(self):
         cell = CellConfig(n_prb=17)
         trace = generate_trace(cell, ReExtraction(), ten_fixed_ues(demand=5), ControlSchedule(), 300, 13)
-        assert all(load.total_prbs() <= 17 for load in trace.loads)
+        assert all(load.total_prbs <= 17 for load in trace.loads)
 
     def test_load_dependent_scheme_requires_profiles(self):
         with pytest.raises(ValueError):
@@ -268,7 +285,7 @@ CONTENDED_TRACE_SHA256 = "b00eb4c2c846bfbd4745fa6deb1e40f9f68921adaa2552c2899b4a
 
 def test_contended_trace_csv_is_pinned(tmp_path):
     trace = contended_cell_trace()
-    assert any(load.total_prbs() == 23 for load in trace.loads)  # the PRBs really run out
+    assert any(load.total_prbs == 23 for load in trace.loads)  # the PRBs really run out
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CONTENDED_TRACE_SHA256

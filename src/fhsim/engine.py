@@ -11,7 +11,11 @@ serves in arrival order. Each output port keeps a bitmask of its
 non-empty lanes, so strict priority and WRR reach the next lane to serve
 without a step per empty one. All randomness lives in the traffic
 traces; given the same world and horizon the run is reproducible event
-for event, with ties broken by insertion order.
+for event, with ties at equal time broken by scheduling order. The heap
+holds only what can be due next: each circuit's next offer, with the
+tie it would draw if all offers were pushed up front; the end of a
+transmission only once a packet waits behind it; and no arrival at end
+equipment, which takes delivery at transmit start.
 
 Packets carry their header fields as plain ints: the regulator builds
 each from ints it keeps in range, a hop relabels by assignment and a
@@ -132,6 +136,8 @@ class CircuitFeed:
             raise ValueError(f"latency_class out of range: {self.latency_class}")
         if not all(map(math.isfinite, self.volumes)):
             raise ValueError("volumes must be finite")
+        if not 0 <= self.subframe_duration < math.inf:  # offers come in time order
+            raise ValueError("subframe_duration must be finite and >= 0")
 
 
 @dataclass
@@ -198,10 +204,16 @@ class Regulator:
         return out
 
     def flush(self) -> list[FhPacket]:
-        """Timeout: emit the whole remainder, rounded up to whole bytes."""
-        if self.buffered_bits <= EPS_BITS:
-            return []
+        """Timeout: emit the whole remainder, rounded up to whole bytes.
+
+        A remainder that rounds to no byte is float dust: it is dropped
+        with its chunks, and no frame is emitted.
+        """
         payload_bytes = math.ceil(self.buffered_bits / 8 - EPS_BITS)
+        if payload_bytes < 1:
+            self.buffered_bits = 0.0
+            self.chunks.clear()
+            return []
         return [self._emit(payload_bytes, self.buffered_bits)]
 
 
@@ -230,7 +242,7 @@ class _Port:
         "queue_bound",
         "scheduler",
         "weights",
-        "busy",
+        "done",
         "wrr_class",
         "wrr_credit",
         "busy_time",
@@ -257,7 +269,9 @@ class _Port:
         self.queue_bound = queue_bound
         self.scheduler = scheduler
         self.weights = weights
-        self.busy = False
+        # the end of the current transmission while it is not in the heap,
+        # None while it is; a key already past means the port is idle
+        self.done: tuple | None = _IDLE
         self.wrr_class = 0
         self.wrr_credit = weights[0]
         self.busy_time = 0.0
@@ -341,6 +355,8 @@ class CircuitStats:
 
 @dataclass
 class SessionRunStats:
+    # by arrival at each port; across ports, by transmit start, so a tree
+    # session's ports may interleave out of arrival order (reports sort)
     latencies: list[float] = field(default_factory=list)
     circuits: dict[int, CircuitStats] = field(default_factory=dict)
     delivered_paths: set[tuple[NodeId, ...]] = field(default_factory=set)
@@ -383,6 +399,7 @@ class RunResult:
 
 # Event codes; ties at equal time resolve by scheduling order.
 _OFFER, _REG_TIMEOUT, _ARRIVAL, _PROC_DONE, _TX_DONE = range(5)
+_IDLE = (-math.inf,)  # a transmit-done key before every event: the port is idle
 
 
 def run(world: World, horizon: float, seed: int = 0) -> RunResult:
@@ -392,6 +409,18 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
     horizon, and seed give a byte-identical report); the data plane
     itself introduces no randomness beyond the traces already in the
     world.
+
+    Events pop in (time, tie) order, and the heap holds only what can
+    be due next. Offers keep the ties they would draw if all were pushed
+    up front, 0..n-1 in (circuit, subframe) order, though each circuit
+    has only its next offer in the heap. A transmission reserves its
+    end's key when it starts, and that end is pushed only when a packet
+    waits behind it: a port whose reserved key is already past is idle.
+    End equipment takes delivery at transmit start, stamped with the
+    arrival time, when that time is within the horizon; later arrivals
+    stay in the heap and count as residual. So every figure is what
+    pushing every event would give, and only the order of a tree
+    session's latencies across its ports differs.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -407,31 +436,50 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             (ports.get((feed.ingress_node, feed.ingress_port)), stats.circuit(feed.circuit_id), stats)
         )
 
-    # Events are (time, tie, code, a, b); ties at equal time resolve by
-    # the order they were pushed in.
+    # Events are (time, tie, code, a, b); offers take ties 0..n-1 and
+    # every other event draws the next tie when it is scheduled.
     heap: list[tuple] = []
     heappush, heappop = heapq.heappush, heapq.heappop
-    tie = itertools.count().__next__
-
+    chains = []  # per circuit: its offer events still to come, the next one last
+    n_offers = 0
     for idx, feed in enumerate(world.circuits):
+        offers = []
         for sf, bits in enumerate(feed.volumes):
             t = sf * feed.subframe_duration
             if t > horizon:
                 break
             if bits > EPS_BITS:
-                heappush(heap, (t, tie(), _OFFER, idx, sf))
+                offers.append((t, n_offers, _OFFER, idx, bits))
+                n_offers += 1
+        offers.reverse()
+        chains.append(offers)
+    for chain in chains:
+        if chain:
+            heappush(heap, chain.pop())
+    tie = itertools.count(n_offers).__next__
+    event: tuple = ()  # the event being handled
 
     def start_tx(port: _Port, now: float) -> None:
         pkt = port.pick()
         wire_bytes = pkt.wire_bytes
         port.class_bytes[pkt.latency_class] -= wire_bytes
         port.total_bytes -= wire_bytes
-        port.busy = True
         tx = wire_bytes * 8 / port.capacity
         port.busy_time += min(tx, horizon - now)
         pkt.path += (port.node,)
-        heappush(heap, (now + tx, tie(), _TX_DONE, port, None))
-        heappush(heap, (now + tx + port.propagation, tie(), _ARRIVAL, port.peer, pkt))
+        end = now + tx
+        done = (end, tie(), _TX_DONE, port, None)
+        if port.total_bytes > 0:
+            heappush(heap, done)
+            port.done = None
+        else:  # pushed only if a packet queues behind it
+            port.done = done
+        at = end + port.propagation
+        peer = port.peer
+        if peer.switch is None and at <= horizon:
+            deliver(peer, pkt, at)
+        else:
+            heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
 
     def enqueue(port: _Port, pkt: FhPacket, now: float) -> None:
         cls = pkt.latency_class
@@ -446,8 +494,13 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
         port.total_bytes += wire_bytes
         if port.total_bytes > port.peak_queue_bytes:
             port.peak_queue_bytes = port.total_bytes
-        if not port.busy:
-            start_tx(port, now)
+        done = port.done
+        if done is not None:  # no transmit-done in the heap
+            if done < event:  # the port went idle before this event
+                start_tx(port, now)
+            else:
+                heappush(heap, done)
+                port.done = None
 
     def inject(idx: int, emitted: list[FhPacket], now: float) -> None:
         port, cstats, stats = ingress[idx]
@@ -501,12 +554,10 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
         stats.delivered_paths.add(pkt.path + (port.node,))
 
     while heap and heap[0][0] <= horizon:
-        now, _, code, a, b = heappop(heap)
-        if code == _ARRIVAL:
+        event = heappop(heap)
+        now, _, code, a, b = event
+        if code == _ARRIVAL:  # at a switch: end equipment took delivery at transmit start
             port, pkt = a, b
-            if port.switch is None:
-                deliver(port, pkt, now)
-                continue
             occupied = port.occupancy + pkt.wire_bytes
             if occupied > port.input_bound:
                 pkt.stats.dropped_overflow += 1
@@ -532,14 +583,13 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             for branch, (out, out_label) in zip(branches, outputs):
                 branch.label = out_label
                 enqueue(out, branch, now)
-        elif code == _TX_DONE:
-            port = a
-            port.busy = False
-            if port.total_bytes > 0:
-                start_tx(port, now)
+        elif code == _TX_DONE:  # pushed only with a packet waiting
+            start_tx(a, now)
         elif code == _OFFER:
-            emitted = regulators[a].offer(now, world.circuits[a].volumes[b])
-            inject(a, emitted, now)
+            chain = chains[a]
+            if chain:
+                heappush(heap, chain.pop())
+            inject(a, regulators[a].offer(now, b), now)
             reschedule_timeout(a)
         else:  # _REG_TIMEOUT
             reg = regulators[a]

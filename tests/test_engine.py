@@ -61,6 +61,16 @@ class TestRegulate:
         assert seqs[65535] == 65535
         assert seqs[65536] == 0
 
+    def test_dust_remainder_emits_no_frame(self):
+        # 5e-6 bits pass the offer's dust gate but round to 0 bytes at the timeout
+        assert regulate([5e-6], 1e-3, RegulatorPolicy(1000, 1e-3), 1, 0) == []
+
+    def test_dust_remainder_leaves_no_backlog_in_a_run(self):
+        feed = CircuitFeed("s", 0, 0, 0, 5, 0, RegulatorPolicy(1000, 1e-3), [5e-6], 1e-3)
+        res = run(World(direct_link_topo(), {}, [feed], {(1, 0, 5): ("s", 0)}), horizon=0.1)
+        assert res.total().injected == 0
+        assert res.regulator_backlog_bits == {"s/0": 0.0}
+
     def test_created_at_is_first_bit_arrival(self):
         # 4,000 bits at t=0 and 4,000 at t=1ms fill one 1,000-byte frame
         emissions = regulate([4000.0, 4000.0], 1e-3, policy(frame=1000, timeout=5e-3), 1, 0)
@@ -371,6 +381,11 @@ class TestHandBuiltWorldIsChecked:
         # an infinite offer would keep the regulator framing forever
         with pytest.raises(ValueError, match="volumes must be finite"):
             CircuitFeed("s", 0, 0, 0, 5, 0, policy(), [8000.0, bits], 1e-3)
+
+    @pytest.mark.parametrize("duration", [-1e-3, math.inf, math.nan])
+    def test_feed_refuses_a_subframe_duration_out_of_time_order(self, duration):
+        with pytest.raises(ValueError, match="subframe_duration"):
+            CircuitFeed("s", 0, 0, 0, 5, 0, policy(), [8000.0], duration)
 
     def test_world_refuses_a_zero_wrr_weight(self):
         with pytest.raises(ValueError, match="wrr_weights"):

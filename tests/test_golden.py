@@ -76,6 +76,14 @@ FIFO_TIERS = {
     "sessions.csv": "c9f8b8399ff90b9a74b895927c9c5ef2c0bb40121e068d90fb36d282ea715ca1",
 }
 
+# latency-tiers rerun with scheduler = wrr, 3 packets a visit for the
+# urgent class 0 and 2 for class 7: no bundled scenario runs WRR.
+WRR_TIERS = {
+    "global.csv": "f420a52edbd35044bc1b8b33e677890104fb3551855a316542fabe9e2e5372b6",
+    "links.csv": "345721b18a8aea846640fba1d2632071723fe2759e9ddcea8e7744b1d05d4599",
+    "sessions.csv": "4bdb5d8d8d962c46783be161a6a5880ead4e2e3fc7ebe77754a3f0c8fa987903",
+}
+
 
 def _digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
@@ -102,3 +110,12 @@ def test_fifo_outputs_match_golden(tmp_path):
     assert run_scenario(fifo, str(tmp_path)) == 0
     digests = _digests(tmp_path)
     assert {name: digests[name] for name in FIFO_TIERS} == FIFO_TIERS
+
+
+def test_wrr_outputs_match_golden(tmp_path):
+    text, _ = load_scenario_text("latency-tiers")
+    scenario = parse_scenario(text, name="latency-tiers")
+    engine = replace(scenario.engine, scheduler="wrr", wrr_weights=((0, 3), (7, 2)))
+    assert run_scenario(replace(scenario, engine=engine), str(tmp_path)) == 0
+    digests = _digests(tmp_path)
+    assert {name: digests[name] for name in WRR_TIERS} == WRR_TIERS

@@ -12,10 +12,12 @@ non-empty lanes, so strict priority and WRR reach the next lane to serve
 without a step per empty one. All randomness lives in the traffic
 traces; given the same world and horizon the run is reproducible event
 for event, with ties at equal time broken by scheduling order. The heap
-holds only what can be due next: each circuit's next offer, with the
-tie it would draw if all offers were pushed up front; the end of a
-transmission only once a packet waits behind it; and no arrival at end
-equipment, which takes delivery at transmit start.
+holds only what can be due next: one event per circuit, its regulator's
+timeout if that falls strictly before the circuit's next offer and else
+that offer, with the tie it would draw if all offers were pushed up
+front, so no event goes stale; the end of a transmission only once a
+packet waits behind it; and no arrival at end equipment, which takes
+delivery at transmit start.
 
 Packets carry their header fields as plain ints: the regulator builds
 each from ints it keeps in range, a hop relabels by assignment and a
@@ -165,7 +167,6 @@ class Regulator:
         self.buffered_bits = 0.0
         self.peak_buffered_bits = 0.0
         self.seq = 0
-        self.generation = 0  # invalidates superseded timeout events
 
     def deadline(self) -> float | None:
         if not self.chunks:
@@ -402,18 +403,22 @@ _OFFER, _REG_TIMEOUT, _ARRIVAL, _PROC_DONE, _TX_DONE = range(5)
 _IDLE = (-math.inf,)  # a transmit-done key before every event: the port is idle
 
 
-def run(world: World, horizon: float, seed: int = 0) -> RunResult:
+def run(world: World, horizon: float) -> RunResult:
     """Run the world to the horizon and return per-session statistics.
 
-    `seed` is part of the reproducibility contract (identical world,
-    horizon, and seed give a byte-identical report); the data plane
-    itself introduces no randomness beyond the traces already in the
-    world.
+    The data plane introduces no randomness beyond the traces already
+    in the world, so an identical world and horizon give an identical
+    result.
 
     Events pop in (time, tie) order, and the heap holds only what can
     be due next. Offers keep the ties they would draw if all were pushed
-    up front, 0..n-1 in (circuit, subframe) order, though each circuit
-    has only its next offer in the heap. A transmission reserves its
+    up front, 0..n-1 in (circuit, subframe) order. Each circuit has one
+    event in the heap: its regulator's timeout if that falls strictly
+    before the circuit's next offer, else that offer. An offer at the
+    deadline pops first, having the lower tie, and schedules again; a
+    timeout flushes the regulator empty and pushes the next offer. So no
+    timeout is ever superseded, and only a pushed timeout draws a tie,
+    which keeps the order of all the others. A transmission reserves its
     end's key when it starts, and that end is pushed only when a packet
     waits behind it: a port whose reserved key is already past is idle.
     End equipment takes delivery at transmit start, stamped with the
@@ -422,9 +427,8 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
     pushing every event would give, and only the order of a tree
     session's latencies across its ports differs.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    del seed  # reproducibility handle; the event loop is fully deterministic
+    if not 0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and >= 0")
 
     ports = _wire_ports(world)
     regulators = [Regulator(feed) for feed in world.circuits]
@@ -510,13 +514,6 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             stats.wire_bits_injected += pkt.wire_bytes * 8
             enqueue(port, pkt, now)
 
-    def reschedule_timeout(idx: int) -> None:
-        reg = regulators[idx]
-        reg.generation += 1
-        deadline = reg.deadline()
-        if deadline is not None:
-            heappush(heap, (deadline, tie(), _REG_TIMEOUT, idx, reg.generation))
-
     def route(port: _Port, label: int) -> tuple[tuple[_Port, int], ...] | None:
         outputs = port.switch.lookup(port.port_no, label)
         if outputs is not None:
@@ -585,18 +582,15 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
                 enqueue(out, branch, now)
         elif code == _TX_DONE:  # pushed only with a packet waiting
             start_tx(a, now)
-        elif code == _OFFER:
-            chain = chains[a]
-            if chain:
-                heappush(heap, chain.pop())
-            inject(a, regulators[a].offer(now, b), now)
-            reschedule_timeout(a)
-        else:  # _REG_TIMEOUT
+        else:  # _OFFER or _REG_TIMEOUT, the one event of circuit a in the heap
             reg = regulators[a]
-            if b != reg.generation:
-                continue
-            inject(a, reg.flush(), now)
-            reschedule_timeout(a)
+            inject(a, reg.offer(now, b) if code == _OFFER else reg.flush(), now)
+            deadline = reg.deadline()  # None after a flush
+            chain = chains[a]
+            if deadline is not None and (not chain or deadline < chain[-1][0]):
+                heappush(heap, (deadline, tie(), _REG_TIMEOUT, a, None))
+            elif chain:
+                heappush(heap, chain.pop())
 
     residual = sum(len(q) for port in ports.values() for q in port.queues)
     for event in heap:

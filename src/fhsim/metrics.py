@@ -138,7 +138,6 @@ def overhead_sweep(
     world: World,
     frame_sizes: list[int],
     horizon: float,
-    seed: int = 0,
 ) -> list[tuple[int, float, int]]:
     """Re-run the world once per frame size with identical inputs.
 
@@ -154,7 +153,7 @@ def overhead_sweep(
             dc_replace(feed, policy=dc_replace(feed.policy, max_frame_bytes=size))
             for feed in world.circuits
         ]
-        result = run(dc_replace(world, circuits=circuits), horizon, seed)
+        result = run(dc_replace(world, circuits=circuits), horizon)
         latencies = [v for s in result.sessions.values() for v in s.latencies]
         p99 = _ns(percentile(latencies, 99)) if latencies else 0
         rows.append((size, measured_efficiency(result), p99))

@@ -207,8 +207,8 @@ class EngineSpec:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError("horizon must be finite and >= 0")
         if self.subframes < 1:
             raise ValueError("subframes must be >= 1")
         self.switch_config()
@@ -781,13 +781,13 @@ def run_scenario(
         write_trace_csv(trace, os.path.join(out_dir, f"trace_{node_name}.csv"))
 
     horizon = built.scenario.engine.horizon
-    result = run(built.world, horizon, built.scenario.engine.seed)
+    result = run(built.world, horizon)
     report = assemble_report(result, built.bounds)
     write_report_csvs(report, out_dir)
     built.controller.write_log_csv(os.path.join(out_dir, "control_log.csv"))
 
     if sweep:
-        rows = overhead_sweep(built.world, sweep, horizon, built.scenario.engine.seed)
+        rows = overhead_sweep(built.world, sweep, horizon)
         write_sweep_csv(rows, os.path.join(out_dir, "sweep.csv"))
 
     mandatory = {s.name for s in scenario.sessions if not s.optional}

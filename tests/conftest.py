@@ -17,7 +17,7 @@ def bundled_runs():
         text, _ = load_scenario_text(name)
         scenario = parse_scenario(text, name=name)
         built = build_scenario(scenario)
-        result = run(built.world, scenario.engine.horizon, scenario.engine.seed)
+        result = run(built.world, scenario.engine.horizon)
         report = assemble_report(result, built.bounds)
         runs[name] = (scenario, built, result, report)
     return runs

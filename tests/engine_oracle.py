@@ -1,12 +1,15 @@
 """Reference event loop: every event in the heap from the start.
 
-This is the `fhsim.engine.run` that the chained offers, the lazy
-transmit-done and delivery at transmit start replaced. It pushes every
-offer of every circuit before the first pop, pushes the end of every
-transmission and pops every arrival at end equipment, so it is slow but
-plainly right. Its one change of logic is that a port's busy flag
-lives in a set here, since `_Port` no longer has one. The property
-tests require that both give the same result, up to the order of a tree
+This is the `fhsim.engine.run` that the chained offers, the one event
+per circuit, the lazy transmit-done and delivery at transmit start
+replaced. It pushes every offer of every circuit before the first pop,
+a new regulator timeout after every offer, the end of every
+transmission, and pops every arrival at end equipment, so it is slow
+but plainly right. Two pieces of its state live here, since the engine
+no longer needs them: each circuit's generation counter, which skips a
+superseded timeout when it pops, and a set of busy ports, in place of
+a flag on `_Port`. Neither changes its logic. The property tests
+require that both give the same result, up to the order of a tree
 session's latencies across its ports.
 """
 
@@ -28,14 +31,14 @@ from fhsim.packet import SEQ_MODULUS, FhPacket
 _OFFER, _REG_TIMEOUT, _ARRIVAL, _PROC_DONE, _TX_DONE = range(5)
 
 
-def run(world: World, horizon: float, seed: int = 0) -> RunResult:
+def run(world: World, horizon: float) -> RunResult:
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    del seed
 
     ports = _wire_ports(world)
     busy: set[_Port] = set()
     regulators = [Regulator(feed) for feed in world.circuits]
+    generation = [0] * len(regulators)  # per circuit: invalidates superseded timeouts
     sessions: dict[str, SessionRunStats] = {}
     ingress = []  # per circuit: (ingress port, circuit stats, session stats)
     for feed in world.circuits:
@@ -95,11 +98,10 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             enqueue(port, pkt, now)
 
     def reschedule_timeout(idx: int) -> None:
-        reg = regulators[idx]
-        reg.generation += 1
-        deadline = reg.deadline()
+        generation[idx] += 1
+        deadline = regulators[idx].deadline()
         if deadline is not None:
-            heappush(heap, (deadline, tie(), _REG_TIMEOUT, idx, reg.generation))
+            heappush(heap, (deadline, tie(), _REG_TIMEOUT, idx, generation[idx]))
 
     def route(port: _Port, label: int):
         outputs = port.switch.lookup(port.port_no, label)
@@ -174,10 +176,9 @@ def run(world: World, horizon: float, seed: int = 0) -> RunResult:
             inject(a, emitted, now)
             reschedule_timeout(a)
         else:  # _REG_TIMEOUT
-            reg = regulators[a]
-            if b != reg.generation:
+            if b != generation[a]:
                 continue
-            inject(a, reg.flush(), now)
+            inject(a, regulators[a].flush(), now)
             reschedule_timeout(a)
 
     residual = sum(len(q) for port in ports.values() for q in port.queues)

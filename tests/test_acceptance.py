@@ -104,7 +104,7 @@ def test_criterion_3_latency_guarantee(bundled_runs):
     assert urgent.bound_violations == 0
 
     fifo = build_scenario(replace(scenario, engine=replace(scenario.engine, scheduler="fifo")))
-    fifo_result = run(fifo.world, scenario.engine.horizon, scenario.engine.seed)
+    fifo_result = run(fifo.world, scenario.engine.horizon)
     fifo_report = assemble_report(fifo_result, fifo.bounds)
     assert fifo_report.session("urgent").bound_violations >= 1
     _ok(
@@ -191,7 +191,7 @@ def test_criterion_6_header_and_overhead():
         "s", 0, 0, 0, 1, 0, RegulatorPolicy(1000, 1e-3), [80000.0] * 50, 1e-3
     )
     world = World(topo, {}, [feed], {(1, 0, 1): ("s", 0)})
-    result = run(world, 0.1, 0)
+    result = run(world, 0.1)
     assert abs(measured_efficiency(result) - 1000 / 1008) < 1e-9
 
     rows = overhead_sweep(world, [64, 256, 1000, 4000], horizon=0.06)

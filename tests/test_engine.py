@@ -319,8 +319,8 @@ class TestRun:
             ]
             return World(topo, {2: switch}, feeds, {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
 
-        r1 = run(build(), horizon=0.1, seed=9)
-        r2 = run(build(), horizon=0.1, seed=9)
+        r1 = run(build(), horizon=0.1)
+        r2 = run(build(), horizon=0.1)
         assert r1.sessions["a"].latencies == r2.sessions["a"].latencies
         assert r1.sessions["b"].latencies == r2.sessions["b"].latencies
         assert [p.__dict__ for p in r1.ports] == [p.__dict__ for p in r2.ports]
@@ -386,6 +386,13 @@ class TestHandBuiltWorldIsChecked:
     def test_feed_refuses_a_subframe_duration_out_of_time_order(self, duration):
         with pytest.raises(ValueError, match="subframe_duration"):
             CircuitFeed("s", 0, 0, 0, 5, 0, policy(), [8000.0], duration)
+
+    @pytest.mark.parametrize("horizon", [-1.0, math.inf, math.nan])
+    def test_run_refuses_a_horizon_that_is_not_finite_and_non_negative(self, horizon):
+        # an infinite horizon reads every utilization as 0, and nan runs nothing
+        world = World(direct_link_topo(), {}, [], {})
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            run(world, horizon)
 
     def test_world_refuses_a_zero_wrr_weight(self):
         with pytest.raises(ValueError, match="wrr_weights"):

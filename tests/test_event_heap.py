@@ -1,11 +1,11 @@
 """The event heap holds only what can be due next, and nothing else changes.
 
-`fhsim.engine.run` keeps one offer per circuit in the heap, pushes the
-end of a transmission only when a packet waits behind it, and delivers
-to end equipment at transmit start. `engine_oracle.run` pushes every
-event; on random small worlds both must give the same result. All times
-in these worlds are dyadic, so events at equal times are common and the
-tie rule decides their order.
+`fhsim.engine.run` keeps one offer or regulator timeout per circuit in
+the heap, pushes the end of a transmission only when a packet waits
+behind it, and delivers to end equipment at transmit start.
+`engine_oracle.run` pushes every event; on random small worlds both
+must give the same result. All times in these worlds are dyadic, so
+events at equal times are common and the tie rule decides their order.
 """
 
 import heapq
@@ -161,15 +161,17 @@ class TestMatchesEveryEventInTheHeap:
 
 class TestHeapHoldsOnlyWhatIsDue:
     def test_latency_tiers_heap_stays_small(self, monkeypatch):
-        pushes, peak, pending = 0, 0, set()
+        pushes, peak, timeouts, flushes, pending = 0, 0, 0, 0, set()
+        regulated = (fhsim.engine._OFFER, fhsim.engine._REG_TIMEOUT)
 
         class CountingHeapq:
             @staticmethod
             def heappush(heap, item):
-                nonlocal pushes, peak
-                if item[2] == fhsim.engine._OFFER:
-                    assert item[3] not in pending  # one offer per circuit at most
+                nonlocal pushes, peak, timeouts
+                if item[2] in regulated:
+                    assert item[3] not in pending  # one offer or timeout per circuit
                     pending.add(item[3])
+                    timeouts += item[2] == fhsim.engine._REG_TIMEOUT
                 heapq.heappush(heap, item)
                 pushes += 1
                 peak = max(peak, len(heap))
@@ -177,16 +179,27 @@ class TestHeapHoldsOnlyWhatIsDue:
             @staticmethod
             def heappop(heap):
                 item = heapq.heappop(heap)
-                if item[2] == fhsim.engine._OFFER:
+                if item[2] in regulated:
                     pending.remove(item[3])
                 return item
 
+        flush = fhsim.engine.Regulator.flush
+
+        def counting_flush(reg):
+            nonlocal flushes
+            flushes += 1
+            return flush(reg)
+
         monkeypatch.setattr(fhsim.engine, "heapq", CountingHeapq)
+        monkeypatch.setattr(fhsim.engine.Regulator, "flush", counting_flush)
         text, _ = load_scenario_text("latency-tiers")
         scenario = parse_scenario(text, name="latency-tiers")
         world = build_scenario(scenario).world
         result = run(world, scenario.engine.horizon)
         assert result.total().delivered == 162_688
-        # pushing every event came to 1,310,594 pushes and a heap of 5,080
-        assert pushes <= 1_079_156
+        # pushing every event came to 1,310,594 pushes and a heap of 5,080;
+        # a timeout after every offer, to 1,079,156 pushes and 4,040 timeouts
+        assert pushes <= 1_075_140
         assert peak < 64
+        # no timeout is superseded: each one pushed pops and flushes
+        assert timeouts == flushes == 24

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fhsim.engine import (
     CircuitFeed,
+    Regulator,
     RegulatorPolicy,
     Scheduler,
     SwitchConfig,
@@ -56,6 +57,24 @@ class TestRegulatorConservation:
             assert pkt.header.seq == k % 65536
             assert pkt.created_at <= t
             assert 1 <= pkt.header.payload_len <= frame
+
+    @given(
+        offers=st.lists(
+            st.one_of(st.just(0.0), st.just(5e-6), st.floats(0, 120_000)),
+            max_size=30,
+        ),
+        frame=st.integers(1, 4000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_flush_leaves_nothing_buffered(self, offers, frame):
+        # the engine pushes no timeout after a flush, so none may be due
+        feed = CircuitFeed("s", 0, 0, 0, 1, 0, RegulatorPolicy(frame, 1e-3), [], 1e-3)
+        reg = Regulator(feed)
+        for k, bits in enumerate(offers):
+            reg.offer(k * 1e-4, bits)
+        reg.flush()
+        assert reg.deadline() is None
+        assert reg.buffered_bits == 0.0
 
 
 class TestRegulatorEmitsSerializablePackets:

@@ -195,6 +195,7 @@ class TestRunScenario:
             ("mcs_step=0.2", "mcs_step=0.2 mcs_init=99", 11),
             ("pdcch=100", "pdcch=-100", 12),
             ("horizon = 0.02", "horizon = -1", 22),
+            ("horizon = 0.02", "horizon = inf", 22),
             ("seed = 3", "seed = 3\nqueue_bytes = 0", 25),
             ("source = b1 quality=0", "source = b1 quality=0\nregen = 0.5 junk", 16),
             ("src=r1", "src=r1 srcs=r1", 18),

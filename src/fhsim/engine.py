@@ -38,6 +38,7 @@ import heapq
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -61,7 +62,7 @@ class RegulatorPolicy:
     def __post_init__(self) -> None:
         if not 1 <= self.max_frame_bytes <= 0xFFFF:
             raise ValueError("max_frame_bytes must be in 1..65535")
-        if self.frame_timeout <= 0:
+        if not 0 < self.frame_timeout:  # NaN fails too
             raise ValueError("frame_timeout must be > 0")
 
 
@@ -83,7 +84,7 @@ class SwitchConfig:
         _check_wrr_weights(self.wrr_weights)
         if self.queue_bytes < 1 or self.input_buffer_bytes < 1:
             raise ValueError("buffer bounds must be >= 1 byte")
-        if self.header_processing_delay < 0:
+        if not 0 <= self.header_processing_delay:  # NaN fails too
             raise ValueError("header_processing_delay must be >= 0")
 
 
@@ -178,7 +179,8 @@ class Regulator:
         need = consume_bits
         while need > EPS_BITS:
             head = self.chunks[0]
-            take = min(head[1], need)
+            bits = head[1]
+            take = bits if bits < need else need
             head[1] -= take
             need -= take
             if head[1] <= EPS_BITS:
@@ -354,11 +356,38 @@ class CircuitStats:
         )
 
 
+class Latencies:
+    """Delivered latencies as an exact value -> packet count map.
+
+    Memory grows with the distinct latencies, not the packets. `len` is
+    the number of samples, and iterating yields every sample in
+    ascending order, so `sorted`, `min` and `max` read it as the list
+    of latencies it stands for.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict[float, int] | None = None):
+        self.counts: dict[float, int] = {} if counts is None else counts
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def __iter__(self) -> Iterator[float]:
+        ordered = sorted(self.counts.items())
+        return itertools.chain.from_iterable(itertools.repeat(v, c) for v, c in ordered)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Latencies) and self.counts == other.counts
+
+    def __repr__(self) -> str:
+        return f"Latencies({self.counts!r})"
+
+
 @dataclass
 class SessionRunStats:
-    # by arrival at each port; across ports, by transmit start, so a tree
-    # session's ports may interleave out of arrival order (reports sort)
-    latencies: list[float] = field(default_factory=list)
+    # end-to-end latency of each delivered packet, counted per exact value
+    latencies: Latencies = field(default_factory=Latencies)
     circuits: dict[int, CircuitStats] = field(default_factory=dict)
     delivered_paths: set[tuple[NodeId, ...]] = field(default_factory=set)
     payload_bits_delivered: int = 0
@@ -424,8 +453,7 @@ def run(world: World, horizon: float) -> RunResult:
     End equipment takes delivery at transmit start, stamped with the
     arrival time, when that time is within the horizon; later arrivals
     stay in the heap and count as residual. So every figure is what
-    pushing every event would give, and only the order of a tree
-    session's latencies across its ports differs.
+    pushing every event would give.
     """
     if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and >= 0")
@@ -469,7 +497,8 @@ def run(world: World, horizon: float) -> RunResult:
         port.class_bytes[pkt.latency_class] -= wire_bytes
         port.total_bytes -= wire_bytes
         tx = wire_bytes * 8 / port.capacity
-        port.busy_time += min(tx, horizon - now)
+        left = horizon - now
+        port.busy_time += tx if tx < left else left
         pkt.path += (port.node,)
         end = now + tx
         done = (end, tie(), _TX_DONE, port, None)
@@ -522,12 +551,12 @@ def run(world: World, horizon: float) -> RunResult:
         return outputs
 
     def bind(port: _Port, label: int) -> list | None:
-        """[session stats, circuit stats, last seq] of the circuit ending here."""
+        """[session stats, circuit stats, last seq, latency counts] of the circuit ending here."""
         binding = world.egress.get((port.node, port.port_no, label))
         if binding is not None:
             sid, cid = binding
             stats = sessions[sid]
-            binding = [stats, stats.circuit(cid), None]
+            binding = [stats, stats.circuit(cid), None, stats.latencies.counts]
         port.egress[label] = binding
         return binding
 
@@ -537,7 +566,7 @@ def run(world: World, horizon: float) -> RunResult:
         if binding is None:
             pkt.stats.dropped_unroutable += 1
             return
-        stats, cstats, last = binding
+        stats, cstats, last, counts = binding
         cstats.delivered += 1
         if last is not None:
             # strictly increasing mod wrap: drops leave forward gaps, only
@@ -546,7 +575,8 @@ def run(world: World, horizon: float) -> RunResult:
             if distance == 0 or distance >= SEQ_MODULUS // 2:
                 cstats.out_of_order += 1
         binding[2] = pkt.seq
-        stats.latencies.append(now - pkt.created_at)
+        latency = now - pkt.created_at
+        counts[latency] = counts.get(latency, 0) + 1
         stats.payload_bits_delivered += pkt.payload_len * 8
         stats.delivered_paths.add(pkt.path + (port.node,))
 

@@ -3,8 +3,12 @@
 Packet headers buy flexibility at the price of bandwidth efficiency:
 a frame of L payload bytes carries L/(L+H) useful bits. The sweep
 utility re-runs a world across frame sizes to expose the measured
-efficiency/latency frontier. Percentiles are exact nearest-rank order
-statistics so reports are bit-identical across platforms. A
+efficiency/latency frontier. A run counts its latencies per exact
+value, so a report reads every order statistic from the sorted values
+and their running counts, in memory that grows with the distinct
+latencies, not the packets. Percentiles are exact nearest-rank order
+statistics, and the mean adds every sample in ascending order, so
+reports are bit-identical across platforms. A
 `SessionRecord`'s fields are the sessions.csv columns, in order, and a
 `MetricsReport`'s scalar fields are the global.csv keys, so each of
 those tables names its columns once, on its record.
@@ -15,10 +19,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace as dc_replace
+from itertools import accumulate
 
-from .engine import PortStats, RunResult, World, run
+from .engine import Latencies, PortStats, RunResult, World, run
 from .packet import HEADER_BYTES
 
 
@@ -35,11 +41,19 @@ def percentile(values: list[float], pct: float) -> float:
         raise ValueError("percentile of empty list")
     if not 0 < pct <= 100:
         raise ValueError("pct must be in (0, 100]")
-    return _nearest_rank(sorted(values), pct)
+    keys, running = _running(Counter(values))
+    return _ranked(keys, running, pct)
 
 
-def _nearest_rank(ordered: list[float], pct: float) -> float:
-    return ordered[max(1, math.ceil(pct / 100 * len(ordered))) - 1]
+def _running(counts: dict[float, int]) -> tuple[list[float], list[int]]:
+    """The distinct values in ascending order, and how many samples are <= each."""
+    keys = sorted(counts)
+    return keys, list(accumulate(counts[k] for k in keys))
+
+
+def _ranked(keys: list[float], running: list[int], pct: float) -> float:
+    """Nearest-rank percentile of the samples that `_running` describes."""
+    return keys[bisect_left(running, max(1, math.ceil(pct / 100 * running[-1])))]
 
 
 @dataclass
@@ -91,6 +105,19 @@ def _carried_bits(result: RunResult) -> tuple[int, int]:
     return payload, payload + delivered * HEADER_BYTES * 8
 
 
+def _session_latency(latencies: Latencies, bound: float | None) -> tuple[float, ...]:
+    """(min, mean, p50, p99, max) latency in s, then the samples above the bound; all 0 when none."""
+    keys, running = _running(latencies.counts)
+    if not keys:
+        return (0.0,) * 5 + (0,)
+    n = running[-1]
+    at_or_below = bisect_right(keys, bound) if bound is not None else len(keys)
+    violations = n - (running[at_or_below - 1] if at_or_below else 0)
+    # the same float additions, in the same order, as summing the sorted samples
+    mean = sum(latencies) / n
+    return keys[0], mean, _ranked(keys, running, 50), _ranked(keys, running, 99), keys[-1], violations
+
+
 def assemble_report(
     result: RunResult,
     latency_bounds: dict[str, float] | None = None,
@@ -105,13 +132,7 @@ def assemble_report(
     for session_id in sorted(result.sessions):
         stats = result.sessions[session_id]
         t = stats.totals()
-        ordered = sorted(stats.latencies)
-        latency = (0.0,) * 5  # min, mean, p50, p99, max
-        if ordered:
-            mean = sum(ordered) / len(ordered)
-            latency = (ordered[0], mean, _nearest_rank(ordered, 50), _nearest_rank(ordered, 99), ordered[-1])
-        bound = bounds.get(session_id)
-        violations = len(ordered) - bisect_right(ordered, bound) if bound is not None else 0
+        *latency, violations = _session_latency(stats.latencies, bounds.get(session_id))
         counts = (t.injected, t.replicated, t.delivered, t.dropped_unroutable, t.dropped_overflow)
         session_records.append(
             SessionRecord(session_id, *counts, t.in_flight, t.out_of_order, *map(_ns, latency), violations)
@@ -143,19 +164,24 @@ def overhead_sweep(
 
     Every circuit's regulator is re-framed to the given max frame size;
     the result rows are (frame_size, measured_efficiency, p99 latency
-    in ns across all delivered packets).
+    in ns across all delivered packets). Every size is checked before
+    the first rerun.
     """
-    rows: list[tuple[int, float, int]] = []
     for size in frame_sizes:
         if size < HEADER_BYTES:
             raise ValueError(f"frame size {size} below header length {HEADER_BYTES}")
+    rows: list[tuple[int, float, int]] = []
+    for size in frame_sizes:
         circuits = [
             dc_replace(feed, policy=dc_replace(feed.policy, max_frame_bytes=size))
             for feed in world.circuits
         ]
         result = run(dc_replace(world, circuits=circuits), horizon)
-        latencies = [v for s in result.sessions.values() for v in s.latencies]
-        p99 = _ns(percentile(latencies, 99)) if latencies else 0
+        merged: Counter[float] = Counter()
+        for stats in result.sessions.values():
+            merged.update(stats.latencies.counts)
+        keys, running = _running(merged)
+        p99 = _ns(_ranked(keys, running, 99)) if keys else 0
         rows.append((size, measured_efficiency(result), p99))
     return rows
 

@@ -54,11 +54,12 @@ class PhysLink:
     link_class: str = "fiber"
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
+        # written so that NaN fails each check
+        if not 0 < self.capacity:
             raise ValueError("capacity must be > 0")
-        if self.propagation_delay < 0:
+        if not 0 <= self.propagation_delay:
             raise ValueError("propagation_delay must be >= 0")
-        if self.jitter_std < 0:
+        if not 0 <= self.jitter_std:
             raise ValueError("jitter_std must be >= 0")
         if self.node_a == self.node_b:
             raise ValueError("self-loop links are not allowed")

@@ -8,9 +8,10 @@ transmission, and pops every arrival at end equipment, so it is slow
 but plainly right. Two pieces of its state live here, since the engine
 no longer needs them: each circuit's generation counter, which skips a
 superseded timeout when it pops, and a set of busy ports, in place of
-a flag on `_Port`. Neither changes its logic. The property tests
-require that both give the same result, up to the order of a tree
-session's latencies across its ports.
+a flag on `_Port`. Neither changes its logic. It keeps each session's
+latencies as a list in delivery order, where the engine counts each
+value; the property tests require that both give the same result, with
+equal counts per latency.
 """
 
 import heapq
@@ -42,7 +43,7 @@ def run(world: World, horizon: float) -> RunResult:
     sessions: dict[str, SessionRunStats] = {}
     ingress = []  # per circuit: (ingress port, circuit stats, session stats)
     for feed in world.circuits:
-        stats = sessions.setdefault(feed.session_id, SessionRunStats())
+        stats = sessions.setdefault(feed.session_id, SessionRunStats(latencies=[]))
         ingress.append(
             (ports.get((feed.ingress_node, feed.ingress_port)), stats.circuit(feed.circuit_id), stats)
         )

@@ -106,7 +106,7 @@ class TestRun:
         feed = CircuitFeed("s", 0, 0, 0, 5, 0, policy(), [8000.0], 1e-3)
         world = World(topo, {}, [feed], {(1, 0, 5): ("s", 0)})
         res = run(world, horizon=0.1)
-        assert res.sessions["s"].latencies == [(1008 * 8) / 1e9 + 1e-5]
+        assert list(res.sessions["s"].latencies) == [(1008 * 8) / 1e9 + 1e-5]
 
     def test_back_to_back_adds_serialization(self):
         topo = direct_link_topo()
@@ -259,7 +259,7 @@ class TestRun:
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [8000.0], 1e-3)
         world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)})
         res = run(world, horizon=0.1)
-        assert res.sessions["s"].latencies == [2 * (1008 * 8) / 1e9 + 7e-6]
+        assert list(res.sessions["s"].latencies) == [2 * (1008 * 8) / 1e9 + 7e-6]
 
     def test_replication_at_branch_switch(self):
         nodes = [
@@ -304,8 +304,8 @@ class TestRun:
         world = World(topo, {2: switch}, feeds, {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
         res = run(world, horizon=0.01)
         ser = 1008 * 8 / 1e9
-        assert res.sessions["a"].latencies == [pytest.approx(2 * ser + 2e-6 + 2e-6, rel=1e-12)]
-        assert res.sessions["b"].latencies == [pytest.approx(3 * ser + 2e-6 + 2e-6, rel=1e-12)]
+        assert list(res.sessions["a"].latencies) == [pytest.approx(2 * ser + 2e-6 + 2e-6, rel=1e-12)]
+        assert list(res.sessions["b"].latencies) == [pytest.approx(3 * ser + 2e-6 + 2e-6, rel=1e-12)]
 
     def test_determinism_identical_runs(self):
         topo = one_switch_topo(capacity=1e8)
@@ -321,8 +321,8 @@ class TestRun:
 
         r1 = run(build(), horizon=0.1)
         r2 = run(build(), horizon=0.1)
-        assert r1.sessions["a"].latencies == r2.sessions["a"].latencies
-        assert r1.sessions["b"].latencies == r2.sessions["b"].latencies
+        assert r1.sessions["a"].latencies.counts == r2.sessions["a"].latencies.counts
+        assert r1.sessions["b"].latencies.counts == r2.sessions["b"].latencies.counts
         assert [p.__dict__ for p in r1.ports] == [p.__dict__ for p in r2.ports]
 
 
@@ -347,7 +347,7 @@ class TestRun:
         assert r1.total().delivered > 0
         assert [p.__dict__ for p in r1.ports] == [p.__dict__ for p in r2.ports]
         assert r1.sessions["s"].delivered_paths == r2.sessions["s"].delivered_paths
-        assert r1.sessions["s"].latencies == r2.sessions["s"].latencies
+        assert r1.sessions["s"].latencies.counts == r2.sessions["s"].latencies.counts
         assert r1.total() == r2.total()
 
 
@@ -375,6 +375,10 @@ def two_level_tree_world(capacity=1e9, volume=8000.0):
     return World(PhysicalTopology(nodes, links), {1: first, 2: second}, [feed], egress)
 
 
+def link(**fields):
+    return PhysLink(0, 0, 1, 0, **{"capacity": 1e9, **fields})
+
+
 class TestHandBuiltWorldIsChecked:
     @pytest.mark.parametrize("bits", [math.inf, -math.inf, math.nan])
     def test_feed_refuses_non_finite_volumes(self, bits):
@@ -393,6 +397,21 @@ class TestHandBuiltWorldIsChecked:
         world = World(direct_link_topo(), {}, [], {})
         with pytest.raises(ValueError, match="horizon must be finite"):
             run(world, horizon)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (RegulatorPolicy, "frame_timeout"),
+            (SwitchConfig, "header_processing_delay"),
+            (link, "capacity"),
+            (link, "propagation_delay"),
+            (link, "jitter_std"),
+        ],
+    )
+    def test_config_refuses_nan(self, make, field):
+        # a NaN deadline or arrival time fails `<= horizon` and ends the run early
+        with pytest.raises(ValueError, match=field):
+            make(**{field: math.nan})
 
     def test_world_refuses_a_zero_wrr_weight(self):
         with pytest.raises(ValueError, match="wrr_weights"):

@@ -9,6 +9,7 @@ events at equal times are common and the tie rule decides their order.
 """
 
 import heapq
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
@@ -133,10 +134,6 @@ def small_worlds(draw):
     return world, draw(st.integers(0, 48)) * 0.25
 
 
-def _sorted(stats):
-    return replace(stats, latencies=sorted(stats.latencies))
-
-
 class TestMatchesEveryEventInTheHeap:
     @given(small_worlds())
     @settings(max_examples=400, deadline=None)
@@ -148,15 +145,11 @@ class TestMatchesEveryEventInTheHeap:
         assert got.regulator_backlog_bits == want.regulator_backlog_bits
         assert got.regulator_peak_bits == want.regulator_peak_bits
         assert list(got.sessions) == list(want.sessions)
-        ends: dict[str, set] = {}
-        for (node, in_port, _), (sid, _) in world.egress.items():
-            ends.setdefault(sid, set()).add((node, in_port))
         for sid, stats in want.sessions.items():
             mine = got.sessions[sid]
-            # delivered at one port, a session's packets keep their arrival order
-            if len(ends.get(sid, ())) <= 1:
-                assert mine.latencies == stats.latencies
-            assert _sorted(mine) == _sorted(stats)
+            # the reference keeps a list of samples; the engine counts each value
+            assert mine.latencies.counts == Counter(stats.latencies)
+            assert replace(mine, latencies=None) == replace(stats, latencies=None)
 
 
 class TestHeapHoldsOnlyWhatIsDue:

@@ -1,7 +1,13 @@
-import pytest
+from collections import Counter
 
-from fhsim.engine import CircuitFeed, RegulatorPolicy, World, run
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import fhsim.metrics
+from fhsim.engine import CircuitFeed, Latencies, RegulatorPolicy, RunResult, SessionRunStats, World, run
 from fhsim.metrics import (
+    SessionRecord,
+    _session_latency,
     assemble_report,
     efficiency,
     measured_efficiency,
@@ -11,6 +17,7 @@ from fhsim.metrics import (
     write_sweep_csv,
 )
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
+from metrics_oracle import session_latency, sweep_p99_ns
 
 
 class TestEfficiency:
@@ -89,7 +96,7 @@ class TestAssembleReport:
     def test_percentiles_match_hand_computation(self):
         # three packets back to back: latencies l, l+t, l+2t with t = serialization
         result = run(cbr_world(volumes=[24000.0]), horizon=0.1)
-        lat = sorted(result.sessions["s"].latencies)
+        lat = list(result.sessions["s"].latencies)  # ascending
         report = assemble_report(result)
         record = report.session("s")
         assert record.p50_ns == round(lat[1] * 1e9)
@@ -142,6 +149,13 @@ class TestOverheadSweep:
         with pytest.raises(ValueError):
             overhead_sweep(cbr_world(), [4], horizon=0.01)
 
+    def test_checks_every_size_before_the_first_rerun(self, monkeypatch):
+        reruns = []
+        monkeypatch.setattr(fhsim.metrics, "run", lambda world, horizon: reruns.append(world))
+        with pytest.raises(ValueError, match="frame size 4 below header length"):
+            overhead_sweep(cbr_world(), [512, 1000, 4], horizon=0.01)
+        assert reruns == []
+
     def test_sweep_leaves_template_reusable(self):
         world = cbr_world()
         first = overhead_sweep(world, [512], horizon=0.05)
@@ -164,3 +178,97 @@ def test_csv_exports(tmp_path):
     sweep = (tmp_path / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "frame_size,efficiency,p99_ns"
     assert len(sweep) == 3
+
+
+# A few values make heavy duplicates; 0.1 + 0.2 and 0.3 are neighbouring
+# floats, so a sum in another order would round differently.
+_POOL = [1e-9, 1e-6, 2e-6, 5e-6, 0.1 + 0.2, 0.3]
+_samples = st.one_of(st.sampled_from(_POOL), st.floats(0.0, 1e-2))
+
+
+@st.composite
+def latency_lists(draw):
+    """n samples: a few values, each repeated, so equal samples are common."""
+    # 1, 100 and 101 are the nearest-rank edges: p99 is rank 1, 99 and 100
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 99, 100, 101, 200, 201]), st.integers(0, 300)))
+    if n == 0:
+        return []
+    values = draw(st.lists(_samples, min_size=1, max_size=min(n, 12)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=len(values) - 1, max_size=len(values) - 1)))
+    repeats = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return [v for v, c in zip(values, repeats) for _ in range(c)]
+
+
+_latency_lists = st.one_of(st.lists(_samples, max_size=30), latency_lists())
+
+
+@st.composite
+def sessions_of_samples(draw):
+    """Session id -> samples, and a latency bound for some: None, a sample, or any value."""
+    sessions = draw(st.dictionaries(st.sampled_from(["a", "b", "c"]), _latency_lists, max_size=3))
+    bounds = {}
+    for sid, values in sessions.items():
+        choices = [st.none(), st.floats(0.0, 1e-2)] + ([st.sampled_from(values)] if values else [])
+        bound = draw(st.one_of(*choices))
+        if bound is not None:
+            bounds[sid] = bound
+    return sessions, bounds
+
+
+def counted_result(sessions: dict[str, list[float]]) -> RunResult:
+    """A finished run whose sessions delivered exactly these latencies."""
+    stats = {}
+    for sid, values in sessions.items():
+        stats[sid] = SessionRunStats(latencies=Latencies(dict(Counter(values))))
+        circuit = stats[sid].circuit(0)
+        circuit.injected = circuit.delivered = len(values)
+    return RunResult(1.0, stats, [], 0, {}, {})
+
+
+class TestCountsGiveTheListBasedFigures:
+    @given(_latency_lists, st.one_of(st.none(), st.sampled_from(_POOL), st.floats(0.0, 1e-2)))
+    @example([5e-6], 5e-6)  # n = 1, bound equal to the sample: no violation
+    @example([1e-6] * 99 + [2e-6], None)  # n = 100: p99 is rank 99
+    @example([1e-6] * 100 + [2e-6], 1e-6)  # n = 101: p99 is rank 100
+    @example([0.1 + 0.2] * 7 + [0.3] * 5 + [1e-9] * 3, 0.3)
+    @settings(max_examples=300, deadline=None)
+    def test_session_figures_equal_bit_for_bit(self, values, bound):
+        assert _session_latency(Latencies(dict(Counter(values))), bound) == session_latency(values, bound)
+
+    @given(sessions_of_samples())
+    @settings(max_examples=200, deadline=None)
+    def test_session_records_equal(self, case):
+        sessions, bounds = case
+        report = assemble_report(counted_result(sessions), bounds)
+        want = []
+        for sid in sorted(sessions):
+            values = sessions[sid]
+            *latency, violations = session_latency(values, bounds.get(sid))
+            n = len(values)
+            ns = [round(v * 1e9) for v in latency]
+            want.append(SessionRecord(sid, n, 0, n, 0, 0, 0, 0, *ns, violations))
+        assert report.sessions == want
+
+    @given(st.lists(sessions_of_samples(), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_rows_equal(self, cases):
+        results = [counted_result(sessions) for sessions, _ in cases]
+        sizes = [64 * (i + 1) for i in range(len(cases))]
+        reruns = iter(results)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fhsim.metrics, "run", lambda world, horizon: next(reruns))
+            rows = overhead_sweep(cbr_world(), sizes, horizon=0.01)
+        want = [
+            (size, measured_efficiency(result), sweep_p99_ns(list(sessions.values())))
+            for size, result, (sessions, _) in zip(sizes, results, cases)
+        ]
+        assert rows == want
+
+
+def test_latency_tiers_holds_counts_not_samples(bundled_runs):
+    _, _, result, _ = bundled_runs["latency-tiers"]
+    for stats in result.sessions.values():
+        delivered = stats.totals().delivered
+        assert delivered > 0
+        assert len(stats.latencies.counts) <= 0.02 * delivered
+        assert len(stats.latencies) == delivered

@@ -89,14 +89,15 @@ class Circuit:
     """
 
     circuit_id: int
-    ingress: NodeId
-    egress: NodeId
     nodes: tuple[NodeId, ...]  # full node sequence, ingress to egress
     ingress_port: int
-    ingress_label: int
-    egress_label: int
     hops: tuple[HopEntry, ...]
     arrivals: tuple[tuple[NodeId, int, int], ...]
+
+    ingress = property(lambda self: self.nodes[0])
+    egress = property(lambda self: self.nodes[-1])
+    ingress_label = property(lambda self: self.arrivals[0][2])
+    egress_label = property(lambda self: self.arrivals[-1][2])
 
 
 @dataclass(slots=True)
@@ -491,12 +492,8 @@ class Controller:
             circuits.append(
                 Circuit(
                     circuit_id=cid,
-                    ingress=path[0],
-                    egress=path[-1],
                     nodes=path,
                     ingress_port=links[keys[0]].port_of(path[0]),
-                    ingress_label=arrivals[0][2],
-                    egress_label=arrivals[-1][2],
                     hops=hops,
                     arrivals=arrivals,
                 )

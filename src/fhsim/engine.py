@@ -61,7 +61,7 @@ class RegulatorPolicy:
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_frame_bytes <= 0xFFFF:
-            raise ValueError("max_frame_bytes must be in 1..65535")
+            raise ValueError(f"max_frame_bytes must be in 1..65535, got {self.max_frame_bytes}")
         if not 0 < self.frame_timeout:  # NaN fails too
             raise ValueError("frame_timeout must be > 0")
 
@@ -157,6 +157,9 @@ class World:
 
     def __post_init__(self) -> None:
         _check_wrr_weights(self.wrr_weights)
+        unfed = {sid for sid, _ in self.egress.values()} - {feed.session_id for feed in self.circuits}
+        if unfed:
+            raise ValueError(f"egress binds sessions with no circuit feed: {sorted(unfed)}")
 
 
 class Regulator:
@@ -389,7 +392,6 @@ class SessionRunStats:
     # end-to-end latency of each delivered packet, counted per exact value
     latencies: Latencies = field(default_factory=Latencies)
     circuits: dict[int, CircuitStats] = field(default_factory=dict)
-    delivered_paths: set[tuple[NodeId, ...]] = field(default_factory=set)
     payload_bits_delivered: int = 0
     wire_bits_injected: int = 0
 
@@ -499,7 +501,6 @@ def run(world: World, horizon: float) -> RunResult:
         tx = wire_bytes * 8 / port.capacity
         left = horizon - now
         port.busy_time += tx if tx < left else left
-        pkt.path += (port.node,)
         end = now + tx
         done = (end, tie(), _TX_DONE, port, None)
         if port.total_bytes > 0:
@@ -578,7 +579,6 @@ def run(world: World, horizon: float) -> RunResult:
         latency = now - pkt.created_at
         counts[latency] = counts.get(latency, 0) + 1
         stats.payload_bits_delivered += pkt.payload_len * 8
-        stats.delivered_paths.add(pkt.path + (port.node,))
 
     while heap and heap[0][0] <= horizon:
         event = heappop(heap)
@@ -604,10 +604,9 @@ def run(world: World, horizon: float) -> RunResult:
                 enqueue(out, pkt, now)
                 continue
             pkt.stats.replicated += len(outputs) - 1
-            # clone every extra branch before any enqueue can start a
-            # transmission and extend the original's path trace
-            branches = [pkt] + [pkt.copy() for _ in outputs[1:]]
-            for branch, (out, out_label) in zip(branches, outputs):
+            # replicas copy the queued original: until a later hop relabels it, nothing changes it
+            for i, (out, out_label) in enumerate(outputs):
+                branch = pkt.copy() if i else pkt
                 branch.label = out_label
                 enqueue(out, branch, now)
         elif code == _TX_DONE:  # pushed only with a packet waiting
@@ -623,9 +622,7 @@ def run(world: World, horizon: float) -> RunResult:
                 heappush(heap, chain.pop())
 
     residual = sum(len(q) for port in ports.values() for q in port.queues)
-    for event in heap:
-        if event[2] in (_ARRIVAL, _PROC_DONE):
-            residual += 1
+    residual += sum(event[2] in (_ARRIVAL, _PROC_DONE) for event in heap)
 
     port_stats = [
         PortStats(
@@ -636,18 +633,13 @@ def run(world: World, horizon: float) -> RunResult:
         )
         for (node, _), port in sorted(ports.items())
     ]
-    backlog = {}
-    peaks = {}
-    for reg in regulators:
-        key = f"{reg.feed.session_id}/{reg.feed.circuit_id}"
-        backlog[key] = reg.buffered_bits
-        peaks[key] = reg.peak_buffered_bits
+    keyed = {f"{reg.feed.session_id}/{reg.feed.circuit_id}": reg for reg in regulators}
     return RunResult(
         horizon=horizon,
         sessions=sessions,
         ports=port_stats,
         residual_packets=residual,
-        regulator_backlog_bits=backlog,
-        regulator_peak_bits=peaks,
+        regulator_backlog_bits={key: reg.buffered_bits for key, reg in keyed.items()},
+        regulator_peak_bits={key: reg.peak_buffered_bits for key, reg in keyed.items()},
     )
 

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace as dc_replace
 from itertools import accumulate
 
-from .engine import Latencies, PortStats, RunResult, World, run
+from .engine import Latencies, PortStats, RegulatorPolicy, RunResult, World, run
 from .packet import HEADER_BYTES
 
 
@@ -155,6 +155,14 @@ def measured_efficiency(result: RunResult) -> float:
     return payload / carried if carried else 0.0
 
 
+def check_sweep_sizes(frame_sizes: list[int]) -> None:
+    """Refuse a sweep size below the header length or one no regulator takes."""
+    for size in frame_sizes:
+        if size < HEADER_BYTES:
+            raise ValueError(f"frame size {size} below header length {HEADER_BYTES}")
+        RegulatorPolicy(max_frame_bytes=size)
+
+
 def overhead_sweep(
     world: World,
     frame_sizes: list[int],
@@ -167,9 +175,7 @@ def overhead_sweep(
     in ns across all delivered packets). Every size is checked before
     the first rerun.
     """
-    for size in frame_sizes:
-        if size < HEADER_BYTES:
-            raise ValueError(f"frame size {size} below header length {HEADER_BYTES}")
+    check_sweep_sizes(frame_sizes)
     rows: list[tuple[int, float, int]] = []
     for size in frame_sizes:
         circuits = [

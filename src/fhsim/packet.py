@@ -99,8 +99,7 @@ class FhPacket:
     at most max_frame_bytes <= 0xFFFF. created_at is the arrival time of
     the oldest payload bit in the frame, so latency measured from it
     covers regulator wait plus transport. stats (the origin circuit's
-    counters) and path (the nodes that transmitted it so far) are
-    simulation bookkeeping, not wire state.
+    counters) is simulation bookkeeping, not wire state.
     """
 
     __slots__ = (
@@ -112,7 +111,6 @@ class FhPacket:
         "wire_bytes",
         "created_at",
         "stats",
-        "path",
     )
 
     def __init__(
@@ -132,7 +130,6 @@ class FhPacket:
         self.wire_bytes = payload_len + HEADER_BYTES
         self.created_at = created_at
         self.stats = None
-        self.path: tuple[int, ...] = ()
 
     @property
     def header(self) -> FhHeader:

@@ -53,8 +53,7 @@ from .engine import (
     World,
     run,
 )
-from .metrics import assemble_report, overhead_sweep, write_report_csvs, write_sweep_csv
-from .packet import HEADER_BYTES
+from .metrics import assemble_report, check_sweep_sizes, overhead_sweep, write_report_csvs, write_sweep_csv
 from .sync import ClockSource, build_sync_tree, propagate_sync, write_sync_csv
 from .topology import (
     AggregationToOneBbu,
@@ -216,9 +215,13 @@ class EngineSpec:
 
     def switch_config(self) -> SwitchConfig:
         weights = [1] * N_CLASSES
+        named = set()
         for cls, weight in self.wrr_weights:
             if not 0 <= cls < N_CLASSES:
                 raise ValueError(f"wrr class {cls} outside 0..{N_CLASSES - 1}")
+            if cls in named:
+                raise ValueError(f"wrr class {cls} named twice")
+            named.add(cls)
             weights[cls] = weight
         return SwitchConfig(
             scheduler=Scheduler(self.scheduler),
@@ -759,9 +762,7 @@ def run_scenario(
     session is infeasible (reports for the rest are still written).
     Identical inputs produce byte-identical files.
     """
-    for size in sweep or ():
-        if size < HEADER_BYTES:
-            raise ValueError(f"sweep frame size {size} below header length {HEADER_BYTES}")
+    check_sweep_sizes(sweep or [])
     built = build_scenario(scenario, seed=seed, subframes=subframes)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -70,7 +70,6 @@ def run(world: World, horizon: float) -> RunResult:
         busy.add(port)
         tx = wire_bytes * 8 / port.capacity
         port.busy_time += min(tx, horizon - now)
-        pkt.path += (port.node,)
         heappush(heap, (now + tx, tie(), _TX_DONE, port, None))
         heappush(heap, (now + tx + port.propagation, tie(), _ARRIVAL, port.peer, pkt))
 
@@ -135,7 +134,6 @@ def run(world: World, horizon: float) -> RunResult:
         binding[2] = pkt.seq
         stats.latencies.append(now - pkt.created_at)
         stats.payload_bits_delivered += pkt.payload_len * 8
-        stats.delivered_paths.add(pkt.path + (port.node,))
 
     while heap and heap[0][0] <= horizon:
         now, _, code, a, b = heappop(heap)

@@ -134,7 +134,15 @@ class TestRun:
         world = World(topo, {2: switch}, [feed], {(3, 0, 9): ("s", 0)})
         res = run(world, horizon=0.1)
         assert res.sessions["s"].totals().delivered == 1
-        assert res.sessions["s"].delivered_paths == {(0, 2, 3)}
+        assert {(p.src, p.dst) for p in res.ports if p.utilization > 0} == {(0, 2), (2, 3)}
+
+    def test_egress_bound_to_a_session_without_feed_is_refused(self):
+        topo = one_switch_topo()
+        switch = SwitchState(SwitchConfig())
+        switch.install(0, 7, ((2, 9),))
+        feed = CircuitFeed("s", 0, 0, 0, 7, 0, policy(), [8000.0], 1e-3)
+        with pytest.raises(ValueError, match=r"egress binds sessions with no circuit feed: \['other'\]"):
+            World(topo, {2: switch}, [feed], {(3, 0, 9): ("other", 0)})
 
     def test_missing_entry_counts_unroutable(self):
         topo = one_switch_topo()
@@ -333,7 +341,8 @@ class TestRun:
         world = two_level_tree_world()
         res = run(world, horizon=0.1)
         stats = res.sessions["s"]
-        assert stats.delivered_paths == {(0, 1, 3), (0, 1, 2, 4), (0, 1, 2, 5)}
+        busy = {(p.src, p.dst) for p in res.ports if p.utilization > 0}
+        assert busy == {(0, 1), (1, 3), (1, 2), (2, 4), (2, 5)}
         for cid in (0, 1, 2):  # each leaf got every frame under its own label
             assert stats.circuits[cid].delivered == 5
             assert stats.circuits[cid].out_of_order == 0
@@ -346,7 +355,6 @@ class TestRun:
         r2 = run(world, horizon=0.02)
         assert r1.total().delivered > 0
         assert [p.__dict__ for p in r1.ports] == [p.__dict__ for p in r2.ports]
-        assert r1.sessions["s"].delivered_paths == r2.sessions["s"].delivered_paths
         assert r1.sessions["s"].latencies.counts == r2.sessions["s"].latencies.counts
         assert r1.total() == r2.total()
 

@@ -1,18 +1,33 @@
-"""Cross-module checks on the bundled scenarios: the per-hop path trace
-must match the installed circuits, admitted sessions must hold their
-latency bounds in the actual packet runs, and the scenario narratives
-(infeasible classical aggregation, periodic vs bursty decoupled cells)
-must come out of the data, not just the comments."""
+"""Cross-module checks on the bundled scenarios: each session's packets
+must load exactly the hops of its installed circuits, admitted sessions
+must hold their latency bounds in the actual packet runs, and the
+scenario narratives (infeasible classical aggregation, periodic vs
+bursty decoupled cells) must come out of the data, not just the
+comments."""
 
 import statistics
+from dataclasses import replace
+
+from fhsim.engine import run
 
 
-def test_every_delivery_follows_the_installed_path(bundled_runs):
+def test_every_session_loads_exactly_its_installed_hops(bundled_runs):
+    # Each session runs alone, so a port it sends on is busy in the run's
+    # per-port figures, and a port no circuit of it crosses stays idle.
     for name, (scenario, built, result, report) in bundled_runs.items():
-        for sid, stats in result.sessions.items():
-            session = built.controller.sessions[sid]
-            installed = {c.nodes for c in session.circuits}
-            assert stats.delivered_paths == installed, (name, sid)
+        world = built.world
+        for sid, session in built.controller.sessions.items():
+            alone = replace(
+                world,
+                circuits=[feed for feed in world.circuits if feed.session_id == sid],
+                egress={key: bound for key, bound in world.egress.items() if bound[0] == sid},
+            )
+            res = run(alone, scenario.engine.horizon)
+            hops = {hop for c in session.circuits for hop in zip(c.nodes, c.nodes[1:])}
+            busy = {(p.src, p.dst) for p in res.ports if p.utilization > 0}
+            assert busy == hops, (name, sid)
+            for c in session.circuits:
+                assert res.sessions[sid].circuits[c.circuit_id].delivered > 0, (name, sid, c.circuit_id)
 
 
 def test_admitted_sessions_hold_their_bounds(bundled_runs):

@@ -149,11 +149,15 @@ class TestOverheadSweep:
         with pytest.raises(ValueError):
             overhead_sweep(cbr_world(), [4], horizon=0.01)
 
-    def test_checks_every_size_before_the_first_rerun(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(4, "frame size 4 below header length"), (70000, r"max_frame_bytes must be in 1\.\.65535, got 70000")],
+    )
+    def test_checks_every_size_before_the_first_rerun(self, monkeypatch, bad, message):
         reruns = []
         monkeypatch.setattr(fhsim.metrics, "run", lambda world, horizon: reruns.append(world))
-        with pytest.raises(ValueError, match="frame size 4 below header length"):
-            overhead_sweep(cbr_world(), [512, 1000, 4], horizon=0.01)
+        with pytest.raises(ValueError, match=message):
+            overhead_sweep(cbr_world(), [512, 1000, bad], horizon=0.01)
         assert reruns == []
 
     def test_sweep_leaves_template_reusable(self):

@@ -217,6 +217,7 @@ class TestRunScenario:
             ("traffic=trace", "traffic=cbr rate=nan", 18),
             ("traffic=trace", "traffic=cbr rate=inf", 18),
             ("mean_on=20", "mean_on=nan", 11),
+            ("seed = 3", "seed = 3\nwrr_weights = 0:3,0:5", 25),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):
@@ -239,6 +240,12 @@ class TestRunScenario:
         text = MINIMAL.replace("[cells]", f"{extra}\n\n[cells]")
         with pytest.raises(ScenarioError, match=re.escape(message)):
             run_scenario(parse_scenario(text), str(tmp_path / "out"))
+
+    def test_sweep_size_above_payload_limit_refused_before_any_output(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="got 70000"):
+            run_scenario(parse_scenario(MINIMAL), str(out), sweep=[64, 70000])
+        assert not out.exists()
 
     def test_sweep_mode(self, tmp_path):
         rc = run_scenario(parse_scenario(MINIMAL), str(tmp_path), sweep=[64, 512])

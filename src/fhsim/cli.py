@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         text, name = load_scenario_text(args.scenario)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(exc, file=sys.stderr)
         return 2
     try:
@@ -91,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     except (ScenarioError, ValueError) as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # names the path it could not create or write
+        print(exc, file=sys.stderr)
         return 2
 
 

@@ -58,8 +58,8 @@ from .sync import ClockSource, build_sync_tree, propagate_sync, write_sync_csv
 from .topology import (
     AggregationToOneBbu,
     BbuToBbu,
+    LinkParams,
     LogicalPattern,
-    Node,
     NodeKind,
     PhysLink,
     PhysicalTopology,
@@ -67,6 +67,7 @@ from .topology import (
     RrhToMultiBbu,
     pattern_shape,
     validate_pattern,
+    wire,
 )
 from .traffic import (
     CellConfig,
@@ -128,11 +129,13 @@ class NodeSpec:
 class LinkSpec:
     a: str
     b: str
-    capacity: float = 10e9
-    delay: float = 5e-6
-    jitter: float = 1e-9
-    link_class: str = "fiber"
+    link: LinkParams = LinkParams()
     line: int = field(default=0, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.a == self.b:
+            raise ValueError("self-loop links are not allowed")
+        PhysLink(0, 0, 1, 0, **vars(self.link))  # PhysLink rejects out-of-range values
 
 
 @dataclass(frozen=True)
@@ -355,7 +358,10 @@ _SCHEME_KEYS = {
     ModulationBits: _Keys(ModulationBits, {"layers": "n_layers"}),
     PduLevel: _Keys(PduLevel, {"coded": "code_rate_applied"}),
 }
-_LINK = _Keys(LinkSpec, {"cap": "capacity", "delay": "delay", "jitter": "jitter", "class": "link_class"})
+_LINK = _Keys(
+    LinkParams,
+    {"cap": "capacity", "delay": "propagation_delay", "jitter": "jitter_std", "class": "link_class"},
+)
 _CELL = _Keys(CellSpec, {"scheme": "scheme", "role": "role"})
 _RADIO = _Keys(
     CellConfig,
@@ -473,8 +479,10 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
             nodes.append(NodeSpec(node_name, kind, line_no))
         elif (section, key) == ("topology", "link"):
             (a, b), attrs = _split(line_no, tokens, 2)
-            links.append(_LINK.fill(line_no, attrs, a=a, b=b, line=line_no))
+            params = _LINK.fill(line_no, attrs)
             _done(line_no, attrs, _LINK)
+            with _At(line_no):
+                links.append(LinkSpec(a, b, params, line_no))
         elif (section, key) == ("cells", "cell"):
             (node_name,), attrs = _split(line_no, tokens, 1)
             if any(c.node == node_name for c in cells):
@@ -577,7 +585,7 @@ def render_scenario(scenario: Scenario) -> str:
     """Canonical text form, omitting default values; parsing it back yields an equal Scenario."""
     out = ["[topology]"]
     out += [f"node = {node.name} {node.kind}" for node in scenario.nodes]
-    out += [" ".join(["link =", link.a, link.b, *_LINK.render(link)]) for link in scenario.links]
+    out += [" ".join(["link =", link.a, link.b, *_LINK.render(link.link)]) for link in scenario.links]
     out += ["", "[cells]"]
     for cell in scenario.cells:
         out.append(" ".join(["cell =", cell.node, *_CELL.render(cell), *_RADIO.render(cell.cell)]))
@@ -622,44 +630,20 @@ def build_scenario(
     engine_spec = replace(scenario.engine, **{k: v for k, v in overrides.items() if v is not None})
 
     node_id = {spec.name: index for index, spec in enumerate(scenario.nodes)}
-    port_counter = {spec.name: 0 for spec in scenario.nodes}
-    links = []
-    for spec in scenario.links:
-        pa, pb = port_counter[spec.a], port_counter[spec.b]
-        port_counter[spec.a] += 1
-        port_counter[spec.b] += 1
-        with _At(spec.line):
-            links.append(
-                PhysLink(
-                    node_a=node_id[spec.a],
-                    port_a=pa,
-                    node_b=node_id[spec.b],
-                    port_b=pb,
-                    capacity=spec.capacity,
-                    propagation_delay=spec.delay,
-                    jitter_std=spec.jitter,
-                    link_class=spec.link_class,
-                )
-            )
+    linked = {end for spec in scenario.links for end in (spec.a, spec.b)}
     for spec in scenario.nodes:
-        if not port_counter[spec.name]:
+        if spec.name not in linked:
             raise ScenarioError(spec.line, f"node {spec.name!r} has no link")
-    nodes = [
-        Node(
-            id=node_id[spec.name],
-            kind=_KINDS[spec.kind],
-            ports=max(port_counter[spec.name], 2 if spec.kind == "switch" else 1),
-            name=spec.name,
-        )
-        for spec in scenario.nodes
-    ]
     with _At(0):
-        topology = PhysicalTopology(nodes, links)
+        topology = wire(
+            [(_KINDS[spec.kind], spec.name) for spec in scenario.nodes],
+            [(node_id[spec.a], node_id[spec.b], spec.link) for spec in scenario.links],
+        )
 
     switch_config = engine_spec.switch_config()
     controller = Controller(
         topology,
-        {n.id: switch_config for n in nodes if n.kind is NodeKind.FH_SWITCH},
+        {n.id: switch_config for n in topology.nodes_of_kind(NodeKind.FH_SWITCH)},
     )
 
     # Traffic traces, one per cell, seeded per declaration order.

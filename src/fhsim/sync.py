@@ -3,8 +3,10 @@
 Timing is distributed over the physical graph independently of payload
 routing: each switch and radio unit locks to the best reachable timing
 source over a shortest-hop branch, switches regenerate (attenuate) the
-accumulated jitter, and radio units are always leaves. Session setup,
-teardown, reroute, and migration never touch this tree.
+accumulated jitter, and radio units are always leaves. One search,
+seeded with every source and ordered by the key that ranks a node's
+branches, grows the whole tree. Session setup, teardown, reroute, and
+migration never touch this tree.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class ClockTree:
     """Forest of timing branches: parent pointers plus per-node root source."""
 
     parent: dict[NodeId, tuple[NodeId, PhysLink]]
-    source_of: dict[NodeId, ClockSource]  # every synchronized node, roots included
+    source_of: dict[NodeId, ClockSource]  # every synchronized node, roots included; parents first
     unsynchronized: set[NodeId]
 
     def canonical_hash(self) -> str:
@@ -59,38 +61,18 @@ class ClockTree:
         return hashlib.sha256("|".join(items).encode()).hexdigest()
 
 
-def _branch_candidates(
-    topology: PhysicalTopology, source: ClockSource
-) -> dict[NodeId, tuple[int, tuple[NodeId, ...]]]:
-    """Shortest-hop paths from one source to every reachable node.
-
-    Ties between equal-hop paths are broken by lexicographic node
-    sequence. Radio units never relay, so they are reached but not
-    expanded.
-    """
-    start = source.node
-    best: dict[NodeId, tuple[int, tuple[NodeId, ...]]] = {start: (0, (start,))}
-    heap: list[tuple[int, tuple[NodeId, ...], NodeId]] = [(0, (start,), start)]
-    while heap:
-        hops, path, node = heapq.heappop(heap)
-        if best.get(node, (math.inf, ())) != (hops, path):
-            continue
-        if node != start and topology.nodes[node].kind is NodeKind.RRH:
-            continue  # slave-only nodes do not redistribute timing
-        for peer, _ in topology.neighbors(node):
-            cand = (hops + 1, path + (peer,))
-            if peer not in best or cand < best[peer]:
-                best[peer] = cand
-                heapq.heappush(heap, (cand[0], cand[1], peer))
-    return best
-
-
 def build_sync_tree(topology: PhysicalTopology, sources: list[ClockSource]) -> ClockTree:
     """Assign every node a timing parent toward the best reachable source.
 
-    Selection order per node: source quality rank, then hop count, then
-    source node id, then lexicographic branch path. Nodes cut off from
-    every source are reported as unsynchronized rather than raising.
+    A node takes the branch least in (source quality rank, hop count,
+    source node id, lexicographic branch path). One search seeded with
+    every source finds them all: it pops branches in that order, and
+    extending two branches by the same hop keeps their order, so the
+    first branch to reach a node is its least, and any branch through
+    the node loses to the same hop off that first one. A node settles
+    at its first pop; radio units settle but never relay.
+    Nodes cut off from every source are reported as unsynchronized
+    rather than raising.
     """
     seen_nodes = set()
     for source in sources:
@@ -98,32 +80,31 @@ def build_sync_tree(topology: PhysicalTopology, sources: list[ClockSource]) -> C
         if kind is None:
             raise ValueError(f"clock source references unknown node {source.node}")
         if kind.kind not in (NodeKind.BBU, NodeKind.FH_SWITCH):
-            raise ValueError(
-                f"clock sources attach to BBUs or switches, not {kind.kind.value}"
-            )
+            raise ValueError(f"clock sources attach to BBUs or switches, not {kind.kind.value}")
         if source.node in seen_nodes:
             raise ValueError(f"duplicate clock source at node {source.node}")
         seen_nodes.add(source.node)
 
-    reach = [(source, _branch_candidates(topology, source)) for source in sources]
     parent: dict[NodeId, tuple[NodeId, PhysLink]] = {}
     source_of: dict[NodeId, ClockSource] = {}
-    unsynchronized: set[NodeId] = set()
-    for node_id in topology.nodes:
-        candidates = []
-        for source, paths in reach:
-            hit = paths.get(node_id)
-            if hit is not None:
-                hops, path = hit
-                candidates.append((source.quality_rank, hops, source.node, path, source))
-        if not candidates:
-            unsynchronized.add(node_id)
+    # (rank, hops, source node, path) is distinct per entry, so the
+    # source and the last link never take part in a comparison
+    heap = [(s.quality_rank, 0, s.node, (s.node,), s, None) for s in sources]
+    heapq.heapify(heap)
+    while heap:
+        rank, hops, _, path, source, link = heapq.heappop(heap)
+        node = path[-1]
+        if node in source_of:
             continue
-        rank, hops, _, path, source = min(candidates, key=lambda c: c[:4])
-        source_of[node_id] = source
-        if hops > 0:
-            up = path[-2]
-            parent[node_id] = (up, topology.link_between(up, node_id))
+        source_of[node] = source
+        if hops:
+            parent[node] = (path[-2], link)
+            if topology.nodes[node].kind is NodeKind.RRH:
+                continue  # slave-only nodes do not redistribute timing
+        for peer, peer_link in topology.neighbors(node):
+            if peer not in source_of:
+                heapq.heappush(heap, (rank, hops + 1, source.node, path + (peer,), source, peer_link))
+    unsynchronized = set(topology.nodes) - source_of.keys()
     return ClockTree(parent=parent, source_of=source_of, unsynchronized=unsynchronized)
 
 
@@ -135,34 +116,20 @@ def propagate_sync(
     A child inherits sqrt((parent_jitter * regen)^2 + link_jitter^2),
     where regen applies only when the parent is a switch (switches clean
     the clock before passing it on; other relays forward it untouched).
+    One pass over `tree.source_of` suffices, as parents come first.
     """
     if not 0 <= regen_factor <= 1:
         raise ValueError("regen_factor must be in [0, 1]")
     status: dict[NodeId, SyncStatus] = {}
-    for node in tree.source_of:
+    for node, source in tree.source_of.items():
         if node not in tree.parent:
-            src = tree.source_of[node]
-            status[node] = SyncStatus(node, 0.0, src.frequency_offset, 0)
-
-    def resolve(node: NodeId) -> SyncStatus:
-        ready = status.get(node)
-        if ready is not None:
-            return ready
+            status[node] = SyncStatus(node, 0.0, source.frequency_offset, 0)
+            continue
         up, link = tree.parent[node]
-        parent_status = resolve(up)
+        above = status[up]
         regen = regen_factor if topology.nodes[up].kind is NodeKind.FH_SWITCH else 1.0
-        jitter = math.sqrt((parent_status.accumulated_jitter * regen) ** 2 + link.jitter_std**2)
-        result = SyncStatus(
-            node=node,
-            accumulated_jitter=jitter,
-            effective_offset=parent_status.effective_offset,
-            hops_from_source=parent_status.hops_from_source + 1,
-        )
-        status[node] = result
-        return result
-
-    for node in tree.source_of:
-        resolve(node)
+        jitter = math.sqrt((above.accumulated_jitter * regen) ** 2 + link.jitter_std**2)
+        status[node] = SyncStatus(node, jitter, above.effective_offset, above.hops_from_source + 1)
     return status
 
 

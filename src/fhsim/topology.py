@@ -27,6 +27,9 @@ class NodeKind(Enum):
     TIMING_SOURCE = "timing"
 
 
+_MIN_PORTS = {NodeKind.FH_SWITCH: 2}  # any other kind: 1
+
+
 @dataclass(frozen=True)
 class Node:
     id: NodeId
@@ -35,7 +38,7 @@ class Node:
     name: str = ""
 
     def __post_init__(self) -> None:
-        minimum = 2 if self.kind is NodeKind.FH_SWITCH else 1
+        minimum = _MIN_PORTS.get(self.kind, 1)
         if self.ports < minimum:
             raise ValueError(f"{self.kind.value} node needs >= {minimum} ports")
 
@@ -339,37 +342,39 @@ class Chain:
 TopologySpec = Union[Star, Ring, Chain]
 
 
-def _make_link(a: Node, pa: int, b: Node, pb: int, params: LinkParams) -> PhysLink:
-    return PhysLink(
-        node_a=a.id,
-        port_a=pa,
-        node_b=b.id,
-        port_b=pb,
-        capacity=params.capacity,
-        propagation_delay=params.propagation_delay,
-        jitter_std=params.jitter_std,
-        link_class=params.link_class,
-    )
+def wire(
+    nodes: Sequence[tuple[NodeKind, str]], links: Sequence[tuple[NodeId, NodeId, LinkParams]]
+) -> PhysicalTopology:
+    """The topology of `nodes`, ids 0..n-1 in order, joined by `links`.
+
+    The one place ports are numbered: each (a, b, params) link takes the
+    next free port at both of its ends, in list order, and a node gets
+    a port per link, or the least its kind takes if that is more.
+    """
+    used = [0] * len(nodes)
+    wired = []
+    for a, b, params in links:
+        wired.append(PhysLink(a, used[a], b, used[b], **vars(params)))
+        used[a] += 1
+        used[b] += 1
+    ports = [max(count, _MIN_PORTS.get(kind, 1)) for (kind, _), count in zip(nodes, used)]
+    return PhysicalTopology([Node(i, kind, ports[i], name) for i, (kind, name) in enumerate(nodes)], wired)
 
 
 def build_topology(spec: TopologySpec) -> PhysicalTopology:
     """Construct the physical topology described by `spec`, deterministically.
 
-    Switches take ids 0..n-1, attachments follow in declaration order.
-    Degenerate specs (no attachments at all, attachment positions out of
-    range, rings shorter than three switches) are rejected.
+    A star's hub takes id 0 and its leaves follow; a ring or chain's
+    switches take ids 0..n-1 and its attachments follow, in declaration
+    order, each wired after the trunks. Degenerate specs (no attachments
+    at all, attachment positions out of range, rings shorter than three
+    switches) are rejected.
     """
     if isinstance(spec, Star):
         if not spec.leaves:
             raise ValueError("star needs at least one leaf")
-        hub = Node(id=0, kind=NodeKind.FH_SWITCH, ports=max(len(spec.leaves), 2), name="hub")
-        nodes = [hub]
-        links = []
-        for i, kind in enumerate(spec.leaves):
-            leaf = Node(id=1 + i, kind=kind, ports=1, name=f"{kind.value}{i}")
-            nodes.append(leaf)
-            links.append(_make_link(hub, i, leaf, 0, spec.link))
-        return PhysicalTopology(nodes, links)
+        leaves = [(kind, f"{kind.value}{i}") for i, kind in enumerate(spec.leaves)]
+        return wire([(NodeKind.FH_SWITCH, "hub"), *leaves], [(0, 1 + i, spec.link) for i in range(len(leaves))])
 
     if isinstance(spec, (Ring, Chain)):
         n = spec.n_switches
@@ -382,38 +387,14 @@ def build_topology(spec: TopologySpec) -> PhysicalTopology:
                 raise ValueError(f"attachment position {pos} outside 0..{n - 1}")
         if not spec.attachments and n == 1:
             raise ValueError("single-switch chain with no attachments is disconnected")
-
-        per_switch_ports = [0] * n
-        trunk_ends: list[tuple[int, int]] = []  # (a, b) switch positions
-        if isinstance(spec, Ring):
-            pairs = [(i, (i + 1) % n) for i in range(n)]
-        else:
-            pairs = [(i, i + 1) for i in range(n - 1)]
-        trunk_ports = []
-        for a, b in pairs:
-            trunk_ports.append((per_switch_ports[a], per_switch_ports[b]))
-            per_switch_ports[a] += 1
-            per_switch_ports[b] += 1
-            trunk_ends.append((a, b))
-        attach_ports = []
-        for pos, _ in spec.attachments:
-            attach_ports.append(per_switch_ports[pos])
-            per_switch_ports[pos] += 1
-
-        switches = [
-            Node(id=i, kind=NodeKind.FH_SWITCH, ports=max(per_switch_ports[i], 2), name=f"s{i}")
-            for i in range(n)
-        ]
-        nodes: list[Node] = list(switches)
-        links = [
-            _make_link(switches[a], pa, switches[b], pb, spec.link)
-            for (a, b), (pa, pb) in zip(trunk_ends, trunk_ports)
-        ]
-        attach_params = spec.attach_link or spec.link
-        for i, ((pos, kind), port) in enumerate(zip(spec.attachments, attach_ports)):
-            leaf = Node(id=n + i, kind=kind, ports=1, name=f"{kind.value}{i}")
-            nodes.append(leaf)
-            links.append(_make_link(switches[pos], port, leaf, 0, attach_params))
-        return PhysicalTopology(nodes, links)
+        switches = [(NodeKind.FH_SWITCH, f"s{i}") for i in range(n)]
+        leaves = [(kind, f"{kind.value}{i}") for i, (_, kind) in enumerate(spec.attachments)]
+        trunks = n if isinstance(spec, Ring) else n - 1
+        attach = spec.attach_link or spec.link
+        return wire(
+            switches + leaves,
+            [(i, (i + 1) % n, spec.link) for i in range(trunks)]
+            + [(pos, n + i, attach) for i, (pos, _) in enumerate(spec.attachments)],
+        )
 
     raise TypeError(f"unknown topology spec {spec!r}")

@@ -53,8 +53,9 @@ class CellConfig:
     compression_factor: float = 1.0  # (0, 1]
 
     def __post_init__(self) -> None:
-        if self.sampling_rate <= 0:
-            raise ValueError("sampling_rate must be > 0")
+        # the float checks are written so that NaN fails them
+        if not 0 < self.sampling_rate < math.inf:
+            raise ValueError("sampling_rate must be finite and > 0")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
         if self.iq_bitwidth < 1:
@@ -63,10 +64,10 @@ class CellConfig:
             raise ValueError("n_prb must be >= 1")
         if self.res_per_prb < 1:
             raise ValueError("res_per_prb must be >= 1")
-        if self.subframe_duration <= 0:
-            raise ValueError("subframe_duration must be > 0")
-        if self.transport_overhead_factor < 1:
-            raise ValueError("transport_overhead_factor must be >= 1")
+        if not 0 < self.subframe_duration < math.inf:
+            raise ValueError("subframe_duration must be finite and > 0")
+        if not 1 <= self.transport_overhead_factor < math.inf:
+            raise ValueError("transport_overhead_factor must be finite and >= 1")
         if not 0 < self.compression_factor <= 1:
             raise ValueError("compression_factor must be in (0, 1]")
 

@@ -218,6 +218,9 @@ class TestRunScenario:
             ("traffic=trace", "traffic=cbr rate=inf", 18),
             ("mean_on=20", "mean_on=nan", 11),
             ("seed = 3", "seed = 3\nwrr_weights = 0:3,0:5", 25),
+            ("scheme=modulation_bits", "scheme=modulation_bits sampling=inf", 10),
+            ("scheme=modulation_bits", "scheme=modulation_bits subframe=inf", 10),
+            ("scheme=modulation_bits", "scheme=modulation_bits overhead=inf", 10),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):
@@ -280,6 +283,18 @@ class TestCli:
 
     def test_missing_scenario_exit_2(self, tmp_path, capsys):
         assert main(["no-such-scenario", "--out", str(tmp_path)]) == 2
+
+    def test_directory_as_scenario_exit_2_naming_it(self, tmp_path, capsys):
+        assert main([str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp_path) in err[0]
+
+    def test_file_as_output_directory_exit_2_naming_it(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["cran-aggregation", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(taken) in err[0]
 
     def test_run_bundled_by_name(self, tmp_path):
         assert main(["cran-aggregation", "--out", str(tmp_path / "out")]) == 0

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sync_oracle
+from fhsim.scenario import parse_scenario, run_scenario
 from fhsim.sync import ClockSource, build_sync_tree, propagate_sync, write_sync_csv
 from fhsim.topology import (
     Chain,
@@ -12,6 +15,7 @@ from fhsim.topology import (
     PhysicalTopology,
     Star,
     build_topology,
+    wire,
 )
 
 
@@ -34,6 +38,17 @@ class TestBuildTree:
         topo = build_topology(Chain(n_switches=3, attachments=((1, NodeKind.RRH),)))
         tree = build_sync_tree(topo, [ClockSource(node=0), ClockSource(node=2)])
         assert tree.source_of[1].node == 0  # midpoint goes to the lower id
+
+    def test_equal_hop_tie_breaks_to_lexicographic_branch(self):
+        # two 3-hop branches reach rrh 5: 0-1-4-5 and 0-2-3-5; the first
+        # is less node by node from the source, though its last relay is not
+        links = [(0, 1), (0, 2), (1, 4), (2, 3), (4, 5), (3, 5)]
+        topo = wire(
+            [(NodeKind.FH_SWITCH, "")] * 5 + [(NodeKind.RRH, "")], [(a, b, LinkParams()) for a, b in links]
+        )
+        tree = build_sync_tree(topo, [ClockSource(node=0)])
+        assert tree.parent[5][0] == 4
+        assert tree.parent[4][0] == 1
 
     def test_quality_rank_dominates_distance(self):
         topo = build_topology(Chain(n_switches=3, attachments=()))
@@ -173,3 +188,58 @@ def test_sync_csv_export(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "node_id,source_id,hops,jitter_ns,offset_ppb"
     assert len(lines) == 1 + len(topo.nodes)
+
+
+@st.composite
+def clocked_graphs(draw):
+    """A random connected graph of 2-9 nodes of any kind, and 0-4 sources on its BBUs and switches."""
+    n = draw(st.integers(2, 9))
+    kinds = draw(st.lists(st.sampled_from(list(NodeKind)), min_size=n, max_size=n))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # a spanning tree
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
+    pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    links = []
+    for a, b in draw(st.permutations(sorted(pairs))):
+        ends = (b, a) if draw(st.booleans()) else (a, b)
+        links.append((*ends, LinkParams(jitter_std=draw(st.sampled_from([0.0, 1e-9, 3e-9])))))
+    topo = wire([(kind, "") for kind in kinds], links)
+    hosts = [i for i, kind in enumerate(kinds) if kind in (NodeKind.BBU, NodeKind.FH_SWITCH)]
+    nodes = draw(st.lists(st.sampled_from(hosts), unique=True, max_size=4)) if hosts else []
+    sources = [
+        ClockSource(node, draw(st.integers(0, 1)), draw(st.sampled_from([0.0, 1.5, -2.0]))) for node in nodes
+    ]
+    return topo, sources
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(clocked_graphs())
+    def test_one_search_picks_what_a_search_per_source_picks(self, graph):
+        topo, sources = graph
+        tree = build_sync_tree(topo, sources)
+        reference = sync_oracle.build_sync_tree(topo, sources)
+        assert tree.canonical_hash() == reference.canonical_hash()
+        for regen in (0.0, 0.5, 1.0):
+            assert propagate_sync(tree, topo, regen) == sync_oracle.propagate_sync(reference, topo, regen)
+
+    def test_source_at_the_far_end_of_a_long_chain(self):
+        # 1,200 hops from the source: a recursive pass would exceed
+        # Python's recursion limit here
+        topo = build_topology(Chain(1200, ((0, NodeKind.RRH),)))
+        tree = build_sync_tree(topo, [ClockSource(node=1199)])
+        status = propagate_sync(tree, topo)
+        assert status[1200].hops_from_source == 1200
+        assert status[1200].accumulated_jitter == pytest.approx(math.sqrt(1200) * 1e-9)
+
+    def test_scenario_chain_of_over_a_thousand_switches_runs(self, tmp_path):
+        n = 1001
+        text = "\n".join(
+            ["[topology]", "node = r rrh", "node = b bbu"]
+            + [f"node = s{i} switch" for i in range(n)]
+            + ["link = r s0"]
+            + [f"link = s{i} s{i + 1}" for i in range(n - 1)]
+            + [f"link = s{n - 1} b", "[sync]", "source = b"]
+        )
+        assert run_scenario(parse_scenario(text), str(tmp_path)) == 0
+        row = (tmp_path / "sync.csv").read_text().splitlines()[1]
+        assert row.split(",")[:3] == ["0", "1", str(n + 1)]  # r locks to b, n + 1 hops away

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import astuple
 
 import pytest
 
@@ -86,6 +87,95 @@ class TestGenerators:
         topo = build_topology(Star(leaves=(NodeKind.RRH, NodeKind.BBU), link=params))
         assert all(l.capacity == 1e9 for l in topo.links)
         assert all(l.jitter_std == 5e-9 for l in topo.links)
+
+
+R, B = NodeKind.RRH, NodeKind.BBU
+DEFAULTS = (10e9, 5e-6, 1e-9, "fiber")  # the fields of LinkParams()
+
+# Every node (id, kind, ports, name) and link (ends, ports, params) of a
+# few generated topologies, as the generators have always wired them.
+WIRING = [
+    (
+        Star((R, B, R)),
+        [(0, "switch", 3, "hub"), (1, "rrh", 1, "rrh0"), (2, "bbu", 1, "bbu1"), (3, "rrh", 1, "rrh2")],
+        [(0, 0, 1, 0, *DEFAULTS), (0, 1, 2, 0, *DEFAULTS), (0, 2, 3, 0, *DEFAULTS)],
+    ),
+    (
+        Star((R,), LinkParams(capacity=1e9, jitter_std=2e-9)),
+        [(0, "switch", 2, "hub"), (1, "rrh", 1, "rrh0")],
+        [(0, 0, 1, 0, 1e9, 5e-6, 2e-9, "fiber")],
+    ),
+    (
+        Ring(4, ((0, R), (2, B), (0, B)), attach_link=LinkParams(capacity=40e9, propagation_delay=1e-6)),
+        [
+            (0, "switch", 4, "s0"),
+            (1, "switch", 2, "s1"),
+            (2, "switch", 3, "s2"),
+            (3, "switch", 2, "s3"),
+            (4, "rrh", 1, "rrh0"),
+            (5, "bbu", 1, "bbu1"),
+            (6, "bbu", 1, "bbu2"),
+        ],
+        [
+            (0, 0, 1, 0, *DEFAULTS),
+            (1, 1, 2, 0, *DEFAULTS),
+            (2, 1, 3, 0, *DEFAULTS),
+            (3, 1, 0, 1, *DEFAULTS),
+            (0, 2, 4, 0, 40e9, 1e-6, 1e-9, "fiber"),
+            (2, 2, 5, 0, 40e9, 1e-6, 1e-9, "fiber"),
+            (0, 3, 6, 0, 40e9, 1e-6, 1e-9, "fiber"),
+        ],
+    ),
+    (
+        Ring(3, ()),
+        [(0, "switch", 2, "s0"), (1, "switch", 2, "s1"), (2, "switch", 2, "s2")],
+        [(0, 0, 1, 0, *DEFAULTS), (1, 1, 2, 0, *DEFAULTS), (2, 1, 0, 1, *DEFAULTS)],
+    ),
+    (
+        Chain(3, ((2, R), (0, B), (2, R)), link=LinkParams(link_class="copper")),
+        [
+            (0, "switch", 2, "s0"),
+            (1, "switch", 2, "s1"),
+            (2, "switch", 3, "s2"),
+            (3, "rrh", 1, "rrh0"),
+            (4, "bbu", 1, "bbu1"),
+            (5, "rrh", 1, "rrh2"),
+        ],
+        [(a, pa, b, pb, 10e9, 5e-6, 1e-9, "copper") for a, pa, b, pb in
+         [(0, 0, 1, 0), (1, 1, 2, 0), (2, 1, 3, 0), (0, 1, 4, 0), (2, 2, 5, 0)]],
+    ),
+    (
+        Chain(1, ((0, R),)),
+        [(0, "switch", 2, "s0"), (1, "rrh", 1, "rrh0")],
+        [(0, 0, 1, 0, *DEFAULTS)],
+    ),
+]
+
+
+class TestGeneratorWiring:
+    @pytest.mark.parametrize("spec, nodes, links", WIRING)
+    def test_nodes_and_links_pinned(self, spec, nodes, links):
+        topo = build_topology(spec)
+        assert [(n.id, n.kind.value, n.ports, n.name) for n in topo.nodes.values()] == nodes
+        assert [astuple(link) for link in topo.links] == links
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Star((NodeKind.FH_SWITCH,)),
+            Star((R, NodeKind.FH_SWITCH)),
+            Ring(3, ((1, NodeKind.FH_SWITCH),)),
+            Chain(2, ((1, R), (0, NodeKind.FH_SWITCH))),
+        ],
+    )
+    def test_a_switch_leaf_gets_two_ports(self, spec):
+        # a switch takes at least two ports wherever it is wired, as a
+        # one-link switch in a scenario file always did
+        topo = build_topology(spec)
+        leaf = topo.nodes[max(topo.nodes)]
+        assert leaf.kind is NodeKind.FH_SWITCH
+        assert leaf.ports == 2
+        assert [link.port_of(leaf.id) for link in topo.links if leaf.id in link.key] == [0]
 
 
 class TestHopRows:

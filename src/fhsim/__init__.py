@@ -76,6 +76,7 @@ from .traffic import (
     generate_trace,
     peak_rate,
     scheme_name,
+    subframe_loads,
     subframe_volume,
     write_trace_csv,
 )

@@ -174,6 +174,9 @@ class SourceSpec:
     offset_ppb: float = 0.0
     line: int = field(default=0, compare=False)
 
+    def __post_init__(self) -> None:
+        ClockSource(0, self.quality, self.offset_ppb)  # ClockSource rejects out-of-range values
+
 
 @dataclass(frozen=True, kw_only=True)
 class SessionSpec:
@@ -366,7 +369,6 @@ _CELL = _Keys(CellSpec, {"scheme": "scheme", "role": "role"})
 _RADIO = _Keys(
     CellConfig,
     {
-        "bandwidth": "radio_bandwidth",
         "sampling": "sampling_rate",
         "antennas": "n_antennas",
         "iq_bits": "iq_bitwidth",

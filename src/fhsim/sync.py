@@ -28,6 +28,10 @@ class ClockSource:
     quality_rank: int = 0  # lower is better
     frequency_offset: float = 0.0  # parts-per-billion
 
+    def __post_init__(self) -> None:
+        if not -math.inf < self.frequency_offset < math.inf:  # NaN fails too
+            raise ValueError("frequency_offset must be finite")
+
 
 @dataclass(frozen=True)
 class SyncStatus:

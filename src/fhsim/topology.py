@@ -11,6 +11,7 @@ how many, the legs a pattern makes and whether they share a tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -58,12 +59,12 @@ class PhysLink:
 
     def __post_init__(self) -> None:
         # written so that NaN fails each check
-        if not 0 < self.capacity:
-            raise ValueError("capacity must be > 0")
-        if not 0 <= self.propagation_delay:
-            raise ValueError("propagation_delay must be >= 0")
-        if not 0 <= self.jitter_std:
-            raise ValueError("jitter_std must be >= 0")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError("capacity must be finite and > 0")
+        if not 0 <= self.propagation_delay < math.inf:
+            raise ValueError("propagation_delay must be finite and >= 0")
+        if not 0 <= self.jitter_std < math.inf:
+            raise ValueError("jitter_std must be finite and >= 0")
         if self.node_a == self.node_b:
             raise ValueError("self-loop links are not allowed")
 

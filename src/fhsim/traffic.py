@@ -16,7 +16,12 @@ user activity, a reflected random walk over the MCS table, round-robin
 resource-block scheduling, and periodic control (PDCCH every subframe,
 PRACH bursts at a fixed period). The round-robin grants are computed in
 closed form, per active user rather than per PRB, and equal allocations
-within a trace are one shared `Allocation` object.
+within one trace's generation are one shared `Allocation` object.
+
+`subframe_loads` yields those per-user grants one subframe at a time;
+`generate_trace` turns each into its volume and lets it go, so a trace
+keeps three per-subframe columns (volume, granted PRBs, control
+resource elements) and no per-user record outlives its subframe.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 # Defaults reproduce a 20 MHz, 8 antenna, 15-bit cell whose classical
 # stream is exactly 9.8304 Gbps. The 4/3 overhead is the usual control
@@ -42,7 +47,6 @@ CONTROL_MODULATION_ORDER = 2
 class CellConfig:
     """Radio configuration of one cell feeding a fronthaul link."""
 
-    radio_bandwidth: float = 20e6  # Hz
     sampling_rate: float = DEFAULT_SAMPLING_RATE  # samples/s
     n_antennas: int = 8
     iq_bitwidth: int = 15  # bits per I or Q component
@@ -229,19 +233,26 @@ class UeProfile:
 
 @dataclass
 class TrafficTrace:
-    """Per-subframe fronthaul volumes for one cell under one split scheme."""
+    """Per-subframe fronthaul volumes for one cell under one split scheme.
+
+    A trace keeps three per-subframe columns, index i for subframe i: the
+    volume, the PRBs granted and the control resource elements. The
+    per-user grants behind them come from `subframe_loads` and are not kept.
+    """
 
     cell: CellConfig
     scheme: SplitScheme
     volumes: list[float]  # bits per subframe
-    loads: list[SubframeLoad]
+    prbs: list[int]  # PRBs granted per subframe
+    control_res: list[int]  # control resource elements per subframe
     seed: int
 
     def __post_init__(self) -> None:
-        if len(self.volumes) != len(self.loads):
-            raise ValueError("volumes and loads must have equal length")
-        if any(v < 0 for v in self.volumes):
-            raise ValueError("volumes must be >= 0")
+        if not len(self.volumes) == len(self.prbs) == len(self.control_res):
+            raise ValueError("volumes, prbs and control_res must have equal length")
+        for name in ("volumes", "prbs", "control_res"):
+            if any(v < 0 for v in getattr(self, name)):
+                raise ValueError(f"{name} must be >= 0")
 
     def mean_rate(self) -> float:
         """Average offered rate in bits/s over the trace."""
@@ -365,30 +376,23 @@ def _round_robin_grants(demands: list[int], budget: int, start: int) -> list[int
     return grants
 
 
-def generate_trace(
+def subframe_loads(
     cell: CellConfig,
-    scheme: SplitScheme,
     profiles: list[UeProfile],
     control_schedule: ControlSchedule,
     n_subframes: int,
     seed: int,
-) -> TrafficTrace:
-    """Generate a deterministic multi-subframe traffic trace.
+) -> Iterator[SubframeLoad]:
+    """Yield the scheduled load of each subframe in turn, deterministically.
 
     Per subframe every user advances its activity and MCS processes, whole
     PRBs are granted round-robin among active users up to their demand,
-    control resources are overlaid, and the scheme volume is recorded.
-    The grants are computed in closed form (`_round_robin_grants`), so a
-    subframe costs work per active user, not per PRB granted, and equal
-    allocations, the same user with the same PRBs and MCS, share one
-    `Allocation` object. The same seed always yields the identical trace.
+    and control resources are overlaid. The grants are computed in closed
+    form (`_round_robin_grants`), so a subframe costs work per active
+    user, not per PRB granted, and equal allocations, the same user with
+    the same PRBs and MCS, share one `Allocation` object. The same seed
+    always yields the identical loads.
     """
-    if n_subframes < 1:
-        raise ValueError("n_subframes must be >= 1")
-    load_dependent = not isinstance(scheme, (ClassicalIQ, FilteredIQ))
-    if load_dependent and not profiles:
-        raise ValueError("load-dependent schemes require at least one UE profile")
-
     rng = random.Random(seed)
     draw, choice = rng.random, rng.choice
     table = DEFAULT_MCS_TABLE
@@ -403,8 +407,6 @@ def generate_trace(
     demand = [p.demand_prbs for p in profiles]
     shared = _SharedAllocations(profiles, table)
 
-    volumes: list[float] = []
-    loads: list[SubframeLoad] = []
     for sf in range(n_subframes):
         active = []  # ascending user index
         for i, p_off, p_on, step_prob in users:
@@ -433,11 +435,37 @@ def generate_trace(
         if control_schedule.prach_res and sf % control_schedule.prach_period == 0:
             control += control_schedule.prach_res
 
-        load = SubframeLoad(subframe_index=sf, allocations=allocations, control_res=control)
-        loads.append(load)
-        volumes.append(subframe_volume(scheme, cell, load))
+        yield SubframeLoad(subframe_index=sf, allocations=allocations, control_res=control)
 
-    return TrafficTrace(cell=cell, scheme=scheme, volumes=volumes, loads=loads, seed=seed)
+
+def generate_trace(
+    cell: CellConfig,
+    scheme: SplitScheme,
+    profiles: list[UeProfile],
+    control_schedule: ControlSchedule,
+    n_subframes: int,
+    seed: int,
+) -> TrafficTrace:
+    """Generate a deterministic multi-subframe traffic trace.
+
+    Each load from `subframe_loads` gives its subframe's scheme volume,
+    PRB total and control resources, and is then let go. The same seed
+    always yields the identical trace.
+    """
+    if n_subframes < 1:
+        raise ValueError("n_subframes must be >= 1")
+    load_dependent = not isinstance(scheme, (ClassicalIQ, FilteredIQ))
+    if load_dependent and not profiles:
+        raise ValueError("load-dependent schemes require at least one UE profile")
+
+    volumes: list[float] = []
+    prbs: list[int] = []
+    control_res: list[int] = []
+    for load in subframe_loads(cell, profiles, control_schedule, n_subframes, seed):
+        volumes.append(subframe_volume(scheme, cell, load))
+        prbs.append(load.total_prbs)
+        control_res.append(load.control_res)
+    return TrafficTrace(cell, scheme, volumes, prbs, control_res, seed)
 
 
 def constant_trace(
@@ -447,23 +475,18 @@ def constant_trace(
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
     per_subframe = rate * cell.subframe_duration
-    loads = [SubframeLoad(subframe_index=sf) for sf in range(n_subframes)]
     return TrafficTrace(
-        cell=cell,
-        scheme=scheme,
-        volumes=[per_subframe] * n_subframes,
-        loads=loads,
-        seed=0,
+        cell, scheme, [per_subframe] * n_subframes, [0] * n_subframes, [0] * n_subframes, seed=0
     )
 
 
 def write_trace_csv(trace: TrafficTrace, path: str) -> None:
-    """Export a trace as the standard five-column table."""
+    """Export a trace as the standard five-column table, one row per subframe."""
     name = scheme_name(trace.scheme)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subframe_index", "scheme", "volume_bits", "allocated_prbs", "control_res"])
-        for load, volume in zip(trace.loads, trace.volumes):
-            writer.writerow(
-                [load.subframe_index, name, repr(volume), load.total_prbs, load.control_res]
-            )
+        columns = zip(trace.volumes, trace.prbs, trace.control_res)
+        writer.writerows(
+            [sf, name, repr(volume), prbs, control] for sf, (volume, prbs, control) in enumerate(columns)
+        )

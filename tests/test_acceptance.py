@@ -78,7 +78,7 @@ def test_criterion_2_split_ordering_trace_shape():
 
     for scheme in (ReExtraction(), ModulationBits()):
         trace = generate_trace(cell, scheme, fixed_mcs, control, 1000, seed)
-        prbs = [float(load.total_prbs) for load in trace.loads]
+        prbs = [float(p) for p in trace.prbs]
         assert len(set(trace.volumes)) > 1  # varies with load
         assert statistics.correlation(prbs, trace.volumes) > 0.9
 

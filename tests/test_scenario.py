@@ -90,6 +90,12 @@ class TestParse:
             parse_scenario(bad)
         assert "capacity" in str(exc.value)
 
+    def test_radio_bandwidth_is_an_unknown_key(self):
+        bad = MINIMAL.replace("scheme=modulation_bits", "scheme=modulation_bits bandwidth=20e6")
+        with pytest.raises(ScenarioError, match="unknown key 'bandwidth'") as exc:
+            parse_scenario(bad)
+        assert exc.value.line == 10
+
     def test_type_mismatch_diagnosed(self):
         bad = MINIMAL.replace("class=2", "class=fast")
         with pytest.raises(ScenarioError):
@@ -221,6 +227,13 @@ class TestRunScenario:
             ("scheme=modulation_bits", "scheme=modulation_bits sampling=inf", 10),
             ("scheme=modulation_bits", "scheme=modulation_bits subframe=inf", 10),
             ("scheme=modulation_bits", "scheme=modulation_bits overhead=inf", 10),
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=inf", 7),
+            ("link = hub b1 cap=1e9 delay=1e-6", "link = hub b1 cap=1e9 delay=inf", 7),
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=1e9 jitter=inf", 7),
+            ("source = b1 quality=0", "source = b1 quality=0 offset_ppb=inf", 15),
+            ("source = b1 quality=0", "source = b1 quality=0 offset_ppb=-inf", 15),
+            ("source = b1 quality=0", "source = b1 quality=0 offset_ppb=nan", 15),
+            ("scheme=modulation_bits", "scheme=modulation_bits bandwidth=20e6", 10),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):

@@ -243,3 +243,9 @@ class TestAgainstReference:
         assert run_scenario(parse_scenario(text), str(tmp_path)) == 0
         row = (tmp_path / "sync.csv").read_text().splitlines()[1]
         assert row.split(",")[:3] == ["0", "1", str(n + 1)]  # r locks to b, n + 1 hops away
+
+
+@pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+def test_clock_source_refuses_an_offset_that_is_not_finite(offset):
+    with pytest.raises(ValueError, match="frequency_offset must be finite"):
+        ClockSource(node=0, frequency_offset=offset)

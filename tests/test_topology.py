@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import astuple
 
 import pytest
@@ -308,3 +309,11 @@ class TestPatternShapes:
     def test_unknown_shape_is_a_type_error(self):
         with pytest.raises(TypeError, match="unknown pattern shape"):
             pattern_legs(LogicalPattern((1, 4)))
+
+
+@pytest.mark.parametrize(
+    "params", [{"capacity": math.inf}, {"propagation_delay": math.inf}, {"jitter_std": math.inf}]
+)
+def test_link_refuses_infinite_parameters(params):
+    with pytest.raises(ValueError, match="must be finite"):
+        PhysLink(0, 0, 1, 0, **{"capacity": 1e9, **params})

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import statistics
@@ -16,10 +17,12 @@ from fhsim.traffic import (
     PduLevel,
     ReExtraction,
     SubframeLoad,
+    TrafficTrace,
     UeProfile,
     constant_trace,
     generate_trace,
     peak_rate,
+    subframe_loads,
     subframe_volume,
     write_trace_csv,
 )
@@ -178,8 +181,7 @@ class TestGenerateTrace:
         args = (cell, ReExtraction(), ten_fixed_ues(), ControlSchedule(144, 10, 144), 200, 42)
         a = generate_trace(*args)
         b = generate_trace(*args)
-        assert a.volumes == b.volumes
-        assert a.loads == b.loads
+        assert (a.volumes, a.prbs, a.control_res) == (b.volumes, b.prbs, b.control_res)
 
     def test_different_seed_differs(self):
         cell = CellConfig()
@@ -214,21 +216,21 @@ class TestGenerateTrace:
         trace = generate_trace(
             cell, ModulationBits(), ten_fixed_ues(), ControlSchedule(144, 10, 144), 1000, 11
         )
-        prbs = [float(load.total_prbs) for load in trace.loads]
+        prbs = [float(p) for p in trace.prbs]
         assert statistics.pstdev(prbs) > 0
         corr = statistics.correlation(prbs, trace.volumes)
         assert corr > 0.9
 
-    def test_volumes_loads_same_length_and_nonnegative(self):
+    def test_columns_same_length_and_nonnegative(self):
         cell = CellConfig()
         trace = generate_trace(cell, PduLevel(), ten_fixed_ues(), ControlSchedule(), 50, 5)
-        assert len(trace.volumes) == len(trace.loads) == 50
+        assert len(trace.volumes) == len(trace.prbs) == len(trace.control_res) == 50
         assert all(v >= 0 for v in trace.volumes)
 
     def test_allocation_respects_prb_budget(self):
         cell = CellConfig(n_prb=17)
         trace = generate_trace(cell, ReExtraction(), ten_fixed_ues(demand=5), ControlSchedule(), 300, 13)
-        assert all(load.total_prbs <= 17 for load in trace.loads)
+        assert all(p <= 17 for p in trace.prbs)
 
     def test_load_dependent_scheme_requires_profiles(self):
         with pytest.raises(ValueError):
@@ -239,6 +241,21 @@ def test_constant_trace_rate():
     trace = constant_trace(CellConfig(), ClassicalIQ(), rate=8e6, n_subframes=10)
     assert trace.volumes == [8000.0] * 10
     assert trace.mean_rate() == 8e6
+
+
+@pytest.mark.parametrize(
+    "volumes, prbs, control_res, message",
+    [
+        ([1.0], [0, 0], [0], "equal length"),
+        ([1.0], [0], [], "equal length"),
+        ([-1.0], [0], [0], "volumes must be >= 0"),
+        ([1.0], [-1], [0], "prbs must be >= 0"),
+        ([1.0], [0], [-1], "control_res must be >= 0"),
+    ],
+)
+def test_trace_columns_are_checked(volumes, prbs, control_res, message):
+    with pytest.raises(ValueError, match=message):
+        TrafficTrace(CellConfig(), ReExtraction(), volumes, prbs, control_res, seed=0)
 
 
 @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
@@ -261,7 +278,7 @@ def test_trace_csv_round_trip(tmp_path):
     assert float(first[2]) == trace.volumes[0]
 
 
-def contended_cell_trace(generate=generate_trace):
+def contended_cell_args():
     """One cell whose users often want more PRBs than it has, with mixed demands."""
     cell = CellConfig(n_prb=23)
     profiles = [
@@ -275,17 +292,22 @@ def contended_cell_trace(generate=generate_trace):
         )
         for i in range(10)
     ]
-    return generate(cell, PduLevel(), profiles, ControlSchedule(36, 5, 72), 600, 2024)
+    return cell, PduLevel(), profiles, ControlSchedule(36, 5, 72), 600, 2024
 
 
-# sha256 of write_trace_csv for contended_cell_trace(), recorded from the
+def loads_of(cell, scheme, *rest):
+    """The loads `generate_trace(cell, scheme, *rest)` reads, as a list."""
+    return list(subframe_loads(cell, *rest))
+
+
+# sha256 of write_trace_csv for the contended cell's trace, recorded from the
 # one-PRB-per-step round-robin scheduler that the closed-form grants replace.
 CONTENDED_TRACE_SHA256 = "b00eb4c2c846bfbd4745fa6deb1e40f9f68921adaa2552c2899b4a552e6598ef"
 
 
 def test_contended_trace_csv_is_pinned(tmp_path):
-    trace = contended_cell_trace()
-    assert any(load.total_prbs == 23 for load in trace.loads)  # the PRBs really run out
+    trace = generate_trace(*contended_cell_args())
+    assert any(p == 23 for p in trace.prbs)  # the PRBs really run out
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CONTENDED_TRACE_SHA256
@@ -320,24 +342,44 @@ class TestGrantsMatchStepwiseReference:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_volumes_and_loads(self, n_prb, profiles, scheme, control, n_subframes, seed):
-        args = (CellConfig(n_prb=n_prb), scheme, profiles, control, n_subframes, seed)
-        fast = generate_trace(*args)
-        reference = traffic_oracle.generate_trace(*args)
-        assert bitwise(fast.volumes) == bitwise(reference.volumes)
-        assert fast.loads == reference.loads
+        self.check((CellConfig(n_prb=n_prb), scheme, profiles, control, n_subframes, seed))
 
     def test_contended_cell_matches(self):
-        fast = contended_cell_trace()
-        reference = contended_cell_trace(traffic_oracle.generate_trace)
-        assert bitwise(fast.volumes) == bitwise(reference.volumes)
-        assert fast.loads == reference.loads
+        self.check(contended_cell_args())
+
+    @staticmethod
+    def check(args):
+        trace = generate_trace(*args)
+        volumes, loads = traffic_oracle.generate_trace(*args)
+        assert bitwise(trace.volumes) == bitwise(volumes)
+        assert loads_of(*args) == loads  # every allocation of every subframe
+        assert trace.prbs == [load.total_prbs for load in loads]
+        assert trace.control_res == [load.control_res for load in loads]
 
 
-def test_equal_allocations_share_one_object():
+def busy_cell_args():
     profiles = [
         UeProfile(ue_id=i, mean_on=20, mean_off=20, demand_prbs=1 + i % 9, mcs_step_prob=0.5)
         for i in range(48)
     ]
-    trace = generate_trace(CellConfig(), ModulationBits(), profiles, ControlSchedule(), 2000, 5)
-    objects = {id(a) for load in trace.loads for a in load.allocations}
-    assert len(objects) <= len(profiles) * (9 + 1) * 6
+    return CellConfig(), ModulationBits(), profiles, ControlSchedule(), 2000, 5
+
+
+def test_equal_allocations_share_one_object():
+    loads = loads_of(*busy_cell_args())
+    objects = {id(a) for load in loads for a in load.allocations}
+    assert len(objects) <= 48 * (9 + 1) * 6
+
+
+def test_trace_keeps_no_per_user_record():
+    trace = generate_trace(*busy_cell_args())
+    # Walk everything the trace holds, short of classes and their modules.
+    seen, stack = set(), [trace]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (SubframeLoad, Allocation)), obj
+        stack.extend(gc.get_referents(obj))
+    assert len(seen) > 2000  # the walk reached every volume

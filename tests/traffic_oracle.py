@@ -1,10 +1,11 @@
 """Reference trace generator: round-robin grants one PRB per step.
 
-This is the generator `fhsim.traffic.generate_trace` replaced with
-closed-form grants. It hands out whole PRBs one at a time, visiting the
-active users in a rotated order, so it is slow but plainly right. The
-property tests require that both produce the same volumes, bit for bit,
-and the same loads.
+This is the generator `fhsim.traffic` replaced with closed-form grants.
+It hands out whole PRBs one at a time, visiting the active users in a
+rotated order, so it is slow but plainly right. It returns every
+subframe's volume and load; the property tests require the same volumes
+from `generate_trace`, bit for bit, and the same loads from
+`subframe_loads`.
 """
 
 import random
@@ -18,7 +19,6 @@ from fhsim.traffic import (
     FilteredIQ,
     SplitScheme,
     SubframeLoad,
-    TrafficTrace,
     UeProfile,
     _stationary_on_probability,
     subframe_volume,
@@ -32,8 +32,8 @@ def generate_trace(
     control_schedule: ControlSchedule,
     n_subframes: int,
     seed: int,
-) -> TrafficTrace:
-    """Generate a deterministic multi-subframe traffic trace.
+) -> tuple[list[float], list[SubframeLoad]]:
+    """Generate deterministic per-subframe volumes and loads.
 
     Per subframe every user advances its activity and MCS processes, whole
     PRBs are granted round-robin among active users up to their demand,
@@ -98,4 +98,4 @@ def generate_trace(
         loads.append(load)
         volumes.append(subframe_volume(scheme, cell, load))
 
-    return TrafficTrace(cell=cell, scheme=scheme, volumes=volumes, loads=loads, seed=seed)
+    return volumes, loads

@@ -31,7 +31,6 @@ from .metrics import (
     efficiency,
     measured_efficiency,
     overhead_sweep,
-    percentile,
 )
 from .packet import FhHeader, FhPacket, deserialize_header, serialize_header
 from .scenario import (

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .engine import RegulatorPolicy, SwitchConfig, SwitchState
@@ -380,32 +380,6 @@ class Controller:
 
     def _free_label(self, node: NodeId, in_port: int, label: int) -> None:
         self._labels[(node, in_port)].give(label)
-
-    def labels_in_use(self) -> dict[tuple[NodeId, int], frozenset[int]]:
-        """The labels held at each (node, in_port) that holds any."""
-        return {key: frozenset(pool.used) for key, pool in self._labels.items() if pool.used}
-
-    def hold_labels(self, node: NodeId, in_port: int, labels: Iterable[int]) -> None:
-        """Take `labels` at (node, in_port) through the allocator, as circuits would.
-
-        Labels are allocated in smallest-free order until every one of
-        `labels` is held; the others taken on the way are freed again.
-        """
-        missing = set(labels)
-        if any(not 0 <= label <= MAX_LABEL for label in missing):
-            raise ValueError(f"labels must be in 0..{MAX_LABEL}")
-        pool = self._labels.get((node, in_port))
-        if pool is not None:
-            missing -= pool.used
-        spare = []
-        while missing:
-            label = self._alloc_label(node, in_port)
-            if label in missing:
-                missing.remove(label)
-            else:
-                spare.append(label)
-        for label in spare:
-            self._free_label(node, in_port, label)
 
     def _surviving(self) -> PhysicalTopology:
         """The topology without `failed_links`, rebuilt only when that set changed."""

@@ -35,16 +35,6 @@ def efficiency(payload_len_bytes: int, header_len_bytes: int = HEADER_BYTES) -> 
     return payload_len_bytes / (payload_len_bytes + header_len_bytes)
 
 
-def percentile(values: list[float], pct: float) -> float:
-    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
-    if not values:
-        raise ValueError("percentile of empty list")
-    if not 0 < pct <= 100:
-        raise ValueError("pct must be in (0, 100]")
-    keys, running = _running(Counter(values))
-    return _ranked(keys, running, pct)
-
-
 def _running(counts: dict[float, int]) -> tuple[list[float], list[int]]:
     """The distinct values in ascending order, and how many samples are <= each."""
     keys = sorted(counts)

@@ -9,7 +9,7 @@ requests, and the engine knobs, in five sections:
     link = rrh1 hub cap=10e9 delay=5e-6 jitter=1e-9 class=fiber
 
     [cells]
-    cell = rrh1 scheme=modulation_bits role=dbs
+    cell = rrh1 scheme=modulation_bits layers=2 antennas=4
     ues = rrh1 count=10 mean_on=40 mean_off=40 demand=10 mcs_step=0.3
     control = rrh1 pdcch=144 prach_period=10 prach_res=144
 
@@ -28,13 +28,15 @@ requests, and the engine knobs, in five sections:
     subframes = 100
     seed = 1
 
-Every entry is one line. Each key sets one field of the value its line
-builds, as the _Keys tables below list; a key left out keeps the
-field's default. Unknown, repeated or malformed keys, dangling node
-references, and values that the built objects reject (prb=0, a
-self-loop link, horizon = -1, ...) raise ScenarioError naming the
-offending line, before run_scenario writes any file. Parsing a rendered
-scenario yields an equal Scenario value.
+Every entry is one line. Each kind of entry line (node, link, cell,
+source, session) is one row of _ENTRIES, which parsing, rendering and
+the cross-line checks all read: the row's _Keys table maps the line's
+positional values and keys to the fields of the value it builds, and a
+key left out keeps the field's default. Unknown, repeated or malformed
+keys, dangling node references, and values that the built objects
+reject (prb=0, a self-loop link, horizon = -1, ...) raise ScenarioError
+naming the offending line, before run_scenario writes any file. Parsing
+a rendered scenario yields an equal Scenario value.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import NamedTuple
 
 from .control import Controller, Infeasible, SessionRequest
 from .engine import (
@@ -61,6 +64,7 @@ from .topology import (
     LinkParams,
     LogicalPattern,
     NodeKind,
+    PatternShape,
     PhysLink,
     PhysicalTopology,
     PointToPoint,
@@ -124,6 +128,10 @@ class NodeSpec:
     kind: str
     line: int = field(default=0, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown node kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -160,7 +168,6 @@ class UeSpec:
 class CellSpec:
     node: str
     scheme: SplitScheme = ClassicalIQ()
-    role: str = ""
     cell: CellConfig = CellConfig()
     ues: UeSpec = UeSpec()
     control: ControlSchedule = ControlSchedule()
@@ -180,6 +187,8 @@ class SourceSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class SessionSpec:
+    """One session line; `shape` is its pattern over node names, made once."""
+
     name: str
     pattern: str = "p2p"  # a key of _PATTERNS
     srcs: tuple[str, ...]
@@ -196,6 +205,22 @@ class SessionSpec:
     ue: int | None = None
     optional: bool = False
     line: int = field(default=0, compare=False)
+    shape: PatternShape = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.pattern not in _PATTERNS:
+            raise ValueError(f"unknown pattern {self.pattern!r}")
+        if self.traffic not in ("trace", "cbr"):
+            raise ValueError(f"unknown traffic kind {self.traffic!r}")
+        if self.traffic == "cbr" and self.cbr_rate is None:
+            raise ValueError("cbr traffic needs a rate")
+        if self.cbr_rate is not None and self.cbr_rate > self.peak_rate:
+            raise ValueError(f"rate {self.cbr_rate:g} is above peak {self.peak_rate:g}")
+        try:
+            shape = pattern_shape(_PATTERNS[self.pattern], self.srcs, self.dsts)
+        except ValueError as exc:
+            raise ValueError(f"{self.pattern}: {exc}") from exc
+        object.__setattr__(self, "shape", shape)
 
 
 @dataclass(frozen=True)
@@ -300,10 +325,12 @@ class _Keys:
     The field's annotation picks the parser and renderer, and the field's
     default is the key's default; a field without one needs its key.
     Where two keys fill one field (srcs and src), the first one renders.
-    A split scheme takes its own keys from the line that names it.
+    A split scheme takes its own keys from the line that names it. On a
+    whole entry line, the positional values fill `names` in order, and
+    each table of `parts` fills its field from keys of the same line.
     """
 
-    def __init__(self, cls: type, keys: dict[str, str] | None = None):
+    def __init__(self, cls: type, keys: dict[str, str] | None = None, names: tuple[str, ...] = (), parts=None):
         specs = {f.name: f for f in fields(cls)}
         keys = keys if keys is not None else {name: name for name in specs}
         self.codecs = {
@@ -312,7 +339,30 @@ class _Keys:
         }
         self.defaults = {name: specs[name].default for name in keys.values()}
         self.required = [name for name, default in self.defaults.items() if default is MISSING]
-        self.cls = cls
+        self.cls, self.names, self.parts = cls, names, parts or {}
+
+    def read(self, line_no: int, tokens: list[str], **given):
+        """The value of one entry line from its tokens after `key =`."""
+        if len(tokens) < len(self.names):
+            raise ScenarioError(line_no, f"expected at least {len(self.names)} positional values")
+        attrs = {}
+        for token in tokens[len(self.names) :]:
+            key, eq, raw = token.partition("=")
+            if not eq:
+                raise ScenarioError(line_no, f"expected key=value, got {token!r}")
+            if key in attrs:
+                raise ScenarioError(line_no, f"duplicate key {key!r}")
+            attrs[key] = raw
+        given.update(zip(self.names, tokens))
+        for name, part in self.parts.items():
+            given[name] = part.fill(line_no, attrs)
+        value = self.fill(line_no, attrs, **given)
+        if attrs:
+            tables = [self, *self.parts.values()]
+            tables += [_SCHEME_KEYS[type(v)] for v in vars(value).values() if type(v) in _SCHEME_KEYS]
+            allowed = sorted(key for table in tables for key in table.codecs)
+            raise ScenarioError(line_no, f"unknown key {next(iter(attrs))!r} (allowed: {allowed})")
+        return value
 
     def fill(self, line_no: int, attrs: dict[str, str], **given):
         """Build the value from `given` plus this table's keys, popped from attrs."""
@@ -340,8 +390,8 @@ class _Keys:
             return replace(value, **{name: parse(raw)})
 
     def render(self, value, sep: str = "=") -> list[str]:
-        """key{sep}text for every field of value that differs from its default."""
-        out = []
+        """The positional values, key{sep}text for every field that differs from its default, the parts."""
+        out = [getattr(value, name) for name in self.names]
         rendered = set()
         for key, (name, _, text) in self.codecs.items():
             current = getattr(value, name)
@@ -351,6 +401,8 @@ class _Keys:
             out.append(f"{key}{sep}{text(current)}")
             if type(current) in _SCHEME_KEYS:
                 out += _SCHEME_KEYS[type(current)].render(current)
+        for name, part in self.parts.items():
+            out += part.render(getattr(value, name))
         return out
 
 
@@ -365,7 +417,6 @@ _LINK = _Keys(
     LinkParams,
     {"cap": "capacity", "delay": "propagation_delay", "jitter": "jitter_std", "class": "link_class"},
 )
-_CELL = _Keys(CellSpec, {"scheme": "scheme", "role": "role"})
 _RADIO = _Keys(
     CellConfig,
     {
@@ -379,15 +430,9 @@ _RADIO = _Keys(
         "compression": "compression_factor",
     },
 )
-# Lines that complete the cell of their node: line key -> CellSpec field of that name.
-_CELL_PARTS = {
-    "ues": _Keys(UeSpec),
-    "control": _Keys(
-        ControlSchedule,
-        {"pdcch": "pdcch_res_per_subframe", "prach_period": "prach_period", "prach_res": "prach_res"},
-    ),
-}
-_SOURCE = _Keys(SourceSpec, {"quality": "quality", "offset_ppb": "offset_ppb"})
+_LINK_LINE = _Keys(LinkSpec, {}, ("a", "b"), {"link": _LINK})
+_CELL = _Keys(CellSpec, {"scheme": "scheme"}, ("node",), {"cell": _RADIO})
+_SOURCE = _Keys(SourceSpec, {"quality": "quality", "offset_ppb": "offset_ppb"}, ("node",))
 _SESSION = _Keys(
     SessionSpec,
     {
@@ -408,40 +453,48 @@ _SESSION = _Keys(
         "ue": "ue",
         "optional": "optional",
     },
+    ("name",),
 )
+
+
+class _Entry(NamedTuple):
+    """One kind of entry line."""
+
+    field: str  # the Scenario field its values add to
+    keys: _Keys
+    repeat: str | None  # how a repeated first positional is named; None: it may repeat
+    refs: dict[str, tuple[NodeKind, ...]]  # value field naming a node -> the kinds it may name
+
+
+_SECTIONS = ("topology", "cells", "sync", "sessions", "engine")
+_ANY = tuple(NodeKind)
+# (section, line key) -> its row, in the order lines render.
+_ENTRIES = {
+    ("topology", "node"): _Entry("nodes", _Keys(NodeSpec, {}, ("name", "kind")), "node", {}),
+    ("topology", "link"): _Entry("links", _LINK_LINE, None, {"a": _ANY, "b": _ANY}),
+    ("cells", "cell"): _Entry("cells", _CELL, "cell for node", {"node": (NodeKind.RRH,)}),
+    ("sync", "source"): _Entry(
+        "sources", _SOURCE, "sync source at node", {"node": (NodeKind.BBU, NodeKind.FH_SWITCH)}
+    ),
+    ("sessions", "session"): _Entry("sessions", _SESSION, "session", {}),
+}
+# Lines that complete the cell of their node: line key -> CellSpec field of that name.
+_CELL_PARTS = {
+    "ues": _Keys(UeSpec),
+    "control": _Keys(
+        ControlSchedule,
+        {"pdcch": "pdcch_res_per_subframe", "prach_period": "prach_period", "prach_res": "prach_res"},
+    ),
+}
 # Sections of `key = value` settings, each updating one value.
 _SETTINGS = {"sync": _Keys(Scenario, {"regen": "regen_factor"}), "engine": _Keys(EngineSpec)}
 
 
-def _split(line_no: int, tokens: list[str], positional: int):
-    if len(tokens) < positional:
-        raise ScenarioError(line_no, f"expected at least {positional} positional values")
-    attrs = {}
-    for token in tokens[positional:]:
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise ScenarioError(line_no, f"expected key=value, got {token!r}")
-        if key in attrs:
-            raise ScenarioError(line_no, f"duplicate key {key!r}")
-        attrs[key] = value
-    return tokens[:positional], attrs
-
-
-def _done(line_no: int, attrs: dict[str, str], *tables: _Keys | None) -> None:
-    """Reject the keys of a line that none of its tables took."""
-    if attrs:
-        allowed = sorted(key for table in tables if table is not None for key in table.codecs)
-        raise ScenarioError(line_no, f"unknown key {next(iter(attrs))!r} (allowed: {allowed})")
-
-
 def parse_scenario(text: str, name: str = "") -> Scenario:
     """Parse scenario text into a validated Scenario, or raise ScenarioError."""
-    nodes: list[NodeSpec] = []
-    links: list[LinkSpec] = []
-    cells: list[CellSpec] = []
+    found: dict[str, list] = {entry.field: [] for entry in _ENTRIES.values()}
+    seen: set[tuple[str, str]] = set()  # (Scenario field, first positional) of rows that refuse repeats
     cell_parts: dict[str, dict[str, tuple[int, object]]] = {}  # node -> {line key: (line, value)}
-    sources: list[SourceSpec] = []
-    sessions: list[SessionSpec] = []
     # Settings replace one field per line, so a rejected value names its line.
     settings = {"sync": Scenario(name=name), "engine": EngineSpec()}
     set_keys: set[tuple[str, str]] = set()
@@ -455,7 +508,7 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
             if not line.endswith("]"):
                 raise ScenarioError(line_no, f"malformed section header {line!r}")
             section = line[1:-1]
-            if section not in ("topology", "cells", "sync", "sessions", "engine"):
+            if section not in _SECTIONS:
                 raise ScenarioError(line_no, f"unknown section [{section}]")
             continue
         if section is None:
@@ -465,119 +518,73 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
         key, _, rest = line.partition("=")
         key, rest = key.strip(), rest.strip()
         tokens = rest.split()
+        entry = _ENTRIES.get((section, key))
 
         if section in _SETTINGS and key in _SETTINGS[section].codecs:
             if (section, key) in set_keys:
                 raise ScenarioError(line_no, f"duplicate key {key!r} in [{section}]")
             set_keys.add((section, key))
             settings[section] = _SETTINGS[section].set(line_no, settings[section], key, rest)
-        elif (section, key) == ("topology", "node"):
-            (node_name, kind), attrs = _split(line_no, tokens, 2)
-            _done(line_no, attrs)
-            if kind not in _KINDS:
-                raise ScenarioError(line_no, f"unknown node kind {kind!r}")
-            if any(n.name == node_name for n in nodes):
-                raise ScenarioError(line_no, f"duplicate node {node_name!r}")
-            nodes.append(NodeSpec(node_name, kind, line_no))
-        elif (section, key) == ("topology", "link"):
-            (a, b), attrs = _split(line_no, tokens, 2)
-            params = _LINK.fill(line_no, attrs)
-            _done(line_no, attrs, _LINK)
-            with _At(line_no):
-                links.append(LinkSpec(a, b, params, line_no))
-        elif (section, key) == ("cells", "cell"):
-            (node_name,), attrs = _split(line_no, tokens, 1)
-            if any(c.node == node_name for c in cells):
-                raise ScenarioError(line_no, f"duplicate cell for node {node_name!r}")
-            radio = _RADIO.fill(line_no, attrs)
-            cell = _CELL.fill(line_no, attrs, node=node_name, cell=radio, line=line_no)
-            _done(line_no, attrs, _CELL, _RADIO, _SCHEME_KEYS[type(cell.scheme)])
-            cells.append(cell)
+        elif entry is not None:
+            value = entry.keys.read(line_no, tokens, line=line_no)
+            if entry.repeat is not None:
+                if (entry.field, tokens[0]) in seen:
+                    raise ScenarioError(line_no, f"duplicate {entry.repeat} {tokens[0]!r}")
+                seen.add((entry.field, tokens[0]))
+            found[entry.field].append(value)
         elif section == "cells" and key in _CELL_PARTS:
-            (node_name,), attrs = _split(line_no, tokens, 1)
-            parts = cell_parts.setdefault(node_name, {})
+            if not tokens:
+                raise ScenarioError(line_no, "expected at least 1 positional values")
+            parts = cell_parts.setdefault(tokens[0], {})
             if key in parts:
-                raise ScenarioError(line_no, f"duplicate {key} line for node {node_name!r}")
-            parts[key] = (line_no, _CELL_PARTS[key].fill(line_no, attrs))
-            _done(line_no, attrs, _CELL_PARTS[key])
-        elif (section, key) == ("sync", "source"):
-            (node_name,), attrs = _split(line_no, tokens, 1)
-            if any(s.node == node_name for s in sources):
-                raise ScenarioError(line_no, f"duplicate sync source at node {node_name!r}")
-            sources.append(_SOURCE.fill(line_no, attrs, node=node_name, line=line_no))
-            _done(line_no, attrs, _SOURCE)
-        elif (section, key) == ("sessions", "session"):
-            (session_name,), attrs = _split(line_no, tokens, 1)
-            if any(s.name == session_name for s in sessions):
-                raise ScenarioError(line_no, f"duplicate session {session_name!r}")
-            session = _SESSION.fill(line_no, attrs, name=session_name, line=line_no)
-            _done(line_no, attrs, _SESSION, _SCHEME_KEYS.get(type(session.scheme)))
-            sessions.append(session)
+                raise ScenarioError(line_no, f"duplicate {key} line for node {tokens[0]!r}")
+            parts[key] = (line_no, _CELL_PARTS[key].read(line_no, tokens[1:]))
         else:
             raise ScenarioError(line_no, f"unknown key {key!r} in [{section}]")
 
-    final_cells = []
-    for cell in cells:
+    cells = []
+    for cell in found.pop("cells"):
         parts = cell_parts.pop(cell.node, {})
-        final_cells.append(replace(cell, **{k: value for k, (_, value) in parts.items()}))
+        cells.append(replace(cell, **{k: value for k, (_, value) in parts.items()}))
     for node_name, parts in cell_parts.items():
         stray_line, _ = next(iter(parts.values()))
         raise ScenarioError(stray_line, f"{'/'.join(parts)} for node {node_name!r} without a cell line")
 
-    scenario = replace(
-        settings["sync"],
-        nodes=tuple(nodes),
-        links=tuple(links),
-        cells=tuple(final_cells),
-        sources=tuple(sources),
-        sessions=tuple(sessions),
-        engine=settings["engine"],
-    )
+    entries = {name: tuple(values) for name, values in found.items()}
+    scenario = replace(settings["sync"], **entries, cells=tuple(cells), engine=settings["engine"])
     _validate(scenario)
     return scenario
 
 
 def _validate(scenario: Scenario) -> None:
-    kind_of = {n.name: _KINDS[n.kind] for n in scenario.nodes}
+    """The checks that compare lines: node references, parallel links, session ends, trace cells."""
     if not scenario.nodes:
         raise ScenarioError(0, "no nodes declared")
+    kind_of = {n.name: _KINDS[n.kind] for n in scenario.nodes}
+    for (_, key), entry in _ENTRIES.items():
+        for value in getattr(scenario, entry.field) if entry.refs else ():
+            for name, kinds in entry.refs.items():
+                node = getattr(value, name)
+                if node not in kind_of:
+                    raise ScenarioError(value.line, f"{key} references undeclared node {node!r}")
+                if kind_of[node] not in kinds:
+                    allowed = " or ".join(kind.value for kind in kinds)
+                    raise ScenarioError(
+                        value.line, f"{key}s attach to {allowed} nodes, {node!r} is {kind_of[node].value}"
+                    )
     pairs = set()
     for link in scenario.links:
-        for end in (link.a, link.b):
-            if end not in kind_of:
-                raise ScenarioError(link.line, f"link references undeclared node {end!r}")
         pair = frozenset((link.a, link.b))
         if pair in pairs:
             raise ScenarioError(link.line, f"parallel link between {link.a!r} and {link.b!r}")
         pairs.add(pair)
-    for cell in scenario.cells:
-        if cell.node not in kind_of:
-            raise ScenarioError(cell.line, f"cell references undeclared node {cell.node!r}")
-        if kind_of[cell.node] is not NodeKind.RRH:
-            kind = kind_of[cell.node].value
-            raise ScenarioError(cell.line, f"cells attach to rrh nodes, {cell.node!r} is {kind}")
-    for source in scenario.sources:
-        if source.node not in kind_of:
-            raise ScenarioError(source.line, f"sync source references undeclared node {source.node!r}")
-        if kind_of[source.node] not in (NodeKind.BBU, NodeKind.FH_SWITCH):
-            raise ScenarioError(
-                source.line,
-                f"sync sources attach to bbu or switch nodes, {source.node!r} is {kind_of[source.node].value}",
-            )
-    cells_by_node = {c.node: c for c in scenario.cells}
+    cell_nodes = {c.node for c in scenario.cells}
     for session in scenario.sessions:
-        if session.pattern not in _PATTERNS:
-            raise ScenarioError(session.line, f"unknown pattern {session.pattern!r}")
-        if session.traffic not in ("trace", "cbr"):
-            raise ScenarioError(session.line, f"unknown traffic kind {session.traffic!r}")
-        if session.traffic == "cbr" and session.cbr_rate is None:
-            raise ScenarioError(session.line, "cbr traffic needs a rate")
         with _At(session.line, session.pattern):
-            shape = pattern_shape(_PATTERNS[session.pattern], session.srcs, session.dsts)
-            validate_pattern(kind_of, LogicalPattern(shape))
+            validate_pattern(kind_of, LogicalPattern(session.shape))
         if session.traffic == "trace":
             for src in session.srcs:
-                if src not in cells_by_node:
+                if src not in cell_nodes:
                     raise ScenarioError(
                         session.line, f"trace traffic needs a cell at {src!r} (or use traffic=cbr)"
                     )
@@ -585,23 +592,22 @@ def _validate(scenario: Scenario) -> None:
 
 def render_scenario(scenario: Scenario) -> str:
     """Canonical text form, omitting default values; parsing it back yields an equal Scenario."""
-    out = ["[topology]"]
-    out += [f"node = {node.name} {node.kind}" for node in scenario.nodes]
-    out += [" ".join(["link =", link.a, link.b, *_LINK.render(link.link)]) for link in scenario.links]
-    out += ["", "[cells]"]
-    for cell in scenario.cells:
-        out.append(" ".join(["cell =", cell.node, *_CELL.render(cell), *_RADIO.render(cell.cell)]))
-        for key, table in _CELL_PARTS.items():
-            out.append(" ".join([f"{key} =", cell.node, *table.render(getattr(cell, key))]))
-    out += ["", "[sync]"]
-    out += [" ".join(["source =", s.node, *_SOURCE.render(s)]) for s in scenario.sources]
-    out += _SETTINGS["sync"].render(scenario, sep=" = ")
-    out += ["", "[sessions]"]
-    out += [" ".join(["session =", s.name, *_SESSION.render(s)]) for s in scenario.sessions]
-    out += ["", "[engine]"]
-    out += _SETTINGS["engine"].render(scenario.engine, sep=" = ")
+    settings = {"sync": scenario, "engine": scenario.engine}
+    out = []
+    for section in _SECTIONS:
+        out += ["", f"[{section}]"]
+        for (where, key), entry in _ENTRIES.items():
+            if where != section:
+                continue
+            for value in getattr(scenario, entry.field):
+                out.append(" ".join([f"{key} =", *entry.keys.render(value)]))
+                if entry.field == "cells":  # the lines that complete it follow it
+                    for part, table in _CELL_PARTS.items():
+                        out.append(" ".join([f"{part} =", value.node, *table.render(getattr(value, part))]))
+        if section in _SETTINGS:
+            out += _SETTINGS[section].render(settings[section], sep=" = ")
     out.append("")
-    return "\n".join(out)
+    return "\n".join(out[1:])
 
 
 @dataclass
@@ -660,7 +666,7 @@ def build_scenario(
     infeasible: list[tuple[str, str]] = []
     bounds: dict[str, float] = {}
     feeds: list[CircuitFeed] = []
-    cells_by_node = {c.node: c for c in scenario.cells}
+    radios = {c.node: c.cell for c in scenario.cells}
     for spec in scenario.sessions:
         srcs = tuple(node_id[s] for s in spec.srcs)
         dsts = tuple(node_id[d] for d in spec.dsts)
@@ -692,12 +698,9 @@ def build_scenario(
             for circuit in ingress.values():
                 src_name = scenario.nodes[circuit.ingress].name
                 if spec.traffic == "cbr":
-                    cell_cfg = (
-                        cells_by_node[src_name].cell if src_name in cells_by_node else CellConfig()
-                    )
-                    trace = constant_trace(
-                        cell_cfg, spec.scheme or ClassicalIQ(), spec.cbr_rate, engine_spec.subframes
-                    )
+                    radio = radios.get(src_name, CellConfig())
+                    scheme = spec.scheme or ClassicalIQ()
+                    trace = constant_trace(radio, scheme, spec.cbr_rate, engine_spec.subframes)
                 else:
                     trace = traces[src_name]
                 feeds.append(
@@ -752,15 +755,8 @@ def run_scenario(
     built = build_scenario(scenario, seed=seed, subframes=subframes)
     os.makedirs(out_dir, exist_ok=True)
 
-    tree = build_sync_tree(
-        built.topology,
-        [
-            ClockSource(
-                node=built.node_id[s.node], quality_rank=s.quality, frequency_offset=s.offset_ppb
-            )
-            for s in scenario.sources
-        ],
-    )
+    sources = [ClockSource(built.node_id[s.node], s.quality, s.offset_ppb) for s in scenario.sources]
+    tree = build_sync_tree(built.topology, sources)
     status = propagate_sync(tree, built.topology, scenario.regen_factor)
     write_sync_csv(tree, status, os.path.join(out_dir, "sync.csv"))
 

@@ -11,7 +11,6 @@ migration never touch this tree.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import csv
 import math
@@ -52,17 +51,6 @@ class ClockTree:
     parent: dict[NodeId, tuple[NodeId, PhysLink]]
     source_of: dict[NodeId, ClockSource]  # every synchronized node, roots included; parents first
     unsynchronized: set[NodeId]
-
-    def canonical_hash(self) -> str:
-        """Stable digest of the tree structure, for decoupling checks."""
-        items = []
-        for node in sorted(self.source_of):
-            src = self.source_of[node]
-            up = self.parent.get(node)
-            parent_part = f"{up[0]}:{up[1].key}" if up else "root"
-            items.append(f"{node}<-{parent_part}@{src.node}/{src.quality_rank}/{src.frequency_offset!r}")
-        items.append("unsync:" + ",".join(str(n) for n in sorted(self.unsynchronized)))
-        return hashlib.sha256("|".join(items).encode()).hexdigest()
 
 
 def build_sync_tree(topology: PhysicalTopology, sources: list[ClockSource]) -> ClockTree:

@@ -63,8 +63,9 @@ class PhysLink:
             raise ValueError("capacity must be finite and > 0")
         if not 0 <= self.propagation_delay < math.inf:
             raise ValueError("propagation_delay must be finite and >= 0")
-        if not 0 <= self.jitter_std < math.inf:
-            raise ValueError("jitter_std must be finite and >= 0")
+        # at most 1 s, so a clock's accumulated jitter squared is at most its hop count
+        if not 0 <= self.jitter_std <= 1.0:
+            raise ValueError("jitter_std must be finite and in [0, 1] s")
         if self.node_a == self.node_b:
             raise ValueError("self-loop links are not allowed")
 

@@ -13,6 +13,15 @@ def _nearest_rank(ordered: list[float], pct: float) -> float:
     return ordered[max(1, math.ceil(pct / 100 * len(ordered))) - 1]
 
 
+def percentile(values, pct: float) -> float:
+    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
+    if not values:
+        raise ValueError("percentile of empty list")
+    if not 0 < pct <= 100:
+        raise ValueError("pct must be in (0, 100]")
+    return _nearest_rank(sorted(values), pct)
+
+
 def session_latency(latencies: list[float], bound: float | None) -> tuple[float, ...]:
     """(min, mean, p50, p99, max) latency in s, then the samples above the bound; all 0 when none."""
     ordered = sorted(latencies)

@@ -36,6 +36,34 @@ from fhsim.topology import (
 )
 
 
+def labels_in_use(controller):
+    """The labels held at each (node, in_port) that holds any."""
+    return {key: frozenset(pool.used) for key, pool in controller._labels.items() if pool.used}
+
+
+def hold_labels(controller, node, in_port, labels):
+    """Take `labels` at (node, in_port) through the controller's allocator, as circuits would.
+
+    Labels are allocated in smallest-free order until every one of
+    `labels` is held; the others taken on the way are freed again.
+    """
+    missing = set(labels)
+    if any(not 0 <= label <= MAX_LABEL for label in missing):
+        raise ValueError(f"labels must be in 0..{MAX_LABEL}")
+    pool = controller._labels.get((node, in_port))
+    if pool is not None:
+        missing -= pool.used
+    spare = []
+    while missing:
+        label = controller._alloc_label(node, in_port)
+        if label in missing:
+            missing.remove(label)
+        else:
+            spare.append(label)
+    for label in spare:
+        controller._free_label(node, in_port, label)
+
+
 def p2p(rrh, bbu, ue=None):
     return LogicalPattern(PointToPoint(rrh, bbu), ue_id=ue)
 
@@ -433,7 +461,7 @@ def control_state(controller):
         controller.ledger.snapshot(),
         {node: dict(s.table) for node, s in controller.switches.items()},
         dict(controller.egress),
-        controller.labels_in_use(),
+        labels_in_use(controller),
     )
 
 
@@ -488,7 +516,7 @@ class TestLabelExhaustion:
         controller = Controller(topology())
         controller.setup(request(old, peak=1e8), name="old")
         # bbu 4 receives on its port 0; all but `free` of its labels in use
-        controller.hold_labels(4, 0, range(MAX_LABEL + 1 - free))
+        hold_labels(controller, 4, 0, range(MAX_LABEL + 1 - free))
         before = control_state(controller)
         log_len = len(controller.log)
         with pytest.raises(Infeasible) as exc:
@@ -503,7 +531,7 @@ class TestLabelExhaustion:
         session = controller.setup(request(p2p(1, 4)), name="m")
         # the new path enters the hub from rrh 2, where no label is free
         hub_port = controller.topology.link_between(2, 0).port_of(0)
-        controller.hold_labels(0, hub_port, range(MAX_LABEL + 1))
+        hold_labels(controller, 0, hub_port, range(MAX_LABEL + 1))
         before = control_state(controller)
         circuits = session.circuits
         with pytest.raises(Infeasible) as exc:
@@ -515,7 +543,7 @@ class TestLabelExhaustion:
 
     def test_freed_label_is_taken_back_with_one_heap_operation(self, monkeypatch):
         controller = Controller(star4())
-        controller.hold_labels(4, 0, range(60_000))
+        hold_labels(controller, 4, 0, range(60_000))
         ops = []
 
         class CountingHeapq:
@@ -537,13 +565,13 @@ class TestLabelExhaustion:
         assert ops == [("push", 0), ("pop", 1)]
         assert controller._alloc_label(4, 0) == 60_000  # the high-water mark: no heap work
         assert len(ops) == 2
-        assert controller.labels_in_use()[(4, 0)] == frozenset(range(60_001))
+        assert labels_in_use(controller)[(4, 0)] == frozenset(range(60_001))
 
     def test_smallest_free_label_first_after_any_frees(self):
         controller = Controller(star4())
         rng = random.Random(3)
         held = set(range(500))
-        controller.hold_labels(4, 0, held)
+        hold_labels(controller, 4, 0, held)
         for _ in range(2000):
             if held and rng.random() < 0.5:
                 label = rng.choice(sorted(held))
@@ -554,11 +582,11 @@ class TestLabelExhaustion:
                 label = controller._alloc_label(4, 0)
                 assert label == next(n for n in range(MAX_LABEL + 1) if n not in held)
                 held.add(label)
-            assert controller.labels_in_use().get((4, 0), frozenset()) == held
+            assert labels_in_use(controller).get((4, 0), frozenset()) == held
 
     def test_last_free_label_is_the_smallest_free_one(self):
         controller = Controller(star4())
-        controller.hold_labels(4, 0, set(range(MAX_LABEL + 1)) - {7})
+        hold_labels(controller, 4, 0, set(range(MAX_LABEL + 1)) - {7})
         session = controller.setup(request(p2p(1, 4)), name="x")
         assert session.circuits[0].egress_label == 7
         with pytest.raises(Infeasible) as exc:
@@ -800,7 +828,7 @@ class TestControlSyncSeparation:
     def test_hundred_random_ops_leave_clock_tree_identical(self):
         topo = ring_topo()
         sources = [ClockSource(node=2, quality_rank=0)]
-        baseline = build_sync_tree(topo, sources).canonical_hash()
+        baseline = build_sync_tree(topo, sources)
         controller = Controller(topo)
         rng = random.Random(99)
         live = []
@@ -820,7 +848,7 @@ class TestControlSyncSeparation:
                     controller.failed_links.clear()  # repair for the next round
             except Infeasible:
                 pass
-            assert build_sync_tree(topo, sources).canonical_hash() == baseline
+            assert build_sync_tree(topo, sources) == baseline
 
 
 class TestBbuToBbu:

@@ -18,6 +18,7 @@ from fhsim.engine import (
 from fhsim.metrics import assemble_report
 from fhsim.packet import MAX_LABEL
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
+from metrics_oracle import percentile
 from regulator_oracle import regulate
 from scheduler_oracle import SteppingWrr, oldest_first_pick, strict_priority_pick
 
@@ -455,8 +456,6 @@ class TestLabelRange:
 
 class TestStrictPriorityDominance:
     def test_class0_p99_under_sp_not_worse_than_fifo(self):
-        from fhsim.metrics import percentile
-
         def world_with(scheduler):
             topo = one_switch_topo(capacity=1e8)
             switch = SwitchState(SwitchConfig(scheduler=scheduler, queue_bytes=10**7))

@@ -1,0 +1,77 @@
+"""Counted growth gate: every phase of a scenario run costs time linear in its size.
+
+The world is a ring of 8 switches with 4 BBUs and n RRHs, each RRH
+holding one CBR point-to-point session to a BBU, all admitted. For each
+phase the test counts the calls cProfile sees into fhsim's own code at
+n = 250 and at n = 1000. Call counts repeat from run to run, unlike wall
+times, so a phase that grows faster than linearly (a scan of every
+earlier entry, say) shows as a ratio well above 4 between the two sizes.
+CSV writing is left out: its fhsim part is a fixed handful of calls.
+"""
+
+import cProfile
+import os
+
+import fhsim
+from fhsim.engine import run
+from fhsim.metrics import assemble_report
+from fhsim.scenario import build_scenario, parse_scenario
+from fhsim.sync import ClockSource, build_sync_tree, propagate_sync
+
+PACKAGE = os.path.dirname(fhsim.__file__) + os.sep
+SMALL, LARGE = 250, 1000
+MAX_RATIO = 4.5  # per 4x step in n
+
+
+def ring_world(n: int) -> str:
+    out = ["[topology]"]
+    out += [f"node = s{i} switch" for i in range(8)]
+    out += [f"node = b{j} bbu" for j in range(4)]
+    out += [f"node = r{i} rrh" for i in range(n)]
+    out += [f"link = s{i} s{(i + 1) % 8}" for i in range(8)]
+    out += [f"link = b{j} s{2 * j}" for j in range(4)]
+    out += [f"link = r{i} s{i % 8}" for i in range(n)]
+    out += ["", "[sync]", "source = b0"]
+    out += ["", "[sessions]"]
+    out += [
+        f"session = f{i} src=r{i} dst=b{i % 8 // 2} class=3 mean=1e6 peak=2e6 bound=1e-2 traffic=cbr rate=1e6"
+        for i in range(n)
+    ]
+    out += ["", "[engine]", "horizon = 0.01", "subframes = 10", ""]
+    return "\n".join(out)
+
+
+def counted(fn, *args):
+    """fn(*args), and the number of calls it made into fhsim's code."""
+    profile = cProfile.Profile()
+    result = profile.runcall(fn, *args)
+    calls = sum(
+        entry.callcount
+        for entry in profile.getstats()
+        if not isinstance(entry.code, str) and entry.code.co_filename.startswith(PACKAGE)
+    )
+    return result, calls
+
+
+def sync(built):
+    sources = [ClockSource(built.node_id[s.node], s.quality, s.offset_ppb) for s in built.scenario.sources]
+    tree = build_sync_tree(built.topology, sources)
+    return propagate_sync(tree, built.topology, built.scenario.regen_factor)
+
+
+def phase_calls(n: int) -> dict[str, int]:
+    calls = {}
+    scenario, calls["parse"] = counted(parse_scenario, ring_world(n))
+    built, calls["build"] = counted(build_scenario, scenario)
+    assert not built.infeasible
+    _, calls["sync"] = counted(sync, built)
+    result, calls["run"] = counted(run, built.world, scenario.engine.horizon)
+    report, calls["report"] = counted(assemble_report, result, built.bounds)
+    assert len(report.sessions) == n and all(record.delivered > 0 for record in report.sessions)
+    return calls
+
+
+def test_every_phase_grows_linearly():
+    small, large = phase_calls(SMALL), phase_calls(LARGE)
+    ratios = {phase: round(large[phase] / small[phase], 2) for phase in small}
+    assert all(ratio <= MAX_RATIO for ratio in ratios.values()), (ratios, small, large)

@@ -12,12 +12,11 @@ from fhsim.metrics import (
     efficiency,
     measured_efficiency,
     overhead_sweep,
-    percentile,
     write_report_csvs,
     write_sweep_csv,
 )
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
-from metrics_oracle import session_latency, sweep_p99_ns
+from metrics_oracle import percentile, session_latency, sweep_p99_ns
 
 
 class TestEfficiency:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -234,6 +235,17 @@ class TestRunScenario:
             ("source = b1 quality=0", "source = b1 quality=0 offset_ppb=-inf", 15),
             ("source = b1 quality=0", "source = b1 quality=0 offset_ppb=nan", 15),
             ("scheme=modulation_bits", "scheme=modulation_bits bandwidth=20e6", 10),
+            ("scheme=modulation_bits", "scheme=modulation_bits role=dbs", 10),
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=1e9 jitter=1e308", 7),
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=1e9 jitter=1.5", 7),
+            ("traffic=trace", "traffic=cbr rate=2.5e8", 18),
+            ("traffic=trace", "traffic=cbr rate=1e11", 18),
+            ("traffic=trace", "traffic=cbr rate=1e308", 18),
+            ("node = b1 bbu", "node = b1 bbu\nnode = b1 rrh", 6),
+            ("scheme=modulation_bits", "scheme=modulation_bits\ncell = r1", 11),
+            ("source = b1 quality=0", "source = b1 quality=0\nsource = b1", 16),
+            ("traffic=trace", "traffic=trace\nsession = dl src=r1 dst=b1 mean=1 peak=2 traffic=cbr rate=1", 19),
+            ("source = b1", "source = zz", 15),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):
@@ -256,6 +268,13 @@ class TestRunScenario:
         text = MINIMAL.replace("[cells]", f"{extra}\n\n[cells]")
         with pytest.raises(ScenarioError, match=re.escape(message)):
             run_scenario(parse_scenario(text), str(tmp_path / "out"))
+
+    def test_largest_link_jitter_and_a_cbr_rate_at_its_peak_run(self, tmp_path):
+        text = MINIMAL.replace("delay=1e-6", "delay=1e-6 jitter=1")
+        text = text.replace("traffic=trace", "traffic=cbr rate=2e8")
+        assert run_scenario(parse_scenario(text), str(tmp_path)) == 0
+        rows = (tmp_path / "sync.csv").read_text().splitlines()[1:]
+        assert [math.isfinite(float(row.split(",")[3])) for row in rows] == [True] * 3
 
     def test_sweep_size_above_payload_limit_refused_before_any_output(self, tmp_path):
         out = tmp_path / "out"

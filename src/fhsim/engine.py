@@ -17,7 +17,9 @@ timeout if that falls strictly before the circuit's next offer and else
 that offer, with the tie it would draw if all offers were pushed up
 front, so no event goes stale; the end of a transmission only once a
 packet waits behind it; and no arrival at end equipment, which takes
-delivery at transmit start.
+delivery at transmit start, within the transmit step itself. The loop
+tests for the end of a transmission first, the commonest event on a
+loaded port.
 
 Packets carry their header fields as plain ints: the regulator builds
 each from ints it keeps in range, a hop relabels by assignment and a
@@ -228,10 +230,11 @@ class _Port:
 
     As an output it holds the queues and drives the link: class c
     queues in lane c & lane_mask, one lane per class except under FIFO,
-    whose lane_mask of 0 puts every class in lane 0. As an input it
-    holds the arrival-side state of this port: input buffer occupancy,
-    and the routes (switch) or egress bindings (host) resolved so far,
-    cached per label.
+    whose lane_mask of 0 puts every class in lane 0, and `wrr` says
+    whether `pick` serves the lanes by weighted round robin or by strict
+    priority. As an input it holds the arrival-side state of this port:
+    input buffer occupancy, and the routes (switch) or egress bindings
+    (host) resolved so far, cached per label.
     """
 
     __slots__ = (
@@ -246,7 +249,7 @@ class _Port:
         "class_bytes",
         "total_bytes",
         "queue_bound",
-        "scheduler",
+        "wrr",
         "weights",
         "done",
         "wrr_class",
@@ -273,7 +276,7 @@ class _Port:
         self.class_bytes = [0] * N_CLASSES
         self.total_bytes = 0
         self.queue_bound = queue_bound
-        self.scheduler = scheduler
+        self.wrr = scheduler is Scheduler.WRR
         self.weights = weights
         # the end of the current transmission while it is not in the heap,
         # None while it is; a key already past means the port is idle
@@ -292,7 +295,7 @@ class _Port:
     def pick(self) -> FhPacket:
         """Dequeue the next packet to send; at least one queue holds one."""
         mask = self.nonempty
-        if self.scheduler is not Scheduler.WRR:
+        if not self.wrr:
             # strict priority, and FIFO over its one lane: the lowest non-empty lane
             cls = (mask & -mask).bit_length() - 1
         else:  # weighted round robin, packet-counted
@@ -510,10 +513,27 @@ def run(world: World, horizon: float) -> RunResult:
             port.done = done
         at = end + port.propagation
         peer = port.peer
-        if peer.switch is None and at <= horizon:
-            deliver(peer, pkt, at)
-        else:
+        if peer.switch is not None or at > horizon:
             heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
+            return
+        # end equipment takes delivery now, stamped with the arrival time
+        label = pkt.label
+        binding = peer.egress[label] if label in peer.egress else bind(peer, label)
+        if binding is None:
+            pkt.stats.dropped_unroutable += 1
+            return
+        stats, cstats, last, counts = binding
+        cstats.delivered += 1
+        if last is not None:
+            # strictly increasing mod wrap: drops leave forward gaps, only
+            # duplicates and backward steps count as disorder
+            distance = (pkt.seq - last) % SEQ_MODULUS
+            if distance == 0 or distance >= SEQ_MODULUS // 2:
+                cstats.out_of_order += 1
+        binding[2] = pkt.seq
+        latency = at - pkt.created_at
+        counts[latency] = counts.get(latency, 0) + 1
+        stats.payload_bits_delivered += pkt.payload_len * 8
 
     def enqueue(port: _Port, pkt: FhPacket, now: float) -> None:
         cls = pkt.latency_class
@@ -561,29 +581,12 @@ def run(world: World, horizon: float) -> RunResult:
         port.egress[label] = binding
         return binding
 
-    def deliver(port: _Port, pkt: FhPacket, now: float) -> None:
-        label = pkt.label
-        binding = port.egress[label] if label in port.egress else bind(port, label)
-        if binding is None:
-            pkt.stats.dropped_unroutable += 1
-            return
-        stats, cstats, last, counts = binding
-        cstats.delivered += 1
-        if last is not None:
-            # strictly increasing mod wrap: drops leave forward gaps, only
-            # duplicates and backward steps count as disorder
-            distance = (pkt.seq - last) % SEQ_MODULUS
-            if distance == 0 or distance >= SEQ_MODULUS // 2:
-                cstats.out_of_order += 1
-        binding[2] = pkt.seq
-        latency = now - pkt.created_at
-        counts[latency] = counts.get(latency, 0) + 1
-        stats.payload_bits_delivered += pkt.payload_len * 8
-
     while heap and heap[0][0] <= horizon:
         event = heappop(heap)
         now, _, code, a, b = event
-        if code == _ARRIVAL:  # at a switch: end equipment took delivery at transmit start
+        if code == _TX_DONE:  # pushed only with a packet waiting
+            start_tx(a, now)
+        elif code == _ARRIVAL:  # at a switch: end equipment took delivery at transmit start
             port, pkt = a, b
             occupied = port.occupancy + pkt.wire_bytes
             if occupied > port.input_bound:
@@ -609,8 +612,6 @@ def run(world: World, horizon: float) -> RunResult:
                 branch = pkt.copy() if i else pkt
                 branch.label = out_label
                 enqueue(out, branch, now)
-        elif code == _TX_DONE:  # pushed only with a packet waiting
-            start_tx(a, now)
         else:  # _OFFER or _REG_TIMEOUT, the one event of circuit a in the heap
             reg = regulators[a]
             inject(a, reg.offer(now, b) if code == _OFFER else reg.flush(), now)

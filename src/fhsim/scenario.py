@@ -33,7 +33,8 @@ source, session) is one row of _ENTRIES, which parsing, rendering and
 the cross-line checks all read: the row's _Keys table maps the line's
 positional values and keys to the fields of the value it builds, and a
 key left out keeps the field's default. Unknown, repeated or malformed
-keys, dangling node references, and values that the built objects
+keys, dangling node references, a trace that offers more in a subframe
+than its session's peak allows, and values that the built objects
 reject (prb=0, a self-loop link, horizon = -1, ...) raise ScenarioError
 naming the offending line, before run_scenario writes any file. Parsing
 a rendered scenario yields an equal Scenario value.
@@ -668,6 +669,17 @@ def build_scenario(
     feeds: list[CircuitFeed] = []
     radios = {c.node: c.cell for c in scenario.cells}
     for spec in scenario.sessions:
+        if spec.traffic == "trace":
+            # a trace may not offer more than the peak the session reserves
+            for src in spec.srcs:
+                trace = traces[src]
+                offered, limit = max(trace.volumes), spec.peak_rate * trace.cell.subframe_duration
+                if offered > limit:
+                    raise ScenarioError(
+                        spec.line,
+                        f"trace at {src!r} offers up to {offered:g} bits a subframe,"
+                        f" above peak x subframe = {limit:g}",
+                    )
         srcs = tuple(node_id[s] for s in spec.srcs)
         dsts = tuple(node_id[d] for d in spec.dsts)
         with _At(spec.line):

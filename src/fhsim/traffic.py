@@ -15,13 +15,17 @@ A seeded generator produces multi-subframe traces with two-state on/off
 user activity, a reflected random walk over the MCS table, round-robin
 resource-block scheduling, and periodic control (PDCCH every subframe,
 PRACH bursts at a fixed period). The round-robin grants are computed in
-closed form, per active user rather than per PRB, and equal allocations
-within one trace's generation are one shared `Allocation` object.
+closed form, per active user rather than per PRB.
 
-`subframe_loads` yields those per-user grants one subframe at a time;
-`generate_trace` turns each into its volume and lets it go, so a trace
-keeps three per-subframe columns (volume, granted PRBs, control
-resource elements) and no per-user record outlives its subframe.
+One draw loop yields each subframe as columns: the active users, their
+grants, the live MCS indices and the control resource elements.
+`generate_trace` computes each volume straight from those columns with
+the scheme's one volume formula, picked once per trace, and keeps three
+per-subframe columns (volume, granted PRBs, control resource elements);
+it makes no per-user record. `subframe_loads` is the record view of the
+same loop: it yields `SubframeLoad`s whose equal allocations share one
+`Allocation` object, and `subframe_volume` applies the same formula to
+one of them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 # Defaults reproduce a 20 MHz, 8 antenna, 15-bit cell whose classical
 # stream is exactly 9.8304 Gbps. The 4/3 overhead is the usual control
@@ -261,12 +265,17 @@ class TrafficTrace:
         return sum(self.volumes) / (len(self.volumes) * self.cell.subframe_duration)
 
 
-def subframe_volume(scheme: SplitScheme, cell: CellConfig, load: SubframeLoad) -> float:
-    """Fronthaul payload bits produced by one subframe under `scheme`."""
-    if load.total_prbs > cell.n_prb:
-        raise ValueError(f"load allocates {load.total_prbs} PRBs, cell has {cell.n_prb}")
-    if isinstance(scheme, ClassicalIQ):
-        return (
+def _volume_formula(scheme: SplitScheme, cell: CellConfig) -> Callable[..., float]:
+    """The one volume formula of `scheme` in `cell`, picked once per trace.
+
+    It takes a subframe's PRB total, its control resource elements, the
+    PRBs granted per user and those users' MCS entries, in the same
+    order, and returns the subframe's payload bits. A grant of no PRBs
+    adds nothing.
+    """
+    res_per_prb = cell.res_per_prb
+    if isinstance(scheme, (ClassicalIQ, FilteredIQ)):
+        volume = (
             cell.sampling_rate
             * cell.subframe_duration
             * (2 * cell.iq_bitwidth)
@@ -274,26 +283,41 @@ def subframe_volume(scheme: SplitScheme, cell: CellConfig, load: SubframeLoad) -
             * cell.transport_overhead_factor
             * cell.compression_factor
         )
-    if isinstance(scheme, FilteredIQ):
-        return subframe_volume(ClassicalIQ(), cell, load) * scheme.filter_factor
+        if isinstance(scheme, FilteredIQ):
+            volume *= scheme.filter_factor
+        return lambda prbs, control, grants, mcs: volume
     if isinstance(scheme, ReExtraction):
-        active_res = load.total_prbs * cell.res_per_prb + load.control_res
-        return active_res * (2 * cell.iq_bitwidth) * cell.n_antennas * cell.compression_factor
-    if isinstance(scheme, ModulationBits):
-        data_bits = sum(
-            a.n_prbs * cell.res_per_prb * a.mcs.modulation_order for a in load.allocations
+        bits_per_re = 2 * cell.iq_bitwidth
+        n_antennas, compression = cell.n_antennas, cell.compression_factor
+        return lambda prbs, control, grants, mcs: (
+            (prbs * res_per_prb + control) * bits_per_re * n_antennas * compression
         )
-        control_bits = load.control_res * CONTROL_MODULATION_ORDER
-        return data_bits * scheme.n_layers + control_bits
+    if isinstance(scheme, ModulationBits):
+        n_layers = scheme.n_layers
+        return lambda prbs, control, grants, mcs: (
+            sum(n * res_per_prb * m.modulation_order for n, m in zip(grants, mcs)) * n_layers
+            + control * CONTROL_MODULATION_ORDER
+        )
     if isinstance(scheme, PduLevel):
-        return sum(
-            a.n_prbs
-            * cell.res_per_prb
-            * a.mcs.modulation_order
-            * (a.mcs.code_rate if scheme.code_rate_applied else 1.0)
-            for a in load.allocations
+        coded = scheme.code_rate_applied
+        return lambda prbs, control, grants, mcs: sum(
+            n * res_per_prb * m.modulation_order * (m.code_rate if coded else 1.0)
+            for n, m in zip(grants, mcs)
         )
     raise TypeError(f"unknown split scheme: {scheme!r}")
+
+
+def subframe_volume(scheme: SplitScheme, cell: CellConfig, load: SubframeLoad) -> float:
+    """Fronthaul payload bits produced by one subframe under `scheme`."""
+    if load.total_prbs > cell.n_prb:
+        raise ValueError(f"load allocates {load.total_prbs} PRBs, cell has {cell.n_prb}")
+    allocations = load.allocations
+    return _volume_formula(scheme, cell)(
+        load.total_prbs,
+        load.control_res,
+        [a.n_prbs for a in allocations],
+        [a.mcs for a in allocations],
+    )
 
 
 def peak_rate(scheme: SplitScheme, cell: CellConfig, max_control_res: int = 0) -> float:
@@ -376,36 +400,43 @@ def _round_robin_grants(demands: list[int], budget: int, start: int) -> list[int
     return grants
 
 
-def subframe_loads(
+def _mcs_step(getrandbits: Callable[[int], int]) -> int:
+    """-1 or 1, drawn as `random.Random.choice((-1, 1))` draws it, from the same stream."""
+    k = getrandbits(2)
+    while k >= 2:
+        k = getrandbits(2)
+    return k + k - 1
+
+
+def _draws(
     cell: CellConfig,
     profiles: list[UeProfile],
     control_schedule: ControlSchedule,
     n_subframes: int,
     seed: int,
-) -> Iterator[SubframeLoad]:
-    """Yield the scheduled load of each subframe in turn, deterministically.
+) -> Iterator[tuple[list[int], list[int], list[int], int]]:
+    """Yield each subframe's columns: active users, their grants, live MCS indices, control REs.
 
     Per subframe every user advances its activity and MCS processes, whole
     PRBs are granted round-robin among active users up to their demand,
     and control resources are overlaid. The grants are computed in closed
     form (`_round_robin_grants`), so a subframe costs work per active
-    user, not per PRB granted, and equal allocations, the same user with
-    the same PRBs and MCS, share one `Allocation` object. The same seed
-    always yields the identical loads.
+    user, not per PRB granted. Active users are user indices in ascending
+    order and the grants are theirs, in the same order, some possibly 0.
+    The MCS indices are the walk's own list, indexed by user, so they
+    hold only until the next subframe is drawn. The same seed always
+    yields the identical columns.
     """
     rng = random.Random(seed)
-    draw, choice = rng.random, rng.choice
-    table = DEFAULT_MCS_TABLE
-    top = len(table) - 1
+    draw, getrandbits = rng.random, rng.getrandbits
+    n_mcs = len(DEFAULT_MCS_TABLE)
     on = [rng.random() < _stationary_on_probability(p) for p in profiles]
-    mcs_idx = [
-        p.mcs_init if p.mcs_init is not None else rng.randrange(len(table))
-        for p in profiles
-    ]
+    mcs_idx = [p.mcs_init if p.mcs_init is not None else rng.randrange(n_mcs) for p in profiles]
     # Per user: chance to switch off while on, to switch on while off, to step the MCS.
     users = [(i, 1.0 / p.mean_on, 1.0 / p.mean_off, p.mcs_step_prob) for i, p in enumerate(profiles)]
     demand = [p.demand_prbs for p in profiles]
-    shared = _SharedAllocations(profiles, table)
+    n_prb, pdcch = cell.n_prb, control_schedule.pdcch_res_per_subframe
+    prach_res, prach_period = control_schedule.prach_res, control_schedule.prach_period
 
     for sf in range(n_subframes):
         active = []  # ascending user index
@@ -419,22 +450,34 @@ def subframe_loads(
                 on[i] = True
                 active.append(i)
             if step_prob and draw() < step_prob:
-                nxt = mcs_idx[i] + choice((-1, 1))
-                if 0 <= nxt <= top:  # reflect at the edges
+                nxt = mcs_idx[i] + _mcs_step(getrandbits)
+                if 0 <= nxt < n_mcs:  # reflect at the edges
                     mcs_idx[i] = nxt
+        # rotate the grant order between subframes
+        grants = _round_robin_grants([demand[i] for i in active], n_prb, sf % len(active)) if active else []
+        control = pdcch + prach_res if prach_res and sf % prach_period == 0 else pdcch
+        yield active, grants, mcs_idx, control
 
-        allocations: tuple[Allocation, ...] = ()
-        if active:
-            # rotate the grant order between subframes
-            grants = _round_robin_grants([demand[i] for i in active], cell.n_prb, sf % len(active))
-            allocations = tuple(
-                shared[i, n_prbs, mcs_idx[i]] for i, n_prbs in zip(active, grants) if n_prbs
-            )
 
-        control = control_schedule.pdcch_res_per_subframe
-        if control_schedule.prach_res and sf % control_schedule.prach_period == 0:
-            control += control_schedule.prach_res
+def subframe_loads(
+    cell: CellConfig,
+    profiles: list[UeProfile],
+    control_schedule: ControlSchedule,
+    n_subframes: int,
+    seed: int,
+) -> Iterator[SubframeLoad]:
+    """Yield the scheduled load of each subframe in turn, deterministically.
 
+    This is the record view of the draws `generate_trace` reads: each
+    subframe's grants become `Allocation`s, users with no PRBs left out,
+    and equal allocations, the same user with the same PRBs and MCS,
+    share one object. The same seed always yields the identical loads.
+    """
+    shared = _SharedAllocations(profiles, DEFAULT_MCS_TABLE)
+    for sf, (active, grants, mcs_idx, control) in enumerate(
+        _draws(cell, profiles, control_schedule, n_subframes, seed)
+    ):
+        allocations = tuple(shared[i, n, mcs_idx[i]] for i, n in zip(active, grants) if n)
         yield SubframeLoad(subframe_index=sf, allocations=allocations, control_res=control)
 
 
@@ -448,9 +491,9 @@ def generate_trace(
 ) -> TrafficTrace:
     """Generate a deterministic multi-subframe traffic trace.
 
-    Each load from `subframe_loads` gives its subframe's scheme volume,
-    PRB total and control resources, and is then let go. The same seed
-    always yields the identical trace.
+    Each subframe's volume comes straight from the drawn columns through
+    the scheme's one volume formula; no per-user record is made. The
+    same seed always yields the identical trace.
     """
     if n_subframes < 1:
         raise ValueError("n_subframes must be >= 1")
@@ -458,13 +501,16 @@ def generate_trace(
     if load_dependent and not profiles:
         raise ValueError("load-dependent schemes require at least one UE profile")
 
+    volume = _volume_formula(scheme, cell)
+    table = DEFAULT_MCS_TABLE
     volumes: list[float] = []
     prbs: list[int] = []
     control_res: list[int] = []
-    for load in subframe_loads(cell, profiles, control_schedule, n_subframes, seed):
-        volumes.append(subframe_volume(scheme, cell, load))
-        prbs.append(load.total_prbs)
-        control_res.append(load.control_res)
+    for active, grants, mcs_idx, control in _draws(cell, profiles, control_schedule, n_subframes, seed):
+        total = sum(grants)
+        volumes.append(volume(total, control, grants, [table[mcs_idx[i]] for i in active]))
+        prbs.append(total)
+        control_res.append(control)
     return TrafficTrace(cell, scheme, volumes, prbs, control_res, seed)
 
 

@@ -1,7 +1,9 @@
 """Counted growth gate: every phase of a scenario run costs time linear in its size.
 
 The world is a ring of 8 switches with 4 BBUs and n RRHs, each RRH
-holding one CBR point-to-point session to a BBU, all admitted. For each
+holding one CBR point-to-point session to a BBU, all admitted. The
+phases are parse, build (controller and traces), sync, run, report, and
+a controller trunk cut that reroutes every session crossing it. For each
 phase the test counts the calls cProfile sees into fhsim's own code at
 n = 250 and at n = 1000. Call counts repeat from run to run, unlike wall
 times, so a phase that grows faster than linearly (a scan of every
@@ -68,6 +70,10 @@ def phase_calls(n: int) -> dict[str, int]:
     result, calls["run"] = counted(run, built.world, scenario.engine.horizon)
     report, calls["report"] = counted(assemble_report, result, built.bounds)
     assert len(report.sessions) == n and all(record.delivered > 0 for record in report.sessions)
+    # cut the trunk s0-s1: the sessions of the RRHs at s1 go round the ring to b0
+    trunk = (built.node_id["s0"], built.node_id["s1"])
+    outcomes, calls["cut"] = counted(built.controller.reroute_on_failure, trunk)
+    assert list(outcomes.values()) == ["rerouted"] * len(range(1, n, 8))
     return calls
 
 

@@ -246,6 +246,12 @@ class TestRunScenario:
             ("source = b1 quality=0", "source = b1 quality=0\nsource = b1", 16),
             ("traffic=trace", "traffic=trace\nsession = dl src=r1 dst=b1 mean=1 peak=2 traffic=cbr rate=1", 19),
             ("source = b1", "source = zz", 15),
+            ("cell = r1 scheme=modulation_bits", "cell = r1 scheme=classical_iq", 18),
+            (
+                "scheme=modulation_bits\nues = r1 count=4 mean_on=20 mean_off=20 demand=10",
+                "scheme=modulation_bits prb=2000\nues = r1 count=4 mean_on=20 mean_off=20 demand=1000",
+                18,
+            ),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import random
 import statistics
 
 import pytest
@@ -25,6 +26,7 @@ from fhsim.traffic import (
     subframe_loads,
     subframe_volume,
     write_trace_csv,
+    _mcs_step,
 )
 import traffic_oracle
 
@@ -311,6 +313,53 @@ def test_contended_trace_csv_is_pinned(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CONTENDED_TRACE_SHA256
+
+
+def cells_scale_args(scheme, cell, seed):
+    """One cell as the `cells` benchmark loads it: 48 users past 100 PRBs, 2,000 subframes."""
+    profiles = [
+        UeProfile(
+            ue_id=u,
+            mean_on=20 + u % 41,
+            mean_off=20 + (u * 7) % 41,
+            demand_prbs=6 + u % 7,
+            mcs_step_prob=(0.1, 0.2, 0.3, 0.4)[u % 4],
+        )
+        for u in range(48)
+    ]
+    return cell, scheme, profiles, ControlSchedule(144, 10, 144), 2000, seed
+
+
+# sha256 of write_trace_csv at cells scale, recorded from the generator that
+# built a SubframeLoad per subframe and drew MCS steps with rng.choice.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            cells_scale_args(ReExtraction(), CellConfig(n_antennas=2), 1),
+            "1e58623cda712b02dc1b2606d32b901d72ae112b7705bb5cb56e208b94468347",
+        ),
+        (
+            cells_scale_args(ModulationBits(), CellConfig(), 2),
+            "488cda5437a3ecf7c43d66a277cc0e9d8ca772bbf6d7b869225b32e9de7f131f",
+        ),
+    ],
+    ids=["re_extraction", "modulation_bits"],
+)
+def test_cells_scale_trace_csv_is_pinned(tmp_path, args, digest):
+    trace = generate_trace(*args)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
+def test_mcs_step_draw_is_random_choice(seed):
+    """The MCS step as the generator draws it uses the stream as `choice((-1, 1))` does."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    steps = [_mcs_step(ours.getrandbits) for _ in range(500)]
+    assert steps == [theirs.choice((-1, 1)) for _ in range(500)]
+    assert ours.getstate() == theirs.getstate()
 
 
 def bitwise(volumes):

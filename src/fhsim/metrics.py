@@ -25,6 +25,7 @@ from dataclasses import astuple, dataclass, fields, replace as dc_replace
 from itertools import accumulate
 
 from .engine import Latencies, PortStats, RegulatorPolicy, RunResult, World, run
+from .fanout import fan_out
 from .packet import HEADER_BYTES
 
 
@@ -162,12 +163,14 @@ def overhead_sweep(
 
     Every circuit's regulator is re-framed to the given max frame size;
     the result rows are (frame_size, measured_efficiency, p99 latency
-    in ns across all delivered packets). Every size is checked before
-    the first rerun.
+    in ns across all delivered packets), in the given order. Every size
+    is checked before the first rerun. The reruns are independent, so
+    they go through `fan_out` on every usable CPU; each row is the same
+    as a serial loop would make.
     """
     check_sweep_sizes(frame_sizes)
-    rows: list[tuple[int, float, int]] = []
-    for size in frame_sizes:
+
+    def point(size: int) -> tuple[int, float, int]:
         circuits = [
             dc_replace(feed, policy=dc_replace(feed.policy, max_frame_bytes=size))
             for feed in world.circuits
@@ -178,8 +181,9 @@ def overhead_sweep(
             merged.update(stats.latencies.counts)
         keys, running = _running(merged)
         p99 = _ns(_ranked(keys, running, 99)) if keys else 0
-        rows.append((size, measured_efficiency(result), p99))
-    return rows
+        return size, measured_efficiency(result), p99
+
+    return fan_out(point, list(frame_sizes))
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

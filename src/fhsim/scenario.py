@@ -57,6 +57,7 @@ from .engine import (
     World,
     run,
 )
+from .fanout import fan_out
 from .metrics import assemble_report, check_sweep_sizes, overhead_sweep, write_report_csvs, write_sweep_csv
 from .sync import ClockSource, build_sync_tree, propagate_sync, write_sync_csv
 from .topology import (
@@ -95,7 +96,11 @@ from .traffic import (
 class ScenarioError(Exception):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
+        self.line, self.message = line, message
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so it can come back from a forked child
+        return type(self), (self.line, self.message)
 
 
 class _At:
@@ -634,6 +639,10 @@ def build_scenario(
 
     Optional overrides replace the scenario's seed and trace length. A
     value the built objects reject raises ScenarioError at its line.
+    Each cell's trace is seeded on its own (seed + declaration index),
+    so the traces are generated through `fan_out` on every usable CPU;
+    they are the same, bit for bit, as one serial loop would make, and
+    the first failing cell in declaration order is the one reported.
     """
     overrides = {"seed": seed, "subframes": subframes}
     engine_spec = replace(scenario.engine, **{k: v for k, v in overrides.items() if v is not None})
@@ -655,14 +664,18 @@ def build_scenario(
         {n.id: switch_config for n in topology.nodes_of_kind(NodeKind.FH_SWITCH)},
     )
 
-    # Traffic traces, one per cell, seeded per declaration order.
-    traces: dict[str, TrafficTrace] = {}
-    for index, cell in enumerate(scenario.cells):
+    # Traffic traces, one per cell, each seeded by its declaration index,
+    # so they do not depend on each other and fan out over the CPUs.
+    def cell_trace(index: int) -> TrafficTrace:
+        cell = scenario.cells[index]
         profiles = [cell.ues.profile(u) for u in range(cell.ues.count)]
         with _At(cell.line):
-            traces[cell.node] = generate_trace(
+            return generate_trace(
                 cell.cell, cell.scheme, profiles, cell.control, engine_spec.subframes, engine_spec.seed + index
             )
+
+    nodes = [cell.node for cell in scenario.cells]
+    traces = dict(zip(nodes, fan_out(cell_trace, list(range(len(nodes))))))
 
     infeasible: list[tuple[str, str]] = []
     bounds: dict[str, float] = {}

@@ -29,6 +29,10 @@ class NodeKind(Enum):
 
 
 _MIN_PORTS = {NodeKind.FH_SWITCH: 2}  # any other kind: 1
+# The largest link capacity, b/s. Past ~3e17 b/s a 9-byte frame's transmission
+# time (72 bits) falls below the float spacing of a time near 1 s (2.2e-16 s):
+# now + tx == now, and simulated time stops advancing.
+MAX_CAPACITY = 1e15
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,8 @@ class PhysLink:
 
     def __post_init__(self) -> None:
         # written so that NaN fails each check
-        if not 0 < self.capacity < math.inf:
-            raise ValueError("capacity must be finite and > 0")
+        if not 0 < self.capacity <= MAX_CAPACITY:
+            raise ValueError(f"capacity must be finite and in (0, {MAX_CAPACITY:g}] b/s")
         if not 0 <= self.propagation_delay < math.inf:
             raise ValueError("propagation_delay must be finite and >= 0")
         # at most 1 s, so a clock's accumulated jitter squared is at most its hop count

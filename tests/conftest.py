@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from fhsim.cli import bundled_scenario_names, load_scenario_text
@@ -21,3 +23,14 @@ def bundled_runs():
         report = assemble_report(result, built.bounds)
         runs[name] = (scenario, built, result, report)
     return runs
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail(f"the test left a child process behind ({f'pid {pid}, exited' if pid else 'still running'})")

@@ -257,9 +257,10 @@ class TestCountsGiveTheListBasedFigures:
     def test_sweep_rows_equal(self, cases):
         results = [counted_result(sessions) for sessions, _ in cases]
         sizes = [64 * (i + 1) for i in range(len(cases))]
-        reruns = iter(results)
+        # keyed by frame size, not call order: the reruns may run in forked children
+        reruns = dict(zip(sizes, results))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fhsim.metrics, "run", lambda world, horizon: next(reruns))
+            mp.setattr(fhsim.metrics, "run", lambda world, horizon: reruns[world.circuits[0].policy.max_frame_bytes])
             rows = overhead_sweep(cbr_world(), sizes, horizon=0.01)
         want = [
             (size, measured_efficiency(result), sweep_p99_ns(list(sessions.values())))

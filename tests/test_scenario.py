@@ -1,8 +1,11 @@
 import math
+import pickle
 import re
 
 import pytest
 
+import fhsim.fanout
+import fhsim.scenario
 from fhsim.cli import bundled_scenario_names, load_scenario_text, main
 from fhsim.scenario import (
     ScenarioError,
@@ -238,6 +241,8 @@ class TestRunScenario:
             ("scheme=modulation_bits", "scheme=modulation_bits role=dbs", 10),
             ("link = hub b1 cap=1e9", "link = hub b1 cap=1e9 jitter=1e308", 7),
             ("link = hub b1 cap=1e9", "link = hub b1 cap=1e9 jitter=1.5", 7),
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=1.01e15", 7),
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=1e300", 7),
             ("traffic=trace", "traffic=cbr rate=2.5e8", 18),
             ("traffic=trace", "traffic=cbr rate=1e11", 18),
             ("traffic=trace", "traffic=cbr rate=1e308", 18),
@@ -281,6 +286,38 @@ class TestRunScenario:
         assert run_scenario(parse_scenario(text), str(tmp_path)) == 0
         rows = (tmp_path / "sync.csv").read_text().splitlines()[1:]
         assert [math.isfinite(float(row.split(",")[3])) for row in rows] == [True] * 3
+
+    def test_largest_link_capacity_runs(self, tmp_path):
+        text = MINIMAL.replace("cap=1e9", "cap=1e15")
+        assert run_scenario(parse_scenario(text), str(tmp_path)) == 0
+
+    def test_scenario_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(ScenarioError(5, "bad")))
+        assert (type(error), error.line, error.message, str(error)) == (ScenarioError, 5, "bad", "line 5: bad")
+
+    def test_trace_error_in_a_forked_child_names_its_cell_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fhsim.fanout, "usable_cpus", lambda: 2)
+        lines = ["[topology]", "node = hub switch", "node = b1 bbu", "link = hub b1 cap=1e9"]
+        lines += [f"node = r{i} rrh\nlink = r{i} hub cap=1e9" for i in range(1, 5)]
+        lines += ["[cells]"] + [f"cell = r{i} scheme=modulation_bits\nues = r{i} count=2" for i in range(1, 5)]
+        lines += ["[sync]", "source = b1 quality=0", "[sessions]"]
+        lines += ["session = dl src=r1 dst=b1 class=2 mean=5e7 peak=2e8 bound=5e-3 traffic=trace"]
+        lines += ["[engine]", "horizon = 0.02", "subframes = 20", "seed = 3"]
+        scenario = parse_scenario("\n".join(lines))
+        assert [cell.node for cell in scenario.cells] == ["r1", "r2", "r3", "r4"]
+        real = fhsim.scenario.generate_trace
+
+        def failing(cell, scheme, profiles, control, n_subframes, seed):
+            if seed == scenario.engine.seed + 3:
+                raise ValueError("no trace for the last cell")
+            return real(cell, scheme, profiles, control, n_subframes, seed)
+
+        monkeypatch.setattr(fhsim.scenario, "generate_trace", failing)
+        out = tmp_path / "out"
+        with pytest.raises(ScenarioError, match="no trace for the last cell") as exc:
+            run_scenario(scenario, str(out))
+        assert exc.value.line == scenario.cells[3].line
+        assert not out.exists()
 
     def test_sweep_size_above_payload_limit_refused_before_any_output(self, tmp_path):
         out = tmp_path / "out"

@@ -59,7 +59,6 @@ from .topology import (
     build_topology,
 )
 from .traffic import (
-    Allocation,
     CellConfig,
     ClassicalIQ,
     ControlSchedule,
@@ -68,15 +67,12 @@ from .traffic import (
     ModulationBits,
     PduLevel,
     ReExtraction,
-    SubframeLoad,
     TrafficTrace,
     UeProfile,
     constant_trace,
     generate_trace,
     peak_rate,
     scheme_name,
-    subframe_loads,
-    subframe_volume,
     write_trace_csv,
 )
 

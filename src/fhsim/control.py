@@ -62,7 +62,7 @@ class SessionRequest:
             raise ValueError("mean_rate and peak_rate must be finite")
         if not self.peak_rate >= self.mean_rate > 0:
             raise ValueError("need peak_rate >= mean_rate > 0")
-        if self.latency_bound <= 0:
+        if not self.latency_bound > 0:  # NaN fails too
             raise ValueError("latency_bound must be > 0")
         if not 0 <= self.latency_class < 16:
             raise ValueError("latency_class must be in 0..15")

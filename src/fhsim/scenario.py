@@ -34,16 +34,18 @@ the cross-line checks all read: the row's _Keys table maps the line's
 positional values and keys to the fields of the value it builds, and a
 key left out keeps the field's default. Unknown, repeated or malformed
 keys, dangling node references, a trace that offers more in a subframe
-than its session's peak allows, and values that the built objects
-reject (prb=0, a self-loop link, horizon = -1, ...) raise ScenarioError
-naming the offending line, before run_scenario writes any file. Parsing
-a rendered scenario yields an equal Scenario value.
+than its session's peak allows, an integer too large for a float, and
+values that the built objects reject (prb=0, a self-loop link,
+horizon = -1, a trace volume that overflows a float, ...) raise
+ScenarioError naming the offending line, before run_scenario writes any
+file. Parsing a rendered scenario yields an equal Scenario value.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -104,7 +106,7 @@ class ScenarioError(Exception):
 
 
 class _At:
-    """Context that re-raises a ValueError as ScenarioError at `line`, naming `key`."""
+    """Context that re-raises a ValueError or OverflowError as ScenarioError at `line`, naming `key`."""
 
     def __init__(self, line: int, key: str = ""):
         self.line, self.key = line, key
@@ -113,7 +115,7 @@ class _At:
         pass
 
     def __exit__(self, kind, exc, traceback) -> None:
-        if isinstance(exc, ValueError):
+        if isinstance(exc, (ValueError, OverflowError)):
             raise ScenarioError(self.line, f"{self.key}: {exc}" if self.key else str(exc)) from exc
 
 
@@ -301,6 +303,14 @@ def _number(raw: str) -> float:
     return value
 
 
+def _integer(raw: str) -> int:
+    """An int a float can hold, so that a volume or rate made from it can be a float."""
+    value = int(raw)
+    if abs(value) > sys.float_info.max:
+        raise ValueError("integer too large for a float")
+    return value
+
+
 def _wrr_pairs(raw: str) -> tuple[tuple[int, int], ...]:
     chunks = (chunk.partition(":") for chunk in raw.split(","))
     return tuple((int(cls), int(weight)) for cls, _, weight in chunks)
@@ -316,7 +326,7 @@ def _scheme(raw: str) -> SplitScheme:
 # Field annotation -> (parse a scenario value, render it back).
 _CODECS = {
     "str": (str, str),
-    "int": (int, str),
+    "int": (_integer, str),
     "float": (_number, repr),
     "bool": (_boolean, lambda value: str(value).lower()),
     "tuple[str, ...]": (lambda raw: tuple(raw.split(",")), ",".join),

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 NodeId = int
 HopRow = tuple[NodeId, tuple[NodeId, NodeId], float, bool]  # (peer, link key, hop cost, peer relays)
@@ -103,6 +103,13 @@ class PhysicalTopology:
     """
 
     def __init__(self, nodes: Sequence[Node], links: Sequence[PhysLink]):
+        self._index(nodes, links)
+        if not self.links:
+            raise ValueError("topology must contain at least one link")
+        self._check_connected()
+
+    def _index(self, nodes: Iterable[Node], links: Iterable[PhysLink]) -> None:
+        """Hold `nodes` and `links`, each link checked and indexed by its key and by both ends."""
         self.nodes: dict[NodeId, Node] = {}
         for node in nodes:
             if node.id in self.nodes:
@@ -127,9 +134,6 @@ class PhysicalTopology:
             self._by_key[link.key] = link
             self._adjacency[link.node_a].append(link)
             self._adjacency[link.node_b].append(link)
-        if not self.links:
-            raise ValueError("topology must contain at least one link")
-        self._check_connected()
         self._hop_rows: dict[int, dict[NodeId, tuple[HopRow, ...]]] = {}
 
     def _check_connected(self) -> None:
@@ -187,21 +191,14 @@ class PhysicalTopology:
         return [n for n in self.nodes.values() if n.kind is kind]
 
     def without_links(self, excluded: set[tuple[NodeId, NodeId]]) -> "PhysicalTopology":
-        """Surviving topology after removing links; may raise if disconnected.
+        """The topology with the links keyed in `excluded` removed; it never raises.
 
-        Used for what-if path computation only, so disconnection is allowed:
-        the caller filters reachability per request.
+        Used for what-if path computation only, so the result may be
+        disconnected or hold no link: the caller filters reachability
+        per request.
         """
-        survivors = [l for l in self.links if l.key not in excluded]
         topo = object.__new__(PhysicalTopology)
-        topo.nodes = self.nodes
-        topo.links = tuple(survivors)
-        topo._by_key = {l.key: l for l in survivors}
-        topo._adjacency = {n: [] for n in self.nodes}
-        for link in survivors:
-            topo._adjacency[link.node_a].append(link)
-            topo._adjacency[link.node_b].append(link)
-        topo._hop_rows = {}
+        topo._index(self.nodes.values(), [link for link in self.links if link.key not in excluded])
         return topo
 
 

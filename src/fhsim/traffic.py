@@ -11,21 +11,15 @@ Volume per subframe depends on where the processing chain is cut:
   orders of magnitude below classical I/Q at full load;
 * PDU level: transport-block bits after rate matching (code rate applied).
 
-A seeded generator produces multi-subframe traces with two-state on/off
-user activity, a reflected random walk over the MCS table, round-robin
-resource-block scheduling, and periodic control (PDCCH every subframe,
-PRACH bursts at a fixed period). The round-robin grants are computed in
-closed form, per active user rather than per PRB.
-
-One draw loop yields each subframe as columns: the active users, their
-grants, the live MCS indices and the control resource elements.
-`generate_trace` computes each volume straight from those columns with
-the scheme's one volume formula, picked once per trace, and keeps three
-per-subframe columns (volume, granted PRBs, control resource elements);
-it makes no per-user record. `subframe_loads` is the record view of the
-same loop: it yields `SubframeLoad`s whose equal allocations share one
-`Allocation` object, and `subframe_volume` applies the same formula to
-one of them.
+One seeded generator, `generate_trace`, produces multi-subframe traces
+with two-state on/off user activity, a reflected random walk over the
+MCS table, round-robin resource-block scheduling, and periodic control
+(PDCCH every subframe, PRACH bursts at a fixed period). The round-robin
+grants are computed in closed form, per active user rather than per PRB,
+and each subframe's volume comes straight from its grants and MCS
+entries through the scheme's one volume formula, picked once per trace.
+A trace keeps three per-subframe columns (volume, granted PRBs, control
+resource elements); no per-user record is made.
 """
 
 from __future__ import annotations
@@ -33,8 +27,9 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Union
+import sys
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Union
 
 # Defaults reproduce a 20 MHz, 8 antenna, 15-bit cell whose classical
 # stream is exactly 9.8304 Gbps. The 4/3 overhead is the usual control
@@ -45,6 +40,8 @@ DEFAULT_RES_PER_PRB = 168  # 12 subcarriers x 14 symbols per 1 ms subframe
 
 # Control resource elements are carried as robustly modulated symbols.
 CONTROL_MODULATION_ORDER = 2
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -141,13 +138,6 @@ class McsEntry(NamedTuple):
     code_rate: float
 
 
-def _check_mcs(mcs: McsEntry) -> None:
-    if mcs.modulation_order not in (2, 4, 6):
-        raise ValueError(f"modulation_order must be 2, 4 or 6, got {mcs.modulation_order}")
-    if not 0 < mcs.code_rate <= 1:
-        raise ValueError("code_rate must be in (0, 1]")
-
-
 # Index ordering is worst to best channel; the random walk moves over it.
 DEFAULT_MCS_TABLE: tuple[McsEntry, ...] = (
     McsEntry(2, 1 / 3),
@@ -157,38 +147,6 @@ DEFAULT_MCS_TABLE: tuple[McsEntry, ...] = (
     McsEntry(6, 2 / 3),
     McsEntry(6, 5 / 6),
 )
-
-
-@dataclass(frozen=True, slots=True)
-class Allocation:
-    """PRBs granted to one user in a subframe, at one MCS; checked once, when made."""
-
-    ue_id: int
-    n_prbs: int
-    mcs: McsEntry
-
-    def __post_init__(self) -> None:
-        if self.n_prbs < 0:
-            raise ValueError("allocation n_prbs must be >= 0")
-        _check_mcs(self.mcs)
-
-
-@dataclass(frozen=True)
-class SubframeLoad:
-    """Scheduled allocations plus periodic control for one subframe.
-
-    total_prbs, the PRBs of all allocations, is summed once, when made.
-    """
-
-    subframe_index: int
-    allocations: tuple[Allocation, ...] = ()
-    control_res: int = 0
-    total_prbs: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.control_res < 0:
-            raise ValueError("control_res must be >= 0")
-        object.__setattr__(self, "total_prbs", sum(a.n_prbs for a in self.allocations))
 
 
 @dataclass(frozen=True)
@@ -225,7 +183,7 @@ class UeProfile:
     mcs_init: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mean_on <= 0 or self.mean_off <= 0:
+        if not (self.mean_on > 0 and self.mean_off > 0):  # NaN fails too
             raise ValueError("mean on/off durations must be > 0")
         if self.demand_prbs < 1:
             raise ValueError("demand_prbs must be >= 1")
@@ -241,7 +199,7 @@ class TrafficTrace:
 
     A trace keeps three per-subframe columns, index i for subframe i: the
     volume, the PRBs granted and the control resource elements. The
-    per-user grants behind them come from `subframe_loads` and are not kept.
+    per-user grants behind them are not kept.
     """
 
     cell: CellConfig
@@ -255,8 +213,8 @@ class TrafficTrace:
         if not len(self.volumes) == len(self.prbs) == len(self.control_res):
             raise ValueError("volumes, prbs and control_res must have equal length")
         for name in ("volumes", "prbs", "control_res"):
-            if any(v < 0 for v in getattr(self, name)):
-                raise ValueError(f"{name} must be >= 0")
+            if any(not 0 <= v <= _FLOAT_MAX for v in getattr(self, name)):  # NaN fails too
+                raise ValueError(f"{name} must be >= 0 and fit in a float")
 
     def mean_rate(self) -> float:
         """Average offered rate in bits/s over the trace."""
@@ -307,19 +265,6 @@ def _volume_formula(scheme: SplitScheme, cell: CellConfig) -> Callable[..., floa
     raise TypeError(f"unknown split scheme: {scheme!r}")
 
 
-def subframe_volume(scheme: SplitScheme, cell: CellConfig, load: SubframeLoad) -> float:
-    """Fronthaul payload bits produced by one subframe under `scheme`."""
-    if load.total_prbs > cell.n_prb:
-        raise ValueError(f"load allocates {load.total_prbs} PRBs, cell has {cell.n_prb}")
-    allocations = load.allocations
-    return _volume_formula(scheme, cell)(
-        load.total_prbs,
-        load.control_res,
-        [a.n_prbs for a in allocations],
-        [a.mcs for a in allocations],
-    )
-
-
 def peak_rate(scheme: SplitScheme, cell: CellConfig, max_control_res: int = 0) -> float:
     """Sustained peak bit rate of `scheme` for the given cell.
 
@@ -337,13 +282,10 @@ def peak_rate(scheme: SplitScheme, cell: CellConfig, max_control_res: int = 0) -
         )
     if isinstance(scheme, FilteredIQ):
         return peak_rate(ClassicalIQ(), cell) * scheme.filter_factor
-    best = DEFAULT_MCS_TABLE[-1]
-    full = SubframeLoad(
-        subframe_index=0,
-        allocations=(Allocation(0, cell.n_prb, best),),
-        control_res=max_control_res,
-    )
-    return subframe_volume(scheme, cell, full) / cell.subframe_duration
+    if max_control_res < 0:
+        raise ValueError("max_control_res must be >= 0")
+    full = _volume_formula(scheme, cell)(cell.n_prb, max_control_res, [cell.n_prb], [DEFAULT_MCS_TABLE[-1]])
+    return full / cell.subframe_duration
 
 
 def _stationary_on_probability(profile: UeProfile) -> float:
@@ -354,19 +296,6 @@ def _stationary_on_probability(profile: UeProfile) -> float:
     if math.isinf(profile.mean_off):
         return 0.0
     return profile.mean_on / (profile.mean_on + profile.mean_off)
-
-
-class _SharedAllocations(dict):
-    """One `Allocation` per (user index, PRBs, MCS index), made on first use."""
-
-    def __init__(self, profiles: list[UeProfile], table: tuple[McsEntry, ...]):
-        super().__init__()
-        self.profiles, self.table = profiles, table
-
-    def __missing__(self, key: tuple[int, int, int]) -> Allocation:
-        i, n_prbs, mcs = key
-        alloc = self[key] = Allocation(self.profiles[i].ue_id, n_prbs, self.table[mcs])
-        return alloc
 
 
 def _round_robin_grants(demands: list[int], budget: int, start: int) -> list[int]:
@@ -408,28 +337,35 @@ def _mcs_step(getrandbits: Callable[[int], int]) -> int:
     return k + k - 1
 
 
-def _draws(
+def generate_trace(
     cell: CellConfig,
+    scheme: SplitScheme,
     profiles: list[UeProfile],
     control_schedule: ControlSchedule,
     n_subframes: int,
     seed: int,
-) -> Iterator[tuple[list[int], list[int], list[int], int]]:
-    """Yield each subframe's columns: active users, their grants, live MCS indices, control REs.
+) -> TrafficTrace:
+    """Generate a deterministic multi-subframe traffic trace.
 
     Per subframe every user advances its activity and MCS processes, whole
     PRBs are granted round-robin among active users up to their demand,
     and control resources are overlaid. The grants are computed in closed
     form (`_round_robin_grants`), so a subframe costs work per active
-    user, not per PRB granted. Active users are user indices in ascending
-    order and the grants are theirs, in the same order, some possibly 0.
-    The MCS indices are the walk's own list, indexed by user, so they
-    hold only until the next subframe is drawn. The same seed always
-    yields the identical columns.
+    user, not per PRB granted, and its volume comes straight from them
+    through the scheme's one volume formula. The same seed always yields
+    the identical trace.
     """
+    if n_subframes < 1:
+        raise ValueError("n_subframes must be >= 1")
+    load_dependent = not isinstance(scheme, (ClassicalIQ, FilteredIQ))
+    if load_dependent and not profiles:
+        raise ValueError("load-dependent schemes require at least one UE profile")
+
+    volume = _volume_formula(scheme, cell)
+    table = DEFAULT_MCS_TABLE
     rng = random.Random(seed)
     draw, getrandbits = rng.random, rng.getrandbits
-    n_mcs = len(DEFAULT_MCS_TABLE)
+    n_mcs = len(table)
     on = [rng.random() < _stationary_on_probability(p) for p in profiles]
     mcs_idx = [p.mcs_init if p.mcs_init is not None else rng.randrange(n_mcs) for p in profiles]
     # Per user: chance to switch off while on, to switch on while off, to step the MCS.
@@ -438,6 +374,9 @@ def _draws(
     n_prb, pdcch = cell.n_prb, control_schedule.pdcch_res_per_subframe
     prach_res, prach_period = control_schedule.prach_res, control_schedule.prach_period
 
+    volumes: list[float] = []
+    prbs: list[int] = []
+    control_res: list[int] = []
     for sf in range(n_subframes):
         active = []  # ascending user index
         for i, p_off, p_on, step_prob in users:
@@ -456,57 +395,6 @@ def _draws(
         # rotate the grant order between subframes
         grants = _round_robin_grants([demand[i] for i in active], n_prb, sf % len(active)) if active else []
         control = pdcch + prach_res if prach_res and sf % prach_period == 0 else pdcch
-        yield active, grants, mcs_idx, control
-
-
-def subframe_loads(
-    cell: CellConfig,
-    profiles: list[UeProfile],
-    control_schedule: ControlSchedule,
-    n_subframes: int,
-    seed: int,
-) -> Iterator[SubframeLoad]:
-    """Yield the scheduled load of each subframe in turn, deterministically.
-
-    This is the record view of the draws `generate_trace` reads: each
-    subframe's grants become `Allocation`s, users with no PRBs left out,
-    and equal allocations, the same user with the same PRBs and MCS,
-    share one object. The same seed always yields the identical loads.
-    """
-    shared = _SharedAllocations(profiles, DEFAULT_MCS_TABLE)
-    for sf, (active, grants, mcs_idx, control) in enumerate(
-        _draws(cell, profiles, control_schedule, n_subframes, seed)
-    ):
-        allocations = tuple(shared[i, n, mcs_idx[i]] for i, n in zip(active, grants) if n)
-        yield SubframeLoad(subframe_index=sf, allocations=allocations, control_res=control)
-
-
-def generate_trace(
-    cell: CellConfig,
-    scheme: SplitScheme,
-    profiles: list[UeProfile],
-    control_schedule: ControlSchedule,
-    n_subframes: int,
-    seed: int,
-) -> TrafficTrace:
-    """Generate a deterministic multi-subframe traffic trace.
-
-    Each subframe's volume comes straight from the drawn columns through
-    the scheme's one volume formula; no per-user record is made. The
-    same seed always yields the identical trace.
-    """
-    if n_subframes < 1:
-        raise ValueError("n_subframes must be >= 1")
-    load_dependent = not isinstance(scheme, (ClassicalIQ, FilteredIQ))
-    if load_dependent and not profiles:
-        raise ValueError("load-dependent schemes require at least one UE profile")
-
-    volume = _volume_formula(scheme, cell)
-    table = DEFAULT_MCS_TABLE
-    volumes: list[float] = []
-    prbs: list[int] = []
-    control_res: list[int] = []
-    for active, grants, mcs_idx, control in _draws(cell, profiles, control_schedule, n_subframes, seed):
         total = sum(grants)
         volumes.append(volume(total, control, grants, [table[mcs_idx[i]] for i in active]))
         prbs.append(total)

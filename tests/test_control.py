@@ -430,6 +430,11 @@ class TestReservationLedger:
                 p2p(1, 4), mean_rate=mean, peak_rate=peak, latency_class=1, latency_bound=1e-2
             )
 
+    @pytest.mark.parametrize("bound", [math.nan, 0.0, -1e-3])
+    def test_latency_bound_that_is_not_positive_is_refused(self, bound):
+        with pytest.raises(ValueError, match="latency_bound"):
+            request(p2p(1, 4), bound=bound)
+
 
 class TestEgressBindings:
     def test_same_label_on_two_ports_of_one_bbu(self):

@@ -257,6 +257,29 @@ class TestRunScenario:
                 "scheme=modulation_bits prb=2000\nues = r1 count=4 mean_on=20 mean_off=20 demand=1000",
                 18,
             ),
+            # integers too large for a float, and volumes that overflow one
+            pytest.param(
+                "cell = r1 scheme=modulation_bits",
+                f"cell = r1 scheme=classical_iq iq_bits={'9' * 400}",
+                10,
+                id="iq_bits-400-digits",
+            ),
+            pytest.param(
+                "scheme=modulation_bits", f"scheme=modulation_bits layers={'9' * 400}", 10, id="layers-400-digits"
+            ),
+            pytest.param(
+                "scheme=modulation_bits",
+                f"scheme=modulation_bits res_per_prb={'9' * 400}",
+                10,
+                id="res_per_prb-400-digits",
+            ),
+            pytest.param("pdcch=100", f"pdcch={'9' * 400}", 12, id="pdcch-400-digits"),
+            pytest.param(
+                "scheme=modulation_bits", f"scheme=modulation_bits layers={'9' * 308}", 10, id="layers-308-digits"
+            ),
+            pytest.param(
+                "scheme=modulation_bits", f"scheme=re_extraction iq_bits={'9' * 306}", 10, id="iq_bits-306-digits"
+            ),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):

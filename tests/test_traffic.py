@@ -1,102 +1,82 @@
+import ast
 import gc
 import hashlib
+import inspect
 import math
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fhsim.traffic import (
-    Allocation,
     CellConfig,
     ClassicalIQ,
     ControlSchedule,
     FilteredIQ,
-    McsEntry,
     ModulationBits,
     PduLevel,
     ReExtraction,
-    SubframeLoad,
     TrafficTrace,
     UeProfile,
     constant_trace,
     generate_trace,
     peak_rate,
-    subframe_loads,
-    subframe_volume,
     write_trace_csv,
     _mcs_step,
 )
+import fhsim.traffic
 import traffic_oracle
 
-MCS64 = McsEntry(6, 5 / 6)
-EMPTY = SubframeLoad(subframe_index=0)
+ORACLE = Path(__file__).with_name("traffic_oracle.py")
 
 
-def full_load(cell, mcs=MCS64, control=0):
-    return SubframeLoad(0, allocations=(Allocation(0, cell.n_prb, mcs),), control_res=control)
+def pinned(demand, mcs_idx=5, ue_id=0):
+    """A user that is always on, asks for `demand` PRBs and stays at MCS index `mcs_idx`."""
+    return UeProfile(ue_id, mean_on=math.inf, demand_prbs=demand, mcs_step_prob=0.0, mcs_init=mcs_idx)
+
+
+OFF = UeProfile(0, mean_off=math.inf)  # a user that is never on
+
+
+def volume(scheme, cell, users=(OFF,), control=0):
+    """One subframe's volume with `users` on the cell, each granted its whole demand."""
+    assert sum(u.demand_prbs for u in users if u.mean_on == math.inf) <= cell.n_prb
+    return generate_trace(cell, scheme, list(users), ControlSchedule(control), 1, 0).volumes[0]
 
 
 class TestSubframeVolume:
     def test_classical_default_cell(self):
         # 30.72e6 samples x 1e-3 s x 30 bits x 8 antennas x 4/3 overhead
-        assert subframe_volume(ClassicalIQ(), CellConfig(), EMPTY) == 9830400.0
+        assert volume(ClassicalIQ(), CellConfig()) == 9830400.0
 
     def test_classical_is_load_independent(self):
         cell = CellConfig()
-        assert subframe_volume(ClassicalIQ(), cell, full_load(cell)) == subframe_volume(
-            ClassicalIQ(), cell, EMPTY
-        )
+        assert volume(ClassicalIQ(), cell, [pinned(cell.n_prb)]) == volume(ClassicalIQ(), cell)
 
     def test_re_extraction_empty_load_is_zero(self):
-        assert subframe_volume(ReExtraction(), CellConfig(), EMPTY) == 0
+        assert volume(ReExtraction(), CellConfig()) == 0
 
     def test_modulation_bits_one_prb_64qam(self):
         cell = CellConfig(n_antennas=1)
-        load = SubframeLoad(0, allocations=(Allocation(0, 1, MCS64),))
-        assert subframe_volume(ModulationBits(), cell, load) == 168 * 6
+        assert volume(ModulationBits(), cell, [pinned(1)]) == 168 * 6
 
     def test_modulation_vs_classical_order_of_magnitude(self):
         cell = CellConfig()
-        mod = subframe_volume(ModulationBits(), cell, full_load(cell))
-        classical = subframe_volume(ClassicalIQ(), cell, EMPTY)
+        mod = volume(ModulationBits(), cell, [pinned(cell.n_prb)])
+        classical = volume(ClassicalIQ(), cell)
         assert mod == 100 * 168 * 6
         assert classical / mod > 10  # actually ~97.5x
 
     def test_pdu_level_applies_code_rate(self):
         cell = CellConfig(n_antennas=1)
-        load = SubframeLoad(0, allocations=(Allocation(0, 2, McsEntry(4, 0.5)),))
-        assert subframe_volume(PduLevel(), cell, load) == 2 * 168 * 4 * 0.5
-        assert subframe_volume(PduLevel(code_rate_applied=False), cell, load) == 2 * 168 * 4
-
-    def test_rejects_over_budget_load(self):
-        cell = CellConfig(n_prb=10)
-        load = SubframeLoad(0, allocations=(Allocation(0, 11, MCS64),))
-        with pytest.raises(ValueError):
-            subframe_volume(ReExtraction(), cell, load)
+        user = [pinned(2, mcs_idx=2)]  # 16QAM, rate 1/2
+        assert volume(PduLevel(), cell, user) == 2 * 168 * 4 * 0.5
+        assert volume(PduLevel(code_rate_applied=False), cell, user) == 2 * 168 * 4
 
     def test_control_res_counts_for_re_extraction(self):
-        cell = CellConfig()
-        load = SubframeLoad(0, control_res=100)
-        assert subframe_volume(ReExtraction(), cell, load) == 100 * 2 * 15 * 8
-
-
-class TestLoadValidation:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: Allocation(0, -1, MCS64),
-            lambda: Allocation(0, 1, McsEntry(3, 0.5)),
-            lambda: Allocation(0, 1, McsEntry(4, 0.0)),
-            lambda: Allocation(0, 1, McsEntry(4, 1.5)),
-            lambda: SubframeLoad(0, control_res=-1),
-        ],
-        ids=["negative-prbs", "modulation-3", "code-rate-0", "code-rate-1.5", "negative-control"],
-    )
-    def test_bad_load_is_refused(self, make):
-        with pytest.raises(ValueError):
-            make()
+        assert volume(ReExtraction(), CellConfig(), control=100) == 100 * 2 * 15 * 8
 
 
 class TestPeakRate:
@@ -112,6 +92,20 @@ class TestPeakRate:
     def test_modulation_minimal_cell(self):
         cell = CellConfig(n_antennas=1, n_prb=1)
         assert peak_rate(ModulationBits(), cell) == 168 * 6 / 1e-3
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [ReExtraction(), ModulationBits(2), PduLevel(), PduLevel(False)],
+        ids=["re_extraction", "modulation_bits", "pdu_level", "pdu_level_uncoded"],
+    )
+    def test_load_dependent_peak_is_a_full_subframe_at_the_best_mcs(self, scheme):
+        cell = CellConfig(n_prb=25)
+        full = volume(scheme, cell, [pinned(25)], control=300)
+        assert peak_rate(scheme, cell, max_control_res=300) == full / cell.subframe_duration
+
+    def test_negative_control_is_refused(self):
+        with pytest.raises(ValueError, match="max_control_res"):
+            peak_rate(ReExtraction(), CellConfig(), max_control_res=-1)
 
     def test_invalid_cell_rejected(self):
         with pytest.raises(ValueError):
@@ -130,14 +124,10 @@ class TestOrderingInvariant:
     )
     @settings(max_examples=200)
     def test_scheme_ordering(self, n_prbs, control, mcs_idx, filter_factor):
-        from fhsim.traffic import DEFAULT_MCS_TABLE
-
         cell = CellConfig()
-        mcs = DEFAULT_MCS_TABLE[mcs_idx]
-        allocations = (Allocation(0, n_prbs, mcs),) if n_prbs else ()
-        load = SubframeLoad(0, allocations=allocations, control_res=control)
+        users = [pinned(n_prbs, mcs_idx)] if n_prbs else [OFF]
         volumes = [
-            subframe_volume(scheme, cell, load)
+            volume(scheme, cell, users, control)
             for scheme in (
                 ClassicalIQ(),
                 FilteredIQ(filter_factor),
@@ -152,21 +142,16 @@ class TestOrderingInvariant:
     @given(extra=st.integers(1, 20), mcs_idx=st.integers(0, 5))
     @settings(max_examples=100)
     def test_load_monotonicity(self, extra, mcs_idx):
-        from fhsim.traffic import DEFAULT_MCS_TABLE
-
         cell = CellConfig()
-        mcs = DEFAULT_MCS_TABLE[mcs_idx]
-        base = SubframeLoad(0, allocations=(Allocation(0, 30, mcs),))
-        more = SubframeLoad(0, allocations=(Allocation(0, 30, mcs), Allocation(1, extra, mcs)))
+        base = [pinned(30, mcs_idx)]
+        more = [pinned(30, mcs_idx), pinned(extra, mcs_idx, ue_id=1)]
         for scheme in (ReExtraction(), ModulationBits(), PduLevel()):
-            assert subframe_volume(scheme, cell, more) >= subframe_volume(scheme, cell, base)
-        assert subframe_volume(ClassicalIQ(), cell, more) == subframe_volume(
-            ClassicalIQ(), cell, base
-        )
+            assert volume(scheme, cell, more) >= volume(scheme, cell, base)
+        assert volume(ClassicalIQ(), cell, more) == volume(ClassicalIQ(), cell, base)
 
     def test_antenna_doubling_doubles_classical(self):
-        v8 = subframe_volume(ClassicalIQ(), CellConfig(n_antennas=8), EMPTY)
-        v16 = subframe_volume(ClassicalIQ(), CellConfig(n_antennas=16), EMPTY)
+        v8 = volume(ClassicalIQ(), CellConfig(n_antennas=8))
+        v16 = volume(ClassicalIQ(), CellConfig(n_antennas=16))
         assert v16 == 2 * v8
 
 
@@ -253,6 +238,9 @@ def test_constant_trace_rate():
         ([-1.0], [0], [0], "volumes must be >= 0"),
         ([1.0], [-1], [0], "prbs must be >= 0"),
         ([1.0], [0], [-1], "control_res must be >= 0"),
+        ([math.nan], [0], [0], "volumes must be >= 0"),
+        ([math.inf], [0], [0], "volumes must be >= 0"),
+        ([10**400], [0], [0], "volumes must be >= 0 and fit in a float"),
     ],
 )
 def test_trace_columns_are_checked(volumes, prbs, control_res, message):
@@ -297,11 +285,6 @@ def contended_cell_args():
     return cell, PduLevel(), profiles, ControlSchedule(36, 5, 72), 600, 2024
 
 
-def loads_of(cell, scheme, *rest):
-    """The loads `generate_trace(cell, scheme, *rest)` reads, as a list."""
-    return list(subframe_loads(cell, *rest))
-
-
 # sha256 of write_trace_csv for the contended cell's trace, recorded from the
 # one-PRB-per-step round-robin scheduler that the closed-form grants replace.
 CONTENDED_TRACE_SHA256 = "b00eb4c2c846bfbd4745fa6deb1e40f9f68921adaa2552c2899b4a552e6598ef"
@@ -331,7 +314,7 @@ def cells_scale_args(scheme, cell, seed):
 
 
 # sha256 of write_trace_csv at cells scale, recorded from the generator that
-# built a SubframeLoad per subframe and drew MCS steps with rng.choice.
+# built a record per user and subframe and drew MCS steps with rng.choice.
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -384,7 +367,9 @@ class TestGrantsMatchStepwiseReference:
     @given(
         n_prb=st.integers(1, 30),
         profiles=st.lists(ue_profiles, min_size=1, max_size=12),
-        scheme=st.sampled_from([ReExtraction(), ModulationBits(2), PduLevel(), PduLevel(False)]),
+        scheme=st.sampled_from(
+            [ClassicalIQ(), FilteredIQ(0.7), ReExtraction(), ModulationBits(2), PduLevel(), PduLevel(False)]
+        ),
         control=st.builds(ControlSchedule, st.integers(0, 50), st.integers(1, 7), st.integers(0, 80)),
         n_subframes=st.integers(1, 60),
         seed=st.integers(0, 2**32),
@@ -399,11 +384,10 @@ class TestGrantsMatchStepwiseReference:
     @staticmethod
     def check(args):
         trace = generate_trace(*args)
-        volumes, loads = traffic_oracle.generate_trace(*args)
+        volumes, prbs, control_res = traffic_oracle.generate_trace(*args)
         assert bitwise(trace.volumes) == bitwise(volumes)
-        assert loads_of(*args) == loads  # every allocation of every subframe
-        assert trace.prbs == [load.total_prbs for load in loads]
-        assert trace.control_res == [load.control_res for load in loads]
+        assert trace.prbs == prbs
+        assert trace.control_res == control_res
 
 
 def busy_cell_args():
@@ -412,12 +396,6 @@ def busy_cell_args():
         for i in range(48)
     ]
     return CellConfig(), ModulationBits(), profiles, ControlSchedule(), 2000, 5
-
-
-def test_equal_allocations_share_one_object():
-    loads = loads_of(*busy_cell_args())
-    objects = {id(a) for load in loads for a in load.allocations}
-    assert len(objects) <= 48 * (9 + 1) * 6
 
 
 def test_trace_keeps_no_per_user_record():
@@ -429,6 +407,28 @@ def test_trace_keeps_no_per_user_record():
         if id(obj) in seen or isinstance(obj, type):
             continue
         seen.add(id(obj))
-        assert not isinstance(obj, (SubframeLoad, Allocation)), obj
+        # the trace, its cell and scheme, its columns and their numbers; nothing per user
+        assert isinstance(obj, (TrafficTrace, CellConfig, ModulationBits, list, dict, str, int, float)), obj
         stack.extend(gc.get_referents(obj))
     assert len(seen) > 2000  # the walk reached every volume
+
+
+@pytest.mark.parametrize("mean_on, mean_off", [(math.nan, math.nan), (40.0, math.nan), (math.nan, 40.0), (0.0, 40.0)])
+def test_mean_durations_that_are_not_positive_numbers_are_refused(mean_on, mean_off):
+    with pytest.raises(ValueError, match="mean on/off"):
+        UeProfile(0, mean_on=mean_on, mean_off=mean_off)
+
+
+def test_oracle_imports_no_function_from_the_code_it_checks():
+    """The stepwise reference may share data types and the MCS table with fhsim, never its code."""
+    shared = []
+    for node in ast.walk(ast.parse(ORACLE.read_text())):
+        if isinstance(node, ast.Import):
+            shared += [alias.name for alias in node.names if alias.name.startswith("fhsim")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fhsim"):
+            module = fhsim.traffic if node.module == "fhsim.traffic" else None
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                if module is None or value is None or inspect.isroutine(value):
+                    shared.append(f"{node.module}.{alias.name}")
+    assert shared == []

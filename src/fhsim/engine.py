@@ -17,9 +17,10 @@ timeout if that falls strictly before the circuit's next offer and else
 that offer, with the tie it would draw if all offers were pushed up
 front, so no event goes stale; the end of a transmission only once a
 packet waits behind it; and no arrival at end equipment, which takes
-delivery at transmit start, within the transmit step itself. The loop
-tests for the end of a transmission first, the commonest event on a
-loaded port.
+delivery at transmit start, within the transmit step itself. The handled
+event stays at the heap root until the first event it schedules replaces
+it; keys are unique, so the pop order is unchanged. The transmit step and
+single-output enqueue are inline, and `_Port.pick` is the one scheduler.
 
 Packets carry their header fields as plain ints: the regulator builds
 each from ints it keeps in range, a hop relabels by assignment and a
@@ -179,24 +180,30 @@ class Regulator:
             return None
         return self.chunks[0][0] + self.feed.policy.frame_timeout
 
-    def _emit(self, payload_bytes: int, consume_bits: float) -> FhPacket:
-        created_at = self.chunks[0][0]
-        need = consume_bits
-        while need > EPS_BITS:
-            head = self.chunks[0]
-            bits = head[1]
-            take = bits if bits < need else need
-            head[1] -= take
-            need -= take
-            if head[1] <= EPS_BITS:
-                self.chunks.popleft()
-        self.buffered_bits -= consume_bits
-        if self.buffered_bits <= EPS_BITS:
-            self.buffered_bits = 0.0
-            self.chunks.clear()
-        pkt = FhPacket(self.feed.label, self.seq, self.feed.latency_class, payload_bytes, created_at)
-        self.seq = (self.seq + 1) % SEQ_MODULUS
-        return pkt
+    def _frames(self, payload_bytes: int, frame_bits: float) -> list[FhPacket]:
+        """Frame packets of frame_bits, oldest chunks first, while a whole one is buffered."""
+        chunks, buffered, seq = self.chunks, self.buffered_bits, self.seq
+        label, latency_class = self.feed.label, self.feed.latency_class
+        out = []
+        while buffered >= frame_bits:
+            created_at = chunks[0][0]
+            need = frame_bits
+            while need > EPS_BITS:
+                head = chunks[0]
+                bits = head[1]
+                take = bits if bits < need else need
+                head[1] = bits = bits - take
+                need -= take
+                if bits <= EPS_BITS:
+                    chunks.popleft()
+            buffered -= frame_bits
+            if buffered <= EPS_BITS:
+                buffered = 0.0
+                chunks.clear()
+            out.append(FhPacket(label, seq, latency_class, payload_bytes, created_at))
+            seq = (seq + 1) % SEQ_MODULUS
+        self.buffered_bits, self.seq = buffered, seq
+        return out
 
     def offer(self, now: float, bits: float) -> list[FhPacket]:
         """Accept a subframe's payload bits; emit any full frames at once."""
@@ -204,12 +211,10 @@ class Regulator:
             return []
         self.chunks.append([now, bits])
         self.buffered_bits += bits
-        self.peak_buffered_bits = max(self.peak_buffered_bits, self.buffered_bits)
-        frame_bits = self.feed.policy.max_frame_bytes * 8
-        out = []
-        while self.buffered_bits >= frame_bits:
-            out.append(self._emit(self.feed.policy.max_frame_bytes, float(frame_bits)))
-        return out
+        if self.buffered_bits > self.peak_buffered_bits:
+            self.peak_buffered_bits = self.buffered_bits
+        frame_bytes = self.feed.policy.max_frame_bytes
+        return self._frames(frame_bytes, float(frame_bytes * 8))
 
     def flush(self) -> list[FhPacket]:
         """Timeout: emit the whole remainder, rounded up to whole bytes.
@@ -222,7 +227,7 @@ class Regulator:
             self.buffered_bits = 0.0
             self.chunks.clear()
             return []
-        return [self._emit(payload_bytes, self.buffered_bits)]
+        return self._frames(payload_bytes, self.buffered_bits)
 
 
 class _Port:
@@ -442,7 +447,8 @@ def run(world: World, horizon: float) -> RunResult:
 
     The data plane introduces no randomness beyond the traces already
     in the world, so an identical world and horizon give an identical
-    result.
+    result. A feed that enters at a port with no link, or a forwarding
+    entry that leads out of one, is refused before the first event.
 
     Events pop in (time, tie) order, and the heap holds only what can
     be due next. Offers keep the ties they would draw if all were pushed
@@ -459,24 +465,36 @@ def run(world: World, horizon: float) -> RunResult:
     arrival time, when that time is within the horizon; later arrivals
     stay in the heap and count as residual. So every figure is what
     pushing every event would give.
+
+    The handled event stays at the root until the first event it
+    schedules replaces it (`heapq.heapreplace`), or is popped if there
+    is none; keys are unique, so the pop order is that of pop-then-push.
+    The transmit step and the single-output enqueue run inline, with
+    `_Port.pick` the one scheduler; bursts and replicas use `enqueue`.
     """
     if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and >= 0")
 
     ports = _wire_ports(world)
+    for node, switch in world.switches.items():
+        for entry, outputs in switch.table.items():
+            for out, _ in outputs:
+                if (node, out) not in ports:
+                    raise ValueError(f"node {node}'s entry {entry} forwards to port {out}, which has no link")
     regulators = [Regulator(feed) for feed in world.circuits]
     sessions: dict[str, SessionRunStats] = {}
     ingress = []  # per circuit: (ingress port, circuit stats, session stats)
     for feed in world.circuits:
+        port = ports.get(where := (feed.ingress_node, feed.ingress_port))
+        if port is None:
+            raise ValueError(f"feed {feed.session_id}/{feed.circuit_id}: ingress (node, port) {where} has no link")
         stats = sessions.setdefault(feed.session_id, SessionRunStats())
-        ingress.append(
-            (ports.get((feed.ingress_node, feed.ingress_port)), stats.circuit(feed.circuit_id), stats)
-        )
+        ingress.append((port, stats.circuit(feed.circuit_id), stats))
 
     # Events are (time, tie, code, a, b); offers take ties 0..n-1 and
     # every other event draws the next tie when it is scheduled.
     heap: list[tuple] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     chains = []  # per circuit: its offer events still to come, the next one last
     n_offers = 0
     for idx, feed in enumerate(world.circuits):
@@ -494,29 +512,9 @@ def run(world: World, horizon: float) -> RunResult:
         if chain:
             heappush(heap, chain.pop())
     tie = itertools.count(n_offers).__next__
-    event: tuple = ()  # the event being handled
 
-    def start_tx(port: _Port, now: float) -> None:
-        pkt = port.pick()
-        wire_bytes = pkt.wire_bytes
-        port.class_bytes[pkt.latency_class] -= wire_bytes
-        port.total_bytes -= wire_bytes
-        tx = wire_bytes * 8 / port.capacity
-        left = horizon - now
-        port.busy_time += tx if tx < left else left
-        end = now + tx
-        done = (end, tie(), _TX_DONE, port, None)
-        if port.total_bytes > 0:
-            heappush(heap, done)
-            port.done = None
-        else:  # pushed only if a packet queues behind it
-            port.done = done
-        at = end + port.propagation
-        peer = port.peer
-        if peer.switch is not None or at > horizon:
-            heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
-            return
-        # end equipment takes delivery now, stamped with the arrival time
+    def deliver(peer: _Port, pkt: FhPacket, at: float) -> None:
+        """End equipment takes delivery at transmit start, stamped with the arrival time."""
         label = pkt.label
         binding = peer.egress[label] if label in peer.egress else bind(peer, label)
         if binding is None:
@@ -535,7 +533,8 @@ def run(world: World, horizon: float) -> RunResult:
         counts[latency] = counts.get(latency, 0) + 1
         stats.payload_bits_delivered += pkt.payload_len * 8
 
-    def enqueue(port: _Port, pkt: FhPacket, now: float) -> None:
+    def enqueue(port: _Port, pkt: FhPacket, event: tuple) -> None:
+        """The loop's enqueue and transmit steps for bursts and replicas; the caller frees the root."""
         cls = pkt.latency_class
         wire_bytes = pkt.wire_bytes
         if port.class_bytes[cls] + wire_bytes > port.queue_bound:
@@ -549,20 +548,25 @@ def run(world: World, horizon: float) -> RunResult:
         if port.total_bytes > port.peak_queue_bytes:
             port.peak_queue_bytes = port.total_bytes
         done = port.done
-        if done is not None:  # no transmit-done in the heap
-            if done < event:  # the port went idle before this event
-                start_tx(port, now)
-            else:
-                heappush(heap, done)
-                port.done = None
-
-    def inject(idx: int, emitted: list[FhPacket], now: float) -> None:
-        port, cstats, stats = ingress[idx]
-        for pkt in emitted:
-            pkt.stats = cstats
-            cstats.injected += 1
-            stats.wire_bits_injected += pkt.wire_bytes * 8
-            enqueue(port, pkt, now)
+        if done is not None and not done < event:  # busy: the packet waits behind the reserved end
+            heappush(heap, done)
+            port.done = None
+        if port.done is None:  # its transmit-done is in the heap
+            return
+        # idle, so pkt is the one packet queued: send it, reserving the end
+        port.pick()
+        port.class_bytes[cls] -= wire_bytes
+        port.total_bytes -= wire_bytes
+        tx = wire_bytes * 8 / port.capacity
+        port.busy_time += min(tx, horizon - event[0])
+        end = event[0] + tx
+        port.done = (end, tie(), _TX_DONE, port, None)
+        at = end + port.propagation
+        peer = port.peer
+        if peer.switch is not None or at > horizon:
+            heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
+        else:
+            deliver(peer, pkt, at)
 
     def route(port: _Port, label: int) -> tuple[tuple[_Port, int], ...] | None:
         outputs = port.switch.lookup(port.port_no, label)
@@ -581,46 +585,102 @@ def run(world: World, horizon: float) -> RunResult:
         port.egress[label] = binding
         return binding
 
-    while heap and heap[0][0] <= horizon:
-        event = heappop(heap)
-        now, _, code, a, b = event
-        if code == _TX_DONE:  # pushed only with a packet waiting
-            start_tx(a, now)
-        elif code == _ARRIVAL:  # at a switch: end equipment took delivery at transmit start
-            port, pkt = a, b
-            occupied = port.occupancy + pkt.wire_bytes
-            if occupied > port.input_bound:
-                pkt.stats.dropped_overflow += 1
+    while heap:
+        event = heap[0]  # handled at the root, until replaced or popped
+        now, _, code, port, pkt = event
+        if now > horizon:
+            break
+        if code != _TX_DONE:  # a transmit-done is pushed only with a packet waiting
+            if code == _ARRIVAL:  # at a switch: end equipment took delivery at transmit start
+                occupied = port.occupancy + pkt.wire_bytes
+                if occupied > port.input_bound:
+                    pkt.stats.dropped_overflow += 1
+                    heappop(heap)
+                else:
+                    port.occupancy = occupied
+                    heapreplace(heap, (now + port.proc_delay, tie(), _PROC_DONE, port, pkt))
                 continue
-            port.occupancy = occupied
-            heappush(heap, (now + port.proc_delay, tie(), _PROC_DONE, port, pkt))
-        elif code == _PROC_DONE:
-            port, pkt = a, b
+            if code != _PROC_DONE:  # _OFFER or _REG_TIMEOUT, the one event of circuit idx in the heap
+                idx = port
+                reg, chain = regulators[idx], chains[idx]
+                port, cstats, stats = ingress[idx]
+                for pkt in reg.offer(now, pkt) if code == _OFFER else reg.flush():
+                    pkt.stats = cstats
+                    cstats.injected += 1
+                    stats.wire_bits_injected += pkt.wire_bytes * 8
+                    enqueue(port, pkt, event)
+                deadline = reg.deadline()  # None after a flush
+                if deadline is not None and (not chain or deadline < chain[-1][0]):
+                    heapreplace(heap, (deadline, tie(), _REG_TIMEOUT, idx, None))
+                elif chain:
+                    heapreplace(heap, chain.pop())
+                else:
+                    heappop(heap)
+                continue
             port.occupancy -= pkt.wire_bytes
             label = pkt.label
             outputs = port.routes[label] if label in port.routes else route(port, label)
             if outputs is None:
                 pkt.stats.dropped_unroutable += 1
+                heappop(heap)
                 continue
-            if len(outputs) == 1:
-                out, pkt.label = outputs[0]
-                enqueue(out, pkt, now)
+            if len(outputs) > 1:
+                pkt.stats.replicated += len(outputs) - 1
+                # replicas copy the queued original: until a later hop relabels it, nothing changes it
+                for i, (out, out_label) in enumerate(outputs):
+                    branch = pkt.copy() if i else pkt
+                    branch.label = out_label
+                    enqueue(out, branch, event)
+                heappop(heap)
                 continue
-            pkt.stats.replicated += len(outputs) - 1
-            # replicas copy the queued original: until a later hop relabels it, nothing changes it
-            for i, (out, out_label) in enumerate(outputs):
-                branch = pkt.copy() if i else pkt
-                branch.label = out_label
-                enqueue(out, branch, now)
-        else:  # _OFFER or _REG_TIMEOUT, the one event of circuit a in the heap
-            reg = regulators[a]
-            inject(a, reg.offer(now, b) if code == _OFFER else reg.flush(), now)
-            deadline = reg.deadline()  # None after a flush
-            chain = chains[a]
-            if deadline is not None and (not chain or deadline < chain[-1][0]):
-                heappush(heap, (deadline, tie(), _REG_TIMEOUT, a, None))
-            elif chain:
-                heappush(heap, chain.pop())
+            port, pkt.label = outputs[0]
+            cls = pkt.latency_class
+            wire_bytes = pkt.wire_bytes
+            if port.class_bytes[cls] + wire_bytes > port.queue_bound:
+                pkt.stats.dropped_overflow += 1
+                heappop(heap)
+                continue
+            lane = cls & port.lane_mask
+            port.queues[lane].append(pkt)
+            port.nonempty |= 1 << lane
+            port.class_bytes[cls] += wire_bytes
+            port.total_bytes += wire_bytes
+            if port.total_bytes > port.peak_queue_bytes:
+                port.peak_queue_bytes = port.total_bytes
+            done = port.done
+            if done is None:  # its transmit-done is in the heap
+                heappop(heap)
+                continue
+            if not done < event:  # busy: the packet waits behind the reserved end
+                heapreplace(heap, done)
+                port.done = None
+                continue
+            # idle: send from this port below
+        # the transmit step on port, the handled event still at the root
+        pkt = port.pick()
+        wire_bytes = pkt.wire_bytes
+        port.class_bytes[pkt.latency_class] -= wire_bytes
+        port.total_bytes -= wire_bytes
+        tx = wire_bytes * 8 / port.capacity
+        left = horizon - now
+        port.busy_time += tx if tx < left else left
+        end = now + tx
+        done = (end, tie(), _TX_DONE, port, None)
+        at = end + port.propagation
+        peer = port.peer
+        if port.total_bytes > 0:  # a packet waits behind it: push its end
+            heapreplace(heap, done)
+            port.done = None
+            if peer.switch is not None or at > horizon:
+                heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
+                continue
+        else:
+            port.done = done
+            if peer.switch is not None or at > horizon:
+                heapreplace(heap, (at, tie(), _ARRIVAL, peer, pkt))
+                continue
+            heappop(heap)
+        deliver(peer, pkt, at)
 
     residual = sum(len(q) for port in ports.values() for q in port.queues)
     residual += sum(event[2] in (_ARRIVAL, _PROC_DONE) for event in heap)

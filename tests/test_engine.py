@@ -388,6 +388,16 @@ def link(**fields):
     return PhysLink(0, 0, 1, 0, **{"capacity": 1e9, **fields})
 
 
+def rrh_switch_bbu_world(ingress_port=0, out_port=1):
+    """rrh 0 -> switch 1 (ports 0 and 1 linked, of 8) -> bbu 2, one circuit."""
+    nodes = [Node(0, NodeKind.RRH, 1, "r"), Node(1, NodeKind.FH_SWITCH, 8, "s"), Node(2, NodeKind.BBU, 1, "b")]
+    links = [PhysLink(0, 0, 1, 0, 1e9), PhysLink(1, 1, 2, 0, 1e9)]
+    switch = SwitchState(SwitchConfig())
+    switch.install(0, 7, ((out_port, 9),))
+    feed = CircuitFeed("s", 0, 0, ingress_port, 7, 0, policy(), [8000.0], 1e-3)
+    return World(PhysicalTopology(nodes, links), {1: switch}, [feed], {(2, 0, 9): ("s", 0)})
+
+
 class TestHandBuiltWorldIsChecked:
     @pytest.mark.parametrize("bits", [math.inf, -math.inf, math.nan])
     def test_feed_refuses_non_finite_volumes(self, bits):
@@ -421,6 +431,15 @@ class TestHandBuiltWorldIsChecked:
         # a NaN deadline or arrival time fails `<= horizon` and ends the run early
         with pytest.raises(ValueError, match=field):
             make(**{field: math.nan})
+
+    def test_run_refuses_a_feed_whose_ingress_has_no_link(self):
+        assert run(rrh_switch_bbu_world(), 0.1).total().delivered == 1
+        with pytest.raises(ValueError, match=r"feed s/0: ingress \(node, port\) \(0, 5\) has no link"):
+            run(rrh_switch_bbu_world(ingress_port=5), 0.1)
+
+    def test_run_refuses_an_entry_that_forwards_to_a_port_with_no_link(self):
+        with pytest.raises(ValueError, match=r"node 1's entry \(0, 7\) forwards to port 7, which has no link"):
+            run(rrh_switch_bbu_world(out_port=7), 0.1)
 
     def test_world_refuses_a_zero_wrr_weight(self):
         with pytest.raises(ValueError, match="wrr_weights"):

@@ -155,26 +155,42 @@ class TestMatchesEveryEventInTheHeap:
 class TestHeapHoldsOnlyWhatIsDue:
     def test_latency_tiers_heap_stays_small(self, monkeypatch):
         pushes, peak, timeouts, flushes, pending = 0, 0, 0, 0, set()
+        handled = Counter()  # events popped, by code
         regulated = (fhsim.engine._OFFER, fhsim.engine._REG_TIMEOUT)
+
+        def counted_push(item):
+            nonlocal pushes, timeouts
+            if item[2] in regulated:
+                assert item[3] not in pending  # one offer or timeout per circuit
+                pending.add(item[3])
+                timeouts += item[2] == fhsim.engine._REG_TIMEOUT
+            pushes += 1
+
+        def counted_pop(item):
+            handled[item[2]] += 1
+            if item[2] in regulated:
+                pending.remove(item[3])
 
         class CountingHeapq:
             @staticmethod
             def heappush(heap, item):
-                nonlocal pushes, peak, timeouts
-                if item[2] in regulated:
-                    assert item[3] not in pending  # one offer or timeout per circuit
-                    pending.add(item[3])
-                    timeouts += item[2] == fhsim.engine._REG_TIMEOUT
+                nonlocal peak
+                counted_push(item)
                 heapq.heappush(heap, item)
-                pushes += 1
                 peak = max(peak, len(heap))
 
             @staticmethod
             def heappop(heap):
                 item = heapq.heappop(heap)
-                if item[2] in regulated:
-                    pending.remove(item[3])
+                counted_pop(item)
                 return item
+
+            @staticmethod
+            def heapreplace(heap, item):
+                # the pop of the root, then one push
+                counted_pop(heap[0])
+                counted_push(item)
+                return heapq.heapreplace(heap, item)
 
         flush = fhsim.engine.Regulator.flush
 
@@ -196,3 +212,10 @@ class TestHeapHoldsOnlyWhatIsDue:
         assert peak < 64
         # no timeout is superseded: each one pushed pops and flushes
         assert timeouts == flushes == 24
+        assert handled == {
+            fhsim.engine._OFFER: 5_050,
+            fhsim.engine._REG_TIMEOUT: 24,
+            fhsim.engine._ARRIVAL: 325_376,
+            fhsim.engine._PROC_DONE: 325_376,
+            fhsim.engine._TX_DONE: 419_314,
+        }

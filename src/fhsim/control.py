@@ -8,7 +8,10 @@ teardown, failure rerouting over redundant paths, and make-before-break
 migration as the endpoint set changes. Labels are scoped per (node,
 input port), smallest free one first: each circuit records the (node,
 in_port, label) of every node it arrives at, which keys both switch
-entries and the egress binding at its destination host.
+entries and the egress binding at its destination host. The network
+has one `SwitchConfig`: path planning adds its header-processing delay
+at every transit switch, as the engine spends it at each one, and a
+`SwitchState` is only a switch's label table.
 """
 
 from __future__ import annotations
@@ -216,14 +219,14 @@ def compute_path(
     peak_rate: float,
     latency_bound: float,
     frame_wire_bytes: int,
-    header_processing_delay_of,
+    header_processing_delay: float,
     residual_of,
     extra_credit: dict[LinkKey, float] | None = None,
 ) -> tuple[tuple[NodeId, ...], float]:
     """Minimum fixed-latency path with enough residual bandwidth.
 
     Fixed latency sums propagation plus max-frame serialization per link
-    plus the header-processing delay of every transit switch. Only
+    plus header_processing_delay at every transit switch. Only
     switches relay payload, so interior path nodes are switches by
     construction. Only links whose residual (plus any extra_credit, used
     during migration to discount the session's own holding) covers
@@ -252,7 +255,7 @@ def compute_path(
             if peer != dst:
                 if not relays:
                     continue  # end equipment cannot relay payload
-                hop += header_processing_delay_of(peer)
+                hop += header_processing_delay
             if residual_of(key) + extra.get(key, 0.0) < peak_rate:
                 continue
             cand = (cost + hop, path + (peer,))
@@ -316,8 +319,9 @@ class Controller:
 
     Owns label allocation, the installed forwarding tables (one
     SwitchState per switch), host egress bindings keyed by arrival port,
-    and the reservation ledger. Every operation either commits fully or
-    leaves all control state untouched.
+    and the reservation ledger, under one `config` for the network.
+    Every operation either commits fully or leaves all control state
+    untouched.
 
     Each (node, in_port) hands out its smallest free label, in O(log n)
     for n labels in use there. `sessions` holds the active sessions
@@ -326,18 +330,11 @@ class Controller:
     end.
     """
 
-    def __init__(
-        self,
-        topology: PhysicalTopology,
-        switch_configs: dict[NodeId, SwitchConfig] | None = None,
-    ):
+    def __init__(self, topology: PhysicalTopology, config: SwitchConfig = SwitchConfig()):
         self.topology = topology
+        self.config = config  # its header-processing delay is added at every transit switch
         self.ledger = ReservationLedger(topology)
-        self.switches: dict[NodeId, SwitchState] = {}
-        for node in topology.nodes.values():
-            if node.kind is NodeKind.FH_SWITCH:
-                cfg = (switch_configs or {}).get(node.id) or SwitchConfig()
-                self.switches[node.id] = SwitchState(cfg)
+        self.switches = {node.id: SwitchState() for node in topology.nodes_of_kind(NodeKind.FH_SWITCH)}
         self.sessions: dict[str, Session] = {}
         self.egress: dict[tuple[NodeId, int, int], tuple[str, int]] = {}
         self.failed_links: set[LinkKey] = set()
@@ -346,10 +343,6 @@ class Controller:
         self._session_counter = 0
         self._labels: dict[tuple[NodeId, int], _LabelPool] = {}
         self._kinds = {node.id: node.kind for node in topology.nodes.values()}
-        # header-processing delay of every node: zero at end equipment
-        self._proc_delay = dict.fromkeys(topology.nodes, 0.0)
-        for node, switch in self.switches.items():
-            self._proc_delay[node] = switch.config.header_processing_delay
         # one key object per link, looked up from either direction and
         # shared by the debits of every session on it
         self._link_keys = {(link.node_a, link.node_b): link.key for link in topology.links}
@@ -405,7 +398,6 @@ class Controller:
         topology = self._surviving()
         overlay: dict[LinkKey, float] = {}
         residual = self.ledger.residual_after(overlay)
-        proc_delay = self._proc_delay.__getitem__
         paths: list[tuple[NodeId, ...]] = []
         credit = dict(extra_credit or {}) if tree else extra_credit
         for src, dst in legs:
@@ -416,7 +408,7 @@ class Controller:
                 request.peak_rate,
                 request.latency_bound,
                 frame_wire,
-                proc_delay,
+                self.config.header_processing_delay,
                 residual,
                 credit,
             )

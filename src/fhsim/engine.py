@@ -5,11 +5,15 @@ and frame it into labeled packets (full frames immediately, remainders
 on a holding-time timeout). Switches receive store-and-forward, spend a
 header-processing delay, re-label per their forwarding table, and queue
 packets per latency class on the output port, where a strict priority
-or weighted-round-robin scheduler drains them. A FIFO port is strict
-priority over a single lane: it queues every class in lane 0, so it
-serves in arrival order. Each output port keeps a bitmask of its
-non-empty lanes, so strict priority and WRR reach the next lane to serve
-without a step per empty one. All randomness lives in the traffic
+or weighted-round-robin scheduler drains them. One `SwitchConfig`, the
+world's, configures every port of a run: the same queue bound and
+scheduler at switches and hosts, and the same input buffer and delay at
+every switch, so a `SwitchState` holds only a label table and a port
+only its run state. A FIFO port is strict priority over a single lane:
+it queues every class in lane 0, so it serves in arrival order. Each
+output port keeps a bitmask of its non-empty lanes, so strict priority
+and WRR reach the next lane to serve without a step per empty one.
+All randomness lives in the traffic
 traces; given the same world and horizon the run is reproducible event
 for event, with ties at equal time broken by scheduling order. The heap
 holds only what can be due next: one event per circuit, its regulator's
@@ -46,15 +50,10 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .packet import MAX_LABEL, MAX_LATENCY_CLASS, SEQ_MODULUS, FhPacket
-from .topology import NodeId, PhysicalTopology
+from .topology import NodeId, PhysicalTopology, PhysLink
 
 N_CLASSES = 16
 EPS_BITS = 1e-6  # float dust below this is not a payload bit
-
-
-def _check_wrr_weights(weights: tuple[int, ...]) -> None:
-    if len(weights) != N_CLASSES or any(w < 1 for w in weights):
-        raise ValueError("wrr_weights needs one weight >= 1 per latency class")
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,14 @@ class Scheduler(Enum):
 
 @dataclass(frozen=True)
 class SwitchConfig:
+    """How every port of a network queues, schedules and processes packets.
+
+    One value configures a run: the output queues and scheduler of every
+    port, switch and host alike, and the input buffer and header
+    processing of every switch port. The path planner adds the same
+    header-processing delay at every transit switch.
+    """
+
     scheduler: Scheduler = Scheduler.STRICT_PRIORITY
     wrr_weights: tuple[int, ...] = (1,) * N_CLASSES  # packets per visit, by class
     queue_bytes: int = 256 * 1024  # per class per output port
@@ -84,15 +91,26 @@ class SwitchConfig:
     header_processing_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_wrr_weights(self.wrr_weights)
+        if len(self.wrr_weights) != N_CLASSES or any(w < 1 for w in self.wrr_weights):
+            raise ValueError("wrr_weights needs one weight >= 1 per latency class")
         if self.queue_bytes < 1 or self.input_buffer_bytes < 1:
             raise ValueError("buffer bounds must be >= 1 byte")
-        if not 0 <= self.header_processing_delay:  # NaN fails too
-            raise ValueError("header_processing_delay must be >= 0")
+        if not 0 <= self.header_processing_delay < math.inf:  # NaN fails too
+            raise ValueError("header_processing_delay must be finite and >= 0")
+
+    @property
+    def lane_mask(self) -> int:
+        """Class c queues in lane c & lane_mask: a lane per class, but one lane under FIFO."""
+        return 0 if self.scheduler is Scheduler.FIFO else N_CLASSES - 1
+
+    @property
+    def wrr_credits(self) -> tuple[int, ...] | None:
+        """The weights `_Port.pick` serves by: `wrr_weights` under WRR, else None."""
+        return self.wrr_weights if self.scheduler is Scheduler.WRR else None
 
 
 class SwitchState:
-    """Forwarding state of one switch: configuration plus label table.
+    """Forwarding state of one switch: its label table.
 
     The table maps (input port, label) to one or more (output port,
     label) entries; more than one entry replicates the packet, which is
@@ -100,8 +118,7 @@ class SwitchState:
     0..MAX_LABEL.
     """
 
-    def __init__(self, config: SwitchConfig):
-        self.config = config
+    def __init__(self) -> None:
         self.table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def install(self, in_port: int, label: int, outputs: tuple[tuple[int, int], ...]) -> None:
@@ -148,18 +165,15 @@ class CircuitFeed:
 
 @dataclass
 class World:
-    """Everything a run needs: wiring, switch state, circuits, egress map."""
+    """Everything a run needs: wiring, switch state, circuits, egress map, port config."""
 
     topology: PhysicalTopology
     switches: dict[NodeId, SwitchState]
     circuits: list[CircuitFeed]
     egress: dict[tuple[NodeId, int, int], tuple[str, int]]  # (node, in_port, label) -> session, circuit
-    host_scheduler: Scheduler = Scheduler.STRICT_PRIORITY
-    host_queue_bytes: int = 256 * 1024
-    wrr_weights: tuple[int, ...] = (1,) * N_CLASSES
+    config: SwitchConfig = SwitchConfig()  # every port of the run
 
     def __post_init__(self) -> None:
-        _check_wrr_weights(self.wrr_weights)
         unfed = {sid for sid, _ in self.egress.values()} - {feed.session_id for feed in self.circuits}
         if unfed:
             raise ValueError(f"egress binds sessions with no circuit feed: {sorted(unfed)}")
@@ -234,10 +248,8 @@ class _Port:
     """One end of a link, within one run.
 
     As an output it holds the queues and drives the link: class c
-    queues in lane c & lane_mask, one lane per class except under FIFO,
-    whose lane_mask of 0 puts every class in lane 0, and `wrr` says
-    whether `pick` serves the lanes by weighted round robin or by strict
-    priority. As an input it holds the arrival-side state of this port:
+    queues in lane c & `SwitchConfig.lane_mask`, and `pick` serves the
+    lanes. As an input it holds the arrival-side state of this port:
     input buffer occupancy, and the routes (switch) or egress bindings
     (host) resolved so far, cached per label.
     """
@@ -249,58 +261,51 @@ class _Port:
         "capacity",
         "propagation",
         "queues",
-        "lane_mask",
         "nonempty",
         "class_bytes",
         "total_bytes",
-        "queue_bound",
-        "wrr",
-        "weights",
         "done",
         "wrr_class",
         "wrr_credit",
         "busy_time",
         "peak_queue_bytes",
         "switch",
-        "input_bound",
-        "proc_delay",
         "occupancy",
         "routes",
         "egress",
     )
 
-    def __init__(self, node, port_no, link, scheduler, weights, queue_bound):
+    def __init__(self, node: NodeId, port_no: int, link: PhysLink, switch: SwitchState | None):
         self.node = node
         self.port_no = port_no
         self.peer: _Port | None = None  # the port a transmission lands on
         self.capacity = link.capacity
         self.propagation = link.propagation_delay
         self.queues: list[deque[FhPacket]] = [deque() for _ in range(N_CLASSES)]
-        self.lane_mask = 0 if scheduler is Scheduler.FIFO else N_CLASSES - 1
         self.nonempty = 0  # bit c set while lane c holds a packet
         self.class_bytes = [0] * N_CLASSES
         self.total_bytes = 0
-        self.queue_bound = queue_bound
-        self.wrr = scheduler is Scheduler.WRR
-        self.weights = weights
         # the end of the current transmission while it is not in the heap,
         # None while it is; a key already past means the port is idle
         self.done: tuple | None = _IDLE
-        self.wrr_class = 0
-        self.wrr_credit = weights[0]
+        # as if the last class had just spent its credit: round robin starts at class 0
+        self.wrr_class = N_CLASSES - 1
+        self.wrr_credit = 0
         self.busy_time = 0.0
         self.peak_queue_bytes = 0
-        self.switch: SwitchState | None = None
-        self.input_bound = 0
-        self.proc_delay = 0.0
+        self.switch = switch  # None at end equipment
         self.occupancy = 0  # bytes in this input buffer
         self.routes: dict[int, tuple[tuple[_Port, int], ...] | None] = {}
         self.egress: dict[int, list | None] = {}
 
-    def pick(self) -> FhPacket:
-        """Dequeue the next packet to send; at least one queue holds one."""
+    def pick(self, weights: tuple[int, ...] | None) -> FhPacket:
+        """Dequeue the next packet to send; at least one lane holds one.
+
+        `weights` are `SwitchConfig.wrr_credits`: packets per visit by
+        class under weighted round robin, or None for strict priority.
+        """
         mask = self.nonempty
-        if not self.wrr:
+        if weights is None:
             # strict priority, and FIFO over its one lane: the lowest non-empty lane
             cls = (mask & -mask).bit_length() - 1
         else:  # weighted round robin, packet-counted
@@ -312,7 +317,7 @@ class _Port:
                 later = mask >> (cls + 1)
                 cls = cls + (later & -later).bit_length() if later else (mask & -mask).bit_length() - 1
                 self.wrr_class = cls
-                self.wrr_credit = self.weights[cls]
+                self.wrr_credit = weights[cls]
             self.wrr_credit -= 1
         q = self.queues[cls]
         pkt = q.popleft()
@@ -325,22 +330,10 @@ def _wire_ports(world: World) -> dict[tuple[NodeId, int], _Port]:
     """Fresh run state for both ends of every link, peers linked."""
     ports: dict[tuple[NodeId, int], _Port] = {}
     for link in world.topology.links:
-        ends = []
-        for node, port_no in ((link.node_a, link.port_a), (link.node_b, link.port_b)):
-            switch = world.switches.get(node)
-            if switch is not None:
-                cfg = switch.config
-                port = _Port(node, port_no, link, cfg.scheduler, cfg.wrr_weights, cfg.queue_bytes)
-                port.switch = switch
-                port.input_bound = cfg.input_buffer_bytes
-                port.proc_delay = cfg.header_processing_delay
-            else:
-                port = _Port(
-                    node, port_no, link, world.host_scheduler, world.wrr_weights, world.host_queue_bytes
-                )
-            ports[(node, port_no)] = port
-            ends.append(port)
-        ends[0].peer, ends[1].peer = ends[1], ends[0]
+        a = _Port(link.node_a, link.port_a, link, world.switches.get(link.node_a))
+        b = _Port(link.node_b, link.port_b, link, world.switches.get(link.node_b))
+        a.peer, b.peer = b, a
+        ports[(link.node_a, link.port_a)], ports[(link.node_b, link.port_b)] = a, b
     return ports
 
 
@@ -416,7 +409,7 @@ class SessionRunStats:
 
 @dataclass
 class PortStats:
-    """One output port's figures for a run: a row of links.csv."""
+    """One output port's figures for a run: a row of links.csv, as `src->dst` then the rest."""
 
     src: NodeId
     dst: NodeId
@@ -475,6 +468,9 @@ def run(world: World, horizon: float) -> RunResult:
     if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and >= 0")
 
+    config = world.config
+    queue_bound, lane_mask, weights = config.queue_bytes, config.lane_mask, config.wrr_credits
+    input_bound, proc_delay = config.input_buffer_bytes, config.header_processing_delay
     ports = _wire_ports(world)
     for node, switch in world.switches.items():
         for entry, outputs in switch.table.items():
@@ -537,10 +533,10 @@ def run(world: World, horizon: float) -> RunResult:
         """The loop's enqueue and transmit steps for bursts and replicas; the caller frees the root."""
         cls = pkt.latency_class
         wire_bytes = pkt.wire_bytes
-        if port.class_bytes[cls] + wire_bytes > port.queue_bound:
+        if port.class_bytes[cls] + wire_bytes > queue_bound:
             pkt.stats.dropped_overflow += 1
             return
-        lane = cls & port.lane_mask
+        lane = cls & lane_mask
         port.queues[lane].append(pkt)
         port.nonempty |= 1 << lane
         port.class_bytes[cls] += wire_bytes
@@ -554,7 +550,7 @@ def run(world: World, horizon: float) -> RunResult:
         if port.done is None:  # its transmit-done is in the heap
             return
         # idle, so pkt is the one packet queued: send it, reserving the end
-        port.pick()
+        port.pick(weights)
         port.class_bytes[cls] -= wire_bytes
         port.total_bytes -= wire_bytes
         tx = wire_bytes * 8 / port.capacity
@@ -593,12 +589,12 @@ def run(world: World, horizon: float) -> RunResult:
         if code != _TX_DONE:  # a transmit-done is pushed only with a packet waiting
             if code == _ARRIVAL:  # at a switch: end equipment took delivery at transmit start
                 occupied = port.occupancy + pkt.wire_bytes
-                if occupied > port.input_bound:
+                if occupied > input_bound:
                     pkt.stats.dropped_overflow += 1
                     heappop(heap)
                 else:
                     port.occupancy = occupied
-                    heapreplace(heap, (now + port.proc_delay, tie(), _PROC_DONE, port, pkt))
+                    heapreplace(heap, (now + proc_delay, tie(), _PROC_DONE, port, pkt))
                 continue
             if code != _PROC_DONE:  # _OFFER or _REG_TIMEOUT, the one event of circuit idx in the heap
                 idx = port
@@ -636,11 +632,11 @@ def run(world: World, horizon: float) -> RunResult:
             port, pkt.label = outputs[0]
             cls = pkt.latency_class
             wire_bytes = pkt.wire_bytes
-            if port.class_bytes[cls] + wire_bytes > port.queue_bound:
+            if port.class_bytes[cls] + wire_bytes > queue_bound:
                 pkt.stats.dropped_overflow += 1
                 heappop(heap)
                 continue
-            lane = cls & port.lane_mask
+            lane = cls & lane_mask
             port.queues[lane].append(pkt)
             port.nonempty |= 1 << lane
             port.class_bytes[cls] += wire_bytes
@@ -657,7 +653,7 @@ def run(world: World, horizon: float) -> RunResult:
                 continue
             # idle: send from this port below
         # the transmit step on port, the handled event still at the root
-        pkt = port.pick()
+        pkt = port.pick(weights)
         wire_bytes = pkt.wire_bytes
         port.class_bytes[pkt.latency_class] -= wire_bytes
         port.total_bytes -= wire_bytes

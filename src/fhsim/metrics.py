@@ -9,9 +9,10 @@ and their running counts, in memory that grows with the distinct
 latencies, not the packets. Percentiles are exact nearest-rank order
 statistics, and the mean adds every sample in ascending order, so
 reports are bit-identical across platforms. A
-`SessionRecord`'s fields are the sessions.csv columns, in order, and a
-`MetricsReport`'s scalar fields are the global.csv keys, so each of
-those tables names its columns once, on its record.
+`SessionRecord`'s fields are the sessions.csv columns, in order, a
+`PortStats`'s fields after `src` and `dst` are the links.csv columns
+after `link`, and a `MetricsReport`'s scalar fields are the global.csv
+keys, so each of those tables names its columns once, on its record.
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def write_report_csvs(report: MetricsReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     sessions = [astuple(r) for r in report.sessions]
     _write_csv(os.path.join(out_dir, "sessions.csv"), [f.name for f in fields(SessionRecord)], sessions)
-    links = [(f"{l.src}->{l.dst}", l.utilization, l.peak_queue_bytes) for l in report.links]
-    _write_csv(os.path.join(out_dir, "links.csv"), ["link", "utilization", "peak_queue_bytes"], links)
+    figures = [f.name for f in fields(PortStats)][2:]  # after src and dst, which make the link
+    links = [(f"{p.src}->{p.dst}", *(getattr(p, name) for name in figures)) for p in report.links]
+    _write_csv(os.path.join(out_dir, "links.csv"), ["link", *figures], links)
     scalars = [
         (f.name, getattr(report, f.name)) for f in fields(report) if f.name not in ("sessions", "links")
     ]

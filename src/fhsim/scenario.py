@@ -668,11 +668,7 @@ def build_scenario(
             [(node_id[spec.a], node_id[spec.b], spec.link) for spec in scenario.links],
         )
 
-    switch_config = engine_spec.switch_config()
-    controller = Controller(
-        topology,
-        {n.id: switch_config for n in topology.nodes_of_kind(NodeKind.FH_SWITCH)},
-    )
+    controller = Controller(topology, engine_spec.switch_config())
 
     # Traffic traces, one per cell, each seeded by its declaration index,
     # so they do not depend on each other and fan out over the CPUs.
@@ -757,9 +753,7 @@ def build_scenario(
         switches=controller.switches,
         circuits=feeds,
         egress=dict(controller.egress),
-        host_scheduler=switch_config.scheduler,
-        host_queue_bytes=engine_spec.queue_bytes,
-        wrr_weights=switch_config.wrr_weights,
+        config=controller.config,
     )
     return BuiltScenario(
         scenario=replace(scenario, engine=engine_spec),

@@ -36,6 +36,7 @@ def run(world: World, horizon: float) -> RunResult:
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
 
+    config = world.config
     ports = _wire_ports(world)
     busy: set[_Port] = set()
     regulators = [Regulator(feed) for feed in world.circuits]
@@ -63,7 +64,7 @@ def run(world: World, horizon: float) -> RunResult:
                 heappush(heap, (t, tie(), _OFFER, idx, sf))
 
     def start_tx(port: _Port, now: float) -> None:
-        pkt = port.pick()
+        pkt = port.pick(config.wrr_credits)
         wire_bytes = pkt.wire_bytes
         port.class_bytes[pkt.latency_class] -= wire_bytes
         port.total_bytes -= wire_bytes
@@ -76,10 +77,10 @@ def run(world: World, horizon: float) -> RunResult:
     def enqueue(port: _Port, pkt: FhPacket, now: float) -> None:
         cls = pkt.latency_class
         wire_bytes = pkt.wire_bytes
-        if port.class_bytes[cls] + wire_bytes > port.queue_bound:
+        if port.class_bytes[cls] + wire_bytes > config.queue_bytes:
             pkt.stats.dropped_overflow += 1
             return
-        lane = cls & port.lane_mask
+        lane = cls & config.lane_mask
         port.queues[lane].append(pkt)
         port.nonempty |= 1 << lane
         port.class_bytes[cls] += wire_bytes
@@ -143,11 +144,11 @@ def run(world: World, horizon: float) -> RunResult:
                 deliver(port, pkt, now)
                 continue
             occupied = port.occupancy + pkt.wire_bytes
-            if occupied > port.input_bound:
+            if occupied > config.input_buffer_bytes:
                 pkt.stats.dropped_overflow += 1
                 continue
             port.occupancy = occupied
-            heappush(heap, (now + port.proc_delay, tie(), _PROC_DONE, port, pkt))
+            heappush(heap, (now + config.header_processing_delay, tie(), _PROC_DONE, port, pkt))
         elif code == _PROC_DONE:
             port, pkt = a, b
             port.occupancy -= pkt.wire_bytes

@@ -48,7 +48,7 @@ def enumerate_simple_paths(
     return results
 
 
-def brute_force_route(topology, src, dst, peak, bound, frame_wire, proc_of, residual_of):
+def brute_force_route(topology, src, dst, peak, bound, frame_wire, proc_delay, residual_of):
     best = None
     for path in enumerate_simple_paths(topology, src, dst, len(topology.nodes)):
         if any(topology.nodes[n].kind is not NodeKind.FH_SWITCH for n in path[1:-1]):
@@ -62,7 +62,7 @@ def brute_force_route(topology, src, dst, peak, bound, frame_wire, proc_of, resi
                 break
             hop = link.propagation_delay + frame_wire * 8 / link.capacity
             if b != dst:
-                hop += proc_of(b)
+                hop += proc_delay
             cost = cost + hop
         if not ok:
             continue

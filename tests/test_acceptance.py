@@ -129,15 +129,12 @@ def test_criterion_4_path_computation_oracle():
         def residual_of(key):
             return topo.link_between(*key).capacity - reserved[key]
 
-        def proc_of(node):
-            return 1e-6 if topo.nodes[node].kind is NodeKind.FH_SWITCH else 0.0
-
         cause, best = brute_force_route(
-            topo, src, dst, peak, bound, 1008, proc_of, residual_of
+            topo, src, dst, peak, bound, 1008, 1e-6, residual_of
         )
         try:
             path, cost = compute_path(
-                topo, src, dst, peak, bound, 1008, proc_of, residual_of
+                topo, src, dst, peak, bound, 1008, 1e-6, residual_of
             )
             assert cause is None
             assert (cost, path) == best  # feasibility and cost and tie-break

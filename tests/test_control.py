@@ -110,15 +110,12 @@ class TestComputePathOracle:
             def residual_of(key):
                 return topo.link_between(*key).capacity - reserved[key]
 
-            def proc_of(node):
-                return 1e-6 if topo.nodes[node].kind is NodeKind.FH_SWITCH else 0.0
-
             expected_cause, expected_best = brute_force_route(
-                topo, src, dst, peak, bound, frame_wire, proc_of, residual_of
+                topo, src, dst, peak, bound, frame_wire, 1e-6, residual_of
             )
             try:
                 path, cost = compute_path(
-                    topo, src, dst, peak, bound, frame_wire, proc_of, residual_of
+                    topo, src, dst, peak, bound, frame_wire, 1e-6, residual_of
                 )
                 assert expected_cause is None
                 assert (cost, path) == expected_best
@@ -132,14 +129,14 @@ class TestComputePathOracle:
     def test_direct_link_with_slack(self):
         topo = star4()
         path, cost = compute_path(
-            topo, 1, 4, 1e9, 1.0, 1008, lambda n: 0.0, lambda k: 10e9
+            topo, 1, 4, 1e9, 1.0, 1008, 0.0, lambda k: 10e9
         )
         assert path == (1, 0, 4)
 
     def test_peak_above_all_capacities_is_no_bandwidth(self):
         topo = star4()
         with pytest.raises(Infeasible) as exc:
-            compute_path(topo, 1, 4, 99e9, 1.0, 1008, lambda n: 0.0, lambda k: 10e9)
+            compute_path(topo, 1, 4, 99e9, 1.0, 1008, 0.0, lambda k: 10e9)
         assert exc.value.cause == NO_BANDWIDTH
 
     def test_propagation_alone_breaking_bound(self):
@@ -148,7 +145,7 @@ class TestComputePathOracle:
         links = [PhysLink(0, 0, 1, 0, 10e9, propagation_delay=150e-6)]
         topo = PhysicalTopology(nodes, links)
         with pytest.raises(Infeasible) as exc:
-            compute_path(topo, 0, 1, 1e9, 100e-6, 1008, lambda n: 0.0, lambda k: 10e9)
+            compute_path(topo, 0, 1, 1e9, 100e-6, 1008, 0.0, lambda k: 10e9)
         assert exc.value.cause == LATENCY_UNREACHABLE
 
 

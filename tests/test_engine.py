@@ -129,7 +129,7 @@ class TestRun:
 
     def test_label_swap_through_switch(self):
         topo = one_switch_topo()
-        switch = SwitchState(SwitchConfig())
+        switch = SwitchState()
         switch.install(0, 7, ((2, 9),))
         feed = CircuitFeed("s", 0, 0, 0, 7, 0, policy(), [8000.0], 1e-3)
         world = World(topo, {2: switch}, [feed], {(3, 0, 9): ("s", 0)})
@@ -139,7 +139,7 @@ class TestRun:
 
     def test_egress_bound_to_a_session_without_feed_is_refused(self):
         topo = one_switch_topo()
-        switch = SwitchState(SwitchConfig())
+        switch = SwitchState()
         switch.install(0, 7, ((2, 9),))
         feed = CircuitFeed("s", 0, 0, 0, 7, 0, policy(), [8000.0], 1e-3)
         with pytest.raises(ValueError, match=r"egress binds sessions with no circuit feed: \['other'\]"):
@@ -147,7 +147,7 @@ class TestRun:
 
     def test_missing_entry_counts_unroutable(self):
         topo = one_switch_topo()
-        switch = SwitchState(SwitchConfig())  # no entries installed
+        switch = SwitchState()  # no entries installed
         feed = CircuitFeed("s", 0, 0, 0, 7, 0, policy(), [8000.0], 1e-3)
         world = World(topo, {2: switch}, [feed], {})
         res = run(world, horizon=0.1)
@@ -158,24 +158,27 @@ class TestRun:
     def test_strict_priority_beats_lower_class(self):
         # both RRHs burst at t=0 into the shared switch->bbu port
         topo = one_switch_topo(capacity=1e8)
-        switch = SwitchState(SwitchConfig(scheduler=Scheduler.STRICT_PRIORITY))
+        switch = SwitchState()
         switch.install(0, 1, ((2, 10),))
         switch.install(1, 1, ((2, 11),))
         urgent = CircuitFeed("hi", 0, 0, 0, 1, 0, policy(), [80000.0] * 3, 1e-3)
         bulk = CircuitFeed("lo", 0, 1, 0, 1, 3, policy(), [80000.0] * 3, 1e-3)
-        world = World(topo, {2: switch}, [bulk, urgent], {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)})
+        egress = {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)}
+        config = SwitchConfig(scheduler=Scheduler.STRICT_PRIORITY)
+        world = World(topo, {2: switch}, [bulk, urgent], egress, config)
         res = run(world, horizon=0.1)
         assert max(res.sessions["hi"].latencies) < max(res.sessions["lo"].latencies)
 
     def test_fifo_serves_in_arrival_order(self):
         topo = one_switch_topo(capacity=1e8)
-        switch = SwitchState(SwitchConfig(scheduler=Scheduler.FIFO))
+        switch = SwitchState()
         switch.install(0, 1, ((2, 10),))
         switch.install(1, 1, ((2, 11),))
         # bulk (class 3) injected first; FIFO must not let class 0 overtake
         bulk = CircuitFeed("lo", 0, 1, 0, 1, 3, policy(), [80000.0], 1e-3)
         urgent = CircuitFeed("hi", 0, 0, 0, 1, 0, policy(), [80000.0], 1e-3)
-        world = World(topo, {2: switch}, [bulk, urgent], {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)})
+        egress = {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)}
+        world = World(topo, {2: switch}, [bulk, urgent], egress, SwitchConfig(scheduler=Scheduler.FIFO))
         res = run(world, horizon=0.1)
         assert min(res.sessions["lo"].latencies) < min(res.sessions["hi"].latencies)
 
@@ -184,14 +187,13 @@ class TestRun:
         weights = list((1,) * 16)
         weights[0] = 3
         topo = one_switch_topo(capacity=8e6)  # 1,008-byte frame per ms, always busy
-        switch = SwitchState(
-            SwitchConfig(scheduler=Scheduler.WRR, wrr_weights=tuple(weights), queue_bytes=10**7)
-        )
+        config = SwitchConfig(scheduler=Scheduler.WRR, wrr_weights=tuple(weights), queue_bytes=10**7)
+        switch = SwitchState()
         switch.install(0, 1, ((2, 10),))
         switch.install(1, 1, ((2, 11),))
         a = CircuitFeed("a", 0, 0, 0, 1, 0, policy(), [64000.0] * 50, 1e-3)
         b = CircuitFeed("b", 0, 1, 0, 1, 3, policy(), [64000.0] * 50, 1e-3)
-        world = World(topo, {2: switch}, [a, b], {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
+        world = World(topo, {2: switch}, [a, b], {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)}, config)
         res = run(world, horizon=0.05)
         da = res.sessions["a"].totals().delivered
         db = res.sessions["b"].totals().delivered
@@ -206,22 +208,28 @@ class TestRun:
         ]
         links = [PhysLink(0, 0, 1, 0, 1e8), PhysLink(1, 1, 2, 0, 1e6)]
         topo = PhysicalTopology(nodes, links)
-        switch = SwitchState(SwitchConfig(queue_bytes=2000))  # fits one 1,008B frame
+        switch = SwitchState()
         switch.install(0, 1, ((1, 10),))
-        feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [80000.0], 1e-3)
-        world = World(topo, {1: switch}, [feed], {(2, 0, 10): ("s", 0)})
+        # a frame a subframe: the host sends each before the next, while
+        # the switch's 8 ms per frame falls behind
+        feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [8000.0] * 10, 1e-3)
+        config = SwitchConfig(queue_bytes=2000)  # fits one 1,008B frame
+        world = World(topo, {1: switch}, [feed], {(2, 0, 10): ("s", 0)}, config)
         res = run(world, horizon=2.0)
         totals = res.sessions["s"].totals()
         assert totals.injected == 10
         assert totals.dropped_overflow > 0
+        # the host sent all ten frames, so the drops are at the switch
+        sent = next(p.utilization for p in res.ports if p.src == 0) * 2.0
+        assert sent == pytest.approx(10 * 1008 * 8 / 1e8, rel=1e-12)
         assert totals.injected == totals.delivered + totals.dropped_overflow + totals.in_flight
 
     def test_conservation_with_in_flight(self):
         topo = one_switch_topo(capacity=1e6, prop=1e-3)
-        switch = SwitchState(SwitchConfig(queue_bytes=10**6))
+        switch = SwitchState()
         switch.install(0, 1, ((2, 10),))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [80000.0] * 20, 1e-3)
-        world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)})
+        world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)}, SwitchConfig(queue_bytes=10**6))
         res = run(world, horizon=0.012)  # cut mid-stream
         totals = res.sessions["s"].totals()
         assert totals.in_flight > 0
@@ -233,7 +241,7 @@ class TestRun:
 
     def test_per_label_ordering_preserved(self):
         topo = one_switch_topo(capacity=1e8)
-        switch = SwitchState(SwitchConfig())
+        switch = SwitchState()
         switch.install(0, 1, ((2, 10),))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(frame=100), [80000.0] * 30, 1e-3)
         world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)})
@@ -263,10 +271,11 @@ class TestRun:
 
     def test_header_processing_delay_added(self):
         topo = one_switch_topo(capacity=1e9, prop=0.0)
-        switch = SwitchState(SwitchConfig(header_processing_delay=7e-6))
+        switch = SwitchState()
         switch.install(0, 1, ((2, 10),))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [8000.0], 1e-3)
-        world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)})
+        config = SwitchConfig(header_processing_delay=7e-6)
+        world = World(topo, {2: switch}, [feed], {(3, 0, 10): ("s", 0)}, config)
         res = run(world, horizon=0.1)
         assert list(res.sessions["s"].latencies) == [2 * (1008 * 8) / 1e9 + 7e-6]
 
@@ -283,7 +292,7 @@ class TestRun:
             PhysLink(1, 2, 3, 0, 1e9),
         ]
         topo = PhysicalTopology(nodes, links)
-        switch = SwitchState(SwitchConfig())
+        switch = SwitchState()
         switch.install(0, 1, ((1, 10), (2, 11)))
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [8000.0] * 3, 1e-3)
         world = World(topo, {1: switch}, [feed], {(2, 0, 10): ("s", 0), (3, 0, 11): ("s", 1)})
@@ -303,14 +312,15 @@ class TestRun:
         #   second frame waits, departs 19.128..27.192, delivered 28.192.
         # Injection order breaks the tie, so session a wins the port.
         topo = one_switch_topo(capacity=1e9, prop=1e-6)
-        switch = SwitchState(SwitchConfig(header_processing_delay=2e-6))
+        switch = SwitchState()
         switch.install(0, 1, ((2, 10),))
         switch.install(1, 1, ((2, 11),))
         feeds = [
             CircuitFeed("a", 0, 0, 0, 1, 0, policy(), [8000.0], 1e-3),
             CircuitFeed("b", 0, 1, 0, 1, 0, policy(), [8000.0], 1e-3),
         ]
-        world = World(topo, {2: switch}, feeds, {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
+        egress = {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)}
+        world = World(topo, {2: switch}, feeds, egress, SwitchConfig(header_processing_delay=2e-6))
         res = run(world, horizon=0.01)
         ser = 1008 * 8 / 1e9
         assert list(res.sessions["a"].latencies) == [pytest.approx(2 * ser + 2e-6 + 2e-6, rel=1e-12)]
@@ -319,7 +329,7 @@ class TestRun:
     def test_determinism_identical_runs(self):
         topo = one_switch_topo(capacity=1e8)
         def build():
-            switch = SwitchState(SwitchConfig())
+            switch = SwitchState()
             switch.install(0, 1, ((2, 10),))
             switch.install(1, 1, ((2, 11),))
             feeds = [
@@ -376,7 +386,7 @@ def two_level_tree_world(capacity=1e9, volume=8000.0):
         PhysLink(2, 1, 4, 0, capacity, 1e-6),
         PhysLink(2, 2, 5, 0, capacity, 1e-6),
     ]
-    first, second = SwitchState(SwitchConfig()), SwitchState(SwitchConfig())
+    first, second = SwitchState(), SwitchState()
     first.install(0, 1, ((1, 20), (2, 30)))
     second.install(0, 20, ((1, 40), (2, 50)))
     feed = CircuitFeed("s", 0, 0, 0, 1, 0, policy(), [volume] * 5, 1e-3)
@@ -392,7 +402,7 @@ def rrh_switch_bbu_world(ingress_port=0, out_port=1):
     """rrh 0 -> switch 1 (ports 0 and 1 linked, of 8) -> bbu 2, one circuit."""
     nodes = [Node(0, NodeKind.RRH, 1, "r"), Node(1, NodeKind.FH_SWITCH, 8, "s"), Node(2, NodeKind.BBU, 1, "b")]
     links = [PhysLink(0, 0, 1, 0, 1e9), PhysLink(1, 1, 2, 0, 1e9)]
-    switch = SwitchState(SwitchConfig())
+    switch = SwitchState()
     switch.install(0, 7, ((out_port, 9),))
     feed = CircuitFeed("s", 0, 0, ingress_port, 7, 0, policy(), [8000.0], 1e-3)
     return World(PhysicalTopology(nodes, links), {1: switch}, [feed], {(2, 0, 9): ("s", 0)})
@@ -441,9 +451,15 @@ class TestHandBuiltWorldIsChecked:
         with pytest.raises(ValueError, match=r"node 1's entry \(0, 7\) forwards to port 7, which has no link"):
             run(rrh_switch_bbu_world(out_port=7), 0.1)
 
-    def test_world_refuses_a_zero_wrr_weight(self):
+    @pytest.mark.parametrize("weights", [(0,) + (1,) * (N_CLASSES - 1), (1,) * (N_CLASSES - 1)])
+    def test_config_refuses_wrr_weights_that_miss_a_class(self, weights):
         with pytest.raises(ValueError, match="wrr_weights"):
-            World(direct_link_topo(), {}, [], {}, wrr_weights=(0,) + (1,) * (N_CLASSES - 1))
+            SwitchConfig(wrr_weights=weights)
+
+    def test_config_refuses_an_infinite_header_processing_delay(self):
+        # every admission would be latency-unreachable
+        with pytest.raises(ValueError, match="header_processing_delay"):
+            SwitchConfig(header_processing_delay=math.inf)
 
 
 class TestLabelRange:
@@ -457,13 +473,13 @@ class TestLabelRange:
         ],
     )
     def test_install_rejects_out_of_range_labels(self, label, outputs):
-        switch = SwitchState(SwitchConfig())
+        switch = SwitchState()
         with pytest.raises(ValueError, match="label out of range"):
             switch.install(0, label, outputs)
         assert switch.table == {}
 
     def test_install_accepts_full_range(self):
-        switch = SwitchState(SwitchConfig())
+        switch = SwitchState()
         switch.install(0, 0, ((2, MAX_LABEL),))
         switch.install(0, MAX_LABEL, ((2, 0),))
         assert len(switch.table) == 2
@@ -477,12 +493,13 @@ class TestStrictPriorityDominance:
     def test_class0_p99_under_sp_not_worse_than_fifo(self):
         def world_with(scheduler):
             topo = one_switch_topo(capacity=1e8)
-            switch = SwitchState(SwitchConfig(scheduler=scheduler, queue_bytes=10**7))
+            switch = SwitchState()
             switch.install(0, 1, ((2, 10),))
             switch.install(1, 1, ((2, 11),))
             urgent = CircuitFeed("hi", 0, 0, 0, 1, 0, policy(frame=500), [40000.0] * 60, 1e-3)
             bulk = CircuitFeed("lo", 0, 1, 0, 1, 7, policy(frame=1400), [48000.0] * 60, 1e-3)
-            return World(topo, {2: switch}, [bulk, urgent], {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)})
+            egress = {(3, 0, 10): ("hi", 0), (3, 0, 11): ("lo", 0)}
+            return World(topo, {2: switch}, [bulk, urgent], egress, SwitchConfig(scheduler, queue_bytes=10**7))
 
         sp = run(world_with(Scheduler.STRICT_PRIORITY), horizon=0.1)
         fifo = run(world_with(Scheduler.FIFO), horizon=0.1)
@@ -507,19 +524,19 @@ class TestPickMatchesSteppingReference:
 
     @staticmethod
     def replay(scheduler, weights, reference_pick, ops):
-        link = PhysLink(0, 0, 1, 0, capacity=1e9, propagation_delay=0.0)
-        port = _Port(0, 0, link, scheduler, weights, queue_bound=10**9)
+        config = SwitchConfig(scheduler, weights)
+        port = _Port(0, 0, PhysLink(0, 0, 1, 0, capacity=1e9), None)
         shadow = [deque() for _ in range(N_CLASSES)]
         steps = [cls for cls, n in ops for _ in range(n)]
         for tag, cls in enumerate(steps):
             if cls is not None:
-                lane = cls & port.lane_mask  # as the engine's enqueue does
+                lane = cls & config.lane_mask  # as the engine's enqueue does
                 port.queues[lane].append((cls, tag))  # stands in for a packet
                 port.nonempty |= 1 << lane
                 shadow[cls].append((cls, tag))
             elif any(shadow):
-                assert port.pick() == reference_pick(shadow)
-        assert port.nonempty == sum({1 << (cls & port.lane_mask) for cls, q in enumerate(shadow) if q})
+                assert port.pick(config.wrr_credits) == reference_pick(shadow)
+        assert port.nonempty == sum({1 << (cls & config.lane_mask) for cls, q in enumerate(shadow) if q})
 
     @given(weights=st.lists(st.integers(1, 4), min_size=N_CLASSES, max_size=N_CLASSES), ops=ops)
     @settings(max_examples=300, deadline=None)

@@ -62,20 +62,15 @@ CAPACITIES = [128.0, 256.0, 512.0, 1024.0]
 ROUTES = ["near", "far", "tree", "no-entry", "no-egress"]
 
 
-def _switch(draw) -> SwitchState:
-    return SwitchState(
-        SwitchConfig(
-            scheduler=draw(st.sampled_from(list(Scheduler))),
-            wrr_weights=_weights(draw),
-            queue_bytes=draw(st.sampled_from([40, 130, 1 << 20])),
-            input_buffer_bytes=draw(st.sampled_from([70, 300, 1 << 20])),
-            header_processing_delay=draw(st.sampled_from([0.0, 0.0, 0.25, 0.5])),
-        )
-    )
-
-
-def _weights(draw) -> tuple[int, ...]:
-    return tuple(draw(st.lists(st.integers(1, 3), min_size=N_CLASSES, max_size=N_CLASSES)))
+# one configuration for every port of a world
+CONFIGS = st.builds(
+    SwitchConfig,
+    scheduler=st.sampled_from(list(Scheduler)),
+    wrr_weights=st.lists(st.integers(1, 3), min_size=N_CLASSES, max_size=N_CLASSES).map(tuple),
+    queue_bytes=st.sampled_from([40, 130, 200, 1 << 20]),
+    input_buffer_bytes=st.sampled_from([70, 300, 1 << 20]),
+    header_processing_delay=st.sampled_from([0.0, 0.0, 0.25, 0.5]),
+)
 
 
 @st.composite
@@ -85,7 +80,7 @@ def small_worlds(draw):
         PhysLink(*ends, draw(st.sampled_from(CAPACITIES)), draw(st.sampled_from([0.0, 0.0, 0.25, 1.0])))
         for ends in WIRING
     ]
-    first, second = _switch(draw), _switch(draw)
+    first, second = SwitchState(), SwitchState()
     feeds, egress = [], {}
     for cid, host in enumerate(draw(st.lists(st.sampled_from([0, 0, 1, 1, 2]), min_size=1, max_size=6))):
         label = 1 + cid
@@ -122,15 +117,7 @@ def small_worlds(draw):
             egress[(7, 0, label + 200)] = (sid, 200 + cid)
         elif route == "no-egress":
             first.install(host, label, ((2, label + 100),))
-    world = World(
-        PhysicalTopology(NODES, links),
-        {3: first, 4: second},
-        feeds,
-        egress,
-        host_scheduler=draw(st.sampled_from(list(Scheduler))),
-        host_queue_bytes=draw(st.sampled_from([40, 200, 1 << 20])),
-        wrr_weights=_weights(draw),
-    )
+    world = World(PhysicalTopology(NODES, links), {3: first, 4: second}, feeds, egress, draw(CONFIGS))
     return world, draw(st.integers(0, 48)) * 0.25
 
 

@@ -121,14 +121,15 @@ def fuzz_world(scheduler, frame_a, frame_b, volumes_a, volumes_b, queue_bytes):
         PhysLink(2, 2, 3, 0, 5e8, 2e-6),
     ]
     topo = PhysicalTopology(nodes, links)
-    switch = SwitchState(SwitchConfig(scheduler=scheduler, queue_bytes=queue_bytes))
+    switch = SwitchState()
     switch.install(0, 1, ((2, 10),))
     switch.install(1, 1, ((2, 11),))
     feeds = [
         CircuitFeed("a", 0, 0, 0, 1, 0, RegulatorPolicy(frame_a, 1e-3), volumes_a, 1e-3),
         CircuitFeed("b", 0, 1, 0, 1, 5, RegulatorPolicy(frame_b, 1e-3), volumes_b, 1e-3),
     ]
-    return World(topo, {2: switch}, feeds, {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)})
+    egress = {(3, 0, 10): ("a", 0), (3, 0, 11): ("b", 0)}
+    return World(topo, {2: switch}, feeds, egress, SwitchConfig(scheduler=scheduler, queue_bytes=queue_bytes))
 
 
 class TestEngineConservationFuzz:

@@ -7,6 +7,7 @@ import pytest
 import fhsim.fanout
 import fhsim.scenario
 from fhsim.cli import bundled_scenario_names, load_scenario_text, main
+from fhsim.engine import run
 from fhsim.scenario import (
     ScenarioError,
     build_scenario,
@@ -155,6 +156,25 @@ class TestBuild:
         b = build_scenario(parse_scenario(MINIMAL), seed=2)
         assert a.traces["r1"].volumes != b.traces["r1"].volumes
 
+    @pytest.mark.parametrize(
+        "extra, delivered, peak", [("", 400, 19 * 1008), ("queue_bytes = 5000\n", 100, 4 * 1008)]
+    )
+    def test_engine_settings_govern_host_ports(self, extra, delivered, peak):
+        # r1 linked straight to b1: r1's own output port is the only queue.
+        # Each subframe frames a 20-packet burst; r1 sends one at once and
+        # queues the rest, or only four behind a 5,000-byte bound.
+        text = (
+            MINIMAL.replace("node = hub switch\n", "")
+            .replace("r1 hub cap=1e9 delay=1e-6\nlink = hub b1", "r1 b1")
+            .replace("traffic=trace", "traffic=cbr rate=1.6e8")
+        )
+        built = build_scenario(parse_scenario(text + extra))
+        assert built.world.switches == {} and built.world.config is built.controller.config
+        result = run(built.world, built.scenario.engine.horizon)
+        totals = result.total()
+        assert (totals.injected, totals.delivered, totals.dropped_overflow) == (400, delivered, 400 - delivered)
+        assert [(p.src, p.peak_queue_bytes) for p in result.ports] == [(0, peak), (1, 0)]
+
 
 class TestRunScenario:
     def test_writes_all_tables(self, tmp_path):
@@ -223,6 +243,7 @@ class TestRunScenario:
             ("link = hub b1 cap=1e9", "link = hub b1 cap=nan", 7),
             ("link = hub b1 cap=1e9 delay=1e-6", "link = hub b1 cap=1e9 delay=nan", 7),
             ("seed = 3", "seed = 3\nheader_proc = nan", 25),
+            ("seed = 3", "seed = 3\nheader_proc = inf", 25),
             ("horizon = 0.02", "horizon = nan", 22),
             ("traffic=trace", "traffic=cbr rate=nan", 18),
             ("traffic=trace", "traffic=cbr rate=inf", 18),

@@ -1,7 +1,11 @@
 """Command-line entry point: run a scenario file and write report tables.
 
 Exit status: 0 on success, 1 when a mandatory session is infeasible,
-2 on scenario parse or configuration errors.
+2 on bad input, reported on one stderr line before any output file is
+written: a ScenarioError (a bad line, a file that is not UTF-8, a bad
+seed, subframes or sweep value) after the scenario reference, an
+OSError with the path it names. argparse refuses an option value that
+is not an integer (or integer list) itself, also with status 2.
 """
 
 from __future__ import annotations
@@ -20,17 +24,25 @@ def bundled_scenario_names() -> list[str]:
 
 
 def load_scenario_text(ref: str) -> tuple[str, str]:
-    """Resolve a path or bundled scenario name to (text, name)."""
-    if os.path.exists(ref):
-        with open(ref) as fh:
-            return fh.read(), os.path.splitext(os.path.basename(ref))[0]
-    bundled = resources.files("fhsim").joinpath("scenarios", f"{ref}.scn")
-    if bundled.is_file():
-        return bundled.read_text(), ref
+    """Resolve a path or bundled scenario name to (text, name); a file that is not UTF-8 fails at line 0."""
+    try:
+        if os.path.exists(ref):
+            with open(ref, encoding="utf-8") as fh:
+                return fh.read(), os.path.splitext(os.path.basename(ref))[0]
+        bundled = resources.files("fhsim").joinpath("scenarios", f"{ref}.scn")
+        if bundled.is_file():
+            return bundled.read_text(encoding="utf-8"), ref
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(0, f"not UTF-8 text: {exc}") from exc
     raise FileNotFoundError(
         f"no such scenario file or bundled name: {ref!r} "
         f"(bundled: {', '.join(bundled_scenario_names())})"
     )
+
+
+def frame_sizes(text: str) -> list[int]:
+    """A comma-separated list of frame sizes in bytes."""
+    return [int(size) for size in text.split(",") if size]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,6 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--sweep",
+        type=frame_sizes,
         default=None,
         help="comma-separated frame sizes: rerun per size and write sweep.csv",
     )
@@ -68,31 +81,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         text, name = load_scenario_text(args.scenario)
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
         scenario = parse_scenario(text, name=name)
+        return run_scenario(scenario, args.out, seed=args.seed, subframes=args.subframes, sweep=args.sweep)
     except ScenarioError as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return 2
-
-    sweep = None
-    if args.sweep:
-        try:
-            sweep = [int(s) for s in args.sweep.split(",") if s]
-        except ValueError:
-            print(f"bad --sweep list: {args.sweep!r}", file=sys.stderr)
-            return 2
-
-    try:
-        return run_scenario(
-            scenario, args.out, seed=args.seed, subframes=args.subframes, sweep=sweep
-        )
-    except (ScenarioError, ValueError) as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # names the path it could not create or write
+    except OSError as exc:  # names the path it could not read, create or write
         print(exc, file=sys.stderr)
         return 2
 

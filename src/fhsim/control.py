@@ -33,7 +33,6 @@ from .topology import (
     pattern_legs,
     validate_pattern,
 )
-from .traffic import SplitScheme
 
 LinkKey = tuple[NodeId, NodeId]
 
@@ -57,7 +56,6 @@ class SessionRequest:
     peak_rate: float  # bits/s, the reserved amount
     latency_class: int  # 0..15, 0 most urgent
     latency_bound: float  # s
-    scheme: SplitScheme | None = None  # reporting annotation only
     policy: RegulatorPolicy = RegulatorPolicy()
 
     def __post_init__(self) -> None:
@@ -160,16 +158,18 @@ class ReservationLedger:
     def residual(self, key: LinkKey) -> float:
         return self._capacity[key] - self.reserved(key)
 
-    def residual_after(self, overlay: dict[LinkKey, float]) -> Callable[[LinkKey], float]:
-        """A `residual` reader that also subtracts the pending charges in `overlay`.
+    def residual_after(
+        self, overlay: dict[LinkKey, float], credit: dict[LinkKey, float]
+    ) -> Callable[[LinkKey], float]:
+        """A `residual` reader that subtracts the pending charges in `overlay` and adds `credit`.
 
-        One call per read, in the float order of `residual(key) - overlay`;
-        `overlay` is read live, so later charges to it are seen.
+        One call per read, in the float order of `residual(key) - overlay
+        + credit`; both dicts are read live, so later changes are seen.
         """
         capacity, total = self._capacity, self._total
 
         def residual(key: LinkKey) -> float:
-            return capacity[key] - total[key] / _UNIT - overlay.get(key, 0.0)
+            return capacity[key] - total[key] / _UNIT - overlay.get(key, 0.0) + credit.get(key, 0.0)
 
         return residual
 
@@ -220,17 +220,17 @@ def compute_path(
     latency_bound: float,
     frame_wire_bytes: int,
     header_processing_delay: float,
-    residual_of,
-    extra_credit: dict[LinkKey, float] | None = None,
+    residual_of: Callable[[LinkKey], float],
 ) -> tuple[tuple[NodeId, ...], float]:
     """Minimum fixed-latency path with enough residual bandwidth.
 
     Fixed latency sums propagation plus max-frame serialization per link
     plus header_processing_delay at every transit switch. Only
     switches relay payload, so interior path nodes are switches by
-    construction. Only links whose residual (plus any extra_credit, used
-    during migration to discount the session's own holding) covers
-    peak_rate are usable. The path is refused only when its fixed latency
+    construction. Only links whose `residual_of(key)` covers peak_rate
+    are usable; the controller's reader (`ReservationLedger.residual_after`)
+    already subtracts the charges pending in the plan and adds the
+    credits it grants. The path is refused only when its fixed latency
     exceeds latency_bound; queueing delay is not budgeted. Ties between
     equal-latency paths break lexicographically on the node sequence.
     Link costs come from `topology.hop_rows(frame_wire_bytes)`, built
@@ -240,7 +240,6 @@ def compute_path(
     """
     if src == dst:
         raise ValueError("src and dst must differ")
-    extra = extra_credit or {}
     rows = topology.hop_rows(frame_wire_bytes)
 
     best: dict[NodeId, tuple[float, tuple[NodeId, ...]]] = {src: (0.0, (src,))}
@@ -256,7 +255,7 @@ def compute_path(
                 if not relays:
                     continue  # end equipment cannot relay payload
                 hop += header_processing_delay
-            if residual_of(key) + extra.get(key, 0.0) < peak_rate:
+            if residual_of(key) < peak_rate:
                 continue
             cand = (cost + hop, path + (peer,))
             if peer not in best or cand < best[peer]:
@@ -390,16 +389,19 @@ class Controller:
         """Compute all legs of the pattern, whether they share a tree, and the debits they need.
 
         Independent legs reserve independently (their streams add up on
-        shared links); tree legs debit each tree link once. Raises
-        Infeasible without changing any state.
+        shared links); tree legs debit each tree link once. One credit
+        dict, starting from `extra_credit` (a migrating session's own
+        holdings), also holds the tree links earlier legs paid for, and
+        every leg's residual reader adds it. Raises Infeasible without
+        changing any state.
         """
         legs, tree = pattern_legs(request.pattern)
         frame_wire = request.policy.max_frame_bytes + HEADER_BYTES
         topology = self._surviving()
         overlay: dict[LinkKey, float] = {}
-        residual = self.ledger.residual_after(overlay)
+        credit = dict(extra_credit or {})
+        residual = self.ledger.residual_after(overlay, credit)
         paths: list[tuple[NodeId, ...]] = []
-        credit = dict(extra_credit or {}) if tree else extra_credit
         for src, dst in legs:
             path, _ = compute_path(
                 topology,
@@ -410,7 +412,6 @@ class Controller:
                 frame_wire,
                 self.config.header_processing_delay,
                 residual,
-                credit,
             )
             paths.append(path)
             for a, b in zip(path, path[1:]):
@@ -522,18 +523,15 @@ class Controller:
         del self.sessions[session.id]
         self._record("teardown", session.id, "released")
 
-    def reroute_on_failure(self, failed: LinkKey | PhysLink) -> dict[str, str]:
-        """Recompute every active session crossing the failed link.
+    def reroute_on_failure(self, failed: LinkKey) -> dict[str, str]:
+        """Recompute every active session crossing the failed link, given by its end nodes in either order.
 
         Sessions with a redundant path get fresh circuits, in setup
         order; the rest are reported as victims, their resources
         released and they leave `sessions`. Sessions off the failed link
         keep their entries untouched.
         """
-        if isinstance(failed, PhysLink):
-            key = failed.key
-        else:
-            key = (failed[0], failed[1]) if failed[0] < failed[1] else (failed[1], failed[0])
+        key = (failed[0], failed[1]) if failed[0] < failed[1] else (failed[1], failed[0])
         self.failed_links.add(key)
         outcomes: dict[str, str] = {}
         for session_id, session in list(self.sessions.items()):

@@ -8,7 +8,9 @@ any out-of-band length field.
 
 Inside the simulator a packet keeps its header fields as plain ints, so
 a switch relabels it by assigning one; a validated `FhHeader` is built
-only at serialization (`FhPacket.header`). Labels are range-checked
+only at serialization (`FhPacket.header`). The header's four flag bits
+are part of the wire format, but no simulated packet sets one, so a
+packet keeps no flags and serializes them as 0. Labels are range-checked
 where forwarding entries and circuit feeds are created, not per hop or
 per frame.
 """
@@ -106,7 +108,6 @@ class FhPacket:
         "label",
         "seq",
         "latency_class",
-        "flags",
         "payload_len",
         "wire_bytes",
         "created_at",
@@ -120,12 +121,10 @@ class FhPacket:
         latency_class: int,
         payload_len: int,
         created_at: float,
-        flags: int = 0,
     ):
         self.label = label
         self.seq = seq
         self.latency_class = latency_class
-        self.flags = flags
         self.payload_len = payload_len
         self.wire_bytes = payload_len + HEADER_BYTES
         self.created_at = created_at
@@ -133,7 +132,7 @@ class FhPacket:
 
     @property
     def header(self) -> FhHeader:
-        return FhHeader(self.label, self.seq, self.latency_class, self.flags, self.payload_len)
+        return FhHeader(self.label, self.seq, self.latency_class, 0, self.payload_len)
 
     def copy(self) -> FhPacket:
         """A replica sharing every field; relabelling it leaves this one alone."""

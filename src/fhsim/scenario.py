@@ -38,7 +38,9 @@ than its session's peak allows, an integer too large for a float, and
 values that the built objects reject (prb=0, a self-loop link,
 horizon = -1, a trace volume that overflows a float, ...) raise
 ScenarioError naming the offending line, before run_scenario writes any
-file. Parsing a rendered scenario yields an equal Scenario value.
+file; so do bad seed and subframes overrides and sweep sizes, at line 0.
+ScenarioError is the only exception bad input raises. Parsing a
+rendered scenario yields an equal Scenario value.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ class EngineSpec:
         if not 0 <= self.horizon < math.inf:
             raise ValueError("horizon must be finite and >= 0")
         if self.subframes < 1:
-            raise ValueError("subframes must be >= 1")
+            raise ValueError(f"subframes must be >= 1, got {self.subframes}")
         self.switch_config()
         RegulatorPolicy(self.frame_bytes, self.frame_timeout)
 
@@ -647,15 +649,20 @@ def build_scenario(
 ) -> BuiltScenario:
     """Materialize topology, control state, traces, and the engine world.
 
-    Optional overrides replace the scenario's seed and trace length. A
-    value the built objects reject raises ScenarioError at its line.
+    Optional overrides replace the scenario's seed and trace length; each
+    is read as its `[engine]` line would be, and a bad one raises
+    ScenarioError at line 0. A value the built objects reject raises
+    ScenarioError at its line.
     Each cell's trace is seeded on its own (seed + declaration index),
     so the traces are generated through `fan_out` on every usable CPU;
     they are the same, bit for bit, as one serial loop would make, and
     the first failing cell in declaration order is the one reported.
     """
-    overrides = {"seed": seed, "subframes": subframes}
-    engine_spec = replace(scenario.engine, **{k: v for k, v in overrides.items() if v is not None})
+    engine_spec = scenario.engine
+    for key, value in {"seed": seed, "subframes": subframes}.items():
+        if value is not None:
+            with _At(0, key):  # str() refuses an int of more than 4,300 digits
+                engine_spec = _SETTINGS["engine"].set(0, engine_spec, key, str(value))
 
     node_id = {spec.name: index for index, spec in enumerate(scenario.nodes)}
     linked = {end for spec in scenario.links for end in (spec.a, spec.b)}
@@ -712,7 +719,6 @@ def build_scenario(
                 peak_rate=spec.peak_rate,
                 latency_class=spec.latency_class,
                 latency_bound=spec.latency_bound,
-                scheme=spec.scheme,
                 policy=policy,
             )
             try:
@@ -778,9 +784,12 @@ def run_scenario(
 
     Returns the process exit status: 0 on success, 1 when a mandatory
     session is infeasible (reports for the rest are still written).
-    Identical inputs produce byte-identical files.
+    Bad input, the overrides and sweep sizes included, raises
+    ScenarioError before any file is written; a file that cannot be
+    written raises OSError. Identical inputs produce byte-identical files.
     """
-    check_sweep_sizes(sweep or [])
+    with _At(0, "sweep"):
+        check_sweep_sizes(sweep or [])
     built = build_scenario(scenario, seed=seed, subframes=subframes)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -207,7 +207,6 @@ class TrafficTrace:
     volumes: list[float]  # bits per subframe
     prbs: list[int]  # PRBs granted per subframe
     control_res: list[int]  # control resource elements per subframe
-    seed: int
 
     def __post_init__(self) -> None:
         if not len(self.volumes) == len(self.prbs) == len(self.control_res):
@@ -399,7 +398,7 @@ def generate_trace(
         volumes.append(volume(total, control, grants, [table[mcs_idx[i]] for i in active]))
         prbs.append(total)
         control_res.append(control)
-    return TrafficTrace(cell, scheme, volumes, prbs, control_res, seed)
+    return TrafficTrace(cell, scheme, volumes, prbs, control_res)
 
 
 def constant_trace(
@@ -409,9 +408,7 @@ def constant_trace(
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
     per_subframe = rate * cell.subframe_duration
-    return TrafficTrace(
-        cell, scheme, [per_subframe] * n_subframes, [0] * n_subframes, [0] * n_subframes, seed=0
-    )
+    return TrafficTrace(cell, scheme, [per_subframe] * n_subframes, [0] * n_subframes, [0] * n_subframes)
 
 
 def write_trace_csv(trace: TrafficTrace, path: str) -> None:

@@ -819,6 +819,26 @@ class TestMigrate:
         for key in controller.ledger.link_keys():
             assert controller.ledger.residual(key) >= 0
 
+    def test_tree_migration_credits_its_own_holding_and_its_earlier_legs(self):
+        # two_bbu_branch plus bbu 5 behind switch 3. The new tree 0 -> {2, 5}
+        # crosses (0,1) on both legs, where the old tree holds 6e9 of 10e9:
+        # the second leg fits only with the session's own holding and the
+        # first leg's charge both credited back.
+        base = two_bbu_branch()
+        nodes = [Node(3, NodeKind.FH_SWITCH, 3) if n.id == 3 else n for n in base.nodes.values()]
+        nodes.append(Node(5, NodeKind.BBU, 1))
+        topology = PhysicalTopology(nodes, [*base.links, PhysLink(3, 2, 5, 0, 10e9)])
+        controller = Controller(topology)
+        session = controller.setup(request(LogicalPattern(RrhToMultiBbu(0, (2, 4))), peak=6e9), name="m")
+        new = LogicalPattern(RrhToMultiBbu(0, (2, 5)))
+        controller.migrate(session, new)
+        fresh = Controller(topology)
+        fresh.setup(request(new, peak=6e9), name="m")
+        assert controller.ledger.snapshot() == fresh.ledger.snapshot()
+        assert [c.nodes for c in session.circuits] == [(0, 1, 2), (0, 1, 3, 5)]
+        assert all(controller.ledger.residual(key) >= 0 for key in controller.ledger.link_keys())
+        assert not any(node == 4 for node, _ in labels_in_use(controller))
+
     def test_granularity_must_match(self):
         controller = Controller(star4())
         session = controller.setup(request(p2p(1, 4, ue=3)), name="m")

@@ -70,8 +70,8 @@ def test_wire_bytes_includes_header():
 
 
 def test_packet_header_round_trips_through_wire():
-    h = FhHeader(label=0x1234, seq=0xBEEF, latency_class=5, flags=3, payload_len=1000)
-    pkt = FhPacket(label=0x1234, seq=0xBEEF, latency_class=5, payload_len=1000, created_at=0.0, flags=3)
+    h = FhHeader(label=0x1234, seq=0xBEEF, latency_class=5, payload_len=1000)
+    pkt = FhPacket(label=0x1234, seq=0xBEEF, latency_class=5, payload_len=1000, created_at=0.0)
     assert deserialize_header(serialize_header(pkt.header)) == h
 
 

@@ -365,8 +365,24 @@ class TestRunScenario:
 
     def test_sweep_size_above_payload_limit_refused_before_any_output(self, tmp_path):
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="got 70000"):
+        with pytest.raises(ScenarioError, match="got 70000"):
             run_scenario(parse_scenario(MINIMAL), str(out), sweep=[64, 70000])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sweep": [64, 4]}, "line 0: sweep: frame size 4 below header length"),
+            ({"sweep": [70000]}, "line 0: sweep: .*got 70000"),
+            ({"subframes": 0}, "line 0: subframes: subframes must be >= 1, got 0"),
+            ({"seed": 1.5}, "line 0: seed: .*'1.5'"),
+        ],
+    )
+    def test_bad_override_is_a_line_0_error_before_any_output(self, tmp_path, overrides, message):
+        out = tmp_path / "out"
+        with pytest.raises(ScenarioError, match=message) as exc:
+            run_scenario(parse_scenario(MINIMAL), str(out), **overrides)
+        assert exc.value.line == 0
         assert not out.exists()
 
     def test_sweep_mode(self, tmp_path):
@@ -398,6 +414,29 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["ring-bbu-exchange", "--out", str(out), "--sweep", "64,4"]) == 2
         assert "below header length" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_that_is_not_utf8_exit_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "binary.scn"
+        bad.write_bytes(bytes(range(56, 256)))  # 200 bytes, the first non-ASCII one at offset 72
+        out = tmp_path / "out"
+        assert main([str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{bad}: line 0: not UTF-8")
+        assert not out.exists()
+
+    def test_bad_subframes_flag_exit_2_at_line_0(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["cran-aggregation", "--out", str(out), "--subframes", "0"]) == 2
+        assert capsys.readouterr().err == "cran-aggregation: line 0: subframes: subframes must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_sweep_that_is_not_a_number_list_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["cran-aggregation", "--out", str(out), "--sweep", "64,abc"])
+        assert exc.value.code == 2
+        assert "argument --sweep: invalid frame_sizes value: '64,abc'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_scenario_exit_2(self, tmp_path, capsys):

@@ -245,7 +245,7 @@ def test_constant_trace_rate():
 )
 def test_trace_columns_are_checked(volumes, prbs, control_res, message):
     with pytest.raises(ValueError, match=message):
-        TrafficTrace(CellConfig(), ReExtraction(), volumes, prbs, control_res, seed=0)
+        TrafficTrace(CellConfig(), ReExtraction(), volumes, prbs, control_res)
 
 
 @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])

@@ -597,6 +597,7 @@ class Controller:
         return session
 
     def write_log_csv(self, path: str) -> None:
+        """One row per operation, in order; `time` is 0.0 on every row, as the controller keeps no clock."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time", "op", "session_id", "outcome", "path"])

@@ -6,7 +6,7 @@ requests, and the engine knobs, in five sections:
 
     [topology]
     node = rrh1 rrh            # name kind (rrh|bbu|switch|timing)
-    link = rrh1 hub cap=10e9 delay=5e-6 jitter=1e-9 class=fiber
+    link = rrh1 hub cap=10e9 delay=5e-6 jitter=1e-9
 
     [cells]
     cell = rrh1 scheme=modulation_bits layers=2 antennas=4
@@ -70,9 +70,7 @@ from .topology import (
     LinkParams,
     LogicalPattern,
     NodeKind,
-    PatternShape,
     PhysLink,
-    PhysicalTopology,
     PointToPoint,
     RrhToMultiBbu,
     pattern_shape,
@@ -123,6 +121,9 @@ class _At:
 
 _KINDS = {kind.value: kind for kind in NodeKind}
 
+MAX_UES = 65_535  # a cell names its connected users with 16-bit RNTIs
+MAX_SUBFRAMES = 1024 * 1024 * 10  # LTE numbering: 1,024 hyper-frames x 1,024 radio frames x 10
+
 # Session pattern -> its shape, whose rules fhsim.topology keeps.
 _PATTERNS = {
     "p2p": PointToPoint,
@@ -166,12 +167,12 @@ class UeSpec:
     mcs_init: int | None = None
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
-        self.profile(0)  # UeProfile rejects out-of-range values
+        if not 0 <= self.count <= MAX_UES:
+            raise ValueError(f"count must be in 0..{MAX_UES}, got {self.count}")
+        self.profile()  # UeProfile rejects out-of-range values
 
-    def profile(self, ue_id: int) -> UeProfile:
-        return UeProfile(ue_id, self.mean_on, self.mean_off, self.demand, self.mcs_step, self.mcs_init)
+    def profile(self) -> UeProfile:
+        return UeProfile(self.mean_on, self.mean_off, self.demand, self.mcs_step, self.mcs_init)
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,6 @@ class SourceSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class SessionSpec:
-    """One session line; `shape` is its pattern over node names, made once."""
-
     name: str
     pattern: str = "p2p"  # a key of _PATTERNS
     srcs: tuple[str, ...]
@@ -215,7 +214,6 @@ class SessionSpec:
     ue: int | None = None
     optional: bool = False
     line: int = field(default=0, compare=False)
-    shape: PatternShape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pattern not in _PATTERNS:
@@ -227,10 +225,9 @@ class SessionSpec:
         if self.cbr_rate is not None and self.cbr_rate > self.peak_rate:
             raise ValueError(f"rate {self.cbr_rate:g} is above peak {self.peak_rate:g}")
         try:
-            shape = pattern_shape(_PATTERNS[self.pattern], self.srcs, self.dsts)
+            pattern_shape(_PATTERNS[self.pattern], self.srcs, self.dsts)
         except ValueError as exc:
             raise ValueError(f"{self.pattern}: {exc}") from exc
-        object.__setattr__(self, "shape", shape)
 
 
 @dataclass(frozen=True)
@@ -251,6 +248,8 @@ class EngineSpec:
             raise ValueError("horizon must be finite and >= 0")
         if self.subframes < 1:
             raise ValueError(f"subframes must be >= 1, got {self.subframes}")
+        if self.subframes > MAX_SUBFRAMES:
+            raise ValueError(f"subframes must be <= {MAX_SUBFRAMES}, got {self.subframes}")
         self.switch_config()
         RegulatorPolicy(self.frame_bytes, self.frame_timeout)
 
@@ -433,7 +432,7 @@ _SCHEME_KEYS = {
 }
 _LINK = _Keys(
     LinkParams,
-    {"cap": "capacity", "delay": "propagation_delay", "jitter": "jitter_std", "class": "link_class"},
+    {"cap": "capacity", "delay": "propagation_delay", "jitter": "jitter_std"},
 )
 _RADIO = _Keys(
     CellConfig,
@@ -599,7 +598,8 @@ def _validate(scenario: Scenario) -> None:
     cell_nodes = {c.node for c in scenario.cells}
     for session in scenario.sessions:
         with _At(session.line, session.pattern):
-            validate_pattern(kind_of, LogicalPattern(session.shape))
+            shape = pattern_shape(_PATTERNS[session.pattern], session.srcs, session.dsts)
+            validate_pattern(kind_of, LogicalPattern(shape))
         if session.traffic == "trace":
             for src in session.srcs:
                 if src not in cell_nodes:
@@ -633,7 +633,6 @@ class BuiltScenario:
     """Everything run_scenario assembles before pressing go."""
 
     scenario: Scenario
-    topology: PhysicalTopology
     node_id: dict[str, int]
     controller: Controller
     world: World
@@ -681,7 +680,7 @@ def build_scenario(
     # so they do not depend on each other and fan out over the CPUs.
     def cell_trace(index: int) -> TrafficTrace:
         cell = scenario.cells[index]
-        profiles = [cell.ues.profile(u) for u in range(cell.ues.count)]
+        profiles = [cell.ues.profile()] * cell.ues.count
         with _At(cell.line):
             return generate_trace(
                 cell.cell, cell.scheme, profiles, cell.control, engine_spec.subframes, engine_spec.seed + index
@@ -749,7 +748,7 @@ def build_scenario(
                         label=circuit.ingress_label,
                         latency_class=spec.latency_class,
                         policy=policy,
-                        volumes=list(trace.volumes),
+                        volumes=trace.volumes,
                         subframe_duration=trace.cell.subframe_duration,
                     )
                 )
@@ -763,7 +762,6 @@ def build_scenario(
     )
     return BuiltScenario(
         scenario=replace(scenario, engine=engine_spec),
-        topology=topology,
         node_id=node_id,
         controller=controller,
         world=world,
@@ -794,8 +792,8 @@ def run_scenario(
     os.makedirs(out_dir, exist_ok=True)
 
     sources = [ClockSource(built.node_id[s.node], s.quality, s.offset_ppb) for s in scenario.sources]
-    tree = build_sync_tree(built.topology, sources)
-    status = propagate_sync(tree, built.topology, scenario.regen_factor)
+    tree = build_sync_tree(built.world.topology, sources)
+    status = propagate_sync(tree, built.world.topology, scenario.regen_factor)
     write_sync_csv(tree, status, os.path.join(out_dir, "sync.csv"))
 
     for node_name, trace in built.traces.items():

@@ -59,7 +59,6 @@ class PhysLink:
     capacity: float  # bits/s, per direction
     propagation_delay: float = 0.0  # s
     jitter_std: float = 0.0  # s, per-hop timing jitter contribution
-    link_class: str = "fiber"
 
     def __post_init__(self) -> None:
         # written so that NaN fails each check
@@ -311,7 +310,6 @@ class LinkParams:
     capacity: float = 10e9
     propagation_delay: float = 5e-6
     jitter_std: float = 1e-9
-    link_class: str = "fiber"
 
 
 @dataclass(frozen=True)

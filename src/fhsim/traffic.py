@@ -166,7 +166,7 @@ class ControlSchedule:
 
 @dataclass(frozen=True)
 class UeProfile:
-    """Stochastic behaviour of one user.
+    """Stochastic behaviour of a user; users that behave alike may share one.
 
     Activity is a two-state process with the given mean on/off durations
     (in subframes, math.inf pins the state). The MCS index performs a
@@ -175,7 +175,6 @@ class UeProfile:
     resource blocks the user asks for per subframe while active.
     """
 
-    ue_id: int
     mean_on: float = 40.0
     mean_off: float = 40.0
     demand_prbs: int = 10
@@ -348,11 +347,12 @@ def generate_trace(
 
     Per subframe every user advances its activity and MCS processes, whole
     PRBs are granted round-robin among active users up to their demand,
-    and control resources are overlaid. The grants are computed in closed
-    form (`_round_robin_grants`), so a subframe costs work per active
-    user, not per PRB granted, and its volume comes straight from them
-    through the scheme's one volume formula. The same seed always yields
-    the identical trace.
+    and control resources are overlaid. Users are told apart by their
+    position in `profiles`, so one profile may stand for many. The grants
+    are computed in closed form (`_round_robin_grants`), so a subframe
+    costs work per active user, not per PRB granted, and its volume comes
+    straight from them through the scheme's one volume formula. The same
+    seed always yields the identical trace.
     """
     if n_subframes < 1:
         raise ValueError("n_subframes must be >= 1")

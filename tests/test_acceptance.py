@@ -64,10 +64,7 @@ def test_criterion_1_classical_rate():
 def test_criterion_2_split_ordering_trace_shape():
     cell = CellConfig()
     control = ControlSchedule(pdcch_res_per_subframe=144, prach_period=10, prach_res=144)
-    fixed_mcs = [
-        UeProfile(ue_id=i, mean_on=30, mean_off=30, demand_prbs=10, mcs_step_prob=0.0, mcs_init=5)
-        for i in range(10)
-    ]
+    fixed_mcs = [UeProfile(mean_on=30, mean_off=30, demand_prbs=10, mcs_step_prob=0.0, mcs_init=5)] * 10
     seed = 20250809
 
     classical = generate_trace(cell, ClassicalIQ(), fixed_mcs, control, 1000, seed)
@@ -82,10 +79,7 @@ def test_criterion_2_split_ordering_trace_shape():
         assert len(set(trace.volumes)) > 1  # varies with load
         assert statistics.correlation(prbs, trace.volumes) > 0.9
 
-    always_on = [
-        UeProfile(ue_id=i, mean_on=math.inf, mean_off=30, demand_prbs=10, mcs_step_prob=0.0, mcs_init=5)
-        for i in range(10)
-    ]
+    always_on = [UeProfile(mean_on=math.inf, mean_off=30, demand_prbs=10, mcs_step_prob=0.0, mcs_init=5)] * 10
     full = generate_trace(cell, ModulationBits(), always_on, control, 1000, seed)
     mean_mod = sum(full.volumes) / len(full.volumes)
     assert 9830400.0 / mean_mod >= 10  # at least one order of magnitude

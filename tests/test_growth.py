@@ -57,8 +57,8 @@ def counted(fn, *args):
 
 def sync(built):
     sources = [ClockSource(built.node_id[s.node], s.quality, s.offset_ppb) for s in built.scenario.sources]
-    tree = build_sync_tree(built.topology, sources)
-    return propagate_sync(tree, built.topology, built.scenario.regen_factor)
+    tree = build_sync_tree(built.world.topology, sources)
+    return propagate_sync(tree, built.world.topology, built.scenario.regen_factor)
 
 
 def phase_calls(n: int) -> dict[str, int]:

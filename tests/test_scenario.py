@@ -3,18 +3,23 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fhsim.fanout
 import fhsim.scenario
 from fhsim.cli import bundled_scenario_names, load_scenario_text, main
 from fhsim.engine import run
 from fhsim.scenario import (
+    _CELL_PARTS,
+    _ENTRIES,
+    _SETTINGS,
     ScenarioError,
     build_scenario,
     parse_scenario,
     render_scenario,
     run_scenario,
 )
+from fhsim.sync import ClockSource, build_sync_tree, propagate_sync
 
 MINIMAL = """
 [topology]
@@ -301,6 +306,12 @@ class TestRunScenario:
             pytest.param(
                 "scheme=modulation_bits", f"scheme=re_extraction iq_bits={'9' * 306}", 10, id="iq_bits-306-digits"
             ),
+            # a link has no class; users and subframes have upper bounds
+            ("link = hub b1 cap=1e9", "link = hub b1 cap=1e9 class=wireless", 7),
+            ("count=4", "count=65536", 11),
+            pytest.param("count=4", f"count={'9' * 20}", 11, id="count-20-digits"),
+            ("subframes = 20", "subframes = 10485761", 23),
+            pytest.param("subframes = 20", f"subframes = {'9' * 20}", 23, id="subframes-20-digits"),
         ],
     )
     def test_malformed_input_names_its_line_before_any_output(self, tmp_path, old, new, line):
@@ -330,6 +341,25 @@ class TestRunScenario:
         assert run_scenario(parse_scenario(text), str(tmp_path)) == 0
         rows = (tmp_path / "sync.csv").read_text().splitlines()[1:]
         assert [math.isfinite(float(row.split(",")[3])) for row in rows] == [True] * 3
+
+    def test_largest_user_count_and_subframe_count_parse(self):
+        text = MINIMAL.replace("count=4", "count=65535").replace("subframes = 20", "subframes = 10485760")
+        scenario = parse_scenario(text)
+        assert (scenario.cells[0].ues.count, scenario.engine.subframes) == (65535, 10485760)
+
+    def test_every_user_of_a_cell_shares_one_profile(self, monkeypatch):
+        real = fhsim.scenario.generate_trace
+        seen = []
+
+        def recording(cell, scheme, profiles, control, n_subframes, seed):
+            seen.append(profiles)
+            return real(cell, scheme, profiles, control, n_subframes, seed)
+
+        monkeypatch.setattr(fhsim.scenario, "generate_trace", recording)
+        build_scenario(parse_scenario(MINIMAL))
+        [profiles] = seen
+        assert len(profiles) == 4
+        assert all(profile is profiles[0] for profile in profiles)
 
     def test_largest_link_capacity_runs(self, tmp_path):
         text = MINIMAL.replace("cap=1e9", "cap=1e15")
@@ -375,6 +405,7 @@ class TestRunScenario:
             ({"sweep": [64, 4]}, "line 0: sweep: frame size 4 below header length"),
             ({"sweep": [70000]}, "line 0: sweep: .*got 70000"),
             ({"subframes": 0}, "line 0: subframes: subframes must be >= 1, got 0"),
+            ({"subframes": 10**20}, f"line 0: subframes: subframes must be <= 10485760, got {10**20}"),
             ({"seed": 1.5}, "line 0: seed: .*'1.5'"),
         ],
     )
@@ -473,3 +504,91 @@ class TestCli:
         assert rc == 0
         trace = (tmp_path / "out" / "trace_rrh1.csv").read_text().splitlines()
         assert len(trace) == 11
+
+
+# MINIMAL with a CBR session beside the traced one, a regen factor and
+# every [engine] key, so that each key of each line kind is on a line.
+FUZZ_BASE = (
+    MINIMAL.replace("source = b1 quality=0", "source = b1 quality=0 offset_ppb=0\nregen = 0.5")
+    .replace(
+        "traffic=trace\n",
+        "traffic=trace\nsession = bg src=r1 dst=b1 class=5 mean=1e7 peak=2e7 bound=1e-2"
+        " traffic=cbr rate=1e7 frame=500 timeout=1e-3 ue=1 optional=false scheme=classical_iq\n",
+    )
+    .replace("scheduler = strict_priority\n", "scheduler = wrr\nwrr_weights = 2:3,5:1\n")
+    .replace(
+        "seed = 3\n",
+        "seed = 3\nqueue_bytes = 262144\ninput_buffer_bytes = 262144\nheader_proc = 1e-6\n"
+        "frame_bytes = 1000\nframe_timeout = 1e-3\n",
+    )
+)
+FUZZ_VALUES = ["0", "-1", "2.5", "1e-308", "1e308", "inf", "-inf", "nan", str(10**20), "x", ""]
+
+
+def fuzz_targets(text: str) -> list[tuple[int, str, tuple[str, ...]]]:
+    """(line index, key, the keys filling its field) for every key the tables of each line's kind read."""
+    targets, section = [], None
+    for index, line in enumerate(text.splitlines()):
+        head = line.partition("=")[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif section in _SETTINGS and head in _SETTINGS[section].codecs:
+            targets.append((index, head, (head,)))
+        elif section == "cells" and head in _CELL_PARTS:
+            targets += keys_of(index, [_CELL_PARTS[head]])
+        elif (section, head) in _ENTRIES:
+            table = _ENTRIES[section, head].keys
+            targets += keys_of(index, [table, *table.parts.values()])
+    return targets
+
+
+def keys_of(index: int, tables: list) -> list[tuple[int, str, tuple[str, ...]]]:
+    return [
+        (index, key, tuple(k for k, (other, *_) in table.codecs.items() if other == name))
+        for table in tables
+        for key, (name, *_) in table.codecs.items()
+    ]
+
+
+def with_value(text: str, target: tuple[int, str, tuple[str, ...]], raw: str) -> str:
+    """`text` with the key of `target` set to raw on its line, in place of any key filling the same field."""
+    index, key, same = target
+    lines = text.splitlines()
+    head, _, rest = lines[index].partition("=")
+    if head.strip() == key:  # a `key = value` setting
+        lines[index] = f"{key} = {raw}"
+    else:
+        tokens = [token for token in rest.split() if token.partition("=")[0] not in same]
+        lines[index] = " ".join([f"{head.strip()} =", *tokens, f"{key}={raw}"])
+    return "\n".join(lines)
+
+
+FUZZ_TARGETS = fuzz_targets(FUZZ_BASE)
+
+
+class TestOneBadValue:
+    """Any one key set to any one odd value fails, if at all, as ScenarioError."""
+
+    def test_the_base_holds_every_key(self):
+        assert parse_scenario(FUZZ_BASE).engine.scheduler == "wrr"
+        keys = {key for _, key, _ in FUZZ_TARGETS}
+        tables = [entry.keys for entry in _ENTRIES.values()] + [*_CELL_PARTS.values(), *_SETTINGS.values()]
+        tables += [part for table in tables for part in table.parts.values()]
+        assert keys == {key for table in tables for key in table.codecs}
+
+    @given(target=st.sampled_from(FUZZ_TARGETS), raw=st.sampled_from(FUZZ_VALUES))
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    def test_fails_only_as_scenario_error(self, target, raw):
+        # the engine is not run: a huge but valid rate is a resource question, not a crash
+        try:
+            scenario = parse_scenario(with_value(FUZZ_BASE, target, raw))
+        except ScenarioError:
+            return
+        assert parse_scenario(render_scenario(scenario)) == scenario
+        try:
+            built = build_scenario(scenario)
+        except ScenarioError:
+            return
+        topology = built.world.topology
+        sources = [ClockSource(built.node_id[s.node], s.quality, s.offset_ppb) for s in scenario.sources]
+        propagate_sync(build_sync_tree(topology, sources), topology, scenario.regen_factor)

@@ -91,7 +91,7 @@ class TestGenerators:
 
 
 R, B = NodeKind.RRH, NodeKind.BBU
-DEFAULTS = (10e9, 5e-6, 1e-9, "fiber")  # the fields of LinkParams()
+DEFAULTS = (10e9, 5e-6, 1e-9)  # the fields of LinkParams()
 
 # Every node (id, kind, ports, name) and link (ends, ports, params) of a
 # few generated topologies, as the generators have always wired them.
@@ -104,7 +104,7 @@ WIRING = [
     (
         Star((R,), LinkParams(capacity=1e9, jitter_std=2e-9)),
         [(0, "switch", 2, "hub"), (1, "rrh", 1, "rrh0")],
-        [(0, 0, 1, 0, 1e9, 5e-6, 2e-9, "fiber")],
+        [(0, 0, 1, 0, 1e9, 5e-6, 2e-9)],
     ),
     (
         Ring(4, ((0, R), (2, B), (0, B)), attach_link=LinkParams(capacity=40e9, propagation_delay=1e-6)),
@@ -122,9 +122,9 @@ WIRING = [
             (1, 1, 2, 0, *DEFAULTS),
             (2, 1, 3, 0, *DEFAULTS),
             (3, 1, 0, 1, *DEFAULTS),
-            (0, 2, 4, 0, 40e9, 1e-6, 1e-9, "fiber"),
-            (2, 2, 5, 0, 40e9, 1e-6, 1e-9, "fiber"),
-            (0, 3, 6, 0, 40e9, 1e-6, 1e-9, "fiber"),
+            (0, 2, 4, 0, 40e9, 1e-6, 1e-9),
+            (2, 2, 5, 0, 40e9, 1e-6, 1e-9),
+            (0, 3, 6, 0, 40e9, 1e-6, 1e-9),
         ],
     ),
     (
@@ -133,7 +133,7 @@ WIRING = [
         [(0, 0, 1, 0, *DEFAULTS), (1, 1, 2, 0, *DEFAULTS), (2, 1, 0, 1, *DEFAULTS)],
     ),
     (
-        Chain(3, ((2, R), (0, B), (2, R)), link=LinkParams(link_class="copper")),
+        Chain(3, ((2, R), (0, B), (2, R)), link=LinkParams(propagation_delay=7e-6)),
         [
             (0, "switch", 2, "s0"),
             (1, "switch", 2, "s1"),
@@ -142,7 +142,7 @@ WIRING = [
             (4, "bbu", 1, "bbu1"),
             (5, "rrh", 1, "rrh2"),
         ],
-        [(a, pa, b, pb, 10e9, 5e-6, 1e-9, "copper") for a, pa, b, pb in
+        [(a, pa, b, pb, 10e9, 7e-6, 1e-9) for a, pa, b, pb in
          [(0, 0, 1, 0), (1, 1, 2, 0), (2, 1, 3, 0), (0, 1, 4, 0), (2, 2, 5, 0)]],
     ),
     (

@@ -32,12 +32,12 @@ import traffic_oracle
 ORACLE = Path(__file__).with_name("traffic_oracle.py")
 
 
-def pinned(demand, mcs_idx=5, ue_id=0):
+def pinned(demand, mcs_idx=5):
     """A user that is always on, asks for `demand` PRBs and stays at MCS index `mcs_idx`."""
-    return UeProfile(ue_id, mean_on=math.inf, demand_prbs=demand, mcs_step_prob=0.0, mcs_init=mcs_idx)
+    return UeProfile(mean_on=math.inf, demand_prbs=demand, mcs_step_prob=0.0, mcs_init=mcs_idx)
 
 
-OFF = UeProfile(0, mean_off=math.inf)  # a user that is never on
+OFF = UeProfile(mean_off=math.inf)  # a user that is never on
 
 
 def volume(scheme, cell, users=(OFF,), control=0):
@@ -144,7 +144,7 @@ class TestOrderingInvariant:
     def test_load_monotonicity(self, extra, mcs_idx):
         cell = CellConfig()
         base = [pinned(30, mcs_idx)]
-        more = [pinned(30, mcs_idx), pinned(extra, mcs_idx, ue_id=1)]
+        more = [pinned(30, mcs_idx), pinned(extra, mcs_idx)]
         for scheme in (ReExtraction(), ModulationBits(), PduLevel()):
             assert volume(scheme, cell, more) >= volume(scheme, cell, base)
         assert volume(ClassicalIQ(), cell, more) == volume(ClassicalIQ(), cell, base)
@@ -156,10 +156,7 @@ class TestOrderingInvariant:
 
 
 def ten_fixed_ues(demand=10):
-    return [
-        UeProfile(ue_id=i, mean_on=30, mean_off=30, demand_prbs=demand, mcs_step_prob=0.0, mcs_init=5)
-        for i in range(10)
-    ]
+    return [UeProfile(mean_on=30, mean_off=30, demand_prbs=demand, mcs_step_prob=0.0, mcs_init=5)] * 10
 
 
 class TestGenerateTrace:
@@ -178,19 +175,13 @@ class TestGenerateTrace:
 
     def test_all_ues_off_modulation_no_control_is_zero(self):
         cell = CellConfig()
-        offline = [
-            UeProfile(ue_id=i, mean_on=1e-9, mean_off=math.inf, demand_prbs=10)
-            for i in range(5)
-        ]
+        offline = [UeProfile(mean_on=1e-9, mean_off=math.inf, demand_prbs=10)] * 5
         trace = generate_trace(cell, ModulationBits(), offline, ControlSchedule(0, 10, 0), 100, 3)
         assert trace.volumes == [0.0] * 100
 
     def test_prach_spikes_at_period(self):
         cell = CellConfig()
-        always_on = [
-            UeProfile(ue_id=i, mean_on=math.inf, mean_off=30, demand_prbs=10, mcs_step_prob=0.0, mcs_init=5)
-            for i in range(10)
-        ]
+        always_on = [UeProfile(mean_on=math.inf, mean_off=30, demand_prbs=10, mcs_step_prob=0.0, mcs_init=5)] * 10
         trace = generate_trace(
             cell, ReExtraction(), always_on, ControlSchedule(144, 10, 839), 200, 7
         )
@@ -273,7 +264,6 @@ def contended_cell_args():
     cell = CellConfig(n_prb=23)
     profiles = [
         UeProfile(
-            ue_id=i,
             mean_on=math.inf if i == 0 else 3 + i % 5,
             mean_off=12 + 6 * (i % 4),
             demand_prbs=1 + (i * 5) % 11,
@@ -302,7 +292,6 @@ def cells_scale_args(scheme, cell, seed):
     """One cell as the `cells` benchmark loads it: 48 users past 100 PRBs, 2,000 subframes."""
     profiles = [
         UeProfile(
-            ue_id=u,
             mean_on=20 + u % 41,
             mean_off=20 + (u * 7) % 41,
             demand_prbs=6 + u % 7,
@@ -352,7 +341,6 @@ def bitwise(volumes):
 mean_durations = st.one_of(st.just(math.inf), st.floats(1.0, 30.0))
 ue_profiles = st.builds(
     UeProfile,
-    ue_id=st.integers(0, 99),
     mean_on=mean_durations,
     mean_off=mean_durations,
     demand_prbs=st.integers(1, 15),
@@ -392,7 +380,7 @@ class TestGrantsMatchStepwiseReference:
 
 def busy_cell_args():
     profiles = [
-        UeProfile(ue_id=i, mean_on=20, mean_off=20, demand_prbs=1 + i % 9, mcs_step_prob=0.5)
+        UeProfile(mean_on=20, mean_off=20, demand_prbs=1 + i % 9, mcs_step_prob=0.5)
         for i in range(48)
     ]
     return CellConfig(), ModulationBits(), profiles, ControlSchedule(), 2000, 5
@@ -416,7 +404,7 @@ def test_trace_keeps_no_per_user_record():
 @pytest.mark.parametrize("mean_on, mean_off", [(math.nan, math.nan), (40.0, math.nan), (math.nan, 40.0), (0.0, 40.0)])
 def test_mean_durations_that_are_not_positive_numbers_are_refused(mean_on, mean_off):
     with pytest.raises(ValueError, match="mean on/off"):
-        UeProfile(0, mean_on=mean_on, mean_off=mean_off)
+        UeProfile(mean_on=mean_on, mean_off=mean_off)
 
 
 def test_oracle_imports_no_function_from_the_code_it_checks():

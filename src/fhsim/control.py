@@ -306,7 +306,6 @@ class _LabelPool:
 
 @dataclass(slots=True)
 class ControlEvent:
-    time: float
     op: str
     session_id: str
     outcome: str
@@ -338,7 +337,6 @@ class Controller:
         self.egress: dict[tuple[NodeId, int, int], tuple[str, int]] = {}
         self.failed_links: set[LinkKey] = set()
         self.log: list[ControlEvent] = []
-        self.clock = 0.0
         self._session_counter = 0
         self._labels: dict[tuple[NodeId, int], _LabelPool] = {}
         self._kinds = {node.id: node.kind for node in topology.nodes.values()}
@@ -491,7 +489,7 @@ class Controller:
         return "|".join("-".join(str(n) for n in c.nodes) for c in circuits)
 
     def _record(self, op: str, session_id: str, outcome: str, path: str = "") -> None:
-        self.log.append(ControlEvent(self.clock, op, session_id, outcome, path))
+        self.log.append(ControlEvent(op, session_id, outcome, path))
 
     def setup(self, request: SessionRequest, name: str | None = None) -> Session:
         """Admit and install a session atomically; raises Infeasible."""
@@ -602,6 +600,4 @@ class Controller:
             writer = csv.writer(fh)
             writer.writerow(["time", "op", "session_id", "outcome", "path"])
             for event in self.log:
-                writer.writerow(
-                    [repr(event.time), event.op, event.session_id, event.outcome, event.path]
-                )
+                writer.writerow(["0.0", event.op, event.session_id, event.outcome, event.path])

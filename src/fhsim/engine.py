@@ -34,9 +34,11 @@ entries and circuit feeds are created, so none can go out of range in
 flight, and a feed's volumes must be finite, so no offer can frame
 forever. Labels are scoped per (node, input port), so a host binds
 delivered packets to circuits per arrival port: `World.egress` is keyed
-by (node, in_port, label). All per-port and per-packet run state lives
-in objects made by `run`, so a world can be rerun and gives the same
-result.
+by (node, in_port, label). `run` resolves every label before the first
+event, into a route per label on each switch input port and a delivery
+record per label on each host port, so a hop or a delivery is one
+lookup. All per-port and per-packet run state lives in objects made by
+`run`, so a world can be rerun and gives the same result.
 """
 
 from __future__ import annotations
@@ -115,13 +117,15 @@ class SwitchState:
     The table maps (input port, label) to one or more (output port,
     label) entries; more than one entry replicates the packet, which is
     how distribution trees branch. `install` rejects labels outside
-    0..MAX_LABEL.
+    0..MAX_LABEL and an entry with no output.
     """
 
     def __init__(self) -> None:
         self.table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def install(self, in_port: int, label: int, outputs: tuple[tuple[int, int], ...]) -> None:
+        if not outputs:
+            raise ValueError(f"entry ({in_port}, {label}) has no output")
         if not 0 <= label <= MAX_LABEL:
             raise ValueError(f"label out of range: {label}")
         for _, out_label in outputs:
@@ -133,9 +137,6 @@ class SwitchState:
 
     def remove(self, in_port: int, label: int) -> None:
         del self.table[(in_port, label)]
-
-    def lookup(self, in_port: int, label: int) -> tuple[tuple[int, int], ...] | None:
-        return self.table.get((in_port, label))
 
 
 @dataclass
@@ -202,7 +203,8 @@ class Regulator:
         while buffered >= frame_bits:
             created_at = chunks[0][0]
             need = frame_bits
-            while need > EPS_BITS:
+            # dust popped with a chunk stays in `buffered`, so chunks can run out first
+            while need > EPS_BITS and chunks:
                 head = chunks[0]
                 bits = head[1]
                 take = bits if bits < need else need
@@ -250,8 +252,9 @@ class _Port:
     As an output it holds the queues and drives the link: class c
     queues in lane c & `SwitchConfig.lane_mask`, and `pick` serves the
     lanes. As an input it holds the arrival-side state of this port:
-    input buffer occupancy, and the routes (switch) or egress bindings
-    (host) resolved so far, cached per label.
+    input buffer occupancy, and the label maps `run` fills before the
+    first event: `routes` at a switch, to (output port, out label)
+    pairs, and `egress` at end equipment, where `routes` is None.
     """
 
     __slots__ = (
@@ -269,13 +272,12 @@ class _Port:
         "wrr_credit",
         "busy_time",
         "peak_queue_bytes",
-        "switch",
         "occupancy",
         "routes",
         "egress",
     )
 
-    def __init__(self, node: NodeId, port_no: int, link: PhysLink, switch: SwitchState | None):
+    def __init__(self, node: NodeId, port_no: int, link: PhysLink, relays: bool):
         self.node = node
         self.port_no = port_no
         self.peer: _Port | None = None  # the port a transmission lands on
@@ -293,10 +295,9 @@ class _Port:
         self.wrr_credit = 0
         self.busy_time = 0.0
         self.peak_queue_bytes = 0
-        self.switch = switch  # None at end equipment
         self.occupancy = 0  # bytes in this input buffer
-        self.routes: dict[int, tuple[tuple[_Port, int], ...] | None] = {}
-        self.egress: dict[int, list | None] = {}
+        self.routes: dict[int, tuple[tuple[_Port, int], ...]] | None = {} if relays else None
+        self.egress: dict[int, list] = {}
 
     def pick(self, weights: tuple[int, ...] | None) -> FhPacket:
         """Dequeue the next packet to send; at least one lane holds one.
@@ -330,8 +331,8 @@ def _wire_ports(world: World) -> dict[tuple[NodeId, int], _Port]:
     """Fresh run state for both ends of every link, peers linked."""
     ports: dict[tuple[NodeId, int], _Port] = {}
     for link in world.topology.links:
-        a = _Port(link.node_a, link.port_a, link, world.switches.get(link.node_a))
-        b = _Port(link.node_b, link.port_b, link, world.switches.get(link.node_b))
+        a = _Port(link.node_a, link.port_a, link, link.node_a in world.switches)
+        b = _Port(link.node_b, link.port_b, link, link.node_b in world.switches)
         a.peer, b.peer = b, a
         ports[(link.node_a, link.port_a)], ports[(link.node_b, link.port_b)] = a, b
     return ports
@@ -440,8 +441,10 @@ def run(world: World, horizon: float) -> RunResult:
 
     The data plane introduces no randomness beyond the traces already
     in the world, so an identical world and horizon give an identical
-    result. A feed that enters at a port with no link, or a forwarding
-    entry that leads out of one, is refused before the first event.
+    result. Labels are resolved, and every circuit the world names has
+    its `CircuitStats`, before the first event; a feed, a forwarding
+    entry or an egress binding at a port with no link, or an entry that
+    forwards to one, is refused then with a `ValueError` naming it.
 
     Events pop in (time, tie) order, and the heap holds only what can
     be due next. Offers keep the ties they would draw if all were pushed
@@ -474,9 +477,14 @@ def run(world: World, horizon: float) -> RunResult:
     ports = _wire_ports(world)
     for node, switch in world.switches.items():
         for entry, outputs in switch.table.items():
+            in_port, label = entry
+            port = ports.get((node, in_port))
+            if port is None:
+                raise ValueError(f"node {node}'s entry {entry} is at port {in_port}, which has no link")
             for out, _ in outputs:
                 if (node, out) not in ports:
                     raise ValueError(f"node {node}'s entry {entry} forwards to port {out}, which has no link")
+            port.routes[label] = tuple((ports[(node, out)], out_label) for out, out_label in outputs)
     regulators = [Regulator(feed) for feed in world.circuits]
     sessions: dict[str, SessionRunStats] = {}
     ingress = []  # per circuit: (ingress port, circuit stats, session stats)
@@ -486,6 +494,14 @@ def run(world: World, horizon: float) -> RunResult:
             raise ValueError(f"feed {feed.session_id}/{feed.circuit_id}: ingress (node, port) {where} has no link")
         stats = sessions.setdefault(feed.session_id, SessionRunStats())
         ingress.append((port, stats.circuit(feed.circuit_id), stats))
+    for binding, (sid, cid) in world.egress.items():
+        node, in_port, label = binding
+        port = ports.get((node, in_port))
+        if port is None:
+            raise ValueError(f"egress binding {binding} of {sid}/{cid}: (node, port) {(node, in_port)} has no link")
+        stats = sessions[sid]
+        # [session stats, circuit stats, last seq, latency counts] of the circuit ending here
+        port.egress[label] = [stats, stats.circuit(cid), None, stats.latencies.counts]
 
     # Events are (time, tie, code, a, b); offers take ties 0..n-1 and
     # every other event draws the next tie when it is scheduled.
@@ -511,8 +527,7 @@ def run(world: World, horizon: float) -> RunResult:
 
     def deliver(peer: _Port, pkt: FhPacket, at: float) -> None:
         """End equipment takes delivery at transmit start, stamped with the arrival time."""
-        label = pkt.label
-        binding = peer.egress[label] if label in peer.egress else bind(peer, label)
+        binding = peer.egress.get(pkt.label)
         if binding is None:
             pkt.stats.dropped_unroutable += 1
             return
@@ -559,27 +574,10 @@ def run(world: World, horizon: float) -> RunResult:
         port.done = (end, tie(), _TX_DONE, port, None)
         at = end + port.propagation
         peer = port.peer
-        if peer.switch is not None or at > horizon:
+        if peer.routes is not None or at > horizon:
             heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
         else:
             deliver(peer, pkt, at)
-
-    def route(port: _Port, label: int) -> tuple[tuple[_Port, int], ...] | None:
-        outputs = port.switch.lookup(port.port_no, label)
-        if outputs is not None:
-            outputs = tuple((ports[(port.node, out)], out_label) for out, out_label in outputs)
-        port.routes[label] = outputs
-        return outputs
-
-    def bind(port: _Port, label: int) -> list | None:
-        """[session stats, circuit stats, last seq, latency counts] of the circuit ending here."""
-        binding = world.egress.get((port.node, port.port_no, label))
-        if binding is not None:
-            sid, cid = binding
-            stats = sessions[sid]
-            binding = [stats, stats.circuit(cid), None, stats.latencies.counts]
-        port.egress[label] = binding
-        return binding
 
     while heap:
         event = heap[0]  # handled at the root, until replaced or popped
@@ -614,8 +612,7 @@ def run(world: World, horizon: float) -> RunResult:
                     heappop(heap)
                 continue
             port.occupancy -= pkt.wire_bytes
-            label = pkt.label
-            outputs = port.routes[label] if label in port.routes else route(port, label)
+            outputs = port.routes.get(pkt.label)
             if outputs is None:
                 pkt.stats.dropped_unroutable += 1
                 heappop(heap)
@@ -667,12 +664,12 @@ def run(world: World, horizon: float) -> RunResult:
         if port.total_bytes > 0:  # a packet waits behind it: push its end
             heapreplace(heap, done)
             port.done = None
-            if peer.switch is not None or at > horizon:
+            if peer.routes is not None or at > horizon:
                 heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
                 continue
         else:
             port.done = done
-            if peer.switch is not None or at > horizon:
+            if peer.routes is not None or at > horizon:
                 heapreplace(heap, (at, tie(), _ARRIVAL, peer, pkt))
                 continue
             heappop(heap)

@@ -8,10 +8,14 @@ transmission, and pops every arrival at end equipment, so it is slow
 but plainly right. Two pieces of its state live here, since the engine
 no longer needs them: each circuit's generation counter, which skips a
 superseded timeout when it pops, and a set of busy ports, in place of
-a flag on `_Port`. Neither changes its logic. It keeps each session's
-latencies as a list in delivery order, where the engine counts each
-value; the property tests require that both give the same result, with
-equal counts per latency.
+a flag on `_Port`. Neither changes its logic. It resolves each label
+lazily from the switch tables and the egress map, at the first packet
+that carries it, where the engine resolves every label before the first
+event; like the engine, it makes each circuit's stats, fed or bound at
+egress, before the first event. It keeps each session's latencies as a
+list in delivery order, where the engine counts each value; the
+property tests require that both give the same result, with equal
+counts per latency.
 """
 
 import heapq
@@ -48,6 +52,10 @@ def run(world: World, horizon: float) -> RunResult:
         ingress.append(
             (ports.get((feed.ingress_node, feed.ingress_port)), stats.circuit(feed.circuit_id), stats)
         )
+    for sid, cid in world.egress.values():
+        sessions[sid].circuit(cid)
+    routes: dict[tuple[_Port, int], tuple | None] = {}  # (input port, label) -> outputs, as resolved
+    bindings: dict[tuple[_Port, int], list | None] = {}  # (host port, label) -> record, as resolved
 
     # Events are (time, tie, code, a, b); ties at equal time resolve by
     # the order they were pushed in.
@@ -105,10 +113,10 @@ def run(world: World, horizon: float) -> RunResult:
             heappush(heap, (deadline, tie(), _REG_TIMEOUT, idx, generation[idx]))
 
     def route(port: _Port, label: int):
-        outputs = port.switch.lookup(port.port_no, label)
+        outputs = world.switches[port.node].table.get((port.port_no, label))
         if outputs is not None:
             outputs = tuple((ports[(port.node, out)], out_label) for out, out_label in outputs)
-        port.routes[label] = outputs
+        routes[(port, label)] = outputs
         return outputs
 
     def bind(port: _Port, label: int):
@@ -117,12 +125,12 @@ def run(world: World, horizon: float) -> RunResult:
             sid, cid = binding
             stats = sessions[sid]
             binding = [stats, stats.circuit(cid), None]
-        port.egress[label] = binding
+        bindings[(port, label)] = binding
         return binding
 
     def deliver(port: _Port, pkt: FhPacket, now: float) -> None:
         label = pkt.label
-        binding = port.egress[label] if label in port.egress else bind(port, label)
+        binding = bindings[(port, label)] if (port, label) in bindings else bind(port, label)
         if binding is None:
             pkt.stats.dropped_unroutable += 1
             return
@@ -140,7 +148,7 @@ def run(world: World, horizon: float) -> RunResult:
         now, _, code, a, b = heappop(heap)
         if code == _ARRIVAL:
             port, pkt = a, b
-            if port.switch is None:
+            if port.node not in world.switches:
                 deliver(port, pkt, now)
                 continue
             occupied = port.occupancy + pkt.wire_bytes
@@ -153,7 +161,7 @@ def run(world: World, horizon: float) -> RunResult:
             port, pkt = a, b
             port.occupancy -= pkt.wire_bytes
             label = pkt.label
-            outputs = port.routes[label] if label in port.routes else route(port, label)
+            outputs = routes[(port, label)] if (port, label) in routes else route(port, label)
             if outputs is None:
                 pkt.stats.dropped_unroutable += 1
                 continue

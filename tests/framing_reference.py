@@ -33,7 +33,7 @@ class ReferenceRegulator:
     def _emit(self, payload_bytes: int, consume_bits: float) -> FhPacket:
         created_at = self.chunks[0][0]
         need = consume_bits
-        while need > EPS_BITS:
+        while need > EPS_BITS and self.chunks:
             head = self.chunks[0]
             bits = head[1]
             take = bits if bits < need else need

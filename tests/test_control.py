@@ -156,7 +156,7 @@ class TestSetupTeardown:
         assert [c.nodes for c in session.circuits] == [(1, 0, 4)]
         assert session.state == "active"
         # entry installed on the hub, egress bound at the bbu
-        assert controller.switches[0].lookup(0, session.circuits[0].ingress_label) is not None
+        assert (0, session.circuits[0].ingress_label) in controller.switches[0].table
         assert (4, 0, session.circuits[0].egress_label) in controller.egress
 
     def test_aggregation_debits_sum_on_trunk(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fhsim.engine import (
     N_CLASSES,
     CircuitFeed,
+    CircuitStats,
     RegulatorPolicy,
     Scheduler,
     SwitchConfig,
@@ -70,6 +71,15 @@ class TestRegulate:
         feed = CircuitFeed("s", 0, 0, 0, 5, 0, RegulatorPolicy(1000, 1e-3), [5e-6], 1e-3)
         res = run(World(direct_link_topo(), {}, [feed], {(1, 0, 5): ("s", 0)}), horizon=0.1)
         assert res.total().injected == 0
+        assert res.regulator_backlog_bits == {"s/0": 0.0}
+
+    def test_dust_kept_from_popped_chunks_does_not_crash_a_run(self):
+        # the second offer's chunk is popped with dust left that stays
+        # buffered, so the third offer's frame finds its chunks short
+        volumes = [524279.999999, 2e-06, 524279.999999]
+        feed = CircuitFeed("s", 0, 0, 0, 5, 0, RegulatorPolicy(0xFFFF, 1e-3), volumes, 1e-3)
+        res = run(World(direct_link_topo(), {}, [feed], {(1, 0, 5): ("s", 0)}), horizon=0.1)
+        assert res.total().delivered == 2
         assert res.regulator_backlog_bits == {"s/0": 0.0}
 
     def test_created_at_is_first_bit_arrival(self):
@@ -451,6 +461,28 @@ class TestHandBuiltWorldIsChecked:
         with pytest.raises(ValueError, match=r"node 1's entry \(0, 7\) forwards to port 7, which has no link"):
             run(rrh_switch_bbu_world(out_port=7), 0.1)
 
+    def test_run_refuses_an_entry_at_a_port_with_no_link(self):
+        # no packet can reach port 5, so the entry could never be used
+        world = rrh_switch_bbu_world()
+        world.switches[1].install(5, 7, ((1, 9),))
+        with pytest.raises(ValueError, match=r"node 1's entry \(5, 7\) is at port 5, which has no link"):
+            run(world, 0.1)
+
+    def test_run_refuses_an_egress_binding_at_a_port_with_no_link(self):
+        world = rrh_switch_bbu_world()
+        world.egress[(2, 3, 9)] = ("s", 0)
+        message = r"egress binding \(2, 3, 9\) of s/0: \(node, port\) \(2, 3\) has no link"
+        with pytest.raises(ValueError, match=message):
+            run(world, 0.1)
+
+    def test_every_bound_circuit_has_stats_from_the_start(self):
+        # a leg that delivers nothing reads zeros rather than being absent
+        world = rrh_switch_bbu_world()
+        world.egress[(2, 0, 10)] = ("s", 1)
+        circuits = run(world, 0.1).sessions["s"].circuits
+        assert circuits[0].delivered == 1
+        assert circuits[1] == CircuitStats()
+
     @pytest.mark.parametrize("weights", [(0,) + (1,) * (N_CLASSES - 1), (1,) * (N_CLASSES - 1)])
     def test_config_refuses_wrr_weights_that_miss_a_class(self, weights):
         with pytest.raises(ValueError, match="wrr_weights"):
@@ -476,6 +508,13 @@ class TestLabelRange:
         switch = SwitchState()
         with pytest.raises(ValueError, match="label out of range"):
             switch.install(0, label, outputs)
+        assert switch.table == {}
+
+    def test_install_rejects_an_entry_with_no_output(self):
+        # a packet matching it would have nowhere to go
+        switch = SwitchState()
+        with pytest.raises(ValueError, match=r"entry \(0, 7\) has no output"):
+            switch.install(0, 7, ())
         assert switch.table == {}
 
     def test_install_accepts_full_range(self):

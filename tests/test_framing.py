@@ -65,6 +65,18 @@ class TestFramingMatchesTheReference:
             assert list(map(_packet, got)) == list(map(_packet, want))
             assert _state(reg) == _state(ref)
 
+    def test_dust_kept_from_popped_chunks_does_not_run_the_chunks_out(self):
+        # the 2e-6 chunk is popped with about 1e-6 bits left, which stay
+        # buffered; the next full frame finds its chunks short by that dust
+        feed = CircuitFeed("s", 0, 0, 0, 1, 0, RegulatorPolicy(0xFFFF, 1e-3), [], 1e-3)
+        reg, ref = Regulator(feed), ReferenceRegulator(feed)
+        for k, bits in enumerate([524279.999999, 2e-06, 524279.999999]):
+            got, want = reg.offer(k * 2.5e-4, bits), ref.offer(k * 2.5e-4, bits)
+            assert [p.payload_len for p in got] == [0xFFFF] * (k > 0)
+            assert list(map(_packet, got)) == list(map(_packet, want))
+            assert _state(reg) == _state(ref)
+        assert not reg.chunks and reg.buffered_bits == 0.0
+
     def test_a_burst_wraps_the_seq(self):
         feed = CircuitFeed("s", 0, 0, 0, 1, 0, RegulatorPolicy(1, 1e-3), [], 1e-3)
         reg, ref = Regulator(feed), ReferenceRegulator(feed)

@@ -6,9 +6,9 @@ paths on its global view, installs label-switching entries atomically,
 keeps a per-link reservation ledger that never overdraws, and supports
 teardown, failure rerouting over redundant paths, and make-before-break
 migration as the endpoint set changes. Labels are scoped per (node,
-input port), smallest free one first: each circuit records the (node,
-in_port, label) of every node it arrives at, which keys both switch
-entries and the egress binding at its destination host. The network
+input port), smallest free one first: each circuit records only the
+(node, in_port, label) of every node it arrives at, which keys every
+switch entry and the egress binding it installed. The network
 has one `SwitchConfig`: path planning adds its header-processing delay
 at every transit switch, as the engine spends it at each one, and a
 `SwitchState` is only a switch's label table.
@@ -69,30 +69,20 @@ class SessionRequest:
             raise ValueError("latency_class must be in 0..15")
 
 
-@dataclass(frozen=True, slots=True)
-class HopEntry:
-    """One installed forwarding entry of a circuit."""
-
-    node: NodeId
-    in_port: int
-    label_in: int
-    out_port: int
-    label_out: int
-
-
 @dataclass(slots=True)
 class Circuit:
     """A unicast leg of a session: ingress host to one egress host.
 
     `arrivals` holds the (node, in_port, label) of every node the leg
-    arrives at, the egress last: the switch entries and the egress
-    binding it was installed under, and the labels it holds.
+    arrives at, the egress last. They key every entry and binding the
+    leg installed, and name the labels it holds: each switch arrival's
+    entry forwards to the next link's out port under the next arrival's
+    label, and the last arrival is the egress binding.
     """
 
     circuit_id: int
     nodes: tuple[NodeId, ...]  # full node sequence, ingress to egress
     ingress_port: int
-    hops: tuple[HopEntry, ...]
     arrivals: tuple[tuple[NodeId, int, int], ...]
 
     ingress = property(lambda self: self.nodes[0])
@@ -445,24 +435,13 @@ class Controller:
         for cid, path in enumerate(paths):
             keys = [(0 if tree else cid, a, b) for a, b in zip(path, path[1:])]
             arrivals = tuple(arrival[key] for key in keys)
-            hops = tuple(
-                HopEntry(*arrivals[i], links[keys[i + 1]].port_of(path[i + 1]), arrivals[i + 1][2])
-                for i in range(len(path) - 2)
-            )
-            for hop in hops:
-                outputs = fanout.setdefault((hop.node, hop.in_port, hop.label_in), [])
-                if (hop.out_port, hop.label_out) not in outputs:
-                    outputs.append((hop.out_port, hop.label_out))
+            # each arrival but the last outputs onto the next link, under the next arrival's label
+            for at, key, (_, _, label_out) in zip(arrivals, keys[1:], arrivals[1:]):
+                outputs = fanout.setdefault(at, [])
+                if (out := (links[key].port_of(at[0]), label_out)) not in outputs:
+                    outputs.append(out)
             self.egress[arrivals[-1]] = (session_id, cid)
-            circuits.append(
-                Circuit(
-                    circuit_id=cid,
-                    nodes=path,
-                    ingress_port=links[keys[0]].port_of(path[0]),
-                    hops=hops,
-                    arrivals=arrivals,
-                )
-            )
+            circuits.append(Circuit(cid, path, links[keys[0]].port_of(path[0]), arrivals))
         for (node, in_port, label_in), outputs in fanout.items():
             self.switches[node].install(in_port, label_in, tuple(outputs))
         return circuits
@@ -491,6 +470,14 @@ class Controller:
     def _record(self, op: str, session_id: str, outcome: str, path: str = "") -> None:
         self.log.append(ControlEvent(op, session_id, outcome, path))
 
+    def _admit(self, session_id: str, request: SessionRequest) -> tuple[list[Circuit], dict[LinkKey, float]]:
+        """Plan, install and charge a session's circuits; Infeasible leaves all state untouched."""
+        paths, tree, debits = self._plan_paths(request)
+        circuits = self._install(session_id, paths, tree)
+        for key, rate in debits.items():
+            self.ledger.debit(key, session_id, rate)
+        return circuits, debits
+
     def setup(self, request: SessionRequest, name: str | None = None) -> Session:
         """Admit and install a session atomically; raises Infeasible."""
         validate_pattern(self._kinds, request.pattern)
@@ -499,13 +486,10 @@ class Controller:
         if session_id in self.sessions:
             raise ValueError(f"session {session_id!r} already active")
         try:
-            paths, tree, debits = self._plan_paths(request)
-            circuits = self._install(session_id, paths, tree)
+            circuits, debits = self._admit(session_id, request)
         except Infeasible as exc:
             self._record("setup", session_id, f"infeasible({exc.cause})")
             raise
-        for key, rate in debits.items():
-            self.ledger.debit(key, session_id, rate)
         session = Session(id=session_id, request=request, circuits=circuits, debits=debits)
         self.sessions[session_id] = session
         self._record("setup", session_id, "installed", self._paths_string(circuits))
@@ -537,17 +521,13 @@ class Controller:
                 continue
             self._release(session)
             try:
-                paths, tree, debits = self._plan_paths(session.request)
-                session.circuits = self._install(session_id, paths, tree)
+                session.circuits, session.debits = self._admit(session_id, session.request)
             except Infeasible as exc:
                 session.state = "torn_down"
                 del self.sessions[session_id]
                 outcomes[session_id] = "victim"
                 self._record("reroute", session_id, f"victim({exc.cause})")
                 continue
-            for k, rate in debits.items():
-                self.ledger.debit(k, session_id, rate)
-            session.debits = debits
             outcomes[session_id] = "rerouted"
             self._record("reroute", session_id, "rerouted", self._paths_string(session.circuits))
         return outcomes

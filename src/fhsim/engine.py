@@ -166,18 +166,13 @@ class CircuitFeed:
 
 @dataclass
 class World:
-    """Everything a run needs: wiring, switch state, circuits, egress map, port config."""
+    """Everything a run needs: wiring, switch state, circuits, egress map, port config; `run` checks it."""
 
     topology: PhysicalTopology
     switches: dict[NodeId, SwitchState]
     circuits: list[CircuitFeed]
     egress: dict[tuple[NodeId, int, int], tuple[str, int]]  # (node, in_port, label) -> session, circuit
     config: SwitchConfig = SwitchConfig()  # every port of the run
-
-    def __post_init__(self) -> None:
-        unfed = {sid for sid, _ in self.egress.values()} - {feed.session_id for feed in self.circuits}
-        if unfed:
-            raise ValueError(f"egress binds sessions with no circuit feed: {sorted(unfed)}")
 
 
 class Regulator:
@@ -443,8 +438,10 @@ def run(world: World, horizon: float) -> RunResult:
     in the world, so an identical world and horizon give an identical
     result. Labels are resolved, and every circuit the world names has
     its `CircuitStats`, before the first event; a feed, a forwarding
-    entry or an egress binding at a port with no link, or an entry that
-    forwards to one, is refused then with a `ValueError` naming it.
+    entry or an egress binding at a port with no link, an entry that
+    forwards to one, an egress binding at a switch (which relays every
+    arrival, so never delivers) and one that names a session with no
+    feed are refused then with a `ValueError` naming them.
 
     Events pop in (time, tie) order, and the heap holds only what can
     be due next. Offers keep the ties they would draw if all were pushed
@@ -494,8 +491,13 @@ def run(world: World, horizon: float) -> RunResult:
             raise ValueError(f"feed {feed.session_id}/{feed.circuit_id}: ingress (node, port) {where} has no link")
         stats = sessions.setdefault(feed.session_id, SessionRunStats())
         ingress.append((port, stats.circuit(feed.circuit_id), stats))
+    unfed = {sid for sid, _ in world.egress.values()} - sessions.keys()
+    if unfed:
+        raise ValueError(f"egress binds sessions with no circuit feed: {sorted(unfed)}")
     for binding, (sid, cid) in world.egress.items():
         node, in_port, label = binding
+        if node in world.switches:
+            raise ValueError(f"egress binding {binding} of {sid}/{cid}: node {node} is a switch, which never delivers")
         port = ports.get((node, in_port))
         if port is None:
             raise ValueError(f"egress binding {binding} of {sid}/{cid}: (node, port) {(node, in_port)} has no link")

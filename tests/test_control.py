@@ -35,6 +35,8 @@ from fhsim.topology import (
     build_topology,
 )
 
+from test_control_golden import entries
+
 
 def labels_in_use(controller):
     """The labels held at each (node, in_port) that holds any."""
@@ -653,9 +655,9 @@ class TestReroute:
     def test_unaffected_sessions_not_recomputed(self):
         controller = Controller(ring_topo())
         session = controller.setup(request(p2p(4, 5), bound=1.0), name="r")
-        entries_before = [tuple(c.hops) for c in session.circuits]
+        arrivals_before = [c.arrivals for c in session.circuits]
         controller.reroute_on_failure((2, 3))  # not on the (4,0,1,2,5) path
-        assert [tuple(c.hops) for c in session.circuits] == entries_before
+        assert [c.arrivals for c in session.circuits] == arrivals_before
 
     def test_surviving_topology_follows_failed_links(self, monkeypatch):
         builds = []
@@ -767,6 +769,68 @@ class TestHopRowCache:
             setups(10)
         assert {frame - HEADER_BYTES for frame in frames} == {500, 1000, 1500}
         assert not any(s.uses_link((0, n - 1)) for s in controller.sessions.values())
+
+
+def assert_installed_state_is_the_arrivals(controller):
+    """Every entry and binding is keyed by an active circuit's arrival, and nothing else is installed."""
+    arrivals, outputs = set(), {}
+    for session in controller.sessions.values():
+        for c in session.circuits:
+            arrivals.update(c.arrivals)
+            assert controller.egress[c.arrivals[-1]] == (session.id, c.circuit_id)
+            for node, in_port, label_in, out_port, label_out in entries(controller.topology, c):
+                outputs.setdefault((node, in_port, label_in), set()).add((out_port, label_out))
+    installed = {
+        (node, *key): outs for node, switch in controller.switches.items() for key, outs in switch.table.items()
+    }
+    assert installed.keys().isdisjoint(controller.egress)
+    assert installed.keys() | controller.egress.keys() == arrivals
+    for at, outs in installed.items():
+        assert len(set(outs)) == len(outs)
+        assert set(outs) == outputs[at]
+
+
+class TestInstalledStateFollowsTheArrivals:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_operations_on_a_ring(self, seed):
+        rng = random.Random(seed)
+        # switches 0..4; rrhs 5, 6, 7 and bbus 8, 9, 10 around them
+        kinds = (NodeKind.RRH,) * 3 + (NodeKind.BBU,) * 3
+        topo = build_topology(Ring(n_switches=5, attachments=tuple(zip((0, 1, 3, 2, 3, 4), kinds))))
+        controller = Controller(topo)
+        rrhs, bbus = [5, 6, 7], [8, 9, 10]
+
+        def pattern(tree):
+            if tree:
+                return LogicalPattern(RrhToMultiBbu(rng.choice(rrhs), tuple(rng.sample(bbus, rng.randint(2, 3)))))
+            return p2p(rng.choice(rrhs), rng.choice(bbus))
+
+        for _ in range(60):
+            live = list(controller.sessions.values())
+            op = rng.random()
+            try:
+                if op < 0.45 or not live:
+                    controller.setup(request(pattern(rng.random() < 0.4), peak=rng.choice([1e9, 3e9, 6e9])))
+                elif op < 0.7:
+                    controller.teardown(rng.choice(live))
+                elif op < 0.85:
+                    session = rng.choice(live)
+                    tree = isinstance(session.request.pattern.shape, RrhToMultiBbu)
+                    controller.migrate(session, pattern(tree))
+                else:
+                    controller.failed_links.clear()  # the last cut is repaired
+                    a = rng.randrange(5)
+                    controller.reroute_on_failure((a, (a + 1) % 5))
+            except Infeasible:
+                pass
+            assert_installed_state_is_the_arrivals(controller)
+        for session in list(controller.sessions.values()):
+            controller.teardown(session)
+            assert_installed_state_is_the_arrivals(controller)
+        assert all(not switch.table for switch in controller.switches.values())
+        assert not controller.egress
+        assert not labels_in_use(controller)
+        assert not controller.ledger.snapshot()
 
 
 class TestMigrate:

@@ -2,10 +2,12 @@
 
 For each bundled scenario at its default seed, the sha256 of the sorted
 switch tables and of every circuit's (session, circuit id, nodes, ingress
-port, ingress label, egress label, hops). The bundled scenarios cover
-point-to-point, aggregation, bbu-to-bbu and multi-BBU tree sessions, so
-these digests pin the labels and entries of every session shape. Any
-change to them is a change in what the controller installs.
+port, ingress label, egress label, entries), its entries being the
+(node, in_port, label_in, out_port, label_out) of each switch it crosses,
+derived from its arrivals. The bundled scenarios cover point-to-point,
+aggregation, bbu-to-bbu and multi-BBU tree sessions, so these digests
+pin the labels and entries of every session shape. Any change to them
+is a change in what the controller installs.
 """
 
 import hashlib
@@ -55,12 +57,22 @@ def control_state_digests(controller) -> tuple[str, str]:
             c.ingress_port,
             c.ingress_label,
             c.egress_label,
-            [(h.node, h.in_port, h.label_in, h.out_port, h.label_out) for h in c.hops],
+            entries(controller.topology, c),
         )
         for session in controller.sessions.values()
         for c in session.circuits
     ]
     return _sha(tables), _sha(circuits)
+
+
+def entries(topology, circuit):
+    """(node, in_port, label_in, out_port, label_out) of each switch the circuit crosses, in order."""
+    return [
+        (*at, topology.link_between(node, peer).port_of(node), label_out)
+        for at, (_, _, label_out), node, peer in zip(
+            circuit.arrivals, circuit.arrivals[1:], circuit.nodes[1:], circuit.nodes[2:]
+        )
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -152,8 +152,9 @@ class TestRun:
         switch = SwitchState()
         switch.install(0, 7, ((2, 9),))
         feed = CircuitFeed("s", 0, 0, 0, 7, 0, policy(), [8000.0], 1e-3)
+        world = World(topo, {2: switch}, [feed], {(3, 0, 9): ("other", 0)})
         with pytest.raises(ValueError, match=r"egress binds sessions with no circuit feed: \['other'\]"):
-            World(topo, {2: switch}, [feed], {(3, 0, 9): ("other", 0)})
+            run(world, horizon=0.1)
 
     def test_missing_entry_counts_unroutable(self):
         topo = one_switch_topo()
@@ -473,6 +474,19 @@ class TestHandBuiltWorldIsChecked:
         world.egress[(2, 3, 9)] = ("s", 0)
         message = r"egress binding \(2, 3, 9\) of s/0: \(node, port\) \(2, 3\) has no link"
         with pytest.raises(ValueError, match=message):
+            run(world, 0.1)
+
+    def test_run_refuses_an_egress_binding_at_a_switch(self):
+        # a switch relays every arrival, so the binding could never deliver
+        world = rrh_switch_bbu_world()
+        world.egress[(1, 0, 7)] = ("s", 3)
+        with pytest.raises(ValueError, match=r"egress binding \(1, 0, 7\) of s/3: node 1 is a switch"):
+            run(world, 0.1)
+
+    def test_run_refuses_an_egress_binding_added_for_a_session_with_no_feed(self):
+        world = rrh_switch_bbu_world()
+        world.egress[(2, 0, 10)] = ("other", 0)
+        with pytest.raises(ValueError, match=r"egress binds sessions with no circuit feed: \['other'\]"):
             run(world, 0.1)
 
     def test_every_bound_circuit_has_stats_from_the_start(self):

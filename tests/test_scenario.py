@@ -595,8 +595,10 @@ class TestOneBadValue:
         propagate_sync(build_sync_tree(topology, sources), topology, scenario.regen_factor)
         if packet_bound(built.world) > 20_000:
             return
-        # the controller's wiring passes every check before the first event
+        # the controller's wiring passes every check before the first event,
+        # and the same world runs to the same result again
         result = run(built.world, scenario.engine.horizon)
+        assert run(built.world, scenario.engine.horizon) == result
         # conservation: what was injected or replicated and neither delivered
         # nor dropped is still queued or on the wire at the horizon
         assert result.total().in_flight == result.residual_packets

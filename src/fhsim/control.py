@@ -5,10 +5,12 @@ reservation and a latency bound. The controller computes constrained
 paths on its global view, installs label-switching entries atomically,
 keeps a per-link reservation ledger that never overdraws, and supports
 teardown, failure rerouting over redundant paths, and make-before-break
-migration as the endpoint set changes. Labels are scoped per (node,
-input port), smallest free one first: each circuit records only the
-(node, in_port, label) of every node it arrives at, which keys every
-switch entry and the egress binding it installed. The network
+migration as the endpoint set changes. Setup, reroute and migration
+charge by one rule (plan, install, debit the plan once), so the ledger
+always holds exactly each session's `debits`. Labels are scoped per
+(node, input port), smallest free one first: each circuit records only
+the (node, in_port, label) of every node it arrives at, which keys
+every switch entry and the egress binding it installed. The network
 has one `SwitchConfig`: path planning adds its header-processing delay
 at every transit switch, as the engine spends it at each one, and a
 `SwitchState` is only a switch's label table.
@@ -23,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .engine import RegulatorPolicy, SwitchConfig, SwitchState
-from .packet import HEADER_BYTES, MAX_LABEL
+from .packet import HEADER_BYTES, MAX_LABEL, MAX_LATENCY_CLASS
 from .topology import (
     LogicalPattern,
     NodeId,
@@ -65,8 +67,8 @@ class SessionRequest:
             raise ValueError("need peak_rate >= mean_rate > 0")
         if not self.latency_bound > 0:  # NaN fails too
             raise ValueError("latency_bound must be > 0")
-        if not 0 <= self.latency_class < 16:
-            raise ValueError("latency_class must be in 0..15")
+        if not 0 <= self.latency_class <= MAX_LATENCY_CLASS:
+            raise ValueError(f"latency_class must be in 0..{MAX_LATENCY_CLASS}")
 
 
 @dataclass(slots=True)
@@ -96,7 +98,7 @@ class Session:
     id: str
     request: SessionRequest
     circuits: list[Circuit]
-    debits: dict[LinkKey, float]  # what setup charged the ledger, per link
+    debits: dict[LinkKey, float]  # what the ledger holds for this session, per link
     state: str = "active"  # active | torn_down
 
     def uses_link(self, key: LinkKey) -> bool:
@@ -187,11 +189,6 @@ class ReservationLedger:
         rate = self._held[key].pop(session_id, 0.0)
         self._total[key] -= _units(rate)
         return rate
-
-    def holds(self, session_id: str) -> dict[LinkKey, float]:
-        return {
-            key: held[session_id] for key, held in self._held.items() if session_id in held
-        }
 
     def snapshot(self) -> dict[LinkKey, dict[str, float]]:
         return {key: dict(held) for key, held in self._held.items() if held}
@@ -289,9 +286,8 @@ class _LabelPool:
         return label
 
     def give(self, label: int) -> None:
-        if label in self.used:
-            self.used.remove(label)
-            heapq.heappush(self.freed, label)
+        self.used.remove(label)
+        heapq.heappush(self.freed, label)
 
 
 @dataclass(slots=True)
@@ -379,7 +375,7 @@ class Controller:
         Independent legs reserve independently (their streams add up on
         shared links); tree legs debit each tree link once. One credit
         dict, starting from `extra_credit` (a migrating session's own
-        holdings), also holds the tree links earlier legs paid for, and
+        debits), also holds the tree links earlier legs paid for, and
         every leg's residual reader adds it. Raises Infeasible without
         changing any state.
         """
@@ -535,10 +531,11 @@ class Controller:
     def migrate(self, session: Session, new_pattern: LogicalPattern) -> Session:
         """Move a session to a new pattern, make-before-break.
 
-        New paths are computed with the session's own reservations
-        discounted, installed alongside the old entries, and only then
-        is the old footprint removed, so the ledger never transiently
-        overdraws. On Infeasible the session is untouched.
+        New paths are planned as if the session's own debits were free,
+        and the new circuits are installed beside the old ones before
+        the old ones are released; the session is then charged once,
+        as setup charges it, so the ledger holds exactly its debits and
+        never overdraws. On Infeasible the session is untouched.
         """
         if session.state != "active":
             raise ValueError("cannot migrate a torn-down session")
@@ -546,32 +543,20 @@ class Controller:
             raise ValueError("migration must preserve granularity")
         validate_pattern(self._kinds, new_pattern)
         new_request = replace(session.request, pattern=new_pattern)
-        old_holds = self.ledger.holds(session.id)
         try:
-            paths, tree, new_debits = self._plan_paths(new_request, extra_credit=old_holds)
+            paths, tree, debits = self._plan_paths(new_request, extra_credit=session.debits)
             if new_pattern == session.request.pattern and [c.nodes for c in session.circuits] == paths:
                 self._record("migrate", session.id, "noop", self._paths_string(session.circuits))
                 return session
-            # Make: install the new circuits, then charge only the extra demand.
-            new_circuits = self._install(session.id, paths, tree)
+            circuits = self._install(session.id, paths, tree)
         except Infeasible as exc:
             self._record("migrate", session.id, f"infeasible({exc.cause})")
             raise
-        for key, rate in new_debits.items():
-            extra = rate - old_holds.get(key, 0.0)
-            if extra > 0:
-                self.ledger.debit(key, session.id, extra)
-        old_circuits = session.circuits
-        # Break: remove the old footprint, return what is no longer held.
-        self._uninstall(old_circuits)
-        for key, old_rate in old_holds.items():
-            keep = new_debits.get(key, 0.0)
-            if old_rate > keep:
-                self.ledger.credit(key, session.id, old_rate - keep)
-        session.request = new_request
-        session.circuits = new_circuits
-        session.debits = new_debits
-        self._record("migrate", session.id, "migrated", self._paths_string(new_circuits))
+        self._release(session)
+        for key, rate in debits.items():
+            self.ledger.debit(key, session.id, rate)
+        session.request, session.circuits, session.debits = new_request, circuits, debits
+        self._record("migrate", session.id, "migrated", self._paths_string(circuits))
         return session
 
     def write_log_csv(self, path: str) -> None:

@@ -54,7 +54,7 @@ from enum import Enum
 from .packet import MAX_LABEL, MAX_LATENCY_CLASS, SEQ_MODULUS, FhPacket
 from .topology import NodeId, PhysicalTopology, PhysLink
 
-N_CLASSES = 16
+N_CLASSES = MAX_LATENCY_CLASS + 1
 EPS_BITS = 1e-6  # float dust below this is not a payload bit
 
 

@@ -23,6 +23,7 @@ from fhsim.sync import ClockSource, build_sync_tree
 from fhsim.topology import (
     AggregationToOneBbu,
     BbuToBbu,
+    LinkParams,
     LogicalPattern,
     Node,
     NodeKind,
@@ -580,7 +581,8 @@ class TestLabelExhaustion:
             if held and rng.random() < 0.5:
                 label = rng.choice(sorted(held))
                 controller._free_label(4, 0, label)
-                controller._free_label(4, 0, label)  # freeing twice is a no-op
+                with pytest.raises(KeyError):  # a double free is a fault, not a no-op
+                    controller._free_label(4, 0, label)
                 held.discard(label)
             else:
                 label = controller._alloc_label(4, 0)
@@ -771,8 +773,22 @@ class TestHopRowCache:
         assert not any(s.uses_link((0, n - 1)) for s in controller.sessions.values())
 
 
+def holdings_by_session(ledger):
+    """What the ledger holds, per session id and then per link."""
+    held = {}
+    for key, holders in ledger.snapshot().items():
+        for session_id, rate in holders.items():
+            held.setdefault(session_id, {})[key] = rate
+    return held
+
+
 def assert_installed_state_is_the_arrivals(controller):
-    """Every entry and binding is keyed by an active circuit's arrival, and nothing else is installed."""
+    """Every entry, binding and holding is an active session's, and nothing else is installed or held.
+
+    Entries and bindings are keyed by the circuits' arrivals, and the
+    ledger holds exactly each session's debits.
+    """
+    assert holdings_by_session(controller.ledger) == {s.id: s.debits for s in controller.sessions.values()}
     arrivals, outputs = set(), {}
     for session in controller.sessions.values():
         for c in session.circuits:
@@ -800,9 +816,11 @@ class TestInstalledStateFollowsTheArrivals:
         controller = Controller(topo)
         rrhs, bbus = [5, 6, 7], [8, 9, 10]
 
-        def pattern(tree):
-            if tree:
+        def pattern(shape):
+            if shape is RrhToMultiBbu:
                 return LogicalPattern(RrhToMultiBbu(rng.choice(rrhs), tuple(rng.sample(bbus, rng.randint(2, 3)))))
+            if shape is AggregationToOneBbu:
+                return LogicalPattern(AggregationToOneBbu(tuple(rng.sample(rrhs, rng.randint(2, 3))), rng.choice(bbus)))
             return p2p(rng.choice(rrhs), rng.choice(bbus))
 
         for _ in range(60):
@@ -810,13 +828,13 @@ class TestInstalledStateFollowsTheArrivals:
             op = rng.random()
             try:
                 if op < 0.45 or not live:
-                    controller.setup(request(pattern(rng.random() < 0.4), peak=rng.choice([1e9, 3e9, 6e9])))
+                    shape = rng.choice([PointToPoint, PointToPoint, RrhToMultiBbu, AggregationToOneBbu])
+                    controller.setup(request(pattern(shape), peak=rng.choice([1e9, 3e9, 6e9])))
                 elif op < 0.7:
                     controller.teardown(rng.choice(live))
                 elif op < 0.85:
                     session = rng.choice(live)
-                    tree = isinstance(session.request.pattern.shape, RrhToMultiBbu)
-                    controller.migrate(session, pattern(tree))
+                    controller.migrate(session, pattern(type(session.request.pattern.shape)))
                 else:
                     controller.failed_links.clear()  # the last cut is repaired
                     a = rng.randrange(5)
@@ -902,6 +920,28 @@ class TestMigrate:
         assert [c.nodes for c in session.circuits] == [(0, 1, 2), (0, 1, 3, 5)]
         assert all(controller.ledger.residual(key) >= 0 for key in controller.ledger.link_keys())
         assert not any(node == 4 for node, _ in labels_in_use(controller))
+
+    def test_ledger_holds_exactly_the_debits_after_every_migration(self):
+        # Aggregations of random peaks moved between random RRH subsets. The
+        # trunk's debit is a float sum of the legs' peaks, so a holding moved
+        # by differences (debit new - old, credit old - new) can end a
+        # rounding away from it, as it did in 57 of these 200 trials.
+        topology = build_topology(Star(leaves=(NodeKind.RRH,) * 6 + (NodeKind.BBU,), link=LinkParams(capacity=1e12)))
+        rrhs = range(1, 7)  # hub 0, bbu 7
+        rng = random.Random(0)
+
+        def aggregation():
+            return LogicalPattern(AggregationToOneBbu(tuple(sorted(rng.sample(rrhs, rng.randint(1, 6)))), 7))
+
+        for _ in range(200):
+            controller = Controller(topology)
+            session = controller.setup(request(aggregation(), peak=rng.uniform(1e6, 1e9)), name="m")
+            for _ in range(3):
+                controller.migrate(session, aggregation())
+                assert holdings_by_session(controller.ledger) == {"m": session.debits}
+                fresh = Controller(topology)
+                fresh.setup(session.request, name="m")
+                assert controller.ledger == fresh.ledger
 
     def test_granularity_must_match(self):
         controller = Controller(star4())

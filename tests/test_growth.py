@@ -2,8 +2,9 @@
 
 The world is a ring of 8 switches with 4 BBUs and n RRHs, each RRH
 holding one CBR point-to-point session to a BBU, all admitted. The
-phases are parse, build (controller and traces), sync, run, report, and
-a controller trunk cut that reroutes every session crossing it. For each
+phases are parse, build (controller and traces), sync, run, report, a
+controller trunk cut that reroutes every session crossing it, and a
+migration of every session to the next BBU round the ring. For each
 phase the test counts the calls cProfile sees into fhsim's own code at
 n = 250 and at n = 1000. Call counts repeat from run to run, unlike wall
 times, so a phase that grows faster than linearly (a scan of every
@@ -13,12 +14,14 @@ CSV writing is left out: its fhsim part is a fixed handful of calls.
 
 import cProfile
 import os
+from dataclasses import replace
 
 import fhsim
 from fhsim.engine import run
 from fhsim.metrics import assemble_report
 from fhsim.scenario import build_scenario, parse_scenario
 from fhsim.sync import ClockSource, build_sync_tree, propagate_sync
+from fhsim.topology import PointToPoint
 
 PACKAGE = os.path.dirname(fhsim.__file__) + os.sep
 SMALL, LARGE = 250, 1000
@@ -74,7 +77,19 @@ def phase_calls(n: int) -> dict[str, int]:
     trunk = (built.node_id["s0"], built.node_id["s1"])
     outcomes, calls["cut"] = counted(built.controller.reroute_on_failure, trunk)
     assert list(outcomes.values()) == ["rerouted"] * len(range(1, n, 8))
+    bbus = [built.node_id[f"b{j}"] for j in range(4)]
+    _, calls["migrate"] = counted(migrate_all, built.controller, bbus)
     return calls
+
+
+def migrate_all(controller, bbus):
+    """Move every session from its BBU to the next one round the ring."""
+    for session in list(controller.sessions.values()):
+        pattern = session.request.pattern
+        shape = pattern.shape
+        bbu = bbus[(bbus.index(shape.bbu) + 1) % len(bbus)]
+        controller.migrate(session, replace(pattern, shape=PointToPoint(shape.rrh, bbu)))
+        assert session.circuits[0].egress == bbu
 
 
 def test_every_phase_grows_linearly():

@@ -21,7 +21,9 @@ timeout if that falls strictly before the circuit's next offer and else
 that offer, with the tie it would draw if all offers were pushed up
 front, so no event goes stale; the end of a transmission only once a
 packet waits behind it; and no arrival at end equipment, which takes
-delivery at transmit start, within the transmit step itself. The handled
+delivery at transmit start, within the transmit step itself. Offers are
+made one at a time per circuit, as the run reaches them, so a run's
+memory does not grow with its length. The handled
 event stays at the heap root until the first event it schedules replaces
 it; keys are unique, so the pop order is unchanged. The transmit step and
 single-output enqueue are inline, and `_Port.pick` is the one scheduler.
@@ -438,14 +440,18 @@ def run(world: World, horizon: float) -> RunResult:
     in the world, so an identical world and horizon give an identical
     result. Labels are resolved, and every circuit the world names has
     its `CircuitStats`, before the first event; a feed, a forwarding
-    entry or an egress binding at a port with no link, an entry that
-    forwards to one, an egress binding at a switch (which relays every
+    entry or an egress binding at a port with no link, two feeds that
+    inject one label at one (node, port), an entry that forwards to a
+    port with no link, an egress binding at a switch (which relays every
     arrival, so never delivers) and one that names a session with no
     feed are refused then with a `ValueError` naming them.
 
     Events pop in (time, tie) order, and the heap holds only what can
     be due next. Offers keep the ties they would draw if all were pushed
-    up front, 0..n-1 in (circuit, subframe) order. Each circuit has one
+    up front, 0..n-1 in (circuit, subframe) order, with n counted from
+    the volumes before the first event; but they are made one at a time
+    per circuit, as the run reaches them, each circuit keeping only its
+    next offer aside for the timeout test. Each circuit has one
     event in the heap: its regulator's timeout if that falls strictly
     before the circuit's next offer, else that offer. An offer at the
     deadline pops first, having the lower tie, and schedules again; a
@@ -482,15 +488,38 @@ def run(world: World, horizon: float) -> RunResult:
                 if (node, out) not in ports:
                     raise ValueError(f"node {node}'s entry {entry} forwards to port {out}, which has no link")
             port.routes[label] = tuple((ports[(node, out)], out_label) for out, out_label in outputs)
+
+    def offers(idx: int, feed: CircuitFeed, tie: int) -> Iterator[tuple]:
+        """Circuit idx's offer events within the horizon, in time order, drawing ties from `tie` up."""
+        for sf, bits in enumerate(feed.volumes):
+            t = sf * feed.subframe_duration
+            if t > horizon:
+                return
+            if bits > EPS_BITS:
+                yield (t, tie, _OFFER, idx, bits)
+                tie += 1
+
     regulators = [Regulator(feed) for feed in world.circuits]
     sessions: dict[str, SessionRunStats] = {}
-    ingress = []  # per circuit: (ingress port, circuit stats, session stats)
-    for feed in world.circuits:
+    ingress = []  # per circuit: (ingress port, circuit stats, session stats, its offers to come)
+    injecting: dict[tuple[NodeId, int, int], CircuitFeed] = {}  # (node, port, label) -> its feed
+    n_offers = 0  # offers of the circuits so far: the first tie of the next circuit's offers
+    for idx, feed in enumerate(world.circuits):
+        name = f"{feed.session_id}/{feed.circuit_id}"
         port = ports.get(where := (feed.ingress_node, feed.ingress_port))
         if port is None:
-            raise ValueError(f"feed {feed.session_id}/{feed.circuit_id}: ingress (node, port) {where} has no link")
+            raise ValueError(f"feed {name}: ingress (node, port) {where} has no link")
+        first = injecting.setdefault((*where, feed.label), feed)
+        if first is not feed:
+            # both streams would reach one egress binding and read as one circuit
+            raise ValueError(
+                f"feeds {first.session_id}/{first.circuit_id} and {name} both inject label {feed.label}"
+                f" at (node, port) {where}"
+            )
         stats = sessions.setdefault(feed.session_id, SessionRunStats())
-        ingress.append((port, stats.circuit(feed.circuit_id), stats))
+        ingress.append((port, stats.circuit(feed.circuit_id), stats, offers(idx, feed, n_offers)))
+        step = feed.subframe_duration
+        n_offers += sum(bits > EPS_BITS for sf, bits in enumerate(feed.volumes) if sf * step <= horizon)
     unfed = {sid for sid, _ in world.egress.values()} - sessions.keys()
     if unfed:
         raise ValueError(f"egress binds sessions with no circuit feed: {sorted(unfed)}")
@@ -509,22 +538,12 @@ def run(world: World, horizon: float) -> RunResult:
     # every other event draws the next tie when it is scheduled.
     heap: list[tuple] = []
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    chains = []  # per circuit: its offer events still to come, the next one last
-    n_offers = 0
-    for idx, feed in enumerate(world.circuits):
-        offers = []
-        for sf, bits in enumerate(feed.volumes):
-            t = sf * feed.subframe_duration
-            if t > horizon:
-                break
-            if bits > EPS_BITS:
-                offers.append((t, n_offers, _OFFER, idx, bits))
-                n_offers += 1
-        offers.reverse()
-        chains.append(offers)
-    for chain in chains:
-        if chain:
-            heappush(heap, chain.pop())
+    upcoming = []  # per circuit: its offer after the one in the heap, or None
+    for *_, source in ingress:
+        head = next(source, None)
+        if head is not None:
+            heappush(heap, head)
+        upcoming.append(next(source, None))
     tie = itertools.count(n_offers).__next__
 
     def deliver(peer: _Port, pkt: FhPacket, at: float) -> None:
@@ -598,18 +617,19 @@ def run(world: World, horizon: float) -> RunResult:
                 continue
             if code != _PROC_DONE:  # _OFFER or _REG_TIMEOUT, the one event of circuit idx in the heap
                 idx = port
-                reg, chain = regulators[idx], chains[idx]
-                port, cstats, stats = ingress[idx]
+                reg, following = regulators[idx], upcoming[idx]
+                port, cstats, stats, source = ingress[idx]
                 for pkt in reg.offer(now, pkt) if code == _OFFER else reg.flush():
                     pkt.stats = cstats
                     cstats.injected += 1
                     stats.wire_bits_injected += pkt.wire_bytes * 8
                     enqueue(port, pkt, event)
                 deadline = reg.deadline()  # None after a flush
-                if deadline is not None and (not chain or deadline < chain[-1][0]):
+                if deadline is not None and (following is None or deadline < following[0]):
                     heapreplace(heap, (deadline, tie(), _REG_TIMEOUT, idx, None))
-                elif chain:
-                    heapreplace(heap, chain.pop())
+                elif following is not None:
+                    heapreplace(heap, following)
+                    upcoming[idx] = next(source, None)
                 else:
                     heappop(heap)
                 continue

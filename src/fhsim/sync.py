@@ -62,7 +62,11 @@ def build_sync_tree(topology: PhysicalTopology, sources: list[ClockSource]) -> C
     extending two branches by the same hop keeps their order, so the
     first branch to reach a node is its least, and any branch through
     the node loses to the same hop off that first one. A node settles
-    at its first pop; radio units settle but never relay.
+    at its first pop; radio units settle but never relay. No entry
+    carries its path: within one (rank, hops, source) group two paths
+    compare first by their parents' paths, and parents settle in path
+    order, so the key (rank, hops, source node, parent's settle index,
+    node) pops in path order.
     Nodes cut off from every source are reported as unsynchronized
     rather than raising.
     """
@@ -79,23 +83,25 @@ def build_sync_tree(topology: PhysicalTopology, sources: list[ClockSource]) -> C
 
     parent: dict[NodeId, tuple[NodeId, PhysLink]] = {}
     source_of: dict[NodeId, ClockSource] = {}
-    # (rank, hops, source node, path) is distinct per entry, so the
-    # source and the last link never take part in a comparison
-    heap = [(s.quality_rank, 0, s.node, (s.node,), s, None) for s in sources]
+    settled: list[NodeId] = []  # in the order they settle
+    # (rank, hops, source node, parent's settle index, node) is distinct
+    # per entry, so the source and the last link never take part in a comparison
+    heap = [(s.quality_rank, 0, s.node, -1, s.node, s, None) for s in sources]
     heapq.heapify(heap)
     while heap:
-        rank, hops, _, path, source, link = heapq.heappop(heap)
-        node = path[-1]
+        rank, hops, _, up, node, source, link = heapq.heappop(heap)
         if node in source_of:
             continue
+        index = len(settled)
+        settled.append(node)
         source_of[node] = source
         if hops:
-            parent[node] = (path[-2], link)
+            parent[node] = (settled[up], link)
             if topology.nodes[node].kind is NodeKind.RRH:
                 continue  # slave-only nodes do not redistribute timing
         for peer, peer_link in topology.neighbors(node):
             if peer not in source_of:
-                heapq.heappush(heap, (rank, hops + 1, source.node, path + (peer,), source, peer_link))
+                heapq.heappush(heap, (rank, hops + 1, source.node, index, peer, source, peer_link))
     unsynchronized = set(topology.nodes) - source_of.keys()
     return ClockTree(parent=parent, source_of=source_of, unsynchronized=unsynchronized)
 

@@ -458,6 +458,17 @@ class TestHandBuiltWorldIsChecked:
         with pytest.raises(ValueError, match=r"feed s/0: ingress \(node, port\) \(0, 5\) has no link"):
             run(rrh_switch_bbu_world(ingress_port=5), 0.1)
 
+    def test_run_refuses_two_feeds_that_inject_one_label_at_one_port(self):
+        # both streams would reach the one binding of that label: a read as all in
+        # flight and b as twice delivered, with a negative count in flight
+        feeds = [CircuitFeed(sid, 0, 0, 0, 5, 0, policy(), [8000.0] * 3, 1e-3) for sid in ("a", "b")]
+        world = World(direct_link_topo(), {}, feeds, {(1, 0, 5): ("a", 0), (1, 0, 6): ("b", 0)})
+        with pytest.raises(ValueError, match=r"feeds a/0 and b/0 both inject label 5 at \(node, port\) \(0, 0\)"):
+            run(world, 0.1)
+        feeds[1].label = 6
+        result = run(world, 0.1)
+        assert [result.sessions[sid].totals().delivered for sid in ("a", "b")] == [3, 3]
+
     def test_run_refuses_an_entry_that_forwards_to_a_port_with_no_link(self):
         with pytest.raises(ValueError, match=r"node 1's entry \(0, 7\) forwards to port 7, which has no link"):
             run(rrh_switch_bbu_world(out_port=7), 0.1)

@@ -10,18 +10,27 @@ n = 250 and at n = 1000. Call counts repeat from run to run, unlike wall
 times, so a phase that grows faster than linearly (a scan of every
 earlier entry, say) shows as a ratio well above 4 between the two sizes.
 CSV writing is left out: its fhsim part is a fixed handful of calls.
+
+Calls do not show work or memory that grows inside one call, so two
+more gates look there. The engine's peak traced memory on one CBR
+session stays flat from 200 to 2,000 subframes: a run holds what is in
+flight, not what is still to come. And the clock tree's heap entries
+stay a constant size on a 1,000-switch chain: no entry carries a path.
 """
 
 import cProfile
+import heapq
 import os
+import tracemalloc
 from dataclasses import replace
 
 import fhsim
-from fhsim.engine import run
+import fhsim.sync
+from fhsim.engine import CircuitFeed, RegulatorPolicy, SwitchState, World, run
 from fhsim.metrics import assemble_report
 from fhsim.scenario import build_scenario, parse_scenario
 from fhsim.sync import ClockSource, build_sync_tree, propagate_sync
-from fhsim.topology import PointToPoint
+from fhsim.topology import Chain, Node, NodeKind, PhysicalTopology, PhysLink, PointToPoint, build_topology
 
 PACKAGE = os.path.dirname(fhsim.__file__) + os.sep
 SMALL, LARGE = 250, 1000
@@ -96,3 +105,58 @@ def test_every_phase_grows_linearly():
     small, large = phase_calls(SMALL), phase_calls(LARGE)
     ratios = {phase: round(large[phase] / small[phase], 2) for phase in small}
     assert all(ratio <= MAX_RATIO for ratio in ratios.values()), (ratios, small, large)
+
+
+def cbr_world(subframes: int) -> World:
+    """r1 - s1 - b1, one session offering one 500-byte frame every 1 ms subframe."""
+    nodes = [Node(0, NodeKind.RRH, 1, "r1"), Node(1, NodeKind.FH_SWITCH, 2, "s1"), Node(2, NodeKind.BBU, 1, "b1")]
+    links = [PhysLink(0, 0, 1, 0, 1e9, 1e-5), PhysLink(1, 1, 2, 0, 1e9, 1e-5)]
+    switch = SwitchState()
+    switch.install(0, 1, ((1, 1),))
+    feed = CircuitFeed("f", 0, 0, 0, 1, 0, RegulatorPolicy(500, 1e-3), [500 * 8.0] * subframes, 1e-3)
+    return World(PhysicalTopology(nodes, links), {1: switch}, [feed], {(2, 0, 1): ("f", 0)})
+
+
+def run_peak_bytes(subframes: int) -> int:
+    """The peak traced memory of `run` on `cbr_world(subframes)`, its input built beforehand."""
+    world = cbr_world(subframes)
+    tracemalloc.start()
+    try:
+        result = run(world, subframes * 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.total().delivered == subframes
+    return peak
+
+
+def test_engine_memory_does_not_grow_with_the_run():
+    # building every offer before the first event read 77 KB at 200
+    # subframes and 317 KB at 2,000 (ratio 4.1)
+    small, large = run_peak_bytes(200), run_peak_bytes(2000)
+    assert large / small <= 1.2, (small, large)
+
+
+def test_clock_tree_heap_entries_stay_small_on_a_deep_chain(monkeypatch):
+    entries = []
+
+    class RecordingHeapq:
+        @staticmethod
+        def heapify(heap):
+            entries.extend(heap)
+            heapq.heapify(heap)
+
+        @staticmethod
+        def heappush(heap, item):
+            entries.append(item)
+            heapq.heappush(heap, item)
+
+        heappop = staticmethod(heapq.heappop)
+
+    monkeypatch.setattr(fhsim.sync, "heapq", RecordingHeapq)
+    # switches 0..999 in a line, the source at 999 and an RRH (node 1000) at 0
+    tree = build_sync_tree(build_topology(Chain(1000, ((0, NodeKind.RRH),))), [ClockSource(999)])
+    assert not tree.unsynchronized and tree.parent[1000][0] == 0
+    assert len(entries) == 1001  # the source, then each node once, from its one upstream neighbour
+    # a path tuple would reach 1,001 nodes here
+    assert max(len(part) for entry in entries for part in (entry, *entry) if isinstance(part, tuple)) <= 8

@@ -73,6 +73,7 @@ from .traffic import (
     generate_trace,
     peak_rate,
     scheme_name,
+    trace_rows,
     write_trace_csv,
 )
 

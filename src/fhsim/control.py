@@ -220,45 +220,79 @@ def compute_path(
     credits it grants. The path is refused only when its fixed latency
     exceeds latency_bound; queueing delay is not budgeted. Ties between
     equal-latency paths break lexicographically on the node sequence.
-    Link costs come from `topology.hop_rows(frame_wire_bytes)`, built
-    once per topology and frame size, so a relaxation only reads the
-    residual and the processing delay. Raises Infeasible naming the
-    binding constraint.
+    The search keeps one cost and one parent per node, and holds no path
+    in its heap; only when two float costs to a node tie exactly does it
+    walk both paths back to compare them. A settled node relaxes its
+    relaying peers from `topology.relay_rows(frame_wire_bytes)`, and the
+    destination is entered from its own rows of `topology.hop_rows`,
+    so end equipment attached to a switch costs nothing per visit. The
+    rows are built once per topology and frame size, so a relaxation only
+    reads the residual and the processing delay. Raises Infeasible naming
+    the binding constraint.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
-    rows = topology.hop_rows(frame_wire_bytes)
+    rows = topology.relay_rows(frame_wire_bytes)
+    # the last hop: from each peer of dst, over its link, with no processing at dst
+    into_dst = {peer: (key, hop) for peer, key, hop, _ in topology.hop_rows(frame_wire_bytes)[dst]}
 
-    best: dict[NodeId, tuple[float, tuple[NodeId, ...]]] = {src: (0.0, (src,))}
-    heap: list[tuple[float, tuple[NodeId, ...], NodeId]] = [(0.0, (src,), src)]
+    best: dict[NodeId, float] = {src: 0.0}
+    parent: dict[NodeId, NodeId | None] = {src: None}
+    heap: list[tuple[float, NodeId]] = [(0.0, src)]
     while heap:
-        cost, path, node = heapq.heappop(heap)
-        if best.get(node) != (cost, path):
-            continue
+        cost, node = heapq.heappop(heap)
+        if cost != best[node]:
+            continue  # superseded by a cheaper entry
         if node == dst:
             break
-        for peer, key, hop, relays in rows[node]:
-            if peer != dst:
-                if not relays:
-                    continue  # end equipment cannot relay payload
-                hop += header_processing_delay
-            if residual_of(key) < peak_rate:
+        for peer, key, hop in rows[node]:
+            if peer == dst or residual_of(key) < peak_rate:
                 continue
-            cand = (cost + hop, path + (peer,))
-            if peer not in best or cand < best[peer]:
-                best[peer] = cand
-                heapq.heappush(heap, (cand[0], cand[1], peer))
+            cand = cost + (hop + header_processing_delay)
+            old = best.get(peer)
+            if old is None or cand < old:
+                best[peer], parent[peer] = cand, node
+                heapq.heappush(heap, (cand, peer))
+            elif cand == old and _smaller_through(parent, node, peer):
+                parent[peer] = node
+        last = into_dst.get(node)
+        if last is not None and residual_of(last[0]) >= peak_rate:
+            cand = cost + last[1]
+            old = best.get(dst)
+            if old is None or cand < old:
+                best[dst], parent[dst] = cand, node
+                heapq.heappush(heap, (cand, dst))
+            elif cand == old and _smaller_through(parent, node, dst):
+                parent[dst] = node
 
-    hit = best.get(dst)
-    if hit is None:
+    cost = best.get(dst)
+    if cost is None:
         raise Infeasible(NO_BANDWIDTH, f"no path with {peak_rate:g} bits/s from {src} to {dst}")
-    cost, path = hit
     if cost > latency_bound:
         raise Infeasible(
             LATENCY_UNREACHABLE,
             f"best fixed latency {cost:g}s exceeds bound {latency_bound:g}s",
         )
-    return path, cost
+    return _path(parent, dst), cost
+
+
+def _path(parent: dict[NodeId, NodeId | None], node: NodeId | None) -> tuple[NodeId, ...]:
+    """The path to `node`, read back along the parent pointers to the source."""
+    out = []
+    while node is not None:
+        out.append(node)
+        node = parent[node]
+    return tuple(reversed(out))
+
+
+def _smaller_through(parent: dict[NodeId, NodeId | None], via: NodeId, node: NodeId) -> bool:
+    """Whether reaching `node` through `via` makes a lexicographically smaller path than its parent's.
+
+    Called only when the two costs tie exactly. A float sum that absorbs
+    a hop could tie a node with its own descendant, which never wins.
+    """
+    mine = _path(parent, via)
+    return node not in mine and (*mine, node) < (*_path(parent, parent[node]), node)
 
 
 class _LabelPool:

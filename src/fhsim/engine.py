@@ -18,12 +18,13 @@ traces; given the same world and horizon the run is reproducible event
 for event, with ties at equal time broken by scheduling order. The heap
 holds only what can be due next: one event per circuit, its regulator's
 timeout if that falls strictly before the circuit's next offer and else
-that offer, with the tie it would draw if all offers were pushed up
-front, so no event goes stale; the end of a transmission only once a
-packet waits behind it; and no arrival at end equipment, which takes
-delivery at transmit start, within the transmit step itself. Offers are
-made one at a time per circuit, as the run reaches them, so a run's
-memory does not grow with its length. The handled
+that offer, with a tie fixed by the feed lengths alone, so no event goes
+stale; the end of a transmission only once a packet waits behind it;
+and no arrival at end equipment, which takes delivery at transmit start,
+within the transmit step itself. Offers are made one at a time per
+circuit, and a feed's volumes are read only as the run reaches them, so
+a run's memory does not grow with its length and a feed may be a lazy
+sequence that is still being produced while the run goes on. The handled
 event stays at the heap root until the first event it schedules replaces
 it; keys are unique, so the pop order is unchanged. The transmit step and
 single-output enqueue are inline, and `_Port.pick` is the one scheduler.
@@ -49,7 +50,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -152,7 +153,9 @@ class CircuitFeed:
     label: int
     latency_class: int
     policy: RegulatorPolicy
-    volumes: list[float]  # bits offered per subframe
+    # bits offered per subframe: a list is checked here; any other sequence
+    # is read only as the run reaches it and must itself hold finite values
+    volumes: Sequence[float]
     subframe_duration: float
 
     def __post_init__(self) -> None:
@@ -160,7 +163,7 @@ class CircuitFeed:
             raise ValueError(f"label out of range: {self.label}")
         if not 0 <= self.latency_class <= MAX_LATENCY_CLASS:
             raise ValueError(f"latency_class out of range: {self.latency_class}")
-        if not all(map(math.isfinite, self.volumes)):
+        if isinstance(self.volumes, list) and not all(map(math.isfinite, self.volumes)):
             raise ValueError("volumes must be finite")
         if not 0 <= self.subframe_duration < math.inf:  # offers come in time order
             raise ValueError("subframe_duration must be finite and >= 0")
@@ -447,11 +450,17 @@ def run(world: World, horizon: float) -> RunResult:
     feed are refused then with a `ValueError` naming them.
 
     Events pop in (time, tie) order, and the heap holds only what can
-    be due next. Offers keep the ties they would draw if all were pushed
-    up front, 0..n-1 in (circuit, subframe) order, with n counted from
-    the volumes before the first event; but they are made one at a time
-    per circuit, as the run reaches them, each circuit keeping only its
-    next offer aside for the timeout test. Each circuit has one
+    be due next. Offer ties come from the feed lengths: circuit c's
+    offer at subframe sf takes tie L_c + sf, where L_c is the summed
+    lengths of the earlier feeds, and every other event draws the next
+    tie from the total length up, when it is scheduled. That is the
+    order of pushing every offer up front in (circuit, subframe) order,
+    found without reading a volume. Offers are made one at a time per
+    circuit, as the run reaches them: a volume is read when the offer
+    before it is handled (the first one before the first event), and
+    waits aside while a timeout that falls before it is in the heap.
+    So `feed.volumes` is read in order, by index and `len` only, and
+    never past what the horizon needs. Each circuit has one
     event in the heap: its regulator's timeout if that falls strictly
     before the circuit's next offer, else that offer. An offer at the
     deadline pops first, having the lower tie, and schedules again; a
@@ -489,21 +498,22 @@ def run(world: World, horizon: float) -> RunResult:
                     raise ValueError(f"node {node}'s entry {entry} forwards to port {out}, which has no link")
             port.routes[label] = tuple((ports[(node, out)], out_label) for out, out_label in outputs)
 
-    def offers(idx: int, feed: CircuitFeed, tie: int) -> Iterator[tuple]:
-        """Circuit idx's offer events within the horizon, in time order, drawing ties from `tie` up."""
-        for sf, bits in enumerate(feed.volumes):
-            t = sf * feed.subframe_duration
+    def offers(idx: int, feed: CircuitFeed, first_tie: int) -> Iterator[tuple]:
+        """Circuit idx's offer events within the horizon, in time order; subframe sf's takes tie first_tie + sf."""
+        volumes, step = feed.volumes, feed.subframe_duration
+        for sf in range(len(volumes)):
+            t = sf * step
             if t > horizon:
                 return
+            bits = volumes[sf]
             if bits > EPS_BITS:
-                yield (t, tie, _OFFER, idx, bits)
-                tie += 1
+                yield (t, first_tie + sf, _OFFER, idx, bits)
 
     regulators = [Regulator(feed) for feed in world.circuits]
     sessions: dict[str, SessionRunStats] = {}
     ingress = []  # per circuit: (ingress port, circuit stats, session stats, its offers to come)
     injecting: dict[tuple[NodeId, int, int], CircuitFeed] = {}  # (node, port, label) -> its feed
-    n_offers = 0  # offers of the circuits so far: the first tie of the next circuit's offers
+    n_subframes = 0  # lengths of the feeds so far: the tie of the next feed's subframe 0
     for idx, feed in enumerate(world.circuits):
         name = f"{feed.session_id}/{feed.circuit_id}"
         port = ports.get(where := (feed.ingress_node, feed.ingress_port))
@@ -517,9 +527,8 @@ def run(world: World, horizon: float) -> RunResult:
                 f" at (node, port) {where}"
             )
         stats = sessions.setdefault(feed.session_id, SessionRunStats())
-        ingress.append((port, stats.circuit(feed.circuit_id), stats, offers(idx, feed, n_offers)))
-        step = feed.subframe_duration
-        n_offers += sum(bits > EPS_BITS for sf, bits in enumerate(feed.volumes) if sf * step <= horizon)
+        ingress.append((port, stats.circuit(feed.circuit_id), stats, offers(idx, feed, n_subframes)))
+        n_subframes += len(feed.volumes)
     unfed = {sid for sid, _ in world.egress.values()} - sessions.keys()
     if unfed:
         raise ValueError(f"egress binds sessions with no circuit feed: {sorted(unfed)}")
@@ -534,17 +543,17 @@ def run(world: World, horizon: float) -> RunResult:
         # [session stats, circuit stats, last seq, latency counts] of the circuit ending here
         port.egress[label] = [stats, stats.circuit(cid), None, stats.latencies.counts]
 
-    # Events are (time, tie, code, a, b); offers take ties 0..n-1 and
-    # every other event draws the next tie when it is scheduled.
+    # Events are (time, tie, code, a, b); offers take ties below
+    # n_subframes and every other event draws the next tie when it is
+    # scheduled.
     heap: list[tuple] = []
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    upcoming = []  # per circuit: its offer after the one in the heap, or None
     for *_, source in ingress:
         head = next(source, None)
         if head is not None:
             heappush(heap, head)
-        upcoming.append(next(source, None))
-    tie = itertools.count(n_offers).__next__
+    upcoming: list[tuple | None] = [None] * len(ingress)  # per circuit: its next offer, behind its timeout
+    tie = itertools.count(n_subframes).__next__
 
     def deliver(peer: _Port, pkt: FhPacket, at: float) -> None:
         """End equipment takes delivery at transmit start, stamped with the arrival time."""
@@ -617,9 +626,15 @@ def run(world: World, horizon: float) -> RunResult:
                 continue
             if code != _PROC_DONE:  # _OFFER or _REG_TIMEOUT, the one event of circuit idx in the heap
                 idx = port
-                reg, following = regulators[idx], upcoming[idx]
+                reg = regulators[idx]
                 port, cstats, stats, source = ingress[idx]
-                for pkt in reg.offer(now, pkt) if code == _OFFER else reg.flush():
+                if code == _OFFER:
+                    emitted = reg.offer(now, pkt)
+                    following = next(source, None)  # its volume is read only now
+                else:
+                    following = upcoming[idx]
+                    emitted = reg.flush()
+                for pkt in emitted:
                     pkt.stats = cstats
                     cstats.injected += 1
                     stats.wire_bits_injected += pkt.wire_bytes * 8
@@ -627,9 +642,9 @@ def run(world: World, horizon: float) -> RunResult:
                 deadline = reg.deadline()  # None after a flush
                 if deadline is not None and (following is None or deadline < following[0]):
                     heapreplace(heap, (deadline, tie(), _REG_TIMEOUT, idx, None))
+                    upcoming[idx] = following
                 elif following is not None:
                     heapreplace(heap, following)
-                    upcoming[idx] = next(source, None)
                 else:
                     heappop(heap)
                 continue

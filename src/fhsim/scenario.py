@@ -41,6 +41,10 @@ ScenarioError naming the offending line, before run_scenario writes any
 file; so do bad seed and subframes overrides and sweep sizes, at line 0.
 ScenarioError is the only exception bad input raises. Parsing a
 rendered scenario yields an equal Scenario value.
+
+run_scenario streams the cell traces into the run (see CellTraces), so
+a bad trace value is refused during the run or just after it, and
+every file is written after the run.
 """
 
 from __future__ import annotations
@@ -48,7 +52,11 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Iterator, Sequence
+from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 from .control import Controller, Infeasible, SessionRequest
@@ -61,7 +69,7 @@ from .engine import (
     World,
     run,
 )
-from .fanout import fan_out
+from .fanout import Producer
 from .metrics import assemble_report, check_sweep_sizes, overhead_sweep, write_report_csvs, write_sweep_csv
 from .sync import ClockSource, build_sync_tree, propagate_sync, write_sync_csv
 from .topology import (
@@ -88,9 +96,11 @@ from .traffic import (
     SplitScheme,
     TrafficTrace,
     UeProfile,
+    check_columns,
     constant_trace,
-    generate_trace,
+    generate_trace,  # noqa: F401  (unused here; perfbench's traced runs wrap this name)
     scheme_name,
+    trace_rows,
     write_trace_csv,
 )
 
@@ -636,15 +646,137 @@ class BuiltScenario:
     node_id: dict[str, int]
     controller: Controller
     world: World
-    traces: dict[str, TrafficTrace]  # per cell node name
+    traces: dict[str, TrafficTrace]  # per cell node name, complete once its CellTraces is drained
     bounds: dict[str, float]
     infeasible: list[tuple[str, str]]  # (session name, cause)
+
+
+_BLOCK = 64  # subframes per block of cell traces
+
+
+class CellTraces:
+    """Every cell's trace, made subframe-major in checked blocks, read only as far as it is needed.
+
+    Each cell's rows come from its own `trace_rows` generator, seeded
+    `seed + declaration index`, so every trace is the same, bit for bit,
+    whatever reads it and whenever. A block holds `_BLOCK` subframes of
+    every cell, and it is checked before anything reads it: cell by
+    cell in declaration order, by `TrafficTrace`'s rule (a failure there,
+    or an exception making the rows, is a ScenarioError at the cell's
+    line); then session by session in declaration order, against the
+    peak each trace session reserves (at the session's line). So when
+    several trace values are bad, the first bad block is reported, and
+    within it the first in that order.
+
+    `volumes(node)` is a cell's volume column as a lazy sequence of the
+    trace's length: reading past what is made pulls the next block.
+    `drain()` pulls the rest and returns every trace whole. With
+    `fork`, a `Producer` makes the blocks in a forked child, where one
+    can run on a CPU of its own, ahead of the reader, and the owner
+    must `close()` it on every path. Otherwise the blocks are made
+    in-process, as they are pulled.
+    """
+
+    def __init__(self, scenario: Scenario, engine: EngineSpec, fork: bool):
+        self.length = engine.subframes
+        self._cells = scenario.cells
+        self._index = {cell.node: k for k, cell in enumerate(scenario.cells)}
+        self._columns: list[tuple[list, list, list]] = [([], [], []) for _ in scenario.cells]
+        blocks = partial(_trace_blocks, scenario, engine)
+        self._blocks = Producer(blocks) if fork and scenario.cells else blocks()
+        self.traces: dict[str, TrafficTrace] = {}  # filled by drain()
+
+    def volumes(self, node: str) -> Sequence[float]:
+        return _Volumes(self, self._columns[self._index[node]][0])
+
+    def pull(self) -> None:
+        """Append the next block to every cell's columns."""
+        for columns, block in zip(self._columns, next(self._blocks)):
+            for column, part in zip(columns, block):
+                column.extend(part)
+
+    def drain(self) -> dict[str, TrafficTrace]:
+        """Pull every block left and return each cell's whole trace, by node name."""
+        while self._columns and len(self._columns[0][0]) < self.length:
+            self.pull()
+        self.close()
+        for cell, (volumes, prbs, control_res) in zip(self._cells, self._columns):
+            self.traces[cell.node] = TrafficTrace(cell.cell, cell.scheme, volumes, prbs, control_res)
+        return self.traces
+
+    def close(self) -> None:
+        """End the making of blocks: the producer's child, if there is one, is killed and reaped."""
+        self._blocks.close()
+
+
+class _Volumes(Sequence):
+    """One cell's volume column, pulled from its CellTraces block by block as it is read."""
+
+    def __init__(self, cells: CellTraces, values: list):
+        self._cells, self._values = cells, values
+
+    def __len__(self) -> int:
+        return self._cells.length
+
+    def __getitem__(self, sf: int) -> float:
+        if not 0 <= sf < self._cells.length:
+            raise IndexError(sf)
+        while sf >= len(self._values):
+            self._cells.pull()
+        return self._values[sf]
+
+
+def _trace_blocks(scenario: Scenario, engine: EngineSpec) -> Iterator[list[tuple[list, list, list]]]:
+    """Every cell's trace columns, `_BLOCK` subframes at a time, each block checked as CellTraces states."""
+    made = []
+    for index, cell in enumerate(scenario.cells):
+        profiles = [cell.ues.profile()] * cell.ues.count
+        with _At(cell.line):
+            rows = trace_rows(cell.cell, cell.scheme, profiles, cell.control, engine.subframes, engine.seed + index)
+        made.append(rows)
+    at = {cell.node: k for k, cell in enumerate(scenario.cells)}
+    peaks = [
+        (spec.line, src, at[src], spec.peak_rate * scenario.cells[at[src]].cell.subframe_duration)
+        for spec in scenario.sessions
+        if spec.traffic == "trace"
+        for src in spec.srcs
+    ]
+    for first in range(0, engine.subframes, _BLOCK):
+        block = []
+        for cell, rows in zip(scenario.cells, made):
+            with _At(cell.line):
+                columns = tuple(map(list, zip(*islice(rows, _BLOCK))))
+                check_columns(*columns)
+            block.append(columns)
+        # a trace may not offer more than the peak the session reserves
+        for line, src, k, limit in peaks:
+            volumes = block[k][0]
+            if max(volumes) > limit:
+                sf = next(sf for sf, bits in enumerate(volumes) if bits > limit)
+                raise ScenarioError(
+                    line,
+                    f"trace at {src!r} offers {volumes[sf]:g} bits in subframe {first + sf},"
+                    f" above peak x subframe = {limit:g}",
+                )
+        yield block
+
+
+def _engine_spec(scenario: Scenario, seed: int | None, subframes: int | None) -> EngineSpec:
+    """The scenario's engine settings with the overrides given, each read as its line would be, at line 0."""
+    engine_spec = scenario.engine
+    for key, value in {"seed": seed, "subframes": subframes}.items():
+        if value is not None:
+            with _At(0, key):  # str() refuses an int of more than 4,300 digits
+                engine_spec = _SETTINGS["engine"].set(0, engine_spec, key, str(value))
+    return engine_spec
 
 
 def build_scenario(
     scenario: Scenario,
     seed: int | None = None,
     subframes: int | None = None,
+    *,
+    traces: CellTraces | None = None,
 ) -> BuiltScenario:
     """Materialize topology, control state, traces, and the engine world.
 
@@ -652,16 +784,15 @@ def build_scenario(
     is read as its `[engine]` line would be, and a bad one raises
     ScenarioError at line 0. A value the built objects reject raises
     ScenarioError at its line.
-    Each cell's trace is seeded on its own (seed + declaration index),
-    so the traces are generated through `fan_out` on every usable CPU;
-    they are the same, bit for bit, as one serial loop would make, and
-    the first failing cell in declaration order is the one reported.
+    The cells' traces come from `traces`, which run_scenario streams
+    into the run; by default build_scenario makes them itself, in one
+    process, and drains them before it returns, so it returns every trace
+    complete and leaves no child process. The world's trace feeds read
+    their volumes from those CellTraces, and a bad trace value raises
+    ScenarioError where it is pulled (see CellTraces), after every
+    error of the lines read here.
     """
-    engine_spec = scenario.engine
-    for key, value in {"seed": seed, "subframes": subframes}.items():
-        if value is not None:
-            with _At(0, key):  # str() refuses an int of more than 4,300 digits
-                engine_spec = _SETTINGS["engine"].set(0, engine_spec, key, str(value))
+    engine_spec = _engine_spec(scenario, seed, subframes)
 
     node_id = {spec.name: index for index, spec in enumerate(scenario.nodes)}
     linked = {end for spec in scenario.links for end in (spec.a, spec.b)}
@@ -675,36 +806,13 @@ def build_scenario(
         )
 
     controller = Controller(topology, engine_spec.switch_config())
-
-    # Traffic traces, one per cell, each seeded by its declaration index,
-    # so they do not depend on each other and fan out over the CPUs.
-    def cell_trace(index: int) -> TrafficTrace:
-        cell = scenario.cells[index]
-        profiles = [cell.ues.profile()] * cell.ues.count
-        with _At(cell.line):
-            return generate_trace(
-                cell.cell, cell.scheme, profiles, cell.control, engine_spec.subframes, engine_spec.seed + index
-            )
-
-    nodes = [cell.node for cell in scenario.cells]
-    traces = dict(zip(nodes, fan_out(cell_trace, list(range(len(nodes))))))
+    cells = CellTraces(scenario, engine_spec, fork=False) if traces is None else traces
 
     infeasible: list[tuple[str, str]] = []
     bounds: dict[str, float] = {}
     feeds: list[CircuitFeed] = []
     radios = {c.node: c.cell for c in scenario.cells}
     for spec in scenario.sessions:
-        if spec.traffic == "trace":
-            # a trace may not offer more than the peak the session reserves
-            for src in spec.srcs:
-                trace = traces[src]
-                offered, limit = max(trace.volumes), spec.peak_rate * trace.cell.subframe_duration
-                if offered > limit:
-                    raise ScenarioError(
-                        spec.line,
-                        f"trace at {src!r} offers up to {offered:g} bits a subframe,"
-                        f" above peak x subframe = {limit:g}",
-                    )
         srcs = tuple(node_id[s] for s in spec.srcs)
         dsts = tuple(node_id[d] for d in spec.dsts)
         with _At(spec.line):
@@ -733,12 +841,12 @@ def build_scenario(
                 ingress.setdefault((circuit.ingress, circuit.ingress_port, circuit.ingress_label), circuit)
             for circuit in ingress.values():
                 src_name = scenario.nodes[circuit.ingress].name
+                radio = radios.get(src_name, CellConfig())
                 if spec.traffic == "cbr":
-                    radio = radios.get(src_name, CellConfig())
                     scheme = spec.scheme or ClassicalIQ()
-                    trace = constant_trace(radio, scheme, spec.cbr_rate, engine_spec.subframes)
+                    volumes = constant_trace(radio, scheme, spec.cbr_rate, engine_spec.subframes).volumes
                 else:
-                    trace = traces[src_name]
+                    volumes = cells.volumes(src_name)
                 feeds.append(
                     CircuitFeed(
                         session_id=session.id,
@@ -748,8 +856,8 @@ def build_scenario(
                         label=circuit.ingress_label,
                         latency_class=spec.latency_class,
                         policy=policy,
-                        volumes=trace.volumes,
-                        subframe_duration=trace.cell.subframe_duration,
+                        volumes=volumes,
+                        subframe_duration=radio.subframe_duration,
                     )
                 )
 
@@ -760,12 +868,14 @@ def build_scenario(
         egress=dict(controller.egress),
         config=controller.config,
     )
+    if traces is None:
+        cells.drain()
     return BuiltScenario(
         scenario=replace(scenario, engine=engine_spec),
         node_id=node_id,
         controller=controller,
         world=world,
-        traces=traces,
+        traces=cells.traces,
         bounds=bounds,
         infeasible=infeasible,
     )
@@ -788,19 +898,19 @@ def run_scenario(
     """
     with _At(0, "sweep"):
         check_sweep_sizes(sweep or [])
-    built = build_scenario(scenario, seed=seed, subframes=subframes)
-    os.makedirs(out_dir, exist_ok=True)
-
+    with closing(CellTraces(scenario, _engine_spec(scenario, seed, subframes), fork=True)) as cells:
+        built = build_scenario(scenario, seed=seed, subframes=subframes, traces=cells)
+        horizon = built.scenario.engine.horizon
+        result = run(built.world, horizon)
+        traces = cells.drain()
     sources = [ClockSource(built.node_id[s.node], s.quality, s.offset_ppb) for s in scenario.sources]
     tree = build_sync_tree(built.world.topology, sources)
     status = propagate_sync(tree, built.world.topology, scenario.regen_factor)
+
+    os.makedirs(out_dir, exist_ok=True)
     write_sync_csv(tree, status, os.path.join(out_dir, "sync.csv"))
-
-    for node_name, trace in built.traces.items():
+    for node_name, trace in traces.items():
         write_trace_csv(trace, os.path.join(out_dir, f"trace_{node_name}.csv"))
-
-    horizon = built.scenario.engine.horizon
-    result = run(built.world, horizon)
     report = assemble_report(result, built.bounds)
     write_report_csvs(report, out_dir)
     built.controller.write_log_csv(os.path.join(out_dir, "control_log.csv"))

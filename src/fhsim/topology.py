@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 NodeId = int
 HopRow = tuple[NodeId, tuple[NodeId, NodeId], float, bool]  # (peer, link key, hop cost, peer relays)
+RelayRow = tuple[NodeId, tuple[NodeId, NodeId], float]  # (peer, link key, hop cost) of a peer that relays
 
 
 class NodeKind(Enum):
@@ -134,6 +135,7 @@ class PhysicalTopology:
             self._adjacency[link.node_a].append(link)
             self._adjacency[link.node_b].append(link)
         self._hop_rows: dict[int, dict[NodeId, tuple[HopRow, ...]]] = {}
+        self._relay_rows: dict[int, dict[NodeId, tuple[RelayRow, ...]]] = {}
 
     def _check_connected(self) -> None:
         start = next(iter(self.nodes))
@@ -176,6 +178,16 @@ class PhysicalTopology:
                     for peer, link in self.neighbors(node)
                 )
                 for node in self.nodes
+            }
+        return rows
+
+    def relay_rows(self, frame_wire_bytes: int) -> dict[NodeId, tuple[RelayRow, ...]]:
+        """Per node, its `hop_rows` whose peer relays payload, as (peer, link key, hop cost); cached the same way."""
+        rows = self._relay_rows.get(frame_wire_bytes)
+        if rows is None:
+            rows = self._relay_rows[frame_wire_bytes] = {
+                node: tuple((peer, key, hop) for peer, key, hop, relays in hops if relays)
+                for node, hops in self.hop_rows(frame_wire_bytes).items()
             }
         return rows
 

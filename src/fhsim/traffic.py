@@ -11,13 +11,15 @@ Volume per subframe depends on where the processing chain is cut:
   orders of magnitude below classical I/Q at full load;
 * PDU level: transport-block bits after rate matching (code rate applied).
 
-One seeded generator, `generate_trace`, produces multi-subframe traces
-with two-state on/off user activity, a reflected random walk over the
-MCS table, round-robin resource-block scheduling, and periodic control
-(PDCCH every subframe, PRACH bursts at a fixed period). The round-robin
-grants are computed in closed form, per active user rather than per PRB,
-and each subframe's volume comes straight from its grants and MCS
-entries through the scheme's one volume formula, picked once per trace.
+One seeded row generator, `trace_rows`, makes a multi-subframe trace a
+subframe at a time, as its rows are read, and `generate_trace` collects
+them. A trace has two-state on/off user activity, a reflected random
+walk over the MCS table, round-robin resource-block scheduling, and
+periodic control (PDCCH every subframe, PRACH bursts at a fixed
+period). The round-robin grants are computed in closed form, per active
+user rather than per PRB, and each subframe's volume comes straight
+from its grants and MCS entries through the scheme's one volume
+formula, picked once per trace.
 A trace keeps three per-subframe columns (volume, granted PRBs, control
 resource elements); no per-user record is made.
 """
@@ -28,6 +30,7 @@ import csv
 import math
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -208,17 +211,22 @@ class TrafficTrace:
     control_res: list[int]  # control resource elements per subframe
 
     def __post_init__(self) -> None:
-        if not len(self.volumes) == len(self.prbs) == len(self.control_res):
-            raise ValueError("volumes, prbs and control_res must have equal length")
-        for name in ("volumes", "prbs", "control_res"):
-            if any(not 0 <= v <= _FLOAT_MAX for v in getattr(self, name)):  # NaN fails too
-                raise ValueError(f"{name} must be >= 0 and fit in a float")
+        check_columns(self.volumes, self.prbs, self.control_res)
 
     def mean_rate(self) -> float:
         """Average offered rate in bits/s over the trace."""
         if not self.volumes:
             return 0.0
         return sum(self.volumes) / (len(self.volumes) * self.cell.subframe_duration)
+
+
+def check_columns(volumes: list[float], prbs: list[int], control_res: list[int]) -> None:
+    """The rule of `TrafficTrace`'s columns: equal lengths, every value >= 0 and within a float."""
+    if not len(volumes) == len(prbs) == len(control_res):
+        raise ValueError("volumes, prbs and control_res must have equal length")
+    for name, column in (("volumes", volumes), ("prbs", prbs), ("control_res", control_res)):
+        if any(not 0 <= v <= _FLOAT_MAX for v in column):  # NaN fails too
+            raise ValueError(f"{name} must be >= 0 and fit in a float")
 
 
 def _volume_formula(scheme: SplitScheme, cell: CellConfig) -> Callable[..., float]:
@@ -335,15 +343,15 @@ def _mcs_step(getrandbits: Callable[[int], int]) -> int:
     return k + k - 1
 
 
-def generate_trace(
+def trace_rows(
     cell: CellConfig,
     scheme: SplitScheme,
     profiles: list[UeProfile],
     control_schedule: ControlSchedule,
     n_subframes: int,
     seed: int,
-) -> TrafficTrace:
-    """Generate a deterministic multi-subframe traffic trace.
+) -> Iterator[tuple[float, int, int]]:
+    """A deterministic trace's rows, one (volume, granted PRBs, control REs) per subframe.
 
     Per subframe every user advances its activity and MCS processes, whole
     PRBs are granted round-robin among active users up to their demand,
@@ -351,8 +359,9 @@ def generate_trace(
     position in `profiles`, so one profile may stand for many. The grants
     are computed in closed form (`_round_robin_grants`), so a subframe
     costs work per active user, not per PRB granted, and its volume comes
-    straight from them through the scheme's one volume formula. The same
-    seed always yields the identical trace.
+    straight from them through the scheme's one volume formula. Rows are
+    made as they are read; the same seed always yields the identical rows.
+    Bad arguments raise ValueError at the first read.
     """
     if n_subframes < 1:
         raise ValueError("n_subframes must be >= 1")
@@ -373,9 +382,6 @@ def generate_trace(
     n_prb, pdcch = cell.n_prb, control_schedule.pdcch_res_per_subframe
     prach_res, prach_period = control_schedule.prach_res, control_schedule.prach_period
 
-    volumes: list[float] = []
-    prbs: list[int] = []
-    control_res: list[int] = []
     for sf in range(n_subframes):
         active = []  # ascending user index
         for i, p_off, p_on, step_prob in users:
@@ -395,9 +401,20 @@ def generate_trace(
         grants = _round_robin_grants([demand[i] for i in active], n_prb, sf % len(active)) if active else []
         control = pdcch + prach_res if prach_res and sf % prach_period == 0 else pdcch
         total = sum(grants)
-        volumes.append(volume(total, control, grants, [table[mcs_idx[i]] for i in active]))
-        prbs.append(total)
-        control_res.append(control)
+        yield volume(total, control, grants, [table[mcs_idx[i]] for i in active]), total, control
+
+
+def generate_trace(
+    cell: CellConfig,
+    scheme: SplitScheme,
+    profiles: list[UeProfile],
+    control_schedule: ControlSchedule,
+    n_subframes: int,
+    seed: int,
+) -> TrafficTrace:
+    """The whole trace of `trace_rows`, collected into its three columns."""
+    rows = trace_rows(cell, scheme, profiles, control_schedule, n_subframes, seed)
+    volumes, prbs, control_res = map(list, zip(*rows))
     return TrafficTrace(cell, scheme, volumes, prbs, control_res)
 
 

@@ -25,6 +25,20 @@ def bundled_runs():
     return runs
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made from now on, one entry each."""
+    made = []
+    real = os.fork
+
+    def counted():
+        made.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process running or unreaped."""
@@ -34,3 +48,16 @@ def no_child_process_left():
     except ChildProcessError:
         return  # no child at all
     pytest.fail(f"the test left a child process behind ({f'pid {pid}, exited' if pid else 'still running'})")
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Fail a test that leaves a file descriptor open, such as a pipe end of a forked child."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield  # no way to list this process's descriptors here
+        return
+    before = set(os.listdir("/proc/self/fd"))
+    yield
+    left = sorted(set(os.listdir("/proc/self/fd")) - before, key=int)
+    if left:
+        pytest.fail(f"the test left file descriptors open: {left}")

@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from fhsim.engine import (
     _Port,
     run,
 )
+import fhsim.engine
 from fhsim.metrics import assemble_report
 from fhsim.packet import MAX_LABEL
 from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
@@ -379,6 +381,43 @@ class TestRun:
         assert [p.__dict__ for p in r1.ports] == [p.__dict__ for p in r2.ports]
         assert r1.sessions["s"].latencies.counts == r2.sessions["s"].latencies.counts
         assert r1.total() == r2.total()
+
+
+class RecordedVolumes(Sequence):
+    """A feed's volumes that record the highest index read."""
+
+    def __init__(self, values):
+        self.values, self.highest = values, -1
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, sf):
+        self.highest = max(self.highest, sf)
+        return self.values[sf]
+
+
+class TestVolumesReadLazily:
+    def test_no_feed_is_read_past_its_first_offer_before_the_first_event(self, monkeypatch):
+        # feed 0 offers from subframe 2 on, feed 1 from subframe 0; both run past the horizon
+        volumes = [RecordedVolumes([0.0, 0.0] + [8000.0] * 48), RecordedVolumes([8000.0] * 50)]
+        feeds = [CircuitFeed("s", cid, 0, 0, 5 + cid, 0, policy(), v, 1e-3) for cid, v in enumerate(volumes)]
+        world = World(direct_link_topo(), {}, feeds, {(1, 0, 5): ("s", 0), (1, 0, 6): ("s", 1)})
+        read_at_first_event = []
+        real_offer = fhsim.engine.Regulator.offer
+
+        def offer(reg, now, bits):
+            if not read_at_first_event:
+                read_at_first_event.extend(v.highest for v in volumes)
+            return real_offer(reg, now, bits)
+
+        monkeypatch.setattr(fhsim.engine.Regulator, "offer", offer)
+        result = run(world, horizon=0.0105)
+        assert read_at_first_event == [2, 0]
+        assert [v.highest for v in volumes] == [10, 10]  # subframe 10 is the last within the horizon
+        monkeypatch.undo()
+        plain = [CircuitFeed("s", cid, 0, 0, 5 + cid, 0, policy(), v.values, 1e-3) for cid, v in enumerate(volumes)]
+        assert run(World(world.topology, {}, plain, world.egress), horizon=0.0105) == result
 
 
 def two_level_tree_world(capacity=1e9, volume=8000.0):

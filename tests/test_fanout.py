@@ -1,21 +1,28 @@
-"""`fan_out`: the serial loop's results, in order, from forked children.
+"""`fan_out` and `Producer`: the in-process results, in order, from forked children.
 
 Every test that needs the fork path forces two usable CPUs, so it runs
 the same on a one-CPU machine. A function that must only run in a
 child checks `os.getpid()` against the caller's pid first.
 """
 
+import itertools
 import os
 import sys
 import threading
 import time
+from contextlib import closing
+from dataclasses import replace
 
 import pytest
 
 import fhsim.fanout
-from fhsim.fanout import fan_out
+from fhsim.cli import load_scenario_text
+from fhsim.fanout import Producer, fan_out
 from fhsim.metrics import overhead_sweep
-from fhsim.scenario import build_scenario, parse_scenario
+from fhsim.scenario import CellTraces, parse_scenario, run_scenario
+from fhsim.traffic import generate_trace
+from test_golden import GOLDEN
+from test_golden import _digests as golden_digests
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 if PERFBENCH not in sys.path:
@@ -52,18 +59,89 @@ def test_results_larger_than_a_pipe_buffer_cross_whole(cpus):
     assert out == [bytes([x]) * 1_000_000 for x in (1, 2, 3)]
 
 
-def test_twelve_cell_traces_are_the_same_serial_or_forked(cpus):
+def test_twelve_cell_traces_are_the_same_streamed_or_made_whole(cpus):
+    cpus(2)
     scenario = parse_scenario(workloads.cells_text(7), name="cells")
     assert len(scenario.cells) == 12
-    built = {}
-    for n in (1, 2):
-        cpus(n)
-        built[n] = build_scenario(scenario, subframes=60).traces
-    assert list(built[1]) == list(built[2])
-    for node, trace in built[1].items():
-        other = built[2][node]
-        assert (trace.volumes, trace.prbs, trace.control_res) == (other.volumes, other.prbs, other.control_res)
-        assert [type(v) for v in trace.volumes] == [type(v) for v in other.volumes]
+    engine = replace(scenario.engine, subframes=150)  # more than two blocks, the last one short
+    with closing(CellTraces(scenario, engine, fork=True)) as cells:
+        streamed = cells.drain()
+    assert list(streamed) == [cell.node for cell in scenario.cells]
+    for index, cell in enumerate(scenario.cells):
+        profiles = [cell.ues.profile()] * cell.ues.count
+        whole = generate_trace(cell.cell, cell.scheme, profiles, cell.control, 150, engine.seed + index)
+        trace = streamed[cell.node]
+        assert (trace.volumes, trace.prbs, trace.control_res) == (whole.volumes, whole.prbs, whole.control_res)
+        assert [type(v) for v in trace.volumes] == [type(v) for v in whole.volumes]
+
+
+# the bundled scenarios with cells, whose traces stream from a producer on two CPUs
+WITH_CELLS = [name for name in sorted(GOLDEN) if parse_scenario(load_scenario_text(name)[0]).cells]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", WITH_CELLS)
+def test_bundled_outputs_are_the_golden_ones_in_process_or_streamed(cpus, forks, tmp_path, name, n):
+    cpus(n)
+    assert run_scenario(parse_scenario(load_scenario_text(name)[0], name=name), str(tmp_path)) == 0
+    assert len(forks) == (n > 1)
+    assert golden_digests(tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cells_outputs_are_the_recorded_ones_in_process_or_streamed(cpus, forks, tmp_path, n):
+    cpus(n)
+    workload = workloads.WORKLOADS["cells"]
+    result = workload.run_pass(workload.prepare(0), str(tmp_path))
+    assert len(forks) == (n > 1)
+    assert result.problems == []
+    assert workloads.digest_problems(workloads.expected_digests("cells", 0), result.digests) == []
+
+
+def test_a_producer_sends_every_item_in_order_from_one_child(cpus):
+    cpus(2)
+    parent = os.getpid()
+    with Producer(lambda: ((i, os.getpid()) for i in range(500))) as items:
+        got = list(items)
+    assert [i for i, _ in got] == list(range(500))
+    assert {pid for _, pid in got} != {parent} and len({pid for _, pid in got}) == 1
+
+
+def test_a_producer_without_a_spare_cpu_makes_its_items_as_they_are_read(cpus):
+    cpus(1)
+    made = []
+
+    def make():
+        for i in range(3):
+            made.append(i)
+            yield i
+
+    items = Producer(make)
+    assert made == [] and next(items) == 0 and made == [0]
+    assert list(items) == [1, 2]
+
+
+def test_a_producer_relays_the_error_after_the_items_made_before_it(cpus):
+    cpus(2)
+
+    def make():
+        yield from range(3)
+        raise ValueError("no fourth item")
+
+    with Producer(make) as items:
+        assert [next(items) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="no fourth item"):
+            next(items)
+
+
+def test_closing_a_producer_mid_stream_kills_and_reaps_its_child(cpus):
+    cpus(2)
+    start = time.monotonic()
+    with Producer(lambda: itertools.count()) as items:
+        assert next(items) == 0  # the child is blocked on a full pipe from here on
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_rows_are_the_same_serial_or_forked(cpus, bundled_runs):

@@ -14,8 +14,9 @@ CSV writing is left out: its fhsim part is a fixed handful of calls.
 Calls do not show work or memory that grows inside one call, so two
 more gates look there. The engine's peak traced memory on one CBR
 session stays flat from 200 to 2,000 subframes: a run holds what is in
-flight, not what is still to come. And the clock tree's heap entries
-stay a constant size on a 1,000-switch chain: no entry carries a path.
+flight, not what is still to come. And the heap entries of the clock
+tree and of the path search stay a constant size on a 1,000-switch
+chain: no entry carries a path.
 """
 
 import cProfile
@@ -25,7 +26,9 @@ import tracemalloc
 from dataclasses import replace
 
 import fhsim
+import fhsim.control
 import fhsim.sync
+from fhsim.control import compute_path
 from fhsim.engine import CircuitFeed, RegulatorPolicy, SwitchState, World, run
 from fhsim.metrics import assemble_report
 from fhsim.scenario import build_scenario, parse_scenario
@@ -137,7 +140,8 @@ def test_engine_memory_does_not_grow_with_the_run():
     assert large / small <= 1.2, (small, large)
 
 
-def test_clock_tree_heap_entries_stay_small_on_a_deep_chain(monkeypatch):
+def record_heap_entries(monkeypatch, module) -> list:
+    """Every entry `module` puts in a heap through its `heapq`, from now on."""
     entries = []
 
     class RecordingHeapq:
@@ -153,10 +157,31 @@ def test_clock_tree_heap_entries_stay_small_on_a_deep_chain(monkeypatch):
 
         heappop = staticmethod(heapq.heappop)
 
-    monkeypatch.setattr(fhsim.sync, "heapq", RecordingHeapq)
+    monkeypatch.setattr(module, "heapq", RecordingHeapq)
+    return entries
+
+
+def longest_tuple(entries: list) -> int:
+    """The length of the longest tuple among the entries and their parts."""
+    return max(len(part) for entry in entries for part in (entry, *entry) if isinstance(part, tuple))
+
+
+def test_clock_tree_heap_entries_stay_small_on_a_deep_chain(monkeypatch):
+    entries = record_heap_entries(monkeypatch, fhsim.sync)
     # switches 0..999 in a line, the source at 999 and an RRH (node 1000) at 0
     tree = build_sync_tree(build_topology(Chain(1000, ((0, NodeKind.RRH),))), [ClockSource(999)])
     assert not tree.unsynchronized and tree.parent[1000][0] == 0
     assert len(entries) == 1001  # the source, then each node once, from its one upstream neighbour
     # a path tuple would reach 1,001 nodes here
-    assert max(len(part) for entry in entries for part in (entry, *entry) if isinstance(part, tuple)) <= 8
+    assert longest_tuple(entries) <= 8
+
+
+def test_path_search_heap_entries_stay_small_on_a_deep_chain(monkeypatch):
+    entries = record_heap_entries(monkeypatch, fhsim.control)
+    # switches 0..999 in a line, an RRH (node 1000) at 0 and a BBU (node 1001) at 999
+    topology = build_topology(Chain(1000, ((0, NodeKind.RRH), (999, NodeKind.BBU))))
+    path, _ = compute_path(topology, 1000, 1001, 1e6, 1.0, 1008, 1e-6, lambda key: 1e9)
+    assert path == (1000, *range(1000), 1001)
+    assert len(entries) == 1001  # each switch once, then the BBU
+    # a path tuple would reach 1,002 nodes here
+    assert longest_tuple(entries) <= 8

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fhsim.engine
 import fhsim.fanout
 import fhsim.scenario
 from fhsim.cli import bundled_scenario_names, load_scenario_text, main
@@ -348,14 +349,14 @@ class TestRunScenario:
         assert (scenario.cells[0].ues.count, scenario.engine.subframes) == (65535, 10485760)
 
     def test_every_user_of_a_cell_shares_one_profile(self, monkeypatch):
-        real = fhsim.scenario.generate_trace
+        real = fhsim.scenario.trace_rows
         seen = []
 
         def recording(cell, scheme, profiles, control, n_subframes, seed):
             seen.append(profiles)
             return real(cell, scheme, profiles, control, n_subframes, seed)
 
-        monkeypatch.setattr(fhsim.scenario, "generate_trace", recording)
+        monkeypatch.setattr(fhsim.scenario, "trace_rows", recording)
         build_scenario(parse_scenario(MINIMAL))
         [profiles] = seen
         assert len(profiles) == 4
@@ -379,14 +380,14 @@ class TestRunScenario:
         lines += ["[engine]", "horizon = 0.02", "subframes = 20", "seed = 3"]
         scenario = parse_scenario("\n".join(lines))
         assert [cell.node for cell in scenario.cells] == ["r1", "r2", "r3", "r4"]
-        real = fhsim.scenario.generate_trace
+        real = fhsim.scenario.trace_rows
 
         def failing(cell, scheme, profiles, control, n_subframes, seed):
             if seed == scenario.engine.seed + 3:
                 raise ValueError("no trace for the last cell")
             return real(cell, scheme, profiles, control, n_subframes, seed)
 
-        monkeypatch.setattr(fhsim.scenario, "generate_trace", failing)
+        monkeypatch.setattr(fhsim.scenario, "trace_rows", failing)
         out = tmp_path / "out"
         with pytest.raises(ScenarioError, match="no trace for the last cell") as exc:
             run_scenario(scenario, str(out))
@@ -421,6 +422,57 @@ class TestRunScenario:
         assert rc == 0
         sweep = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(sweep) == 3
+
+
+class TestStreamedTraceErrors:
+    """On two CPUs run_scenario streams the cell traces from one forked producer.
+
+    Every way out of it reaps that child, closes its pipe (both checked
+    after every test) and leaves no output directory.
+    """
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(fhsim.fanout, "usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("class=2", "class=16"), ("traffic=trace", "traffic=trace frame=0"), ("mean=5e7", "mean=3e8")],
+    )
+    def test_a_session_line_failing_after_the_fork(self, tmp_path, forks, old, new):
+        out = tmp_path / "out"
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(parse_scenario(MINIMAL.replace(old, new)), str(out))
+        assert (exc.value.line, len(forks)) == (18, 1)
+        assert not out.exists()
+
+    def test_a_trace_above_its_peak_only_past_the_horizon(self, tmp_path, forks):
+        # at seed 3 the cell's first 21 subframes (to the horizon) offer at
+        # most 33,800 bits, and subframe 230 is the first to offer more
+        text = MINIMAL.replace("mean=5e7 peak=2e8", "mean=1e7 peak=3.385e7")
+        text = text.replace("subframes = 20", "subframes = 400")
+        out = tmp_path / "out"
+        with pytest.raises(ScenarioError, match="offers 33900 bits in subframe 230") as exc:
+            run_scenario(parse_scenario(text), str(out))
+        assert (exc.value.line, len(forks)) == (18, 1)
+        assert not out.exists()
+
+    def test_an_interrupt_inside_the_run(self, tmp_path, forks, monkeypatch):
+        offers = []
+
+        def interrupted(reg, now, bits):
+            offers.append(now)
+            if len(offers) == 5:
+                raise KeyboardInterrupt
+            return real_offer(reg, now, bits)
+
+        real_offer = fhsim.engine.Regulator.offer
+        monkeypatch.setattr(fhsim.engine.Regulator, "offer", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(parse_scenario(MINIMAL), str(out))
+        assert (len(offers), len(forks)) == (5, 1)
+        assert not out.exists()
 
 
 class TestCli:

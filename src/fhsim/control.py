@@ -220,6 +220,66 @@ def compute_path(
     credits it grants. The path is refused only when its fixed latency
     exceeds latency_bound; queueing delay is not budgeted. Ties between
     equal-latency paths break lexicographically on the node sequence.
+    Raises Infeasible naming the binding constraint.
+
+    The topology remembers, per (src, dst, frame_wire_bytes,
+    header_processing_delay), the best route with every link usable
+    (`PhysicalTopology.best_routes`), found once by the same search.
+    When every link of that route is usable for this call, it is the
+    answer and no search runs: it is the (cost, node sequence) minimum
+    over all relay paths, so when it is usable it is also the minimum
+    over the usable ones. Otherwise the search runs over the usable
+    links, as described at `_search`.
+    """
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    memo = topology.best_routes
+    route_key = (src, dst, frame_wire_bytes, header_processing_delay)
+    try:
+        route = memo[route_key]
+    except KeyError:
+        best = _search(topology, src, dst, 0.0, frame_wire_bytes, header_processing_delay, _unlimited)
+        route = memo[route_key] = None if best is None else (best, _link_keys(best[0]))
+    found = None
+    if route is not None:
+        found, keys = route
+        for key in keys:
+            if not residual_of(key) >= peak_rate:  # NaN fails too
+                found = None
+                break
+    if found is None:
+        found = _search(topology, src, dst, peak_rate, frame_wire_bytes, header_processing_delay, residual_of)
+        if found is None:
+            raise Infeasible(NO_BANDWIDTH, f"no path with {peak_rate:g} bits/s from {src} to {dst}")
+    cost = found[1]
+    if cost > latency_bound:
+        raise Infeasible(
+            LATENCY_UNREACHABLE,
+            f"best fixed latency {cost:g}s exceeds bound {latency_bound:g}s",
+        )
+    return found
+
+
+def _unlimited(key: LinkKey) -> float:
+    """A residual reader under which every link is usable."""
+    return math.inf
+
+
+def _link_keys(path: tuple[NodeId, ...]) -> tuple[LinkKey, ...]:
+    return tuple((a, b) if a < b else (b, a) for a, b in zip(path, path[1:]))
+
+
+def _search(
+    topology: PhysicalTopology,
+    src: NodeId,
+    dst: NodeId,
+    peak_rate: float,
+    frame_wire_bytes: int,
+    header_processing_delay: float,
+    residual_of: Callable[[LinkKey], float],
+) -> tuple[tuple[NodeId, ...], float] | None:
+    """The minimum (path, fixed latency) over the links whose residual covers peak_rate, or None.
+
     The search keeps one cost and one parent per node, and holds no path
     in its heap; only when two float costs to a node tie exactly does it
     walk both paths back to compare them. A settled node relaxes its
@@ -227,11 +287,8 @@ def compute_path(
     destination is entered from its own rows of `topology.hop_rows`,
     so end equipment attached to a switch costs nothing per visit. The
     rows are built once per topology and frame size, so a relaxation only
-    reads the residual and the processing delay. Raises Infeasible naming
-    the binding constraint.
+    reads the residual and the processing delay.
     """
-    if src == dst:
-        raise ValueError("src and dst must differ")
     rows = topology.relay_rows(frame_wire_bytes)
     # the last hop: from each peer of dst, over its link, with no processing at dst
     into_dst = {peer: (key, hop) for peer, key, hop, _ in topology.hop_rows(frame_wire_bytes)[dst]}
@@ -266,14 +323,7 @@ def compute_path(
                 parent[dst] = node
 
     cost = best.get(dst)
-    if cost is None:
-        raise Infeasible(NO_BANDWIDTH, f"no path with {peak_rate:g} bits/s from {src} to {dst}")
-    if cost > latency_bound:
-        raise Infeasible(
-            LATENCY_UNREACHABLE,
-            f"best fixed latency {cost:g}s exceeds bound {latency_bound:g}s",
-        )
-    return _path(parent, dst), cost
+    return None if cost is None else (_path(parent, dst), cost)
 
 
 def _path(parent: dict[NodeId, NodeId | None], node: NodeId | None) -> tuple[NodeId, ...]:

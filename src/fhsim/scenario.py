@@ -20,7 +20,8 @@ requests, and the engine knobs, in five sections:
     [sessions]
     session = dl pattern=p2p src=rrh1 dst=bbu1 class=2 mean=1e8 peak=2e8 bound=1e-3 traffic=trace
     # patterns: p2p, aggregation (srcs=a,b,c), multi_bbu (dsts=x,y),
-    # bbu_to_bbu; traffic: trace (from the ingress cell) or cbr rate=...
+    # bbu_to_bbu; traffic: trace (from the ingress cell) or cbr rate=...;
+    # mean= defaults to the peak
 
     [engine]
     scheduler = strict_priority
@@ -213,7 +214,7 @@ class SessionSpec:
     srcs: tuple[str, ...]
     dsts: tuple[str, ...]
     latency_class: int = 7
-    mean_rate: float
+    mean_rate: float | None = None  # None: the peak
     peak_rate: float
     latency_bound: float = 1e-2
     scheme: SplitScheme | None = None
@@ -822,7 +823,7 @@ def build_scenario(
             )
             request = SessionRequest(
                 pattern=LogicalPattern(pattern_shape(_PATTERNS[spec.pattern], srcs, dsts), ue_id=spec.ue),
-                mean_rate=spec.mean_rate,
+                mean_rate=spec.peak_rate if spec.mean_rate is None else spec.mean_rate,
                 peak_rate=spec.peak_rate,
                 latency_class=spec.latency_class,
                 latency_bound=spec.latency_bound,

@@ -20,6 +20,8 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 NodeId = int
 HopRow = tuple[NodeId, tuple[NodeId, NodeId], float, bool]  # (peer, link key, hop cost, peer relays)
 RelayRow = tuple[NodeId, tuple[NodeId, NodeId], float]  # (peer, link key, hop cost) of a peer that relays
+# ((node sequence, fixed latency), its link keys) of a best route
+Route = tuple[tuple[tuple[NodeId, ...], float], tuple[tuple[NodeId, NodeId], ...]]
 
 
 class NodeKind(Enum):
@@ -99,7 +101,9 @@ class PhysicalTopology:
     Parallel links between the same node pair are rejected so that a
     node sequence identifies a unique physical path. Hop rows for path
     search are built once per frame size and cached on the topology,
-    which is safe because a topology never changes after construction.
+    and so are the best routes path search finds with every link usable
+    (`best_routes`), which is safe because a topology never changes
+    after construction.
     """
 
     def __init__(self, nodes: Sequence[Node], links: Sequence[PhysLink]):
@@ -136,6 +140,10 @@ class PhysicalTopology:
             self._adjacency[link.node_b].append(link)
         self._hop_rows: dict[int, dict[NodeId, tuple[HopRow, ...]]] = {}
         self._relay_rows: dict[int, dict[NodeId, tuple[RelayRow, ...]]] = {}
+        # per (src, dst, frame wire bytes, header-processing delay), the best
+        # route with every link usable, or None when dst is cut off; filled
+        # by `fhsim.control.compute_path`
+        self.best_routes: dict[tuple[NodeId, NodeId, int, float], Route | None] = {}
 
     def _check_connected(self) -> None:
         start = next(iter(self.nodes))

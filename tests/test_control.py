@@ -36,6 +36,7 @@ from fhsim.topology import (
     build_topology,
 )
 
+from routing_oracle import brute_force_route, random_reserved_graph
 from test_control_golden import entries
 
 
@@ -82,6 +83,20 @@ def request(pattern, peak=1e9, bound=1e-2, cls=1, frame=1000):
     )
 
 
+def count_searches(monkeypatch) -> list[bool]:
+    """Record every path search `compute_path` runs from now on: True if it
+    filters links by residual, False for the search with every link usable."""
+    searches = []
+    search = fhsim.control._search
+
+    def counted(*args):
+        searches.append(args[-1] is not fhsim.control._unlimited)
+        return search(*args)
+
+    monkeypatch.setattr(fhsim.control, "_search", counted)
+    return searches
+
+
 def star4():
     # hub 0; leaves: rrh 1, rrh 2, rrh 3, bbu 4
     return build_topology(Star(leaves=(NodeKind.RRH, NodeKind.RRH, NodeKind.RRH, NodeKind.BBU)))
@@ -96,8 +111,6 @@ def ring_topo():
 
 class TestComputePathOracle:
     def test_matches_brute_force_on_1000_random_graphs(self):
-        from routing_oracle import brute_force_route, random_reserved_graph
-
         rng = random.Random(20250809)
         checked = 0
         causes = {NO_BANDWIDTH: 0, LATENCY_UNREACHABLE: 0, None: 0}
@@ -128,6 +141,72 @@ class TestComputePathOracle:
             checked += 1
         # the sweep must actually exercise all three outcomes
         assert all(count > 0 for count in causes.values())
+
+    def test_remembered_routes_match_brute_force_over_300_ledger_states(self, monkeypatch):
+        # one topology per round, so its remembered routes are reused
+        # across every reservation state drawn on it
+        searches = count_searches(monkeypatch)
+        rng = random.Random(20261020)
+        rounds = 0
+        causes = {NO_BANDWIDTH: 0, LATENCY_UNREACHABLE: 0, None: 0}
+        while rounds < 4:
+            topo, _, hosts = random_reserved_graph(rng)
+            if len(hosts) < 2:
+                continue
+            rounds += 1
+            calls = len(searches)
+            for _ in range(300):
+                reserved = {l.key: rng.choice([0.0, 0.0, 0.4, 0.9, 1.0]) * l.capacity for l in topo.links}
+
+                def residual_of(key):
+                    return topo.link_between(*key).capacity - reserved[key]
+
+                args = (
+                    rng.choice([1e8, 9e8, 3e9]),
+                    rng.choice([2e-5, 1e-4, 1e-2]),
+                    rng.choice([508, 1008]),
+                    rng.choice([0.0, 1e-6]),
+                    residual_of,
+                )
+                src, dst = rng.sample(hosts, 2)
+                cause, best = brute_force_route(topo, src, dst, *args)
+                try:
+                    path, cost = compute_path(topo, src, dst, *args)
+                except Infeasible as exc:
+                    assert exc.cause == cause
+                else:
+                    assert cause is None and (cost, path) == best
+                causes[cause] += 1
+            # some calls were answered by a remembered route, some searched the usable links
+            assert 0 < sum(searches[calls:]) < 300
+        assert all(count > 0 for count in causes.values())
+
+    def test_blocked_remembered_route_detours_and_returns_once_freed(self, monkeypatch):
+        searches = count_searches(monkeypatch)
+        topo = ring_topo()
+        reserved = dict.fromkeys((l.key for l in topo.links), 0.0)
+
+        def route():
+            def residual_of(key):
+                return topo.link_between(*key).capacity - reserved[key]
+
+            args = (1e9, 1e-2, 1008, 1e-6, residual_of)
+            cause, best = brute_force_route(topo, 4, 5, *args)
+            path, cost = compute_path(topo, 4, 5, *args)
+            assert cause is None and (cost, path) == best
+            return path
+
+        # both ways round the ring cost the same: the smaller node sequence wins
+        assert route() == (4, 0, 1, 2, 5)
+        assert searches == [False]  # the one search with every link usable
+        assert route() == (4, 0, 1, 2, 5)
+        assert searches == [False]
+        reserved[(1, 2)] = 9.5e9  # 0.5e9 left for a 1e9 peak
+        assert route() == (4, 0, 3, 2, 5)
+        assert searches == [False, True]
+        reserved[(1, 2)] = 0.0
+        assert route() == (4, 0, 1, 2, 5)
+        assert searches == [False, True]
 
     def test_direct_link_with_slack(self):
         topo = star4()
@@ -729,21 +808,19 @@ class TestHopRowCache:
         frames, planned = set(), []  # frame wire bytes searched for, paths found
 
         def checked_plan(topology, src, dst, *args):
-            # the same search on the same ledger state, over rows built
-            # afresh for the live failure set
+            # every path on the same ledger state, over the topology built
+            # afresh for the live failure set, with nothing cached or remembered
             frames.add(args[2])
             fresh = controller.topology.without_links(set(controller.failed_links))
-            try:
-                expected = compute_path(fresh, src, dst, *args)
-            except Infeasible as exc:
-                expected = exc.cause
+            cause, best = brute_force_route(fresh, src, dst, *args)
             try:
                 found = compute_path(topology, src, dst, *args)
             except Infeasible as exc:
-                assert exc.cause == expected
+                assert exc.cause == cause
                 raise
-            assert found == expected
-            planned.append(found[0])
+            path, cost = found
+            assert cause is None and (cost, path) == best
+            planned.append(path)
             return found
 
         def setups(count):

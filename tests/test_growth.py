@@ -16,7 +16,10 @@ more gates look there. The engine's peak traced memory on one CBR
 session stays flat from 200 to 2,000 subframes: a run holds what is in
 flight, not what is still to come. And the heap entries of the clock
 tree and of the path search stay a constant size on a 1,000-switch
-chain: no entry carries a path.
+chain: no entry carries a path. On a 1,000-switch ring, setting up
+pairs already set up once pushes nothing onto the path search's heap:
+while every link of a pair's best route has room, admission reads that
+route's links only, however large the topology.
 """
 
 import cProfile
@@ -28,12 +31,22 @@ from dataclasses import replace
 import fhsim
 import fhsim.control
 import fhsim.sync
-from fhsim.control import compute_path
+from fhsim.control import Controller, SessionRequest, compute_path
 from fhsim.engine import CircuitFeed, RegulatorPolicy, SwitchState, World, run
 from fhsim.metrics import assemble_report
 from fhsim.scenario import build_scenario, parse_scenario
 from fhsim.sync import ClockSource, build_sync_tree, propagate_sync
-from fhsim.topology import Chain, Node, NodeKind, PhysicalTopology, PhysLink, PointToPoint, build_topology
+from fhsim.topology import (
+    Chain,
+    LogicalPattern,
+    Node,
+    NodeKind,
+    PhysicalTopology,
+    PhysLink,
+    PointToPoint,
+    Ring,
+    build_topology,
+)
 
 PACKAGE = os.path.dirname(fhsim.__file__) + os.sep
 SMALL, LARGE = 250, 1000
@@ -185,3 +198,25 @@ def test_path_search_heap_entries_stay_small_on_a_deep_chain(monkeypatch):
     assert len(entries) == 1001  # each switch once, then the BBU
     # a path tuple would reach 1,002 nodes here
     assert longest_tuple(entries) <= 8
+
+
+def test_setups_along_free_remembered_routes_push_nothing_on_the_search_heap(monkeypatch):
+    # switches 0..999 in a cycle; RRHs 1000..1003 at switches 0, 250, 500
+    # and 750, BBUs 1004 and 1005 at switches 100 and 600
+    rrhs = tuple((pos, NodeKind.RRH) for pos in (0, 250, 500, 750))
+    topology = build_topology(Ring(1000, rrhs + ((100, NodeKind.BBU), (600, NodeKind.BBU))))
+    controller = Controller(topology)
+    pairs = [(rrh, bbu) for rrh in range(1000, 1004) for bbu in (1004, 1005)]
+
+    def setup_all():
+        for rrh, bbu in pairs:
+            controller.setup(SessionRequest(LogicalPattern(PointToPoint(rrh, bbu)), 1e6, 2e6, 3, 1.0))
+
+    entries = record_heap_entries(monkeypatch, fhsim.control)
+    setup_all()
+    assert len(entries) > 1000  # each pair's first setup searched the ring
+    entries.clear()
+    for _ in range(3):
+        setup_all()
+    assert entries == []
+    assert len(controller.sessions) == 4 * len(pairs)

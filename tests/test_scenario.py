@@ -217,6 +217,18 @@ class TestRunScenario:
         for child in sorted((tmp_path / "a").iterdir()):
             assert child.read_bytes() == (tmp_path / "b" / child.name).read_bytes()
 
+    def test_session_without_mean_runs_as_one_with_mean_at_its_peak(self, tmp_path):
+        without = parse_scenario(MINIMAL.replace(" mean=5e7", ""))
+        assert without.sessions[0].mean_rate is None
+        assert "mean=" not in render_scenario(without)
+        assert parse_scenario(render_scenario(without)) == without
+        at_peak = parse_scenario(MINIMAL.replace("mean=5e7", "mean=2e8"))
+        assert run_scenario(without, str(tmp_path / "a")) == run_scenario(at_peak, str(tmp_path / "b")) == 0
+        written = sorted(child.name for child in (tmp_path / "a").iterdir())
+        assert written == sorted(child.name for child in (tmp_path / "b").iterdir())
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
     @pytest.mark.parametrize(
         "old, new, line",
         [

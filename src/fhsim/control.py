@@ -10,7 +10,8 @@ charge by one rule (plan, install, debit the plan once), so the ledger
 always holds exactly each session's `debits`. Labels are scoped per
 (node, input port), smallest free one first: each circuit records only
 the (node, in_port, label) of every node it arrives at, which keys
-every switch entry and the egress binding it installed. The network
+every switch entry and the egress binding it installed. Every step
+reads a path's hops from its `Route`, built once per path. The network
 has one `SwitchConfig`: path planning adds its header-processing delay
 at every transit switch, as the engine spends it at each one, and a
 `SwitchState` is only a switch's label table.
@@ -23,6 +24,7 @@ import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .engine import RegulatorPolicy, SwitchConfig, SwitchState
 from .packet import HEADER_BYTES, MAX_LABEL, MAX_LATENCY_CLASS
@@ -30,8 +32,8 @@ from .topology import (
     LogicalPattern,
     NodeId,
     NodeKind,
-    PhysLink,
     PhysicalTopology,
+    Route,
     pattern_legs,
     validate_pattern,
 )
@@ -73,7 +75,7 @@ class SessionRequest:
 
 @dataclass(slots=True)
 class Circuit:
-    """A unicast leg of a session: ingress host to one egress host.
+    """A unicast leg of a session: ingress host to one egress host, along `route`.
 
     `arrivals` holds the (node, in_port, label) of every node the leg
     arrives at, the egress last. They key every entry and binding the
@@ -83,10 +85,11 @@ class Circuit:
     """
 
     circuit_id: int
-    nodes: tuple[NodeId, ...]  # full node sequence, ingress to egress
-    ingress_port: int
+    route: Route
     arrivals: tuple[tuple[NodeId, int, int], ...]
 
+    nodes = property(lambda self: self.route.nodes)  # full node sequence, ingress to egress
+    ingress_port = property(lambda self: self.route.ingress_port)
     ingress = property(lambda self: self.nodes[0])
     egress = property(lambda self: self.nodes[-1])
     ingress_label = property(lambda self: self.arrivals[0][2])
@@ -168,10 +171,9 @@ class ReservationLedger:
     def debit(self, key: LinkKey, session_id: str, rate: float) -> None:
         _check_rate(rate)
         held = self._held[key]
-        old = held.get(session_id, 0.0)
-        new = old + rate if old else rate  # a first holding shares the caller's float
-        held[session_id] = new
-        self._total[key] += _units(new) - _units(old)
+        old = held.get(session_id)
+        held[session_id] = new = old + rate if old else rate  # a first holding shares the caller's float
+        self._total[key] += _units(new) - _units(old) if old else _units(new)
 
     def credit(self, key: LinkKey, session_id: str, rate: float) -> None:
         _check_rate(rate)
@@ -225,32 +227,32 @@ def compute_path(
     The topology remembers, per (src, dst, frame_wire_bytes,
     header_processing_delay), the best route with every link usable
     (`PhysicalTopology.best_routes`), found once by the same search.
-    When every link of that route is usable for this call, it is the
-    answer and no search runs: it is the (cost, node sequence) minimum
-    over all relay paths, so when it is usable it is also the minimum
-    over the usable ones. Otherwise the search runs over the usable
-    links, as described at `_search`.
+    When every link of that route (its `Route.keys`) is usable for this
+    call, it is the answer and no search runs: it is the (cost, node
+    sequence) minimum over all relay paths, so when it is usable it is
+    also the minimum over the usable ones. When there is no such route,
+    dst is cut off and no search could reach it. Otherwise the search
+    runs over the usable links, as described at `_search`.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
     memo = topology.best_routes
     route_key = (src, dst, frame_wire_bytes, header_processing_delay)
     try:
-        route = memo[route_key]
+        best = memo[route_key]
     except KeyError:
-        best = _search(topology, src, dst, 0.0, frame_wire_bytes, header_processing_delay, _unlimited)
-        route = memo[route_key] = None if best is None else (best, _link_keys(best[0]))
+        found = _search(topology, src, dst, 0.0, frame_wire_bytes, header_processing_delay, _unlimited)
+        best = memo[route_key] = None if found is None else (topology.route(found[0]), found[1])
     found = None
-    if route is not None:
-        found, keys = route
-        for key in keys:
+    if best is not None:
+        route, cost = best
+        found = (route.nodes, cost)
+        for key in route.keys:
             if not residual_of(key) >= peak_rate:  # NaN fails too
-                found = None
+                found = _search(topology, src, dst, peak_rate, frame_wire_bytes, header_processing_delay, residual_of)
                 break
     if found is None:
-        found = _search(topology, src, dst, peak_rate, frame_wire_bytes, header_processing_delay, residual_of)
-        if found is None:
-            raise Infeasible(NO_BANDWIDTH, f"no path with {peak_rate:g} bits/s from {src} to {dst}")
+        raise Infeasible(NO_BANDWIDTH, f"no path with {peak_rate:g} bits/s from {src} to {dst}")
     cost = found[1]
     if cost > latency_bound:
         raise Infeasible(
@@ -263,10 +265,6 @@ def compute_path(
 def _unlimited(key: LinkKey) -> float:
     """A residual reader under which every link is usable."""
     return math.inf
-
-
-def _link_keys(path: tuple[NodeId, ...]) -> tuple[LinkKey, ...]:
-    return tuple((a, b) if a < b else (b, a) for a, b in zip(path, path[1:]))
 
 
 def _search(
@@ -410,10 +408,6 @@ class Controller:
         self._session_counter = 0
         self._labels: dict[tuple[NodeId, int], _LabelPool] = {}
         self._kinds = {node.id: node.kind for node in topology.nodes.values()}
-        # one key object per link, looked up from either direction and
-        # shared by the debits of every session on it
-        self._link_keys = {(link.node_a, link.node_b): link.key for link in topology.links}
-        self._link_keys.update({(b, a): key for (a, b), key in self._link_keys.items()})
         # the surviving topology and the failed links it was built without
         self._survivors: tuple[frozenset[LinkKey], PhysicalTopology] = (frozenset(), topology)
 
@@ -426,17 +420,17 @@ class Controller:
             raise Infeasible(LABEL_EXHAUSTED, f"all labels in use at node {node} port {in_port}")
         return pool.take()
 
-    def _alloc_labels(self, arrivals: list[tuple[NodeId, int]]) -> list[int]:
-        """One label per (node, input port), in order; all or none."""
-        labels: list[int] = []
+    def _alloc_labels(self, ends: list[tuple[NodeId, int]]) -> list[tuple[NodeId, int, int]]:
+        """One label per (node, input port), in order, as (node, in_port, label) arrivals; all or none."""
+        arrivals: list[tuple[NodeId, int, int]] = []
         try:
-            for node, in_port in arrivals:
-                labels.append(self._alloc_label(node, in_port))
+            for node, in_port in ends:
+                arrivals.append((node, in_port, self._alloc_label(node, in_port)))
         except Infeasible:
-            for (node, in_port), label in zip(arrivals, labels):
-                self._free_label(node, in_port, label)
+            for arrival in arrivals:
+                self._free_label(*arrival)
             raise
-        return labels
+        return arrivals
 
     def _free_label(self, node: NodeId, in_port: int, label: int) -> None:
         self._labels[(node, in_port)].give(label)
@@ -453,8 +447,8 @@ class Controller:
         self,
         request: SessionRequest,
         extra_credit: dict[LinkKey, float] | None = None,
-    ) -> tuple[list[tuple[NodeId, ...]], bool, dict[LinkKey, float]]:
-        """Compute all legs of the pattern, whether they share a tree, and the debits they need.
+    ) -> tuple[list[Route], bool, dict[LinkKey, float]]:
+        """Compute the route of every leg of the pattern, whether they share a tree, and the debits they need.
 
         Independent legs reserve independently (their streams add up on
         shared links); tree legs debit each tree link once. One credit
@@ -469,7 +463,7 @@ class Controller:
         overlay: dict[LinkKey, float] = {}
         credit = dict(extra_credit or {})
         residual = self.ledger.residual_after(overlay, credit)
-        paths: list[tuple[NodeId, ...]] = []
+        routes: list[Route] = []
         for src, dst in legs:
             path, _ = compute_path(
                 topology,
@@ -481,9 +475,9 @@ class Controller:
                 self.config.header_processing_delay,
                 residual,
             )
-            paths.append(path)
-            for a, b in zip(path, path[1:]):
-                key = self._link_keys[(a, b)]
+            route = topology.route(path)
+            routes.append(route)
+            for key in route.keys:
                 if tree:
                     if key not in overlay:
                         overlay[key] = request.peak_rate
@@ -492,36 +486,34 @@ class Controller:
                 else:
                     rate = overlay.get(key)
                     overlay[key] = rate + request.peak_rate if rate else request.peak_rate
-        return paths, tree, overlay
+        return routes, tree, overlay
 
-    def _install(self, session_id: str, paths: list[tuple[NodeId, ...]], tree: bool) -> list[Circuit]:
+    def _install(self, session_id: str, routes: list[Route], tree: bool) -> list[Circuit]:
         """Install the legs of a session: every label first, then every entry.
 
         Labels are allocated per (leg, link) in leg order, the legs of a
-        tree sharing one label per link, so a refused allocation raises
-        Infeasible before anything is installed. Each (node, in_port,
-        label) gets one entry; where tree legs diverge it has several
-        outputs, which the engine turns into packet replication.
+        tree sharing one label per link, that is per arrival (node,
+        in_port), so a refused allocation raises Infeasible before
+        anything is installed. Each (node, in_port, label) gets one entry; where tree
+        legs diverge it has several outputs, which the engine turns into
+        packet replication.
         """
-        links: dict[tuple[int, NodeId, NodeId], PhysLink] = {}
-        for cid, path in enumerate(paths):
-            for a, b in zip(path, path[1:]):
-                links.setdefault((0 if tree else cid, a, b), self.topology.link_between(a, b))
-        ends = [(b, link.port_of(b)) for (_, _, b), link in links.items()]
-        # (node, in_port, label) where each (leg, link) arrives
-        arrival = {key: (*end, label) for key, end, label in zip(links, ends, self._alloc_labels(ends))}
+        ends = [end for route in routes for end in route.ends]
+        if tree:
+            ends = list(dict.fromkeys(ends))
+        arrived = self._alloc_labels(ends)
+        shared, taken = dict(zip(ends, arrived)) if tree else None, iter(arrived)
         fanout: dict[tuple[NodeId, int, int], list[tuple[int, int]]] = {}
         circuits = []
-        for cid, path in enumerate(paths):
-            keys = [(0 if tree else cid, a, b) for a, b in zip(path, path[1:])]
-            arrivals = tuple(arrival[key] for key in keys)
+        for cid, route in enumerate(routes):
+            arrivals = tuple(shared[end] for end in route.ends) if tree else tuple(islice(taken, len(route.ends)))
             # each arrival but the last outputs onto the next link, under the next arrival's label
-            for at, key, (_, _, label_out) in zip(arrivals, keys[1:], arrivals[1:]):
+            for at, out_port, (_, _, label_out) in zip(arrivals, route.outs, arrivals[1:]):
                 outputs = fanout.setdefault(at, [])
-                if (out := (links[key].port_of(at[0]), label_out)) not in outputs:
+                if (out := (out_port, label_out)) not in outputs:
                     outputs.append(out)
             self.egress[arrivals[-1]] = (session_id, cid)
-            circuits.append(Circuit(cid, path, links[keys[0]].port_of(path[0]), arrivals))
+            circuits.append(Circuit(cid, route, arrivals))
         for (node, in_port, label_in), outputs in fanout.items():
             self.switches[node].install(in_port, label_in, tuple(outputs))
         return circuits
@@ -545,15 +537,15 @@ class Controller:
         session.debits = {}
 
     def _paths_string(self, circuits: list[Circuit]) -> str:
-        return "|".join("-".join(str(n) for n in c.nodes) for c in circuits)
+        return "|".join([c.route.text for c in circuits])
 
     def _record(self, op: str, session_id: str, outcome: str, path: str = "") -> None:
         self.log.append(ControlEvent(op, session_id, outcome, path))
 
     def _admit(self, session_id: str, request: SessionRequest) -> tuple[list[Circuit], dict[LinkKey, float]]:
         """Plan, install and charge a session's circuits; Infeasible leaves all state untouched."""
-        paths, tree, debits = self._plan_paths(request)
-        circuits = self._install(session_id, paths, tree)
+        routes, tree, debits = self._plan_paths(request)
+        circuits = self._install(session_id, routes, tree)
         for key, rate in debits.items():
             self.ledger.debit(key, session_id, rate)
         return circuits, debits
@@ -628,11 +620,11 @@ class Controller:
         validate_pattern(self._kinds, new_pattern)
         new_request = replace(session.request, pattern=new_pattern)
         try:
-            paths, tree, debits = self._plan_paths(new_request, extra_credit=session.debits)
-            if new_pattern == session.request.pattern and [c.nodes for c in session.circuits] == paths:
+            routes, tree, debits = self._plan_paths(new_request, extra_credit=session.debits)
+            if new_pattern == session.request.pattern and [c.route for c in session.circuits] == routes:
                 self._record("migrate", session.id, "noop", self._paths_string(session.circuits))
                 return session
-            circuits = self._install(session.id, paths, tree)
+            circuits = self._install(session.id, routes, tree)
         except Infeasible as exc:
             self._record("migrate", session.id, f"infeasible({exc.cause})")
             raise

@@ -15,13 +15,27 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 NodeId = int
 HopRow = tuple[NodeId, tuple[NodeId, NodeId], float, bool]  # (peer, link key, hop cost, peer relays)
 RelayRow = tuple[NodeId, tuple[NodeId, NodeId], float]  # (peer, link key, hop cost) of a peer that relays
-# ((node sequence, fixed latency), its link keys) of a best route
-Route = tuple[tuple[tuple[NodeId, ...], float], tuple[tuple[NodeId, NodeId], ...]]
+
+
+class Route(NamedTuple):
+    """The hop facts of one path, built once per path by `PhysicalTopology.route`.
+
+    Hop i leaves `nodes[i]` over the link `keys[i]` and arrives at the
+    (node, in_port) `ends[i]`; `outs[i]` is the port that node sends
+    the next hop out of, so `outs` is one shorter than `ends`.
+    """
+
+    nodes: tuple[NodeId, ...]
+    keys: tuple[tuple[NodeId, NodeId], ...]
+    ingress_port: int  # the out port of the first hop
+    ends: tuple[tuple[NodeId, int], ...]
+    outs: tuple[int, ...]
+    text: str  # the nodes as the control log writes them
 
 
 class NodeKind(Enum):
@@ -102,8 +116,8 @@ class PhysicalTopology:
     node sequence identifies a unique physical path. Hop rows for path
     search are built once per frame size and cached on the topology,
     and so are the best routes path search finds with every link usable
-    (`best_routes`), which is safe because a topology never changes
-    after construction.
+    (`best_routes`) and the `Route` of every path asked for (`routes`),
+    which is safe because a topology never changes after construction.
     """
 
     def __init__(self, nodes: Sequence[Node], links: Sequence[PhysLink]):
@@ -141,9 +155,10 @@ class PhysicalTopology:
         self._hop_rows: dict[int, dict[NodeId, tuple[HopRow, ...]]] = {}
         self._relay_rows: dict[int, dict[NodeId, tuple[RelayRow, ...]]] = {}
         # per (src, dst, frame wire bytes, header-processing delay), the best
-        # route with every link usable, or None when dst is cut off; filled
-        # by `fhsim.control.compute_path`
-        self.best_routes: dict[tuple[NodeId, NodeId, int, float], Route | None] = {}
+        # route with every link usable and its fixed latency, or None when
+        # dst is cut off; filled by `fhsim.control.compute_path`
+        self.best_routes: dict[tuple[NodeId, NodeId, int, float], tuple[Route, float] | None] = {}
+        self.routes: dict[tuple[NodeId, ...], Route] = {}
 
     def _check_connected(self) -> None:
         start = next(iter(self.nodes))
@@ -205,6 +220,21 @@ class PhysicalTopology:
         if link is None:
             raise KeyError(f"no link between {a} and {b}")
         return link
+
+    def route(self, path: tuple[NodeId, ...]) -> Route:
+        """The `Route` of `path`, built on its first request and kept."""
+        route = self.routes.get(path)
+        if route is None:
+            links = [self.link_between(a, b) for a, b in zip(path, path[1:])]
+            route = self.routes[path] = Route(
+                path,
+                tuple(link.key for link in links),
+                links[0].port_of(path[0]),
+                tuple((node, link.port_of(node)) for node, link in zip(path[1:], links)),
+                tuple(link.port_of(node) for node, link in zip(path[1:], links[1:])),
+                "-".join(map(str, path)),
+            )
+        return route
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
         return [n for n in self.nodes.values() if n.kind is kind]

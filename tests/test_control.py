@@ -38,6 +38,7 @@ from fhsim.topology import (
 
 from routing_oracle import brute_force_route, random_reserved_graph
 from test_control_golden import entries
+from test_growth import record_heap_entries
 
 
 def labels_in_use(controller):
@@ -207,6 +208,20 @@ class TestComputePathOracle:
         reserved[(1, 2)] = 0.0
         assert route() == (4, 0, 1, 2, 5)
         assert searches == [False, True]
+
+    def test_cut_off_destination_is_refused_without_a_second_search(self, monkeypatch):
+        # without 0-1 and 2-3 the ring splits into {0, 3, rrh 4} and {1, 2, bbu 5}
+        topo = ring_topo().without_links({(0, 1), (2, 3)})
+        entries = record_heap_entries(monkeypatch, fhsim.control)
+        refusals = []
+        for pushed in (True, False):  # only the first call searches
+            with pytest.raises(Infeasible) as exc:
+                compute_path(topo, 4, 5, 1e9, 1e-2, 1008, 1e-6, lambda key: 10e9)
+            refusals.append((exc.value.cause, str(exc.value)))
+            assert bool(entries) is pushed
+            entries.clear()
+        assert refusals == [(NO_BANDWIDTH, "no-bandwidth: no path with 1e+09 bits/s from 4 to 5")] * 2
+        assert topo.best_routes == {(4, 5, 1008, 1e-6): None}
 
     def test_direct_link_with_slack(self):
         topo = star4()

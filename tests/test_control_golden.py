@@ -8,14 +8,28 @@ derived from its arrivals. The bundled scenarios cover point-to-point,
 aggregation, bbu-to-bbu and multi-BBU tree sessions, so these digests
 pin the labels and entries of every session shape. Any change to them
 is a change in what the controller installs.
+
+The benchmark's `ctrl` workload at seed 0 pins labels beyond those
+sessions: the sha256 of the sorted switch tables and egress bindings
+after its 3,000 grow setups, and again after its trunk cut reroutes
+every session on the most loaded trunk.
 """
 
 import hashlib
+import os
+import sys
 
 import pytest
 
 from fhsim.cli import load_scenario_text
+from fhsim.control import Controller, Infeasible
 from fhsim.scenario import build_scenario, parse_scenario
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
 
 GOLDEN = {
     "cd-decoupling": (
@@ -80,3 +94,29 @@ def test_bundled_control_state_matches_golden(name):
     text, _ = load_scenario_text(name)
     built = build_scenario(parse_scenario(text, name=name))
     assert control_state_digests(built.controller) == GOLDEN[name]
+
+
+CTRL_SEED_0 = (
+    "b39da3068ef986e78777e11a24d79cc96b63b63f778157fc2bdf123274faaf34",
+    "6420b7a8d9326463ca692263424f8a8fdcc2555464d4520aa4e0299b996d1d4f",
+)
+
+
+def forwarding_digest(controller) -> str:
+    tables = [(node, sorted(switch.table.items())) for node, switch in sorted(controller.switches.items())]
+    return _sha((tables, sorted(controller.egress.items())))
+
+
+def test_ctrl_seed_0_forwarding_state_matches_golden():
+    inputs = workloads.prepare_ctrl(0)
+    controller = Controller(inputs.topology)
+    for request in inputs.grow:
+        try:
+            controller.setup(request)
+        except Infeasible:
+            pass
+    grown = forwarding_digest(controller)
+    # the trunk the benchmark cuts: the most reserved, the largest key on a tie
+    trunks = [k for k in controller.ledger.link_keys() if max(k) < workloads.CTRL_SWITCHES]
+    controller.reroute_on_failure(max(trunks, key=lambda k: (controller.ledger.reserved(k), k)))
+    assert (grown, forwarding_digest(controller)) == CTRL_SEED_0

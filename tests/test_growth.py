@@ -19,7 +19,9 @@ tree and of the path search stay a constant size on a 1,000-switch
 chain: no entry carries a path. On a 1,000-switch ring, setting up
 pairs already set up once pushes nothing onto the path search's heap:
 while every link of a pair's best route has room, admission reads that
-route's links only, however large the topology.
+route's links only, however large the topology. And once a path has been
+admitted, setting up and tearing down along it looks up no link: the
+hops are read from the path's route, built once per distinct path.
 """
 
 import cProfile
@@ -200,17 +202,27 @@ def test_path_search_heap_entries_stay_small_on_a_deep_chain(monkeypatch):
     assert longest_tuple(entries) <= 8
 
 
-def test_setups_along_free_remembered_routes_push_nothing_on_the_search_heap(monkeypatch):
-    # switches 0..999 in a cycle; RRHs 1000..1003 at switches 0, 250, 500
-    # and 750, BBUs 1004 and 1005 at switches 100 and 600
+def big_ring_controller() -> tuple[Controller, list[tuple[int, int]]]:
+    """A controller on a 1,000-switch ring, and its (RRH, BBU) pairs.
+
+    Switches 0..999 are in a cycle; RRHs 1000..1003 at switches 0, 250,
+    500 and 750, BBUs 1004 and 1005 at switches 100 and 600.
+    """
     rrhs = tuple((pos, NodeKind.RRH) for pos in (0, 250, 500, 750))
     topology = build_topology(Ring(1000, rrhs + ((100, NodeKind.BBU), (600, NodeKind.BBU))))
-    controller = Controller(topology)
-    pairs = [(rrh, bbu) for rrh in range(1000, 1004) for bbu in (1004, 1005)]
+    return Controller(topology), [(rrh, bbu) for rrh in range(1000, 1004) for bbu in (1004, 1005)]
+
+
+def p2p(rrh: int, bbu: int) -> SessionRequest:
+    return SessionRequest(LogicalPattern(PointToPoint(rrh, bbu)), 1e6, 2e6, 3, 1.0)
+
+
+def test_setups_along_free_remembered_routes_push_nothing_on_the_search_heap(monkeypatch):
+    controller, pairs = big_ring_controller()
 
     def setup_all():
         for rrh, bbu in pairs:
-            controller.setup(SessionRequest(LogicalPattern(PointToPoint(rrh, bbu)), 1e6, 2e6, 3, 1.0))
+            controller.setup(p2p(rrh, bbu))
 
     entries = record_heap_entries(monkeypatch, fhsim.control)
     setup_all()
@@ -220,3 +232,28 @@ def test_setups_along_free_remembered_routes_push_nothing_on_the_search_heap(mon
         setup_all()
     assert entries == []
     assert len(controller.sessions) == 4 * len(pairs)
+
+
+def test_warm_setup_and_teardown_look_up_no_link(monkeypatch):
+    controller, pairs = big_ring_controller()
+    lookups = []
+    link_between = PhysicalTopology.link_between
+
+    def counted(topology, a, b):
+        lookups.append((a, b))
+        return link_between(topology, a, b)
+
+    monkeypatch.setattr(PhysicalTopology, "link_between", counted)
+    admitted = set()
+    for round_ in range(4):
+        sessions = [controller.setup(p2p(rrh, bbu)) for rrh, bbu in pairs]
+        admitted.update(c.nodes for session in sessions for c in session.circuits)
+        for session in sessions:
+            controller.teardown(session)
+        assert not controller.egress
+        if round_ == 0:
+            assert len(lookups) > 1000  # the first round built each admitted path's route
+            lookups.clear()
+    # admission reads each path's hops from its route, built once
+    assert lookups == []
+    assert 0 < len(controller.topology.routes) <= len(admitted)

@@ -202,6 +202,33 @@ class TestHopRows:
         assert [peer for peer, *_ in cut.hop_rows(1008)[0]] == [2, 3]
 
 
+class TestRoutes:
+    @pytest.mark.parametrize(
+        "topo, path, texts",
+        [
+            # switches 0..3; rrh 4 at switch 0, bbu 5 at switch 2
+            (
+                build_topology(Ring(4, ((0, NodeKind.RRH), (2, NodeKind.BBU)))),
+                (4, 0, 1, 2, 5),
+                ("4-0-1-2-5", "5-2-1-0-4"),
+            ),
+            (star_3rrh_1bbu(), (1, 0, 4), ("1-0-4", "4-0-1")),
+        ],
+    )
+    def test_route_holds_each_hops_link_and_ports_both_ways(self, topo, path, texts):
+        for nodes, text in zip((path, path[::-1]), texts):
+            route = topo.route(nodes)
+            hops = [(a, b, topo.link_between(a, b)) for a, b in zip(nodes, nodes[1:])]
+            assert route.nodes == nodes and route.text == text
+            assert route.keys == tuple(link.key for _, _, link in hops)
+            assert route.ingress_port == hops[0][2].port_of(nodes[0])
+            assert route.ends == tuple((b, link.port_of(b)) for _, b, link in hops)
+            # the port each arrival sends the next hop out of
+            assert route.outs == tuple(link.port_of(a) for a, _, link in hops[1:])
+            assert topo.route(nodes) is route
+        assert len(topo.routes) == 2
+
+
 class TestValidation:
     def test_disconnected_rejected(self):
         nodes = [

@@ -1,33 +1,31 @@
 """Work done in forked children, on every usable CPU, through fork.
 
-Two entry points share one fork, relay and reap implementation, `_Child`:
-
-* `fan_out(fn, items)` maps a function over a list. It splits the items
-  into contiguous shares, at most one per usable CPU, and forks one
-  child per share after the first. The calling process computes the
-  first share itself, then reads each child's results in order, so the
-  results come back in input order and the first exception raised is
-  the one the serial loop would raise.
-* `Producer(make)` iterates `make()` in one forked child, which runs
-  ahead of the caller: each item crosses a pipe as soon as it is made,
-  and the caller reads them in order, waiting only for an item not yet
-  made. The pipe's buffer bounds how far the child runs ahead.
+One type forks: `Producer(make)` iterates `make()` in a forked child,
+which runs ahead of the caller: each item crosses a pipe as soon as it
+is made, and the caller reads them in order, waiting only for an item
+not yet made. The pipe's buffer bounds how far the child runs ahead.
+`fan_out(fn, items)` maps a function over a list with producers: it
+splits the items into contiguous shares, at most one per usable CPU,
+starts one producer per share after the first, computes the first share
+itself, then reads each producer in order, so the results come back in
+input order and the first exception raised is the one the serial loop
+would raise.
 
 A child pickles what it sends, and the exception it raised, if any, and
 ends with `os._exit`; the caller re-raises that exception where it
 reads it. Fork, not a spawned pool: a forked child starts from the
 caller's heap, so `fn` and `make` may be closures over any state and
 only results cross a pipe, while a spawned worker would pay for a new
-interpreter and a fresh import. Fork is unsafe in a process with other
-threads running, so that case, a single usable CPU and a platform
-without `os.fork` compute in-process instead: `fan_out` runs the plain
-serial loop (as it does for a single item), and a `Producer` iterates
-`make()` as it is read.
+interpreter and a fresh import. One rule says where a producer forks:
+where the process has a CPU to spare, the platform has `os.fork` and no
+other thread runs (fork is unsafe in a process with other threads).
+Anywhere else a producer iterates `make()` in-process as it is read,
+so `fan_out` then runs the plain serial loop.
 
-No child outlives its caller: `fan_out` kills and reaps every child
-before an exception propagates, and `Producer.close` (or leaving its
-`with` block) kills and reaps its child and closes the pipe. A child
-that exits without sending its end raises RuntimeError naming its exit
+No child outlives its caller: `Producer.close` (or leaving its `with`
+block) kills and reaps its child and closes the pipe, and `fan_out`
+closes every producer before an exception propagates. A child that
+exits without sending its end raises RuntimeError naming its exit
 status.
 """
 
@@ -38,7 +36,8 @@ import pickle
 import signal
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import suppress
+from contextlib import ExitStack, suppress
+from functools import partial
 from typing import Generic, TypeVar
 
 T = TypeVar("T")
@@ -52,72 +51,39 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _can_fork(workers: int) -> bool:
-    """Whether `workers` processes would each get a CPU and forking is safe here."""
-    return workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+def _can_fork() -> bool:
+    """Whether a forked child would get a CPU of its own and forking is safe here."""
+    return usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1
 
 
 def fan_out(fn: Callable[[T], R], items: list[T]) -> list[R]:
-    """`[fn(x) for x in items]`, the shares after the first computed in forked children."""
-    n = min(len(items), usable_cpus())
-    if not _can_fork(n):
-        return [fn(x) for x in items]
+    """`[fn(x) for x in items]`, the shares after the first computed by producers."""
+    n = max(1, min(len(items), usable_cpus()))
     cuts = [len(items) * k // n for k in range(n + 1)]
-    shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
-    children: list[_Child] = []
-    try:
-        for share in shares[1:]:
-            # a child sends its share's results as one item, once all are made
-            children.append(_Child(lambda share=share: [[fn(x) for x in share]]))
-        results = [fn(x) for x in shares[0]]
-        for child in children:
-            [share_results] = child.receive()
-            results.extend(share_results)
-    finally:
-        for child in children:
-            child.close()
+    with ExitStack() as producers:
+        rest = [producers.enter_context(Producer(partial(map, fn, items[a:b]))) for a, b in zip(cuts[1:], cuts[2:])]
+        results = [fn(x) for x in items[: cuts[1]]]
+        for producer in rest:
+            results.extend(producer)
     return results
 
 
 class Producer(Generic[T]):
     """The items of `make()`, made ahead in a forked child while the caller reads them.
 
-    Where a child cannot run on a CPU of its own, or forking is unsafe,
-    `make()` is iterated in-process as the items are read, so the items
-    and any exception come in the same order either way. Close it, or
-    use it as a context manager, to end the child early.
+    The child sends each item as `(True, item)`, then `(False, None)` at
+    the end or `(False, exception)` if making an item raised, and exits.
+    Where forking is ruled out, `make()` is iterated in-process as the
+    items are read, so the items and any exception come in the same
+    order either way. Close it, or use it as a context manager, to end
+    the child early.
     """
 
     def __init__(self, make: Callable[[], Iterable[T]]):
-        self._child = _Child(make) if _can_fork(usable_cpus()) else None
-        self._items = self._child.receive() if self._child else iter(make())
-
-    def __iter__(self) -> Iterator[T]:
-        return self
-
-    def __next__(self) -> T:
-        return next(self._items)
-
-    def close(self) -> None:
-        """Kill and reap the child, if it still runs, and close its pipe."""
-        if self._child is not None:
-            self._child.close()
-
-    def __enter__(self) -> Producer[T]:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class _Child:
-    """A forked child sending the items of `make()` through a pipe, and the read end of that pipe.
-
-    The child sends each item as `(True, item)`, then `(False, None)` at
-    the end or `(False, exception)` if making an item raised, and exits.
-    """
-
-    def __init__(self, make: Callable[[], Iterable]):
+        self._pid: int | None = None  # the child's, where there is one
+        if not _can_fork():
+            self._items = iter(make())
+            return
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -129,35 +95,53 @@ class _Child:
             os.close(read_end)
             _serve(make, write_end)  # never returns
         os.close(write_end)  # the child's exit is then the pipe's end of file
-        self.pid, self.pipe = pid, open(read_end, "rb")
-        self.status: int | None = None  # its exit status, once reaped
+        self._pid, self._pipe = pid, open(read_end, "rb")
+        self._status: int | None = None  # the child's exit status, once reaped
+        self._items = self._receive()
 
-    def receive(self) -> Iterator:
+    def __iter__(self) -> Iterator[T]:
+        return self
+
+    def __next__(self) -> T:
+        return next(self._items)
+
+    def close(self) -> None:
+        """Kill and reap the child, if it still runs, and close its pipe."""
+        if self._pid is not None:
+            self._reap(kill=True)
+
+    def __enter__(self) -> Producer[T]:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _receive(self) -> Iterator[T]:
         """Each item the child sends, in order; at the end, reap it and raise what it raised."""
         while True:
             try:
-                more, value = pickle.load(self.pipe)
+                more, value = pickle.load(self._pipe)
             except (EOFError, pickle.UnpicklingError):
-                status = self.close(kill=False)
+                status = self._reap(kill=False)
                 raise RuntimeError(
-                    f"forked child {self.pid} exited with status {status} before sending its results"
+                    f"forked child {self._pid} exited with status {status} before sending its results"
                 ) from None
             if not more:
                 break
             yield value
-        self.close(kill=False)
+        self._reap(kill=False)
         if value is not None:
             raise value
 
-    def close(self, kill: bool = True) -> int | None:
+    def _reap(self, kill: bool) -> int:
         """Close the pipe and reap the child, killing it first unless it is known to be ending."""
-        if self.status is None:
-            self.pipe.close()
+        if self._status is None:
+            self._pipe.close()
             if kill:
                 with suppress(ProcessLookupError):
-                    os.kill(self.pid, signal.SIGKILL)
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.status
+                    os.kill(self._pid, signal.SIGKILL)
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        return self._status
 
 
 def _serve(make: Callable[[], Iterable], write_end: int) -> None:

@@ -732,9 +732,7 @@ def _trace_blocks(scenario: Scenario, engine: EngineSpec) -> Iterator[list[tuple
     made = []
     for index, cell in enumerate(scenario.cells):
         profiles = [cell.ues.profile()] * cell.ues.count
-        with _At(cell.line):
-            rows = trace_rows(cell.cell, cell.scheme, profiles, cell.control, engine.subframes, engine.seed + index)
-        made.append(rows)
+        made.append(trace_rows(cell.cell, cell.scheme, profiles, cell.control, engine.subframes, engine.seed + index))
     at = {cell.node: k for k, cell in enumerate(scenario.cells)}
     peaks = [
         (spec.line, src, at[src], spec.peak_rate * scenario.cells[at[src]].cell.subframe_duration)

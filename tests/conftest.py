@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import fhsim.fanout
 from fhsim.cli import bundled_scenario_names, load_scenario_text
 from fhsim.engine import run
 from fhsim.metrics import assemble_report
@@ -23,6 +24,16 @@ def bundled_runs():
         report = assemble_report(result, built.bounds)
         runs[name] = (scenario, built, result, report)
     return runs
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count `fhsim.fanout` sees."""
+
+    def force(n: int) -> None:
+        monkeypatch.setattr(fhsim.fanout, "usable_cpus", lambda: n)
+
+    return force
 
 
 @pytest.fixture

@@ -15,30 +15,16 @@ from dataclasses import replace
 
 import pytest
 
-import fhsim.fanout
-from fhsim.cli import load_scenario_text
 from fhsim.fanout import Producer, fan_out
 from fhsim.metrics import overhead_sweep
-from fhsim.scenario import CellTraces, parse_scenario, run_scenario
+from fhsim.scenario import CellTraces, parse_scenario
 from fhsim.traffic import generate_trace
-from test_golden import GOLDEN
-from test_golden import _digests as golden_digests
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 if PERFBENCH not in sys.path:
     sys.path.insert(0, PERFBENCH)
 
 import workloads  # noqa: E402
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the usable CPU count `fan_out` sees."""
-
-    def force(n: int) -> None:
-        monkeypatch.setattr(fhsim.fanout, "usable_cpus", lambda: n)
-
-    return force
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -51,6 +37,14 @@ def test_results_are_the_serial_loops_in_input_order(cpus, n):
     pids = {pid for _, pid in out}
     assert len(pids) == n and parent in pids
     assert out[0][1] == parent  # the caller computes the first share
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_no_item_or_one_item_is_computed_in_the_caller(cpus, forks, n):
+    cpus(n)
+    assert fan_out(lambda x: os.getpid(), []) == []
+    assert fan_out(lambda x: os.getpid(), ["x"]) == [os.getpid()]
+    assert forks == []
 
 
 def test_results_larger_than_a_pipe_buffer_cross_whole(cpus):
@@ -73,29 +67,6 @@ def test_twelve_cell_traces_are_the_same_streamed_or_made_whole(cpus):
         trace = streamed[cell.node]
         assert (trace.volumes, trace.prbs, trace.control_res) == (whole.volumes, whole.prbs, whole.control_res)
         assert [type(v) for v in trace.volumes] == [type(v) for v in whole.volumes]
-
-
-# the bundled scenarios with cells, whose traces stream from a producer on two CPUs
-WITH_CELLS = [name for name in sorted(GOLDEN) if parse_scenario(load_scenario_text(name)[0]).cells]
-
-
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("name", WITH_CELLS)
-def test_bundled_outputs_are_the_golden_ones_in_process_or_streamed(cpus, forks, tmp_path, name, n):
-    cpus(n)
-    assert run_scenario(parse_scenario(load_scenario_text(name)[0], name=name), str(tmp_path)) == 0
-    assert len(forks) == (n > 1)
-    assert golden_digests(tmp_path) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_cells_outputs_are_the_recorded_ones_in_process_or_streamed(cpus, forks, tmp_path, n):
-    cpus(n)
-    workload = workloads.WORKLOADS["cells"]
-    result = workload.run_pass(workload.prepare(0), str(tmp_path))
-    assert len(forks) == (n > 1)
-    assert result.problems == []
-    assert workloads.digest_problems(workloads.expected_digests("cells", 0), result.digests) == []
 
 
 def test_a_producer_sends_every_item_in_order_from_one_child(cpus):

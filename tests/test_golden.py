@@ -1,8 +1,10 @@
 """Golden outputs: the sha256 of every file `run_scenario` writes.
 
-Each bundled scenario runs at its default seed; three of them also run
-with a frame-size sweep, which reruns the same world and so catches run
-state left behind on ports or packets. Any change to these digests is a
+Each bundled scenario runs at its default seed, each one with cells
+both on one usable CPU and on two, where its traces stream from a
+forked child. Three of them also run with a frame-size sweep, which
+reruns the same world and so catches run state left behind on ports or
+packets. Any change to these digests is a
 change in what fhsim computes and must be named as such.
 """
 
@@ -89,10 +91,21 @@ def _digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_bundled_outputs_match_golden(tmp_path, name):
+# every scenario with cells runs with its traces made in-process (1 CPU)
+# and streamed from one forked producer (2 CPUs); latency-tiers has none
+CPU_CASES = [
+    (name, n)
+    for name in sorted(GOLDEN)
+    for n in ((1, 2) if parse_scenario(load_scenario_text(name)[0]).cells else (1,))
+]
+
+
+@pytest.mark.parametrize("name, n", CPU_CASES)
+def test_bundled_outputs_match_golden(cpus, forks, tmp_path, name, n):
+    cpus(n)
     text, _ = load_scenario_text(name)
     assert run_scenario(parse_scenario(text, name=name), str(tmp_path)) == 0
+    assert len(forks) == (n > 1)
     assert _digests(tmp_path) == GOLDEN[name]
 
 

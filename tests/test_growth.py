@@ -5,16 +5,17 @@ holding one CBR point-to-point session to a BBU, all admitted. The
 phases are parse, build (controller and traces), sync, run, report, a
 controller trunk cut that reroutes every session crossing it, and a
 migration of every session to the next BBU round the ring. For each
-phase the test counts the calls cProfile sees into fhsim's own code at
-n = 250 and at n = 1000. Call counts repeat from run to run, unlike wall
-times, so a phase that grows faster than linearly (a scan of every
-earlier entry, say) shows as a ratio well above 4 between the two sizes.
-CSV writing is left out: its fhsim part is a fixed handful of calls.
+phase the test counts the lines of fhsim's own code it executes
+(`sys.settrace` line events) at n = 250 and at n = 1000. Line counts
+repeat from run to run, unlike wall times, and they see a loop that
+grows inside a single call, so a phase that grows faster than linearly
+(a scan of every earlier entry, say) shows as a ratio well above 4
+between the two sizes. CSV writing is left out.
 
-Calls do not show work or memory that grows inside one call, so two
-more gates look there. The engine's peak traced memory on one CBR
-session stays flat from 200 to 2,000 subframes: a run holds what is in
-flight, not what is still to come. And the heap entries of the clock
+Lines executed do not show memory, so two more gates look there. The
+engine's peak traced memory on one CBR session stays flat from 200 to
+2,000 subframes: a run holds what is in flight, not what is still to
+come. And the heap entries of the clock
 tree and of the path search stay a constant size on a 1,000-switch
 chain: no entry carries a path. On a 1,000-switch ring, setting up
 pairs already set up once pushes nothing onto the path search's heap:
@@ -24,9 +25,9 @@ admitted, setting up and tearing down along it looks up no link: the
 hops are read from the path's route, built once per distinct path.
 """
 
-import cProfile
 import heapq
 import os
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -74,15 +75,25 @@ def ring_world(n: int) -> str:
 
 
 def counted(fn, *args):
-    """fn(*args), and the number of calls it made into fhsim's code."""
-    profile = cProfile.Profile()
-    result = profile.runcall(fn, *args)
-    calls = sum(
-        entry.callcount
-        for entry in profile.getstats()
-        if not isinstance(entry.code, str) and entry.code.co_filename.startswith(PACKAGE)
-    )
-    return result, calls
+    """fn(*args), and the number of lines of fhsim's code it executed."""
+    lines = 0
+
+    def line(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
 
 
 def sync(built):
@@ -91,22 +102,22 @@ def sync(built):
     return propagate_sync(tree, built.world.topology, built.scenario.regen_factor)
 
 
-def phase_calls(n: int) -> dict[str, int]:
-    calls = {}
-    scenario, calls["parse"] = counted(parse_scenario, ring_world(n))
-    built, calls["build"] = counted(build_scenario, scenario)
+def phase_lines(n: int) -> dict[str, int]:
+    lines = {}
+    scenario, lines["parse"] = counted(parse_scenario, ring_world(n))
+    built, lines["build"] = counted(build_scenario, scenario)
     assert not built.infeasible
-    _, calls["sync"] = counted(sync, built)
-    result, calls["run"] = counted(run, built.world, scenario.engine.horizon)
-    report, calls["report"] = counted(assemble_report, result, built.bounds)
+    _, lines["sync"] = counted(sync, built)
+    result, lines["run"] = counted(run, built.world, scenario.engine.horizon)
+    report, lines["report"] = counted(assemble_report, result, built.bounds)
     assert len(report.sessions) == n and all(record.delivered > 0 for record in report.sessions)
     # cut the trunk s0-s1: the sessions of the RRHs at s1 go round the ring to b0
     trunk = (built.node_id["s0"], built.node_id["s1"])
-    outcomes, calls["cut"] = counted(built.controller.reroute_on_failure, trunk)
+    outcomes, lines["cut"] = counted(built.controller.reroute_on_failure, trunk)
     assert list(outcomes.values()) == ["rerouted"] * len(range(1, n, 8))
     bbus = [built.node_id[f"b{j}"] for j in range(4)]
-    _, calls["migrate"] = counted(migrate_all, built.controller, bbus)
-    return calls
+    _, lines["migrate"] = counted(migrate_all, built.controller, bbus)
+    return lines
 
 
 def migrate_all(controller, bbus):
@@ -120,7 +131,7 @@ def migrate_all(controller, bbus):
 
 
 def test_every_phase_grows_linearly():
-    small, large = phase_calls(SMALL), phase_calls(LARGE)
+    small, large = phase_lines(SMALL), phase_lines(LARGE)
     ratios = {phase: round(large[phase] / small[phase], 2) for phase in small}
     assert all(ratio <= MAX_RATIO for ratio in ratios.values()), (ratios, small, large)
 

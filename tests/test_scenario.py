@@ -319,6 +319,7 @@ class TestRunScenario:
             pytest.param(
                 "scheme=modulation_bits", f"scheme=re_extraction iq_bits={'9' * 306}", 10, id="iq_bits-306-digits"
             ),
+            ("count=4", "count=0", 10),  # a load-dependent scheme with no UE
             # a link has no class; users and subframes have upper bounds
             ("link = hub b1 cap=1e9", "link = hub b1 cap=1e9 class=wireless", 7),
             ("count=4", "count=65536", 11),
@@ -397,7 +398,7 @@ class TestRunScenario:
         def failing(cell, scheme, profiles, control, n_subframes, seed):
             if seed == scenario.engine.seed + 3:
                 raise ValueError("no trace for the last cell")
-            return real(cell, scheme, profiles, control, n_subframes, seed)
+            yield from real(cell, scheme, profiles, control, n_subframes, seed)  # a generator, as trace_rows is
 
         monkeypatch.setattr(fhsim.scenario, "trace_rows", failing)
         out = tmp_path / "out"

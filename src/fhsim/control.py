@@ -154,14 +154,18 @@ class ReservationLedger:
         return self._capacity[key] - self.reserved(key)
 
     def residual_after(
-        self, overlay: dict[LinkKey, float], credit: dict[LinkKey, float]
+        self, overlay: dict[LinkKey, float] | None = None, credit: dict[LinkKey, float] | None = None
     ) -> Callable[[LinkKey], float]:
         """A `residual` reader that subtracts the pending charges in `overlay` and adds `credit`.
 
         One call per read, in the float order of `residual(key) - overlay
         + credit`; both dicts are read live, so later changes are seen.
+        With neither dict, nothing is pending and the reader is `residual`
+        read in one step: `x - 0.0 + 0.0` compares as `x` does.
         """
         capacity, total = self._capacity, self._total
+        if overlay is None and credit is None:
+            return lambda key: capacity[key] - total[key] / _UNIT
 
         def residual(key: LinkKey) -> float:
             return capacity[key] - total[key] / _UNIT - overlay.get(key, 0.0) + credit.get(key, 0.0)
@@ -462,7 +466,10 @@ class Controller:
         topology = self._surviving()
         overlay: dict[LinkKey, float] = {}
         credit = dict(extra_credit or {})
-        residual = self.ledger.residual_after(overlay, credit)
+        if len(legs) > 1 or credit:
+            residual = self.ledger.residual_after(overlay, credit)
+        else:  # the one leg is planned before anything is charged
+            residual = self.ledger.residual_after()
         routes: list[Route] = []
         for src, dst in legs:
             path, _ = compute_path(

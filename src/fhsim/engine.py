@@ -15,18 +15,24 @@ output port keeps a bitmask of its non-empty lanes, so strict priority
 and WRR reach the next lane to serve without a step per empty one.
 All randomness lives in the traffic
 traces; given the same world and horizon the run is reproducible event
-for event, with ties at equal time broken by scheduling order. The heap
-holds only what can be due next: one event per circuit, its regulator's
-timeout if that falls strictly before the circuit's next offer and else
-that offer, with a tie fixed by the feed lengths alone, so no event goes
+for event. Events are keyed (time, cause, tie): at equal time they pop
+in the order of their cause, the time of the event that scheduled them,
+and then of scheduling; an offer's cause is -inf, and a processing
+end's is its packet's arrival, whose tie it takes. The heap holds only
+what can be due next: one event per circuit, its regulator's timeout if
+that falls strictly before the circuit's next offer and else that
+offer, with a tie fixed by the feed lengths alone, so no event goes
 stale; the end of a transmission only once a packet waits behind it;
-and no arrival at end equipment, which takes delivery at transmit start,
-within the transmit step itself. Offers are made one at a time per
-circuit, and a feed's volumes are read only as the run reaches them, so
-a run's memory does not grow with its length and a feed may be a lazy
-sequence that is still being produced while the run goes on. The handled
-event stays at the heap root until the first event it schedules replaces
-it; keys are unique, so the pop order is unchanged. The transmit step and
+and no arrival that could only pass the packet on. End equipment takes
+delivery at transmit start, and at a direct switch port, one whose input
+buffer cannot fill (`_direct`), the transmit step pushes the processing
+end itself; only an arrival at another switch port is an event, which
+checks the buffer. Offers are made one at a time per circuit, and a
+feed's volumes are read only as the run reaches them, so a run's memory
+does not grow with its length and a feed may be a lazy sequence that is
+still being produced while the run goes on. The handled event stays at
+the heap root until the first event it schedules replaces it; keys are
+unique, so the pop order is unchanged. The transmit step and
 single-output enqueue are inline, and `_Port.pick` is the one scheduler.
 
 Packets carry their header fields as plain ints: the regulator builds
@@ -54,7 +60,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .packet import MAX_LABEL, MAX_LATENCY_CLASS, SEQ_MODULUS, FhPacket
+from .packet import HEADER_BYTES, MAX_LABEL, MAX_LATENCY_CLASS, SEQ_MODULUS, FhPacket
 from .topology import NodeId, PhysicalTopology, PhysLink
 
 N_CLASSES = MAX_LATENCY_CLASS + 1
@@ -252,9 +258,11 @@ class _Port:
     As an output it holds the queues and drives the link: class c
     queues in lane c & `SwitchConfig.lane_mask`, and `pick` serves the
     lanes. As an input it holds the arrival-side state of this port:
-    input buffer occupancy, and the label maps `run` fills before the
-    first event: `routes` at a switch, to (output port, out label)
-    pairs, and `egress` at end equipment, where `routes` is None.
+    whether it is `direct`, its input buffer occupancy, and the label
+    maps `run` fills before the first event: `routes` at a switch, to
+    (output port, out label) pairs, and `egress` at end equipment, where
+    `routes` is None. Only arrival events fill the buffer, so a direct
+    port, which has none, keeps no occupancy: it stays 0 there.
     """
 
     __slots__ = (
@@ -273,6 +281,7 @@ class _Port:
         "busy_time",
         "peak_queue_bytes",
         "occupancy",
+        "direct",
         "routes",
         "egress",
     )
@@ -296,6 +305,7 @@ class _Port:
         self.busy_time = 0.0
         self.peak_queue_bytes = 0
         self.occupancy = 0  # bytes in this input buffer
+        self.direct = False  # a transmission to this port pushes its processing end
         self.routes: dict[int, tuple[tuple[_Port, int], ...]] | None = {} if relays else None
         self.egress: dict[int, list] = {}
 
@@ -325,6 +335,35 @@ class _Port:
         if not q:
             self.nonempty = mask ^ (1 << cls)
         return pkt
+
+
+def _direct(capacity: float, wire_frame: int, config: SwitchConfig, horizon: float) -> bool:
+    """Whether a switch input port's buffer can never fill, so its arrivals need no event.
+
+    One transmitter feeds the port, at `capacity` bits/s, a frame at a
+    time. Of the packets in the buffer when one arrives, all but the
+    oldest were sent within the processing delay d before this one's
+    transmission ended, so they hold at most capacity * d / 8 bytes;
+    with the oldest and the arriving one, the buffer never needs more
+    than that and two frames of `wire_frame` bytes. Where B,
+    `input_buffer_bytes`, covers this, no arrival overflows the buffer
+    and an arrival event would only push its processing end, so the
+    transmit step pushes that end itself.
+
+    Rounding cannot break the bound. Each time the engine computes is
+    a sum, rounded by at most half an ulp of horizon + d, the latest
+    time an arrival or its processing end is handled at; so each packet
+    in the window widens it by at most that, and the window's ends by a
+    few halves more. At most B / 9 packets are buffered (9 bytes is the
+    smallest wire frame), so the widening stays below (B / 9 + 3) / 2
+    ulps, which the slack of B ulps covers. The rounding left, of the
+    transmit times and of this sum, is relative, and the bound has a
+    frame to spare for it: the arriving frame's own transmission lies
+    within the window, so one frame beyond capacity * d / 8 suffices.
+    """
+    delay, bound = config.header_processing_delay, config.input_buffer_bytes
+    slack = bound * math.ulp(horizon + delay)
+    return capacity * (delay + slack) / 8 + 2 * wire_frame <= bound
 
 
 def _wire_ports(world: World) -> dict[tuple[NodeId, int], _Port]:
@@ -431,8 +470,10 @@ class RunResult:
         return sum((s.totals() for s in self.sessions.values()), CircuitStats())
 
 
-# Event codes; ties at equal time resolve by scheduling order.
-_OFFER, _REG_TIMEOUT, _ARRIVAL, _PROC_DONE, _TX_DONE = range(5)
+# Event codes. A processing end is _BUFFERED_DONE behind an arrival
+# event, which frees the input buffer, and _PROC_DONE at a direct port.
+# Keys are unique before the code, so codes never decide the order.
+_OFFER, _REG_TIMEOUT, _ARRIVAL, _BUFFERED_DONE, _PROC_DONE, _TX_DONE = range(6)
 _IDLE = (-math.inf,)  # a transmit-done key before every event: the port is idle
 
 
@@ -449,30 +490,46 @@ def run(world: World, horizon: float) -> RunResult:
     arrival, so never delivers) and one that names a session with no
     feed are refused then with a `ValueError` naming them.
 
-    Events pop in (time, tie) order, and the heap holds only what can
-    be due next. Offer ties come from the feed lengths: circuit c's
-    offer at subframe sf takes tie L_c + sf, where L_c is the summed
-    lengths of the earlier feeds, and every other event draws the next
-    tie from the total length up, when it is scheduled. That is the
-    order of pushing every offer up front in (circuit, subframe) order,
-    found without reading a volume. Offers are made one at a time per
-    circuit, as the run reaches them: a volume is read when the offer
-    before it is handled (the first one before the first event), and
-    waits aside while a timeout that falls before it is in the heap.
-    So `feed.volumes` is read in order, by index and `len` only, and
-    never past what the horizon needs. Each circuit has one
-    event in the heap: its regulator's timeout if that falls strictly
-    before the circuit's next offer, else that offer. An offer at the
-    deadline pops first, having the lower tie, and schedules again; a
-    timeout flushes the regulator empty and pushes the next offer. So no
-    timeout is ever superseded, and only a pushed timeout draws a tie,
-    which keeps the order of all the others. A transmission reserves its
+    Events pop in (time, cause, tie) order, and the heap holds only
+    what can be due next. An event's cause is the time of the event
+    whose handler scheduled it, with two exceptions: an offer's is -inf,
+    and a processing end's is its packet's arrival time, and it takes
+    the tie its arrival drew at transmit start, drawing none of its
+    own. For every other event the cause only restates the tie order,
+    since ties are drawn as events are handled, in time order; so the
+    key places a processing end among the events of its instant by its
+    arrival, not by the moment that arrival was handled. Offer ties come
+    from the feed lengths: circuit c's offer at subframe sf takes tie
+    L_c + sf, where L_c is the summed lengths of the earlier feeds, and
+    every other event draws the next tie from the total length up, when
+    it is scheduled. That is the order of pushing every offer up front
+    in (circuit, subframe) order, found without reading a volume.
+    Offers are made one at a time per circuit, as the run reaches them:
+    a volume is read when the offer before it is handled (the first one
+    before the first event), and waits aside while a timeout that falls
+    before it is in the heap. So `feed.volumes` is read in order, by
+    index and `len` only, and never past what the horizon needs. Each
+    circuit has one event in the heap: its regulator's timeout if that
+    falls strictly before the circuit's next offer, else that offer. An
+    offer at the deadline pops first, having the lower cause, and
+    schedules again; a timeout flushes the regulator empty and pushes
+    the next offer. So no timeout is ever superseded, and only a pushed
+    timeout draws a tie, which keeps the order of all the others. A transmission reserves its
     end's key when it starts, and that end is pushed only when a packet
     waits behind it: a port whose reserved key is already past is idle.
     End equipment takes delivery at transmit start, stamped with the
     arrival time, when that time is within the horizon; later arrivals
-    stay in the heap and count as residual. So every figure is what
-    pushing every event would give.
+    stay in the heap and count as residual. A switch input port is
+    direct, chosen before the first event from the world and the
+    horizon alone, when its input buffer holds
+    capacity * header_processing_delay / 8 bytes and two of the largest
+    wire frames (`_direct`): one transmitter feeds it, so it cannot
+    fill. There the transmit step pushes the processing end, keyed
+    (arrival + delay, arrival, tie), and no arrival event exists; a
+    processing end past the horizon counts as residual, as its arrival
+    would. At every other switch port the arrival is an event, which
+    checks the buffer. So every figure is what pushing every event
+    would give.
 
     The handled event stays at the root until the first event it
     schedules replaces it (`heapq.heapreplace`), or is popped if there
@@ -497,6 +554,9 @@ def run(world: World, horizon: float) -> RunResult:
                 if (node, out) not in ports:
                     raise ValueError(f"node {node}'s entry {entry} forwards to port {out}, which has no link")
             port.routes[label] = tuple((ports[(node, out)], out_label) for out, out_label in outputs)
+    wire_frame = max((feed.policy.max_frame_bytes for feed in world.circuits), default=0) + HEADER_BYTES
+    for port in ports.values():
+        port.direct = port.routes is not None and _direct(port.capacity, wire_frame, config, horizon)
 
     def offers(idx: int, feed: CircuitFeed, first_tie: int) -> Iterator[tuple]:
         """Circuit idx's offer events within the horizon, in time order; subframe sf's takes tie first_tie + sf."""
@@ -507,7 +567,7 @@ def run(world: World, horizon: float) -> RunResult:
                 return
             bits = volumes[sf]
             if bits > EPS_BITS:
-                yield (t, first_tie + sf, _OFFER, idx, bits)
+                yield (t, -math.inf, first_tie + sf, _OFFER, idx, bits)
 
     regulators = [Regulator(feed) for feed in world.circuits]
     sessions: dict[str, SessionRunStats] = {}
@@ -543,9 +603,9 @@ def run(world: World, horizon: float) -> RunResult:
         # [session stats, circuit stats, last seq, latency counts] of the circuit ending here
         port.egress[label] = [stats, stats.circuit(cid), None, stats.latencies.counts]
 
-    # Events are (time, tie, code, a, b); offers take ties below
-    # n_subframes and every other event draws the next tie when it is
-    # scheduled.
+    # Events are (time, cause, tie, code, a, b); offers take ties below
+    # n_subframes, a processing end takes its arrival's, and every other
+    # event draws the next tie when it is scheduled.
     heap: list[tuple] = []
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     for *_, source in ingress:
@@ -599,56 +659,60 @@ def run(world: World, horizon: float) -> RunResult:
         port.class_bytes[cls] -= wire_bytes
         port.total_bytes -= wire_bytes
         tx = wire_bytes * 8 / port.capacity
-        port.busy_time += min(tx, horizon - event[0])
-        end = event[0] + tx
-        port.done = (end, tie(), _TX_DONE, port, None)
+        now = event[0]
+        port.busy_time += min(tx, horizon - now)
+        end = now + tx
+        port.done = (end, now, tie(), _TX_DONE, port, None)
         at = end + port.propagation
         peer = port.peer
-        if peer.routes is not None or at > horizon:
-            heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
+        if peer.direct:
+            heappush(heap, (at + proc_delay, at, tie(), _PROC_DONE, peer, pkt))
+        elif peer.routes is not None or at > horizon:
+            heappush(heap, (at, now, tie(), _ARRIVAL, peer, pkt))
         else:
             deliver(peer, pkt, at)
 
     while heap:
         event = heap[0]  # handled at the root, until replaced or popped
-        now, _, code, port, pkt = event
+        now, _, _, code, port, pkt = event
         if now > horizon:
             break
         if code != _TX_DONE:  # a transmit-done is pushed only with a packet waiting
-            if code == _ARRIVAL:  # at a switch: end equipment took delivery at transmit start
-                occupied = port.occupancy + pkt.wire_bytes
-                if occupied > input_bound:
-                    pkt.stats.dropped_overflow += 1
-                    heappop(heap)
-                else:
-                    port.occupancy = occupied
-                    heapreplace(heap, (now + proc_delay, tie(), _PROC_DONE, port, pkt))
-                continue
-            if code != _PROC_DONE:  # _OFFER or _REG_TIMEOUT, the one event of circuit idx in the heap
-                idx = port
-                reg = regulators[idx]
-                port, cstats, stats, source = ingress[idx]
-                if code == _OFFER:
-                    emitted = reg.offer(now, pkt)
-                    following = next(source, None)  # its volume is read only now
-                else:
-                    following = upcoming[idx]
-                    emitted = reg.flush()
-                for pkt in emitted:
-                    pkt.stats = cstats
-                    cstats.injected += 1
-                    stats.wire_bits_injected += pkt.wire_bytes * 8
-                    enqueue(port, pkt, event)
-                deadline = reg.deadline()  # None after a flush
-                if deadline is not None and (following is None or deadline < following[0]):
-                    heapreplace(heap, (deadline, tie(), _REG_TIMEOUT, idx, None))
-                    upcoming[idx] = following
-                elif following is not None:
-                    heapreplace(heap, following)
-                else:
-                    heappop(heap)
-                continue
-            port.occupancy -= pkt.wire_bytes
+            if code != _PROC_DONE:  # a processing end at a direct port goes straight to its hop
+                if code == _ARRIVAL:  # at a switch: end equipment took delivery at transmit start
+                    occupied = port.occupancy + pkt.wire_bytes
+                    if occupied > input_bound:
+                        pkt.stats.dropped_overflow += 1
+                        heappop(heap)
+                    else:
+                        port.occupancy = occupied
+                        heapreplace(heap, (now + proc_delay, now, event[2], _BUFFERED_DONE, port, pkt))
+                    continue
+                if code != _BUFFERED_DONE:  # _OFFER or _REG_TIMEOUT, the one event of circuit idx in the heap
+                    idx = port
+                    reg = regulators[idx]
+                    port, cstats, stats, source = ingress[idx]
+                    if code == _OFFER:
+                        emitted = reg.offer(now, pkt)
+                        following = next(source, None)  # its volume is read only now
+                    else:
+                        following = upcoming[idx]
+                        emitted = reg.flush()
+                    for pkt in emitted:
+                        pkt.stats = cstats
+                        cstats.injected += 1
+                        stats.wire_bits_injected += pkt.wire_bytes * 8
+                        enqueue(port, pkt, event)
+                    deadline = reg.deadline()  # None after a flush
+                    if deadline is not None and (following is None or deadline < following[0]):
+                        heapreplace(heap, (deadline, now, tie(), _REG_TIMEOUT, idx, None))
+                        upcoming[idx] = following
+                    elif following is not None:
+                        heapreplace(heap, following)
+                    else:
+                        heappop(heap)
+                    continue
+                port.occupancy -= pkt.wire_bytes  # the end of processing behind an arrival event
             outputs = port.routes.get(pkt.label)
             if outputs is None:
                 pkt.stats.dropped_unroutable += 1
@@ -695,25 +759,31 @@ def run(world: World, horizon: float) -> RunResult:
         left = horizon - now
         port.busy_time += tx if tx < left else left
         end = now + tx
-        done = (end, tie(), _TX_DONE, port, None)
+        done = (end, now, tie(), _TX_DONE, port, None)
         at = end + port.propagation
         peer = port.peer
+        if peer.direct:
+            hop = (at + proc_delay, at, tie(), _PROC_DONE, peer, pkt)
+        elif peer.routes is not None or at > horizon:
+            hop = (at, now, tie(), _ARRIVAL, peer, pkt)
+        else:
+            hop = None
         if port.total_bytes > 0:  # a packet waits behind it: push its end
             heapreplace(heap, done)
             port.done = None
-            if peer.routes is not None or at > horizon:
-                heappush(heap, (at, tie(), _ARRIVAL, peer, pkt))
+            if hop is not None:
+                heappush(heap, hop)
                 continue
         else:
             port.done = done
-            if peer.routes is not None or at > horizon:
-                heapreplace(heap, (at, tie(), _ARRIVAL, peer, pkt))
+            if hop is not None:
+                heapreplace(heap, hop)
                 continue
             heappop(heap)
         deliver(peer, pkt, at)
 
     residual = sum(len(q) for port in ports.values() for q in port.queues)
-    residual += sum(event[2] in (_ARRIVAL, _PROC_DONE) for event in heap)
+    residual += sum(event[3] in (_ARRIVAL, _BUFFERED_DONE, _PROC_DONE) for event in heap)
 
     port_stats = [
         PortStats(

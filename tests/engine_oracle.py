@@ -4,8 +4,9 @@ This is the `fhsim.engine.run` that the chained offers, the one event
 per circuit, the lazy transmit-done and delivery at transmit start
 replaced. It pushes every offer of every circuit before the first pop,
 a new regulator timeout after every offer, the end of every
-transmission, and pops every arrival at end equipment, so it is slow
-but plainly right. Two pieces of its state live here, since the engine
+transmission, and every arrival, at end equipment and at every switch
+port, where it checks the input buffer, so it is slow but plainly
+right. Its events take the engine's (time, cause, tie) key. Two pieces of its state live here, since the engine
 no longer needs them: each circuit's generation counter, which skips a
 superseded timeout when it pops, and a set of busy ports, in place of
 a flag on `_Port`. Neither changes its logic. It resolves each label
@@ -20,6 +21,7 @@ counts per latency.
 
 import heapq
 import itertools
+import math
 
 from fhsim.engine import (
     EPS_BITS,
@@ -57,8 +59,10 @@ def run(world: World, horizon: float) -> RunResult:
     routes: dict[tuple[_Port, int], tuple | None] = {}  # (input port, label) -> outputs, as resolved
     bindings: dict[tuple[_Port, int], list | None] = {}  # (host port, label) -> record, as resolved
 
-    # Events are (time, tie, code, a, b); ties at equal time resolve by
-    # the order they were pushed in.
+    # Events are (time, cause, tie, code, a, b): at equal time they
+    # resolve by the time of the event that scheduled them, then by the
+    # order they were pushed in. An offer's cause is -inf, and a
+    # processing end's is its arrival's time, whose tie it inherits.
     heap: list[tuple] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     tie = itertools.count().__next__
@@ -69,7 +73,7 @@ def run(world: World, horizon: float) -> RunResult:
             if t > horizon:
                 break
             if bits > EPS_BITS:
-                heappush(heap, (t, tie(), _OFFER, idx, sf))
+                heappush(heap, (t, -math.inf, tie(), _OFFER, idx, sf))
 
     def start_tx(port: _Port, now: float) -> None:
         pkt = port.pick(config.wrr_credits)
@@ -79,8 +83,8 @@ def run(world: World, horizon: float) -> RunResult:
         busy.add(port)
         tx = wire_bytes * 8 / port.capacity
         port.busy_time += min(tx, horizon - now)
-        heappush(heap, (now + tx, tie(), _TX_DONE, port, None))
-        heappush(heap, (now + tx + port.propagation, tie(), _ARRIVAL, port.peer, pkt))
+        heappush(heap, (now + tx, now, tie(), _TX_DONE, port, None))
+        heappush(heap, (now + tx + port.propagation, now, tie(), _ARRIVAL, port.peer, pkt))
 
     def enqueue(port: _Port, pkt: FhPacket, now: float) -> None:
         cls = pkt.latency_class
@@ -106,11 +110,11 @@ def run(world: World, horizon: float) -> RunResult:
             stats.wire_bits_injected += pkt.wire_bytes * 8
             enqueue(port, pkt, now)
 
-    def reschedule_timeout(idx: int) -> None:
+    def reschedule_timeout(idx: int, now: float) -> None:
         generation[idx] += 1
         deadline = regulators[idx].deadline()
         if deadline is not None:
-            heappush(heap, (deadline, tie(), _REG_TIMEOUT, idx, generation[idx]))
+            heappush(heap, (deadline, now, tie(), _REG_TIMEOUT, idx, generation[idx]))
 
     def route(port: _Port, label: int):
         outputs = world.switches[port.node].table.get((port.port_no, label))
@@ -145,7 +149,7 @@ def run(world: World, horizon: float) -> RunResult:
         stats.payload_bits_delivered += pkt.payload_len * 8
 
     while heap and heap[0][0] <= horizon:
-        now, _, code, a, b = heappop(heap)
+        now, _, event_tie, code, a, b = heappop(heap)
         if code == _ARRIVAL:
             port, pkt = a, b
             if port.node not in world.switches:
@@ -156,7 +160,7 @@ def run(world: World, horizon: float) -> RunResult:
                 pkt.stats.dropped_overflow += 1
                 continue
             port.occupancy = occupied
-            heappush(heap, (now + config.header_processing_delay, tie(), _PROC_DONE, port, pkt))
+            heappush(heap, (now + config.header_processing_delay, now, event_tie, _PROC_DONE, port, pkt))
         elif code == _PROC_DONE:
             port, pkt = a, b
             port.occupancy -= pkt.wire_bytes
@@ -182,16 +186,16 @@ def run(world: World, horizon: float) -> RunResult:
         elif code == _OFFER:
             emitted = regulators[a].offer(now, world.circuits[a].volumes[b])
             inject(a, emitted, now)
-            reschedule_timeout(a)
+            reschedule_timeout(a, now)
         else:  # _REG_TIMEOUT
             if b != generation[a]:
                 continue
             inject(a, regulators[a].flush(), now)
-            reschedule_timeout(a)
+            reschedule_timeout(a, now)
 
     residual = sum(len(q) for port in ports.values() for q in port.queues)
     for event in heap:
-        if event[2] in (_ARRIVAL, _PROC_DONE):
+        if event[3] in (_ARRIVAL, _PROC_DONE):
             residual += 1
 
     port_stats = [

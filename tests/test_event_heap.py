@@ -2,16 +2,20 @@
 
 `fhsim.engine.run` keeps one offer or regulator timeout per circuit in
 the heap, pushes the end of a transmission only when a packet waits
-behind it, and delivers to end equipment at transmit start.
+behind it, delivers to end equipment at transmit start, and pushes the
+processing end at a direct switch port from the transmit step.
 `engine_oracle.run` pushes every event; on random small worlds both
-must give the same result. All times in these worlds are dyadic, so
-events at equal times are common and the tie rule decides their order.
+must give the same result, and so must the engine with no port direct.
+All times in these worlds are dyadic, so events at equal times are
+common and the (time, cause, tie) rule decides their order.
 """
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fhsim.engine
@@ -28,7 +32,7 @@ from fhsim.engine import (
     run,
 )
 from fhsim.scenario import build_scenario, parse_scenario
-from fhsim.topology import Node, NodeKind, PhysLink, PhysicalTopology
+from fhsim.topology import MAX_CAPACITY, Node, NodeKind, PhysLink, PhysicalTopology
 
 # Hosts 0 and 1 reach switch 3, host 2 has a direct link to BBU 8.
 # Switch 3 serves BBU 5 and switch 4, which serves BBUs 6 and 7; a
@@ -139,6 +143,91 @@ class TestMatchesEveryEventInTheHeap:
             assert replace(mine, latencies=None) == replace(stats, latencies=None)
 
 
+def chain_world(up: float, down: float, feeds: list[tuple], config: SwitchConfig) -> World:
+    """Host 0 sends into switch 3's port 0 at `up` b/s, and its port 2 sends to BBU 5 at `down` b/s.
+
+    `feeds` are (latency class, frame bytes, volumes, subframe duration);
+    circuit i enters with label i + 1 and ends at BBU 5 as session ci.
+    No link has a propagation delay.
+    """
+    nodes = [Node(0, NodeKind.RRH, 1), Node(3, NodeKind.FH_SWITCH, 4), Node(5, NodeKind.BBU, 1)]
+    links = [PhysLink(0, 0, 3, 0, up, 0.0), PhysLink(3, 2, 5, 0, down, 0.0)]
+    switch, circuits, egress = SwitchState(), [], {}
+    for cid, (latency_class, frame, volumes, step) in enumerate(feeds):
+        label = cid + 1
+        policy = RegulatorPolicy(frame, 1.0)
+        circuits.append(CircuitFeed(f"c{cid}", cid, 0, 0, label, latency_class, policy, volumes, step))
+        switch.install(0, label, ((2, label + 100),))
+        egress[(5, 0, label + 100)] = (f"c{cid}", cid)
+    return World(PhysicalTopology(nodes, links), {3: switch}, circuits, egress, config)
+
+
+class TestProcessingEndSortsByItsArrival:
+    def test_a_processing_end_goes_before_what_its_arrival_instant_scheduled(self):
+        """Events at one time sort by the time of what scheduled them, and a processing end by its arrival's.
+
+        Every frame is 16 wire bytes: 0.5 s up, 1 s down, and 1 s of
+        processing. Host 0 sends P (c0, class 7) at 0, W (c1, class 7)
+        at 0.5 and A (c2, class 0) at 1, arriving at 0.5, 1 and 1.5. At
+        1.5 P's processing end starts P down, to end at 2.5, and then A
+        arrives, to be processed by 2.5; W queues behind P at 2. Under
+        (time, tie) P's transmit end, scheduled first, went first at 2.5
+        and sent W (latencies c1 3.0, c2 3.5, one packet queued at a
+        time). Under (time, cause, tie) A's processing end sorts by its
+        arrival, at 1.5 before P's transmit end was scheduled, so A joins
+        the queue first and strict priority sends it ahead of W.
+        """
+        feeds = [(7, 8, [64.0], 0.5), (7, 8, [0.0, 64.0], 0.5), (0, 8, [0.0, 0.0, 64.0], 0.5)]
+        result = run(chain_world(256.0, 128.0, feeds, SwitchConfig(header_processing_delay=1.0)), 8.0)
+        latencies = {sid: stats.latencies.counts for sid, stats in result.sessions.items()}
+        assert latencies == {"c0": {2.5: 1}, "c1": {4.0: 1}, "c2": {2.5: 1}}
+        assert [port.peak_queue_bytes for port in result.ports] == [16, 0, 32, 0]
+
+
+def every_arrival_an_event(world: World, horizon: float):
+    """`run` with no port direct: every switch arrival is an event that checks the input buffer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fhsim.engine, "_direct", lambda *_: False)
+        return run(world, horizon)
+
+
+# a burst of 32-byte frames into a 1 s processing delay at 1024 b/s: 128
+# bytes in processing, two frames and a fraction of a byte of slack
+AT_BOUND = 193
+# the same burst at 1e15 b/s, offered at 2**19 s, where a frame's 2.56e-13 s
+# is far below half an ulp: the frames all arrive at one instant. Without the
+# slack, 2**-30 s of processing would make the port direct at this buffer,
+# yet the burst overflows it.
+ROUNDED_BOUND = math.ceil(MAX_CAPACITY * 2**-30 / 8) + 64
+
+
+class TestDirectPortsNeedNoArrival:
+    @given(small_worlds())
+    @settings(max_examples=200, deadline=None)
+    def test_same_result_with_every_arrival_an_event(self, case):
+        world, horizon = case
+        assert run(world, horizon) == every_arrival_an_event(world, horizon)
+
+    @pytest.mark.parametrize(
+        "capacity, delay, buffer, step, horizon, direct, overflows",
+        [
+            (1024.0, 1.0, AT_BOUND, 0.0, 12.0, True, False),
+            (1024.0, 1.0, AT_BOUND - 1, 0.0, 12.0, False, False),
+            (MAX_CAPACITY, 2**-30, ROUNDED_BOUND, 2.0**19, 2.0**20, False, True),
+        ],
+        ids=["at-the-bound", "a-byte-below", "max-capacity-long-horizon"],
+    )
+    def test_edge_of_the_bound(self, capacity, delay, buffer, step, horizon, direct, overflows):
+        config = SwitchConfig(queue_bytes=1 << 20, input_buffer_bytes=buffer, header_processing_delay=delay)
+        assert fhsim.engine._direct(capacity, 32, config, horizon) is direct
+        feeds = [(0, 24, [0.0, 10_000 * 24 * 8.0], step)]  # 10,000 frames offered at `step`
+        world = chain_world(capacity, capacity, feeds, config)
+        result = run(world, horizon)
+        assert result == every_arrival_an_event(world, horizon)
+        assert result.total().injected == 10_000
+        assert (result.total().dropped_overflow > 0) is overflows
+
+
 class TestHeapHoldsOnlyWhatIsDue:
     def test_latency_tiers_heap_stays_small(self, monkeypatch):
         pushes, peak, timeouts, flushes, pending = 0, 0, 0, 0, set()
@@ -147,16 +236,16 @@ class TestHeapHoldsOnlyWhatIsDue:
 
         def counted_push(item):
             nonlocal pushes, timeouts
-            if item[2] in regulated:
-                assert item[3] not in pending  # one offer or timeout per circuit
-                pending.add(item[3])
-                timeouts += item[2] == fhsim.engine._REG_TIMEOUT
+            if item[3] in regulated:
+                assert item[4] not in pending  # one offer or timeout per circuit
+                pending.add(item[4])
+                timeouts += item[3] == fhsim.engine._REG_TIMEOUT
             pushes += 1
 
         def counted_pop(item):
-            handled[item[2]] += 1
-            if item[2] in regulated:
-                pending.remove(item[3])
+            handled[item[3]] += 1
+            if item[3] in regulated:
+                pending.remove(item[4])
 
         class CountingHeapq:
             @staticmethod
@@ -195,14 +284,17 @@ class TestHeapHoldsOnlyWhatIsDue:
         assert result.total().delivered == 162_688
         # pushing every event came to 1,310,594 pushes and a heap of 5,080;
         # a timeout after every offer, to 1,079,156 pushes and 4,040 timeouts
-        assert pushes <= 1_075_140
+        assert pushes <= 749_764
         assert peak < 64
         # no timeout is superseded: each one pushed pops and flushes
         assert timeouts == flushes == 24
-        assert handled == {
-            fhsim.engine._OFFER: 5_050,
-            fhsim.engine._REG_TIMEOUT: 24,
-            fhsim.engine._ARRIVAL: 325_376,
-            fhsim.engine._PROC_DONE: 325_376,
-            fhsim.engine._TX_DONE: 419_314,
-        }
+        # a missing code counts as 0: every switch input port here is direct
+        assert handled == Counter(
+            {
+                fhsim.engine._OFFER: 5_050,
+                fhsim.engine._REG_TIMEOUT: 24,
+                fhsim.engine._ARRIVAL: 0,
+                fhsim.engine._PROC_DONE: 325_376,
+                fhsim.engine._TX_DONE: 419_314,
+            }
+        )

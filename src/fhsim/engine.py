@@ -13,27 +13,60 @@ only its run state. A FIFO port is strict priority over a single lane:
 it queues every class in lane 0, so it serves in arrival order. Each
 output port keeps a bitmask of its non-empty lanes, so strict priority
 and WRR reach the next lane to serve without a step per empty one.
-All randomness lives in the traffic
-traces; given the same world and horizon the run is reproducible event
-for event. Events are keyed (time, cause, tie): at equal time they pop
-in the order of their cause, the time of the event that scheduled them,
-and then of scheduling; an offer's cause is -inf, and a processing
-end's is its packet's arrival, whose tie it takes. The heap holds only
-what can be due next: one event per circuit, its regulator's timeout if
-that falls strictly before the circuit's next offer and else that
-offer, with a tie fixed by the feed lengths alone, so no event goes
-stale; the end of a transmission only once a packet waits behind it;
-and no arrival that could only pass the packet on. End equipment takes
-delivery at transmit start, and at a direct switch port, one whose input
-buffer cannot fill (`_direct`), the transmit step pushes the processing
-end itself; only an arrival at another switch port is an event, which
-checks the buffer. Offers are made one at a time per circuit, and a
-feed's volumes are read only as the run reaches them, so a run's memory
-does not grow with its length and a feed may be a lazy sequence that is
-still being produced while the run goes on. The handled event stays at
-the heap root until the first event it schedules replaces it; keys are
-unique, so the pop order is unchanged. The transmit step and
-single-output enqueue are inline, and `_Port.pick` is the one scheduler.
+All randomness lives in the traffic traces; given the same world and
+horizon the run is reproducible event for event.
+
+Events are keyed (time, cause, tie) and pop in that order. An event's
+cause is the time of the event whose handler scheduled it, with two
+exceptions: an offer's is -inf, and a processing end's is its packet's
+arrival time, and it takes the tie its arrival drew at transmit start,
+drawing none of its own. For every other event the cause only restates
+the tie order, since ties are drawn as events are handled, in time
+order; so the key places a processing end among the events of its
+instant by its arrival, not by the moment that arrival was handled.
+Offer ties come from the feed lengths: circuit c's offer at subframe sf
+takes tie L_c + sf, where L_c is the summed lengths of the earlier
+feeds, and every other event draws the next tie from the total length
+up, when it is scheduled. That is the order of pushing every offer up
+front in (circuit, subframe) order, found without reading a volume.
+
+The heap holds only what can be due next, and the order stays the one
+above:
+- One event per circuit: its regulator's timeout if that falls
+  strictly before the circuit's next offer, else that offer. Offers
+  are made one at a time per circuit, as the run reaches them: a volume
+  is read when the offer before it is handled (the first one before
+  the first event), and the offer waiting behind a timeout rides in
+  the timeout event. An offer at the deadline pops first, having the
+  lower cause, and schedules again; a timeout flushes the regulator
+  empty and pushes the next offer. So no timeout is ever superseded, no
+  event goes stale, and only a pushed timeout draws a tie, which keeps
+  the order of all the others.
+- The end of a transmission only once a packet waits behind it: a
+  transmission reserves its end's key when it starts, and a port whose
+  reserved key is already past is idle.
+- No arrival that could only pass the packet on. End equipment takes
+  delivery at transmit start, stamped with the arrival time, when that
+  time is within the horizon; later arrivals stay in the heap and count
+  as residual. A switch input port is direct, chosen before the first
+  event from the world and the horizon alone, when its input buffer
+  holds capacity * header_processing_delay / 8 bytes and two of the
+  largest wire frames, with a slack for rounding (`_direct`): one
+  transmitter feeds it, so it cannot fill. There the transmit step
+  pushes the processing end, keyed (arrival + delay, arrival, tie), and
+  no arrival event exists; a processing end past the horizon counts as
+  residual, as its arrival would. At every other switch port the
+  arrival is an event, which checks the buffer.
+So every figure is what pushing every event would give.
+
+The handled event stays at the heap root until the first event it
+schedules replaces it (`heapq.heapreplace`), or is popped if it
+schedules none; keys are unique, so the pop order is that of
+pop-then-push. A feed's volumes are read only as the run reaches them,
+so a run's memory does not grow with its length and a feed may be a
+lazy sequence that is still being produced while the run goes on. The
+transmit step and single-output enqueue run inline, with `_Port.pick`
+the one scheduler; bursts and replicas use `enqueue`.
 
 Packets carry their header fields as plain ints: the regulator builds
 each from ints it keeps in range, a hop relabels by assignment and a
@@ -490,52 +523,13 @@ def run(world: World, horizon: float) -> RunResult:
     arrival, so never delivers) and one that names a session with no
     feed are refused then with a `ValueError` naming them.
 
-    Events pop in (time, cause, tie) order, and the heap holds only
-    what can be due next. An event's cause is the time of the event
-    whose handler scheduled it, with two exceptions: an offer's is -inf,
-    and a processing end's is its packet's arrival time, and it takes
-    the tie its arrival drew at transmit start, drawing none of its
-    own. For every other event the cause only restates the tie order,
-    since ties are drawn as events are handled, in time order; so the
-    key places a processing end among the events of its instant by its
-    arrival, not by the moment that arrival was handled. Offer ties come
-    from the feed lengths: circuit c's offer at subframe sf takes tie
-    L_c + sf, where L_c is the summed lengths of the earlier feeds, and
-    every other event draws the next tie from the total length up, when
-    it is scheduled. That is the order of pushing every offer up front
-    in (circuit, subframe) order, found without reading a volume.
-    Offers are made one at a time per circuit, as the run reaches them:
-    a volume is read when the offer before it is handled (the first one
-    before the first event), and waits aside while a timeout that falls
-    before it is in the heap. So `feed.volumes` is read in order, by
-    index and `len` only, and never past what the horizon needs. Each
-    circuit has one event in the heap: its regulator's timeout if that
-    falls strictly before the circuit's next offer, else that offer. An
-    offer at the deadline pops first, having the lower cause, and
-    schedules again; a timeout flushes the regulator empty and pushes
-    the next offer. So no timeout is ever superseded, and only a pushed
-    timeout draws a tie, which keeps the order of all the others. A transmission reserves its
-    end's key when it starts, and that end is pushed only when a packet
-    waits behind it: a port whose reserved key is already past is idle.
-    End equipment takes delivery at transmit start, stamped with the
-    arrival time, when that time is within the horizon; later arrivals
-    stay in the heap and count as residual. A switch input port is
-    direct, chosen before the first event from the world and the
-    horizon alone, when its input buffer holds
-    capacity * header_processing_delay / 8 bytes and two of the largest
-    wire frames (`_direct`): one transmitter feeds it, so it cannot
-    fill. There the transmit step pushes the processing end, keyed
-    (arrival + delay, arrival, tie), and no arrival event exists; a
-    processing end past the horizon counts as residual, as its arrival
-    would. At every other switch port the arrival is an event, which
-    checks the buffer. So every figure is what pushing every event
-    would give.
-
-    The handled event stays at the root until the first event it
-    schedules replaces it (`heapq.heapreplace`), or is popped if there
-    is none; keys are unique, so the pop order is that of pop-then-push.
-    The transmit step and the single-output enqueue run inline, with
-    `_Port.pick` the one scheduler; bursts and replicas use `enqueue`.
+    Events pop in the (time, cause, tie) order the module docstring
+    states, which also says what the heap holds. `feed.volumes` is read
+    in order, by index and `len` only, an offer's volume when the run
+    reaches it, and never past what the horizon needs. The result holds
+    every session's latencies and circuit counters, each output port's
+    utilization and peak queue, the packets still queued or in flight at
+    the horizon, and each regulator's unframed and peak buffered bits.
     """
     if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and >= 0")
@@ -569,9 +563,8 @@ def run(world: World, horizon: float) -> RunResult:
             if bits > EPS_BITS:
                 yield (t, -math.inf, first_tie + sf, _OFFER, idx, bits)
 
-    regulators = [Regulator(feed) for feed in world.circuits]
     sessions: dict[str, SessionRunStats] = {}
-    ingress = []  # per circuit: (ingress port, circuit stats, session stats, its offers to come)
+    circuits = []  # per circuit: (regulator, ingress port, circuit stats, session stats, its offers to come)
     injecting: dict[tuple[NodeId, int, int], CircuitFeed] = {}  # (node, port, label) -> its feed
     n_subframes = 0  # lengths of the feeds so far: the tie of the next feed's subframe 0
     for idx, feed in enumerate(world.circuits):
@@ -587,7 +580,7 @@ def run(world: World, horizon: float) -> RunResult:
                 f" at (node, port) {where}"
             )
         stats = sessions.setdefault(feed.session_id, SessionRunStats())
-        ingress.append((port, stats.circuit(feed.circuit_id), stats, offers(idx, feed, n_subframes)))
+        circuits.append((Regulator(feed), port, stats.circuit(feed.circuit_id), stats, offers(idx, feed, n_subframes)))
         n_subframes += len(feed.volumes)
     unfed = {sid for sid, _ in world.egress.values()} - sessions.keys()
     if unfed:
@@ -605,14 +598,14 @@ def run(world: World, horizon: float) -> RunResult:
 
     # Events are (time, cause, tie, code, a, b); offers take ties below
     # n_subframes, a processing end takes its arrival's, and every other
-    # event draws the next tie when it is scheduled.
+    # event draws the next tie when it is scheduled. A timeout's b is the
+    # offer waiting behind it, or None.
     heap: list[tuple] = []
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    for *_, source in ingress:
+    for *_, source in circuits:
         head = next(source, None)
         if head is not None:
             heappush(heap, head)
-    upcoming: list[tuple | None] = [None] * len(ingress)  # per circuit: its next offer, behind its timeout
     tie = itertools.count(n_subframes).__next__
 
     def deliver(peer: _Port, pkt: FhPacket, at: float) -> None:
@@ -690,13 +683,12 @@ def run(world: World, horizon: float) -> RunResult:
                     continue
                 if code != _BUFFERED_DONE:  # _OFFER or _REG_TIMEOUT, the one event of circuit idx in the heap
                     idx = port
-                    reg = regulators[idx]
-                    port, cstats, stats, source = ingress[idx]
+                    reg, port, cstats, stats, source = circuits[idx]
                     if code == _OFFER:
                         emitted = reg.offer(now, pkt)
                         following = next(source, None)  # its volume is read only now
                     else:
-                        following = upcoming[idx]
+                        following = pkt  # the offer the timeout carried
                         emitted = reg.flush()
                     for pkt in emitted:
                         pkt.stats = cstats
@@ -705,8 +697,7 @@ def run(world: World, horizon: float) -> RunResult:
                         enqueue(port, pkt, event)
                     deadline = reg.deadline()  # None after a flush
                     if deadline is not None and (following is None or deadline < following[0]):
-                        heapreplace(heap, (deadline, now, tie(), _REG_TIMEOUT, idx, None))
-                        upcoming[idx] = following
+                        heapreplace(heap, (deadline, now, tie(), _REG_TIMEOUT, idx, following))
                     elif following is not None:
                         heapreplace(heap, following)
                     else:
@@ -794,7 +785,7 @@ def run(world: World, horizon: float) -> RunResult:
         )
         for (node, _), port in sorted(ports.items())
     ]
-    keyed = {f"{reg.feed.session_id}/{reg.feed.circuit_id}": reg for reg in regulators}
+    keyed = {f"{reg.feed.session_id}/{reg.feed.circuit_id}": reg for reg, *_ in circuits}
     return RunResult(
         horizon=horizon,
         sessions=sessions,

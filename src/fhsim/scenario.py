@@ -72,7 +72,7 @@ from .engine import (
 )
 from .fanout import Producer
 from .metrics import assemble_report, check_sweep_sizes, overhead_sweep, write_report_csvs, write_sweep_csv
-from .sync import ClockSource, build_sync_tree, propagate_sync, write_sync_csv
+from .sync import SOURCE_KINDS, ClockSource, build_sync_tree, propagate_sync, write_sync_csv
 from .topology import (
     AggregationToOneBbu,
     BbuToBbu,
@@ -170,20 +170,14 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class UeSpec:
+    """A cell's users: `count` of them, all behaving as `profile`."""
+
     count: int = 10
-    mean_on: float = 40.0
-    mean_off: float = 40.0
-    demand: int = 10
-    mcs_step: float = 0.3
-    mcs_init: int | None = None
+    profile: UeProfile = UeProfile()
 
     def __post_init__(self) -> None:
         if not 0 <= self.count <= MAX_UES:
             raise ValueError(f"count must be in 0..{MAX_UES}, got {self.count}")
-        self.profile()  # UeProfile rejects out-of-range values
-
-    def profile(self) -> UeProfile:
-        return UeProfile(self.mean_on, self.mean_off, self.demand, self.mcs_step, self.mcs_init)
 
 
 @dataclass(frozen=True)
@@ -235,10 +229,6 @@ class SessionSpec:
             raise ValueError("cbr traffic needs a rate")
         if self.cbr_rate is not None and self.cbr_rate > self.peak_rate:
             raise ValueError(f"rate {self.cbr_rate:g} is above peak {self.peak_rate:g}")
-        try:
-            pattern_shape(_PATTERNS[self.pattern], self.srcs, self.dsts)
-        except ValueError as exc:
-            raise ValueError(f"{self.pattern}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -458,6 +448,16 @@ _RADIO = _Keys(
         "compression": "compression_factor",
     },
 )
+_PROFILE = _Keys(
+    UeProfile,
+    {
+        "mean_on": "mean_on",
+        "mean_off": "mean_off",
+        "demand": "demand_prbs",
+        "mcs_step": "mcs_step_prob",
+        "mcs_init": "mcs_init",
+    },
+)
 _LINK_LINE = _Keys(LinkSpec, {}, ("a", "b"), {"link": _LINK})
 _CELL = _Keys(CellSpec, {"scheme": "scheme"}, ("node",), {"cell": _RADIO})
 _SOURCE = _Keys(SourceSpec, {"quality": "quality", "offset_ppb": "offset_ppb"}, ("node",))
@@ -501,14 +501,12 @@ _ENTRIES = {
     ("topology", "node"): _Entry("nodes", _Keys(NodeSpec, {}, ("name", "kind")), "node", {}),
     ("topology", "link"): _Entry("links", _LINK_LINE, None, {"a": _ANY, "b": _ANY}),
     ("cells", "cell"): _Entry("cells", _CELL, "cell for node", {"node": (NodeKind.RRH,)}),
-    ("sync", "source"): _Entry(
-        "sources", _SOURCE, "sync source at node", {"node": (NodeKind.BBU, NodeKind.FH_SWITCH)}
-    ),
+    ("sync", "source"): _Entry("sources", _SOURCE, "sync source at node", {"node": SOURCE_KINDS}),
     ("sessions", "session"): _Entry("sessions", _SESSION, "session", {}),
 }
 # Lines that complete the cell of their node: line key -> CellSpec field of that name.
 _CELL_PARTS = {
-    "ues": _Keys(UeSpec),
+    "ues": _Keys(UeSpec, {"count": "count"}, parts={"profile": _PROFILE}),
     "control": _Keys(
         ControlSchedule,
         {"pdcch": "pdcch_res_per_subframe", "prach_period": "prach_period", "prach_res": "prach_res"},
@@ -678,12 +676,12 @@ class CellTraces:
     in-process, as they are pulled.
     """
 
-    def __init__(self, scenario: Scenario, engine: EngineSpec, fork: bool):
-        self.length = engine.subframes
+    def __init__(self, scenario: Scenario, fork: bool):
+        self.length = scenario.engine.subframes
         self._cells = scenario.cells
         self._index = {cell.node: k for k, cell in enumerate(scenario.cells)}
         self._columns: list[tuple[list, list, list]] = [([], [], []) for _ in scenario.cells]
-        blocks = partial(_trace_blocks, scenario, engine)
+        blocks = partial(_trace_blocks, scenario)
         self._blocks = Producer(blocks) if fork and scenario.cells else blocks()
         self.traces: dict[str, TrafficTrace] = {}  # filled by drain()
 
@@ -727,11 +725,12 @@ class _Volumes(Sequence):
         return self._values[sf]
 
 
-def _trace_blocks(scenario: Scenario, engine: EngineSpec) -> Iterator[list[tuple[list, list, list]]]:
+def _trace_blocks(scenario: Scenario) -> Iterator[list[tuple[list, list, list]]]:
     """Every cell's trace columns, `_BLOCK` subframes at a time, each block checked as CellTraces states."""
+    engine = scenario.engine
     made = []
     for index, cell in enumerate(scenario.cells):
-        profiles = [cell.ues.profile()] * cell.ues.count
+        profiles = [cell.ues.profile] * cell.ues.count
         made.append(trace_rows(cell.cell, cell.scheme, profiles, cell.control, engine.subframes, engine.seed + index))
     at = {cell.node: k for k, cell in enumerate(scenario.cells)}
     peaks = [
@@ -760,14 +759,14 @@ def _trace_blocks(scenario: Scenario, engine: EngineSpec) -> Iterator[list[tuple
         yield block
 
 
-def _engine_spec(scenario: Scenario, seed: int | None, subframes: int | None) -> EngineSpec:
-    """The scenario's engine settings with the overrides given, each read as its line would be, at line 0."""
-    engine_spec = scenario.engine
+def _with_overrides(scenario: Scenario, seed: int | None, subframes: int | None) -> Scenario:
+    """The scenario with the engine overrides given, each read as its `[engine]` line would be, at line 0."""
+    engine = scenario.engine
     for key, value in {"seed": seed, "subframes": subframes}.items():
         if value is not None:
             with _At(0, key):  # str() refuses an int of more than 4,300 digits
-                engine_spec = _SETTINGS["engine"].set(0, engine_spec, key, str(value))
-    return engine_spec
+                engine = _SETTINGS["engine"].set(0, engine, key, str(value))
+    return replace(scenario, engine=engine)
 
 
 def build_scenario(
@@ -791,7 +790,8 @@ def build_scenario(
     ScenarioError where it is pulled (see CellTraces), after every
     error of the lines read here.
     """
-    engine_spec = _engine_spec(scenario, seed, subframes)
+    scenario = _with_overrides(scenario, seed, subframes)
+    engine = scenario.engine
 
     node_id = {spec.name: index for index, spec in enumerate(scenario.nodes)}
     linked = {end for spec in scenario.links for end in (spec.a, spec.b)}
@@ -804,8 +804,8 @@ def build_scenario(
             [(node_id[spec.a], node_id[spec.b], spec.link) for spec in scenario.links],
         )
 
-    controller = Controller(topology, engine_spec.switch_config())
-    cells = CellTraces(scenario, engine_spec, fork=False) if traces is None else traces
+    controller = Controller(topology, engine.switch_config())
+    cells = CellTraces(scenario, fork=False) if traces is None else traces
 
     infeasible: list[tuple[str, str]] = []
     bounds: dict[str, float] = {}
@@ -816,8 +816,8 @@ def build_scenario(
         dsts = tuple(node_id[d] for d in spec.dsts)
         with _At(spec.line):
             policy = RegulatorPolicy(
-                max_frame_bytes=spec.frame if spec.frame is not None else engine_spec.frame_bytes,
-                frame_timeout=spec.timeout if spec.timeout is not None else engine_spec.frame_timeout,
+                max_frame_bytes=spec.frame if spec.frame is not None else engine.frame_bytes,
+                frame_timeout=spec.timeout if spec.timeout is not None else engine.frame_timeout,
             )
             request = SessionRequest(
                 pattern=LogicalPattern(pattern_shape(_PATTERNS[spec.pattern], srcs, dsts), ue_id=spec.ue),
@@ -843,7 +843,7 @@ def build_scenario(
                 radio = radios.get(src_name, CellConfig())
                 if spec.traffic == "cbr":
                     scheme = spec.scheme or ClassicalIQ()
-                    volumes = constant_trace(radio, scheme, spec.cbr_rate, engine_spec.subframes).volumes
+                    volumes = constant_trace(radio, scheme, spec.cbr_rate, engine.subframes).volumes
                 else:
                     volumes = cells.volumes(src_name)
                 feeds.append(
@@ -870,7 +870,7 @@ def build_scenario(
     if traces is None:
         cells.drain()
     return BuiltScenario(
-        scenario=replace(scenario, engine=engine_spec),
+        scenario=scenario,
         node_id=node_id,
         controller=controller,
         world=world,
@@ -897,9 +897,10 @@ def run_scenario(
     """
     with _At(0, "sweep"):
         check_sweep_sizes(sweep or [])
-    with closing(CellTraces(scenario, _engine_spec(scenario, seed, subframes), fork=True)) as cells:
-        built = build_scenario(scenario, seed=seed, subframes=subframes, traces=cells)
-        horizon = built.scenario.engine.horizon
+    scenario = _with_overrides(scenario, seed, subframes)
+    with closing(CellTraces(scenario, fork=True)) as cells:
+        built = build_scenario(scenario, traces=cells)
+        horizon = scenario.engine.horizon
         result = run(built.world, horizon)
         traces = cells.drain()
     sources = [ClockSource(built.node_id[s.node], s.quality, s.offset_ppb) for s in scenario.sources]

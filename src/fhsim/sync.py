@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 from .topology import NodeId, NodeKind, PhysLink, PhysicalTopology
 
+SOURCE_KINDS = (NodeKind.BBU, NodeKind.FH_SWITCH, NodeKind.TIMING_SOURCE)  # the nodes a clock source may sit on
+
 
 @dataclass(frozen=True)
 class ClockSource:
-    """External timing reference feeding the tree at a BBU or switch."""
+    """External timing reference feeding the tree at a BBU, switch or timing node (`SOURCE_KINDS`)."""
 
     node: NodeId
     quality_rank: int = 0  # lower is better
@@ -75,8 +77,9 @@ def build_sync_tree(topology: PhysicalTopology, sources: list[ClockSource]) -> C
         kind = topology.nodes.get(source.node)
         if kind is None:
             raise ValueError(f"clock source references unknown node {source.node}")
-        if kind.kind not in (NodeKind.BBU, NodeKind.FH_SWITCH):
-            raise ValueError(f"clock sources attach to BBUs or switches, not {kind.kind.value}")
+        if kind.kind not in SOURCE_KINDS:
+            allowed = " or ".join(k.value for k in SOURCE_KINDS)
+            raise ValueError(f"clock sources attach to {allowed} nodes, not {kind.kind.value}")
         if source.node in seen_nodes:
             raise ValueError(f"duplicate clock source at node {source.node}")
         seen_nodes.add(source.node)

@@ -371,23 +371,25 @@ class Star:
 
 
 @dataclass(frozen=True)
-class Ring:
+class _SwitchLine:
+    """The fields of a ring or chain: attachments are (switch position, kind) pairs.
+
+    A subclass inherits the constructor, equality (only between values of
+    the same class), hash and `repr`, which names the subclass.
+    """
+
+    n_switches: int
+    attachments: tuple[tuple[int, NodeKind], ...]
+    link: LinkParams = LinkParams()
+    attach_link: LinkParams | None = None
+
+
+class Ring(_SwitchLine):
     """n_switches in a cycle; attachments are (switch position, kind) pairs."""
 
-    n_switches: int
-    attachments: tuple[tuple[int, NodeKind], ...]
-    link: LinkParams = LinkParams()
-    attach_link: LinkParams | None = None
 
-
-@dataclass(frozen=True)
-class Chain:
+class Chain(_SwitchLine):
     """n_switches in a line; attachments are (switch position, kind) pairs."""
-
-    n_switches: int
-    attachments: tuple[tuple[int, NodeKind], ...]
-    link: LinkParams = LinkParams()
-    attach_link: LinkParams | None = None
 
 
 TopologySpec = Union[Star, Ring, Chain]
@@ -427,7 +429,7 @@ def build_topology(spec: TopologySpec) -> PhysicalTopology:
         leaves = [(kind, f"{kind.value}{i}") for i, kind in enumerate(spec.leaves)]
         return wire([(NodeKind.FH_SWITCH, "hub"), *leaves], [(0, 1 + i, spec.link) for i in range(len(leaves))])
 
-    if isinstance(spec, (Ring, Chain)):
+    if isinstance(spec, _SwitchLine):
         n = spec.n_switches
         if n < 1:
             raise ValueError("need at least one switch")

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -7,6 +8,11 @@ from fhsim.cli import bundled_scenario_names, load_scenario_text
 from fhsim.engine import run
 from fhsim.metrics import assemble_report
 from fhsim.scenario import build_scenario, parse_scenario
+
+# The tests that run the benchmark's workloads import its modules (`workloads`, `layers`, `tracing`) by name.
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
 
 
 @pytest.fixture(scope="session")

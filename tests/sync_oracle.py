@@ -53,9 +53,9 @@ def build_sync_tree(topology: PhysicalTopology, sources: list[ClockSource]) -> C
         kind = topology.nodes.get(source.node)
         if kind is None:
             raise ValueError(f"clock source references unknown node {source.node}")
-        if kind.kind not in (NodeKind.BBU, NodeKind.FH_SWITCH):
+        if kind.kind not in (NodeKind.BBU, NodeKind.FH_SWITCH, NodeKind.TIMING_SOURCE):
             raise ValueError(
-                f"clock sources attach to BBUs or switches, not {kind.kind.value}"
+                f"clock sources attach to bbu or switch or timing nodes, not {kind.kind.value}"
             )
         if source.node in seen_nodes:
             raise ValueError(f"duplicate clock source at node {source.node}")

@@ -9,16 +9,9 @@ usable CPU and on two, where its traces stream from a forked child. The
 routes the controller picks. `tiers` is pinned by `test_golden.py`.
 """
 
-import os
-import sys
-
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import workloads  # noqa: E402
+import workloads
 
 
 @pytest.mark.parametrize("name, seed, n", [("cells", 0, 1), ("cells", 0, 2), *(("ctrl", seed, 1) for seed in range(5))])

@@ -16,8 +16,6 @@ every session on the most loaded trunk.
 """
 
 import hashlib
-import os
-import sys
 
 import pytest
 
@@ -25,11 +23,7 @@ from fhsim.cli import load_scenario_text
 from fhsim.control import Controller, Infeasible
 from fhsim.scenario import build_scenario, parse_scenario
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import workloads  # noqa: E402
+import workloads
 
 GOLDEN = {
     "cd-decoupling": (

@@ -7,7 +7,6 @@ child checks `os.getpid()` against the caller's pid first.
 
 import itertools
 import os
-import sys
 import threading
 import time
 from contextlib import closing
@@ -20,11 +19,7 @@ from fhsim.metrics import overhead_sweep
 from fhsim.scenario import CellTraces, parse_scenario
 from fhsim.traffic import generate_trace
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import workloads  # noqa: E402
+import workloads
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -57,13 +52,13 @@ def test_twelve_cell_traces_are_the_same_streamed_or_made_whole(cpus):
     cpus(2)
     scenario = parse_scenario(workloads.cells_text(7), name="cells")
     assert len(scenario.cells) == 12
-    engine = replace(scenario.engine, subframes=150)  # more than two blocks, the last one short
-    with closing(CellTraces(scenario, engine, fork=True)) as cells:
+    scenario = replace(scenario, engine=replace(scenario.engine, subframes=150))  # over two blocks, the last short
+    with closing(CellTraces(scenario, fork=True)) as cells:
         streamed = cells.drain()
     assert list(streamed) == [cell.node for cell in scenario.cells]
     for index, cell in enumerate(scenario.cells):
-        profiles = [cell.ues.profile()] * cell.ues.count
-        whole = generate_trace(cell.cell, cell.scheme, profiles, cell.control, 150, engine.seed + index)
+        profiles = [cell.ues.profile] * cell.ues.count
+        whole = generate_trace(cell.cell, cell.scheme, profiles, cell.control, 150, scenario.engine.seed + index)
         trace = streamed[cell.node]
         assert (trace.volumes, trace.prbs, trace.control_res) == (whole.volumes, whole.prbs, whole.control_res)
         assert [type(v) for v in trace.volumes] == [type(v) for v in whole.volumes]

@@ -1,4 +1,4 @@
-"""No module of fhsim imports a name it never uses.
+"""No module of fhsim imports a name it never uses, or defines a private name nothing reads.
 
 The names are read with `ast`: a module's imports against every name it
 loads, attribute roots included. `__init__.py` is left out, as its
@@ -6,24 +6,23 @@ imports are the package's exports. The one exemption is the names
 perfbench's traced runs wrap on `fhsim.scenario` (`perfbench/layers.py`):
 the scenario module imports them so that a wrapper put there is the one
 a run calls.
+
+A private name (one leading `_`) is a module's own: a module-level
+function, class or constant, or a method, so a simplification that
+leaves one behind leaves dead code. Each must be read somewhere in the
+package, as a name, an attribute or an imported name; tests do not count.
 """
 
 import ast
 import os
-import sys
 
+import layers
 import pytest
 
 import fhsim
 import fhsim.scenario
 
 PACKAGE = os.path.dirname(fhsim.__file__)
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import layers  # noqa: E402
-
 MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py") and name != "__init__.py")
 
 
@@ -53,3 +52,49 @@ def test_every_import_is_used(module):
         wrapped = {attribute for owner, attribute, *_ in layers.targets() if owner is fhsim.scenario}
         unused = [name for name in unused if name not in wrapped]
     assert unused == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` (`module.Class.name` for a method) of each private definition no source reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(f"{module}.{t.id}", t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                methods = [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+                defined += [(f"{module}.{node.name}.{name}", name) for name in methods]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    private = [(where, name) for where, name in defined if name.startswith("_") and not name.startswith("__")]
+    return [where for where, name in private if name not in read]
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a": "from .b import _helper\n_USED = 1\n_DEAD = 2\n\n"
+        "def _orphan():\n    _DEAD = 3\n\n"
+        "class _Kept:\n    def _step(self):\n        return _USED\n\n    def _idle(self):\n        pass\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "def entry():\n    return _Kept()._step(), _helper()\n",
+        "b": "def _helper():\n    pass\n\ndef _unused():\n    pass\n\n__all__ = []\n",
+    }
+    assert unread_private_names(sources) == ["a._DEAD", "a._orphan", "a._Kept._idle", "b._unused"]
+
+
+def test_every_private_name_is_read():
+    sources = {}
+    for module in sorted(os.listdir(PACKAGE)):
+        if module.endswith(".py"):
+            with open(os.path.join(PACKAGE, module)) as f:
+                sources[module.removesuffix(".py")] = f.read()
+    assert unread_private_names(sources) == []

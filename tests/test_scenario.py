@@ -1,3 +1,4 @@
+import csv
 import math
 import pickle
 import re
@@ -130,12 +131,16 @@ class TestParse:
         text = MINIMAL.replace(
             "[cells]",
             "node = gps timing\nlink = gps hub cap=1e6 delay=1e-6\n\n[cells]",
-        ).replace("source = b1 quality=0", "source = hub quality=0")
+        ).replace("source = b1 quality=0", "source = gps quality=0")
         scenario = parse_scenario(text)
         assert ("gps", "timing") in [(n.name, n.kind) for n in scenario.nodes]
         assert run_scenario(scenario, str(tmp_path)) == 0
-        sync = (tmp_path / "sync.csv").read_text().splitlines()
-        assert len(sync) == 1 + 4  # hub, both hosts, and the timing node
+        with open(tmp_path / "sync.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        gps = str([n.name for n in scenario.nodes].index("gps"))
+        assert len(rows) == 4  # hub, both hosts, and the timing node
+        assert all(row["source_id"] == gps for row in rows)  # it roots the whole tree
+        assert next(row["hops"] for row in rows if row["node_id"] == gps) == "0"
 
     def test_parse_render_parse_identity_minimal(self):
         first = parse_scenario(MINIMAL)
@@ -600,7 +605,8 @@ def fuzz_targets(text: str) -> list[tuple[int, str, tuple[str, ...]]]:
         elif section in _SETTINGS and head in _SETTINGS[section].codecs:
             targets.append((index, head, (head,)))
         elif section == "cells" and head in _CELL_PARTS:
-            targets += keys_of(index, [_CELL_PARTS[head]])
+            table = _CELL_PARTS[head]
+            targets += keys_of(index, [table, *table.parts.values()])
         elif (section, head) in _ENTRIES:
             table = _ENTRIES[section, head].keys
             targets += keys_of(index, [table, *table.parts.values()])

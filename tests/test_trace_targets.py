@@ -7,19 +7,12 @@ installs the real target list on the real package and removes it again,
 and runs one traced scenario pass through it.
 """
 
-import os
-import sys
+import layers
+import tracing
+import workloads
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import layers  # noqa: E402
-import tracing  # noqa: E402
-import workloads  # noqa: E402
-
-import fhsim.scenario  # noqa: E402
-from fhsim.cli import load_scenario_text  # noqa: E402
+import fhsim.scenario
+from fhsim.cli import load_scenario_text
 
 
 def test_traced_targets_install_record_and_restore():
